@@ -22,7 +22,8 @@ from repro.analysis.report import ExperimentReport
 from repro.core.parity3dp import make_3dp
 from repro.faults.rates import FailureRates
 from repro.reliability.montecarlo import EngineConfig
-from repro.replay import ReplayCampaignRunner, ReplayConfig
+from repro.reliability.parallel import ParallelLifetimeRunner
+from repro.replay import ReplayConfig, ReplayWork
 from repro.telemetry.files import write_json_atomic
 
 TRIALS = scaled(64, floor=8)
@@ -35,7 +36,7 @@ THROUGHPUT_FLOOR = 2000.0
 
 
 def make_runner(geometry, workers):
-    return ReplayCampaignRunner(
+    work = ReplayWork(
         geometry,
         FailureRates.paper_baseline(tsv_device_fit=500.0),
         make_3dp(geometry),
@@ -44,6 +45,9 @@ def make_runner(geometry, workers):
             workload="zipfian", cores=CORES,
             requests_per_core=REQUESTS_PER_CORE,
         ),
+    )
+    return ParallelLifetimeRunner(
+        work=work,
         root_seed=42,
         workers=workers,
         shard_size=4,

@@ -30,7 +30,7 @@ from repro.core.citadel import CitadelConfig, StorageOverhead
 from repro.core.parity3dp import ParityND, make_1dp, make_2dp, make_3dp
 from repro.faults.rates import FailureRates, TABLE_I_8GB_FIT
 from repro.reliability.montecarlo import EngineConfig, LifetimeSimulator
-from repro.reliability.parallel import EarlyStopPolicy, ParallelLifetimeRunner
+from repro.reliability.parallel import ParallelLifetimeRunner
 from repro.reliability.results import ReliabilityResult
 from repro.stack.geometry import StackGeometry
 from repro.stack.striping import StripingPolicy
@@ -49,7 +49,6 @@ __all__ = [
     "EngineConfig",
     "LifetimeSimulator",
     "ParallelLifetimeRunner",
-    "EarlyStopPolicy",
     "ReliabilityResult",
     "StackGeometry",
     "StripingPolicy",

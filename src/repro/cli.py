@@ -54,15 +54,11 @@ from repro.reliability.montecarlo import EngineConfig
 from repro.reliability.sampling import SAMPLING_METHODS
 from repro.reliability.parallel import (
     DEFAULT_SHARD_SIZE,
-    EarlyStopPolicy,
+    CampaignReport,
     ParallelLifetimeRunner,
 )
 from repro.reliability.results import ReliabilityResult
-from repro.replay import (
-    DEFAULT_REPLAY_SHARD_SIZE,
-    ReplayCampaignRunner,
-    ReplayConfig,
-)
+from repro.replay import DEFAULT_REPLAY_SHARD_SIZE, ReplayConfig, ReplayWork
 from repro.schemes import SCHEMES
 from repro.stack.geometry import StackGeometry
 from repro.stack.striping import StripingPolicy
@@ -164,9 +160,6 @@ def build_parser() -> argparse.ArgumentParser:
                      help="evaluate trials through the vectorized batch "
                           "kernel (byte-identical results; needs numpy and "
                           "--sampling naive)")
-    rel.add_argument("--early-stop", type=float, default=None, metavar="REL",
-                     help="stop once the 95%% CI half-width is below REL "
-                          "of the failure probability (e.g. 0.1)")
     rel.add_argument("--telemetry", action="store_true",
                      help="collect deterministic engine metrics "
                           "(implied by --metrics-out)")
@@ -517,11 +510,6 @@ def cmd_reliability(args: argparse.Namespace) -> int:
         checkpoint_path=args.checkpoint,
         resume=args.resume,
         time_budget_s=args.time_budget,
-        early_stop=(
-            EarlyStopPolicy(rel_halfwidth=args.early_stop)
-            if args.early_stop is not None
-            else None
-        ),
         progress=args.progress,
         trace_path=args.trace_out,
         trace_sample_every=args.trace_sample_every,
@@ -543,6 +531,17 @@ def cmd_reliability(args: argparse.Namespace) -> int:
         out(json.dumps(document, indent=1, sort_keys=True))
         return 0
     out(result.summary())
+    _campaign_status(report)
+    if args.modes and result.failure_modes:
+        out("failure modes:")
+        for mode, count in result.top_failure_modes():
+            out(f"  {mode:<40} {count}")
+    return 0
+
+
+def _campaign_status(report: Optional[CampaignReport]) -> None:
+    """One stderr line when a campaign merged other than every shard
+    of a fresh run (partial, stopped early, or resumed)."""
     if report is not None and (
         report.partial or report.stopped_early or report.resumed_shards
     ):
@@ -554,11 +553,6 @@ def cmd_reliability(args: argparse.Namespace) -> int:
             + (", interrupted" if report.interrupted else "")
             + (", time budget exhausted" if report.budget_exhausted else "")
         )
-    if args.modes and result.failure_modes:
-        out("failure modes:")
-        for mode, count in result.top_failure_modes():
-            out(f"  {mode:<40} {count}")
-    return 0
 
 
 def cmd_perf(args: argparse.Namespace) -> int:
@@ -645,16 +639,19 @@ def cmd_replay(args: argparse.Namespace) -> int:
         requests_per_core=args.requests,
         thermal=args.thermal,
     )
-    runner = ReplayCampaignRunner(
-        geometry,
-        rates,
-        model,
-        EngineConfig(
-            tsv_swap_standby=tsv_swap,
-            use_dds=use_dds,
-            scrub_interval_hours=args.scrub_hours,
+    runner = ParallelLifetimeRunner(
+        work=ReplayWork(
+            geometry,
+            rates,
+            model,
+            EngineConfig(
+                tsv_swap_standby=tsv_swap,
+                use_dds=use_dds,
+                scrub_interval_hours=args.scrub_hours,
+            ),
+            replay_config,
+            collect_metrics=collect_metrics,
         ),
-        replay_config,
         root_seed=args.seed,
         workers=args.workers,
         shard_size=(
@@ -663,13 +660,13 @@ def cmd_replay(args: argparse.Namespace) -> int:
         ),
         checkpoint_path=args.checkpoint,
         resume=args.resume,
-        collect_metrics=collect_metrics,
     )
     err(
         f"replay: {args.workload} x {args.trials} trials "
         f"({args.cores} cores x {args.requests} requests each)"
     )
     result = runner.run(trials=args.trials)
+    _campaign_status(runner.last_report)
     if args.metrics_out is not None:
         registry = result.metrics if result.metrics is not None else (
             MetricsRegistry()

@@ -6,9 +6,10 @@ from repro.reliability.montecarlo import EngineConfig, LifetimeSimulator
 from repro.reliability.parallel import (
     CampaignReport,
     CrashInjection,
-    EarlyStopPolicy,
     ParallelLifetimeRunner,
+    ReliabilityWork,
     ShardSpec,
+    ShardWork,
     shard_plan,
 )
 from repro.reliability.results import ReliabilityResult, SparingStats, StratumStats
@@ -31,7 +32,8 @@ __all__ = [
     "SparingStats",
     "StratumStats",
     "ParallelLifetimeRunner",
-    "EarlyStopPolicy",
+    "ShardWork",
+    "ReliabilityWork",
     "StoppingRule",
     "ConfidenceSequence",
     "CampaignReport",

@@ -24,11 +24,7 @@ from repro.ecc import SymbolCode
 from repro.ecc.base import CorrectionModel
 from repro.faults.rates import TSV_FIT_HIGH, FailureRates
 from repro.reliability.montecarlo import EngineConfig
-from repro.reliability.parallel import (
-    DEFAULT_SHARD_SIZE,
-    EarlyStopPolicy,
-    ParallelLifetimeRunner,
-)
+from repro.reliability.parallel import DEFAULT_SHARD_SIZE, ParallelLifetimeRunner
 from repro.reliability.results import ReliabilityResult
 from repro.stack.geometry import StackGeometry
 from repro.stack.striping import StripingPolicy
@@ -53,7 +49,6 @@ def run_campaign(
     checkpoint_path: Optional[Union[str, Path]] = None,
     resume: bool = False,
     time_budget_s: Optional[float] = None,
-    early_stop: Optional[EarlyStopPolicy] = None,
     **engine_cfg: Any,
 ) -> ReliabilityResult:
     """One sharded Monte-Carlo reliability measurement.
@@ -73,7 +68,6 @@ def run_campaign(
         checkpoint_path=checkpoint_path,
         resume=resume,
         time_budget_s=time_budget_s,
-        early_stop=early_stop,
     )
     return runner.run(trials=trials, min_faults=min_faults, label=label)
 

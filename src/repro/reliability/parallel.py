@@ -1,19 +1,22 @@
 """Parallel sharded Monte-Carlo campaigns with checkpoint/resume.
 
-:class:`ParallelLifetimeRunner` splits a lifetime-reliability campaign
-into fixed-size *shards* and fans them out over ``multiprocessing``
-workers.  The shard plan is a pure function of ``(trials, shard_size)``
-and each shard draws from its own generator seeded with
-``derive_seed(root_seed, "shard", index)``, so the merged
-:class:`~repro.reliability.results.ReliabilityResult` is identical for
-any worker count — ``workers=1`` (which runs the same shards in-process,
-no pool) and ``workers=8`` produce byte-identical aggregates.
+:class:`ParallelLifetimeRunner` splits a campaign into fixed-size
+*shards* and fans them out over ``multiprocessing`` workers.  The shard
+plan is a pure function of ``(trials, shard_size)`` and each shard draws
+from its own generator seeded with ``derive_seed(root_seed, "shard",
+index)``, so the merged result is identical for any worker count —
+``workers=1`` (which runs the same shards in-process, no pool) and
+``workers=8`` produce byte-identical aggregates.
 
-Robustness features for long campaigns:
+It is the one sharded runner of the package.  What a shard computes is
+a :class:`ShardWork`: lifetime reliability (:class:`ReliabilityWork`,
+the default) or trace replay (:class:`repro.replay.ReplayWork`).  Every
+campaign kind gets the same robustness features:
 
 * **Checkpointing** — completed shards are appended to a JSON checkpoint
-  (atomic rename) every ``checkpoint_every`` completions; a killed
-  campaign resumes with ``resume=True`` and re-runs only missing shards.
+  (unique temp file + atomic rename) every ``checkpoint_every``
+  completions; a killed campaign resumes with ``resume=True`` and re-runs
+  only missing shards.
   A fingerprint of the shard plan guards against resuming someone else's
   checkpoint (:class:`~repro.errors.CheckpointError`).
 * **Wall-clock budget** — ``time_budget_s`` stops dispatching new shards
@@ -26,11 +29,14 @@ Robustness features for long campaigns:
   failed and excluded from the merge (trial counts stay accurate); a
   hard worker death (``BrokenProcessPool``) aborts dispatch but still
   returns the completed prefix.
-* **Early stopping** — an optional sequential-probability rule stops the
-  campaign once the failure-probability confidence interval over the
-  *contiguous shard prefix* is tight enough.  Evaluating the rule on the
-  prefix (never on whichever shards happened to finish first) keeps the
-  stopped result deterministic across worker counts.
+* **Cooperative cancel** — ``cancel_hook`` is polled between shards;
+  the campaign stops dispatching and returns the partial merge.
+
+Reliability campaigns may also stop early: the anytime-valid
+:class:`~repro.reliability.stopping.StoppingRule` is evaluated on the
+*contiguous shard prefix* (never on whichever shards happened to finish
+first), which keeps the stopped result deterministic across worker
+counts.
 
 Observability (all opt-in, none of it feeds back into the simulation):
 
@@ -43,9 +49,9 @@ Observability (all opt-in, none of it feeds back into the simulation):
   not trace (a trace sink does not cross process boundaries).
 * ``last_campaign_metrics`` — wall-clock campaign metrics (shard latency
   histogram, completion counters).  Deliberately kept *outside* the
-  merged :class:`ReliabilityResult`, whose ``metrics`` sidecar only ever
-  carries the deterministic per-shard snapshots, so the merged result
-  stays byte-identical for any worker count.
+  merged result, whose ``metrics`` sidecar only ever carries the
+  deterministic per-shard snapshots, so the merged result stays
+  byte-identical for any worker count.
 """
 
 from __future__ import annotations
@@ -56,16 +62,19 @@ import time
 from concurrent.futures import FIRST_COMPLETED, Future, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
 from contextlib import nullcontext
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields, is_dataclass
+from enum import Enum
 from pathlib import Path
 from typing import (
     IO,
     Any,
     Callable,
+    ClassVar,
     ContextManager,
     Dict,
     FrozenSet,
     List,
+    Mapping,
     Optional,
     Sequence,
     Tuple,
@@ -81,6 +90,7 @@ from repro.reliability.results import ReliabilityResult
 from repro.reliability.stopping import StoppingRule
 from repro.rng import derive_seed
 from repro.stack.geometry import StackGeometry
+from repro.telemetry.files import write_json_atomic
 from repro.telemetry.manifest import RunManifest, schemes_registry_hash
 from repro.telemetry.progress import ProgressReporter
 from repro.telemetry.registry import MetricsRegistry
@@ -143,36 +153,160 @@ def shard_plan(trials: int, shard_size: int, root_seed: int) -> List[ShardSpec]:
     return shards
 
 
-@dataclass(frozen=True)
-class EarlyStopPolicy:
-    """Stop once the failure-probability CI over the shard prefix is tight.
+class ShardWork:
+    """What one kind of campaign computes per shard.
 
-    The rule fires when at least ``min_failures`` failures have been
-    observed *and* the ``z``-score confidence half-width is at most
-    ``rel_halfwidth`` of the point estimate.  Requiring a failure floor
-    first keeps the rule from triggering on the lucky all-zero prefixes
-    of a rare-failure campaign.
+    The runner owns the shard plan, the pool, checkpoints and the merge;
+    a work object supplies the rest.  It must pickle (pool workers
+    receive it with every shard).
+
+    * ``result_type`` — the result monoid: ``from_dict``, ``identity``
+      and ``merge_all``;
+    * :meth:`run_shard` — one shard, returned as the monoid's dict;
+    * :meth:`empty` — the result reported when no shard was merged;
+    * :meth:`fingerprint` — the work's part of the checkpoint identity;
+    * :meth:`finish` — an optional hook on the merged result.
     """
 
-    rel_halfwidth: float = 0.1
-    min_failures: int = 100
-    z: float = 1.96
+    result_type: ClassVar[Any]
+    #: Campaign label (progress output and trace spans).
+    label: str
 
-    def __post_init__(self) -> None:
-        contracts.require(
-            self.rel_halfwidth > 0,
-            "rel_halfwidth must be positive, got %r",
-            self.rel_halfwidth,
+    def run_shard(
+        self,
+        spec: ShardSpec,
+        root_seed: int,
+        tracer: Optional[TraceWriter] = None,
+    ) -> Dict[str, Any]:
+        raise NotImplementedError
+
+    def empty(self) -> Any:
+        raise NotImplementedError
+
+    def fingerprint(self) -> Dict[str, Any]:
+        raise NotImplementedError
+
+    def finish(
+        self, merged: Any, trials: int, root_seed: int, shard_size: int
+    ) -> None:
+        """Post-merge hook; the default does nothing."""
+
+
+@dataclass(frozen=True)
+class ReliabilityWork(ShardWork):
+    """Lifetime-reliability shards (the runner's default work)."""
+
+    result_type: ClassVar[Any] = ReliabilityResult
+
+    geometry: StackGeometry
+    rates: FailureRates
+    model: CorrectionModel
+    config: EngineConfig
+    min_faults: int
+    label: str
+
+    @classmethod
+    def resolve(
+        cls,
+        geometry: StackGeometry,
+        rates: FailureRates,
+        model: CorrectionModel,
+        config: EngineConfig,
+        min_faults: Optional[int] = None,
+        label: Optional[str] = None,
+    ) -> "ReliabilityWork":
+        """Fill in the engine's default ``min_faults`` and label."""
+        template = LifetimeSimulator(geometry, rates, model, config, seed=0)
+        return cls(
+            geometry,
+            rates,
+            model,
+            config,
+            template.default_min_faults() if min_faults is None else min_faults,
+            template.scheme_label() if label is None else label,
         )
-        contracts.check_non_negative(self.min_failures, "min_failures")
 
-    def satisfied(self, prefix: ReliabilityResult) -> bool:
-        if prefix.trials == 0 or prefix.failures < self.min_failures:
-            return False
-        p = prefix.failure_probability
-        if p <= 0.0:
-            return False
-        return self.z * prefix.std_error <= self.rel_halfwidth * p
+    def run_shard(
+        self,
+        spec: ShardSpec,
+        root_seed: int,
+        tracer: Optional[TraceWriter] = None,
+    ) -> Dict[str, Any]:
+        sim = LifetimeSimulator(
+            self.geometry,
+            self.rates,
+            self.model,
+            self.config,
+            seed=spec.seed,
+            tracer=tracer,
+        )
+        result = sim.run(
+            trials=spec.trials, min_faults=self.min_faults, label=self.label
+        )
+        return result.to_dict()
+
+    def empty(self) -> ReliabilityResult:
+        # An empty-but-labelled result rather than the bare identity, so
+        # downstream summaries stay readable.
+        return ReliabilityResult(
+            scheme_name=self.label,
+            trials=0,
+            failures=0,
+            stratum_weight=1.0,
+            lifetime_hours=self.config.lifetime_hours,
+            min_faults=self.min_faults,
+        )
+
+    def fingerprint(self) -> Dict[str, Any]:
+        return {
+            "kind": "reliability",
+            "min_faults": self.min_faults,
+            "label": self.label,
+            "model": self.model.name,
+            "engine_config": asdict(self.config),
+            "rates": self.rates,
+            "geometry": self.geometry,
+        }
+
+    def finish(
+        self, merged: Any, trials: int, root_seed: int, shard_size: int
+    ) -> None:
+        """Attach the run-provenance manifest: a pure function of the
+        campaign configuration (worker count and wall clock excluded), so
+        merged results stay byte-identical for any worker count."""
+        from repro import __version__
+
+        merged.manifest = RunManifest(
+            scheme=self.label,
+            seed=root_seed,
+            trials=trials,
+            shard_size=shard_size,
+            sampling=self.config.sampling,
+            target_ci_width=self.config.target_ci_width,
+            checkpoint_version=CHECKPOINT_VERSION,
+            schemes_hash=schemes_registry_hash(),
+            package_version=__version__,
+        )
+
+
+def _json_form(value: Any) -> Any:
+    """``value`` as it reads back from JSON: dataclasses become field
+    dicts, enums their values, tuples lists, mapping keys strings — so a
+    saved fingerprint compares equal to a freshly computed one.
+
+    ``FailureRates`` and ``StackGeometry`` enter the fingerprint only
+    to be compared, never to be rebuilt from a checkpoint: a field added
+    to either makes an old checkpoint fail the comparison loudly.
+    """
+    if is_dataclass(value) and not isinstance(value, type):
+        return {f.name: _json_form(getattr(value, f.name)) for f in fields(value)}
+    if isinstance(value, Enum):
+        return value.value
+    if isinstance(value, Mapping):
+        return {str(_json_form(k)): _json_form(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_json_form(v) for v in value]
+    return value
 
 
 @dataclass(frozen=True)
@@ -223,12 +357,8 @@ class _ShardTask:
     """Everything a worker process needs to run one shard."""
 
     spec: ShardSpec
-    geometry: StackGeometry
-    rates: FailureRates
-    model: CorrectionModel
-    config: EngineConfig
-    min_faults: int
-    label: str
+    work: ShardWork
+    root_seed: int
     crash: CrashInjection
 
 
@@ -249,38 +379,29 @@ def _run_shard(
             f"injected crash in shard {task.spec.index} (CrashInjection)"
         )
     started = time.monotonic()
-    sim = LifetimeSimulator(
-        task.geometry,
-        task.rates,
-        task.model,
-        task.config,
-        seed=task.spec.seed,
-        tracer=tracer,
-    )
-    result = sim.run(
-        trials=task.spec.trials,
-        min_faults=task.min_faults,
-        label=task.label,
-    )
-    return task.spec.index, result.to_dict(), time.monotonic() - started
+    payload = task.work.run_shard(task.spec, task.root_seed, tracer)
+    return task.spec.index, payload, time.monotonic() - started
 
 
 class ParallelLifetimeRunner:
-    """Sharded, resumable, multi-process lifetime-reliability campaigns.
+    """Sharded, resumable, multi-process campaigns.
 
     Drop-in upgrade of :class:`LifetimeSimulator.run`: construction takes
     the same ``(geometry, rates, model, config)`` tuple plus a
     ``root_seed``, and :meth:`run` returns the same
-    :class:`ReliabilityResult` type the serial engine produces.
+    :class:`ReliabilityResult` type the serial engine produces.  Other
+    campaign kinds pass their :class:`ShardWork` as ``work=`` instead of
+    that tuple; :meth:`run` then returns the work's result type.
     """
 
     def __init__(
         self,
-        geometry: StackGeometry,
-        rates: FailureRates,
-        model: CorrectionModel,
+        geometry: Optional[StackGeometry] = None,
+        rates: Optional[FailureRates] = None,
+        model: Optional[CorrectionModel] = None,
         config: Optional[EngineConfig] = None,
         *,
+        work: Optional[ShardWork] = None,
         root_seed: int = 0,
         workers: int = 1,
         shard_size: int = DEFAULT_SHARD_SIZE,
@@ -288,7 +409,6 @@ class ParallelLifetimeRunner:
         checkpoint_every: int = 1,
         resume: bool = False,
         time_budget_s: Optional[float] = None,
-        early_stop: Optional[EarlyStopPolicy] = None,
         stopping: Optional[StoppingRule] = None,
         crash_injection: Optional[CrashInjection] = None,
         progress: bool = False,
@@ -298,6 +418,16 @@ class ParallelLifetimeRunner:
         trace_sample_every: int = 1,
         cancel_hook: Optional[Callable[[], bool]] = None,
     ) -> None:
+        contracts.require(
+            (work is None) == (
+                geometry is not None and rates is not None and model is not None
+            ),
+            "pass either (geometry, rates, model) or work=, not both",
+        )
+        contracts.require(
+            work is None or (config is None and stopping is None),
+            "config and stopping apply to reliability campaigns only",
+        )
         contracts.require(workers >= 1, "workers must be >= 1, got %r", workers)
         contracts.require(
             shard_size > 0, "shard_size must be positive, got %r", shard_size
@@ -316,6 +446,9 @@ class ParallelLifetimeRunner:
         self.rates = rates
         self.model = model
         self.config = config if config is not None else EngineConfig()
+        #: The campaign's shard work; None runs lifetime reliability on
+        #: ``(geometry, rates, model, config)``.
+        self.work = work
         self.root_seed = root_seed
         self.workers = workers
         self.shard_size = shard_size
@@ -325,10 +458,9 @@ class ParallelLifetimeRunner:
         self.checkpoint_every = checkpoint_every
         self.resume = resume
         self.time_budget_s = time_budget_s
-        self.early_stop = early_stop
         #: Anytime-valid stopping rule, consulted on the contiguous shard
-        #: prefix alongside ``early_stop``.  When None but the engine
-        #: config sets ``target_ci_width``, :meth:`run` resolves a default
+        #: prefix.  When None but the engine config sets
+        #: ``target_ci_width``, :meth:`run` resolves a default
         #: :class:`StoppingRule` — the path the campaign service uses.
         self.stopping = stopping
         self.crash_injection = (
@@ -361,34 +493,34 @@ class ParallelLifetimeRunner:
         trials: int,
         min_faults: Optional[int] = None,
         label: Optional[str] = None,
-    ) -> ReliabilityResult:
+    ) -> Any:
         """Run (or resume) the campaign and return the merged result.
 
+        ``min_faults`` and ``label`` override the reliability engine's
+        defaults; a ``work=`` campaign fixes both in its work object.
         ``self.last_report`` carries the campaign bookkeeping
         (shard counts, early-stop / interrupt / budget flags).
         """
         started = time.monotonic()
-        template = LifetimeSimulator(
-            self.geometry,
-            self.rates,
-            self.model,
-            self.config,
-            seed=self.root_seed,
-        )
-        resolved_min = (
-            template.default_min_faults() if min_faults is None else min_faults
-        )
-        resolved_label = label if label is not None else template.scheme_label()
+        if self.work is not None:
+            work = self.work
+        else:
+            assert self.geometry is not None and self.rates is not None
+            assert self.model is not None
+            work = ReliabilityWork.resolve(
+                self.geometry, self.rates, self.model, self.config,
+                min_faults, label,
+            )
         self._active_stopping = self.stopping
         if self._active_stopping is None and self.config.target_ci_width is not None:
             self._active_stopping = StoppingRule(self.config.target_ci_width)
         shards = shard_plan(trials, self.shard_size, self.root_seed)
         report = CampaignReport(planned_shards=len(shards))
-        fingerprint = self._fingerprint(trials, resolved_min, resolved_label)
+        fingerprint = self._fingerprint(work, trials)
 
-        completed: Dict[int, ReliabilityResult] = {}
+        completed: Dict[int, Any] = {}
         if self.resume and self.checkpoint_path is not None:
-            completed = self._load_checkpoint(fingerprint)
+            completed = self._load_checkpoint(work, fingerprint)
             report.resumed_shards = len(completed)
         pending = [s for s in shards if s.index not in completed]
 
@@ -397,7 +529,7 @@ class ParallelLifetimeRunner:
             ProgressReporter(
                 total_shards=len(shards),
                 total_trials=trials,
-                label=resolved_label,
+                label=work.label,
                 stream=self.progress_stream,
                 min_interval_s=self.progress_interval_s,
                 time_budget_s=self.time_budget_s,
@@ -413,7 +545,7 @@ class ParallelLifetimeRunner:
         campaign_span: ContextManager[Any] = (
             self._tracer.span(
                 "campaign",
-                label=resolved_label,
+                label=work.label,
                 trials=trials,
                 shards=len(shards),
                 workers=self.workers,
@@ -426,10 +558,10 @@ class ParallelLifetimeRunner:
                 try:
                     if self.workers == 1:
                         self._run_serial(pending, completed, report, fingerprint,
-                                         resolved_min, resolved_label, started)
+                                         work, started)
                     else:
                         self._run_pool(pending, completed, report, fingerprint,
-                                       resolved_min, resolved_label, started)
+                                       work, started)
                 except KeyboardInterrupt:
                     report.interrupted = True
         finally:
@@ -451,47 +583,20 @@ class ParallelLifetimeRunner:
             self._campaign = None
         self._write_checkpoint(completed, fingerprint)
 
-        merged = self._merge(shards, completed, report)
+        merged = self._merge(work, completed, report)
         if merged.is_identity:
-            # Nothing completed (0 trials, or everything crashed/stopped):
-            # return an empty-but-labelled result rather than the bare
-            # identity so downstream summaries stay readable.
-            merged = ReliabilityResult(
-                scheme_name=resolved_label,
-                trials=0,
-                failures=0,
-                stratum_weight=1.0,
-                lifetime_hours=self.config.lifetime_hours,
-                min_faults=resolved_min,
-            )
-        merged.manifest = self._build_manifest(trials, resolved_label)
+            # Nothing completed (0 trials, or everything crashed/stopped).
+            merged = work.empty()
+        work.finish(merged, trials, self.root_seed, self.shard_size)
         self._record_campaign_outcome(trials, merged, report)
         report.elapsed_seconds = time.monotonic() - started
         self.last_report = report
         return merged
 
-    def _build_manifest(self, trials: int, label: str) -> RunManifest:
-        """Provenance of this campaign: a pure function of the campaign
-        configuration (worker count and wall clock excluded), so merged
-        results stay byte-identical for any worker count."""
-        from repro import __version__
-
-        return RunManifest(
-            scheme=label,
-            seed=self.root_seed,
-            trials=trials,
-            shard_size=self.shard_size,
-            sampling=self.config.sampling,
-            target_ci_width=self.config.target_ci_width,
-            checkpoint_version=CHECKPOINT_VERSION,
-            schemes_hash=schemes_registry_hash(),
-            package_version=__version__,
-        )
-
     def _record_campaign_outcome(
         self,
         planned_trials: int,
-        merged: ReliabilityResult,
+        merged: Any,
         report: CampaignReport,
     ) -> None:
         """Volatile campaign observability for the stopping layer: trials
@@ -508,21 +613,21 @@ class ParallelLifetimeRunner:
         if self._active_stopping is not None:
             lo, hi = self._active_stopping.interval(merged)
             registry.gauge_set("campaign/ci_width", hi - lo, volatile=True)
-        registry.gauge_set(
-            "campaign/effective_failures",
-            merged.effective_failures(),
-            volatile=True,
-        )
+        if isinstance(merged, ReliabilityResult):
+            registry.gauge_set(
+                "campaign/effective_failures",
+                merged.effective_failures(),
+                volatile=True,
+            )
 
     # ------------------------------------------------------------------ #
     def _run_serial(
         self,
         pending: Sequence[ShardSpec],
-        completed: Dict[int, ReliabilityResult],
+        completed: Dict[int, Any],
         report: CampaignReport,
         fingerprint: Dict[str, Any],
-        min_faults: int,
-        label: str,
+        work: ShardWork,
         started: float,
     ) -> None:
         """``workers=1`` degenerate case: same shards, same merge, no pool."""
@@ -534,7 +639,7 @@ class ParallelLifetimeRunner:
             if self._out_of_budget(started):
                 report.budget_exhausted = True
                 break
-            task = self._task(spec, min_faults, label)
+            task = self._task(spec, work)
             tracer = self._tracer
             shard_span: ContextManager[Any] = (
                 tracer.span("shard", index=spec.index, trials=spec.trials)
@@ -553,7 +658,7 @@ class ParallelLifetimeRunner:
             except (RuntimeError, OSError):
                 report.failed_shards.append(spec.index)
                 continue
-            completed[index] = ReliabilityResult.from_dict(payload)
+            completed[index] = work.result_type.from_dict(payload)
             report.completed_shards += 1
             self._observe_shard(seconds)
             self._emit_progress(completed)
@@ -568,17 +673,16 @@ class ParallelLifetimeRunner:
     def _run_pool(
         self,
         pending: Sequence[ShardSpec],
-        completed: Dict[int, ReliabilityResult],
+        completed: Dict[int, Any],
         report: CampaignReport,
         fingerprint: Dict[str, Any],
-        min_faults: int,
-        label: str,
+        work: ShardWork,
         started: float,
     ) -> None:
         since_checkpoint = 0
         with ProcessPoolExecutor(max_workers=self.workers) as pool:
-            futures: Dict[Future[Tuple[int, Dict[str, Any]]], ShardSpec] = {
-                pool.submit(_run_shard, self._task(spec, min_faults, label)): spec
+            futures: Dict[Future[Tuple[int, Dict[str, Any], float]], ShardSpec] = {
+                pool.submit(_run_shard, self._task(spec, work)): spec
                 for spec in pending
             }
             try:
@@ -597,7 +701,7 @@ class ParallelLifetimeRunner:
                         except Exception:
                             report.failed_shards.append(spec.index)
                             continue
-                        completed[index] = ReliabilityResult.from_dict(payload)
+                        completed[index] = work.result_type.from_dict(payload)
                         report.completed_shards += 1
                         self._observe_shard(seconds)
                         self._emit_progress(completed)
@@ -643,28 +747,24 @@ class ParallelLifetimeRunner:
                     except Exception:
                         report.failed_shards.append(spec.index)
                         continue
-                    completed[index] = ReliabilityResult.from_dict(payload)
+                    completed[index] = work.result_type.from_dict(payload)
                     report.completed_shards += 1
                     self._observe_shard(seconds)
                 raise
 
     @staticmethod
     def _cancel_all(
-        futures: Dict[Future[Tuple[int, Dict[str, Any]]], ShardSpec]
+        futures: Dict[Future[Tuple[int, Dict[str, Any], float]], ShardSpec]
     ) -> None:
         for future in futures:
             future.cancel()
 
     # ------------------------------------------------------------------ #
-    def _task(self, spec: ShardSpec, min_faults: int, label: str) -> _ShardTask:
+    def _task(self, spec: ShardSpec, work: ShardWork) -> _ShardTask:
         return _ShardTask(
             spec=spec,
-            geometry=self.geometry,
-            rates=self.rates,
-            model=self.model,
-            config=self.config,
-            min_faults=min_faults,
-            label=label,
+            work=work,
+            root_seed=self.root_seed,
             crash=self.crash_injection,
         )
 
@@ -680,9 +780,7 @@ class ParallelLifetimeRunner:
         )
         self._campaign.record_seconds("campaign/shard_time", seconds)
 
-    def _emit_progress(
-        self, completed: Dict[int, ReliabilityResult]
-    ) -> None:
+    def _emit_progress(self, completed: Dict[int, Any]) -> None:
         if self._reporter is not None:
             self._reporter.update(
                 len(completed), sum(r.trials for r in completed.values())
@@ -699,24 +797,18 @@ class ParallelLifetimeRunner:
 
     def _stop_index(
         self,
-        completed: Dict[int, ReliabilityResult],
+        completed: Dict[int, Any],
         failed: Sequence[int],
     ) -> Optional[int]:
-        """Smallest shard index k such that the early-stop rule holds on
+        """Smallest shard index k such that the stopping rule holds on
         the contiguous prefix 0..k — or None.
 
         Only contiguous prefixes are considered so the decision depends
         on the shard plan, never on completion order; a failed shard
-        breaks the prefix and disables stopping past it.  Both the legacy
-        Wald-interval :class:`EarlyStopPolicy` and the anytime-valid
-        :class:`StoppingRule` are consulted; either may fire.
+        breaks the prefix and disables stopping past it.
         """
-        rules = [
-            rule
-            for rule in (self.early_stop, self._active_stopping)
-            if rule is not None
-        ]
-        if not rules or not completed:
+        rule = self._active_stopping
+        if rule is None or not completed:
             return None
         failed_set = set(failed)
         prefix = ReliabilityResult.identity()
@@ -725,75 +817,59 @@ class ParallelLifetimeRunner:
             if k in failed_set:
                 return None
             prefix = prefix.merge(completed[k])
-            if any(rule.satisfied(prefix) for rule in rules):
+            if rule.satisfied(prefix):
                 return k
             k += 1
         return None
 
     def _merge(
         self,
-        shards: Sequence[ShardSpec],
-        completed: Dict[int, ReliabilityResult],
+        work: ShardWork,
+        completed: Dict[int, Any],
         report: CampaignReport,
-    ) -> ReliabilityResult:
+    ) -> Any:
         stop = self._stop_index(completed, report.failed_shards)
         indices = sorted(completed)
         if stop is not None:
             report.stopped_early = True
             indices = [i for i in indices if i <= stop]
         report.merged_shards = len(indices)
-        return ReliabilityResult.merge_all(completed[i] for i in indices)
+        return work.result_type.merge_all(completed[i] for i in indices)
 
     # ------------------------------------------------------------------ #
     # Checkpointing
     # ------------------------------------------------------------------ #
-    def _fingerprint(
-        self, trials: int, min_faults: int, label: str
-    ) -> Dict[str, Any]:
-        """Identity of the shard plan; a checkpoint from a different plan
-        must never be silently merged into this campaign."""
-        engine_config = asdict(self.config)
-        if engine_config.get("thermal_bank_fit") is not None:
-            # JSON round-trips tuples as lists; normalize so a saved
-            # fingerprint compares equal to a freshly computed one.
-            engine_config["thermal_bank_fit"] = list(
-                engine_config["thermal_bank_fit"]
-            )
-        return {
+    def _fingerprint(self, work: ShardWork, trials: int) -> Dict[str, Any]:
+        """Identity of the shard plan and its work; a checkpoint from a
+        different campaign must never be silently merged into this one."""
+        return _json_form({
             "version": CHECKPOINT_VERSION,
             "root_seed": self.root_seed,
             "trials": trials,
             "shard_size": self.shard_size,
-            "min_faults": min_faults,
-            "label": label,
-            "model": self.model.name,
-            "engine_config": engine_config,
-            "rates_tsv_fit": self.rates.tsv_device_fit,
-        }
+            **work.fingerprint(),
+        })
 
     def _write_checkpoint(
         self,
-        completed: Dict[int, ReliabilityResult],
+        completed: Dict[int, Any],
         fingerprint: Dict[str, Any],
     ) -> None:
         if self.checkpoint_path is None:
             return
-        payload = {
-            "fingerprint": fingerprint,
-            "shards": {
-                str(i): completed[i].to_dict() for i in sorted(completed)
+        write_json_atomic(
+            self.checkpoint_path,
+            {
+                "fingerprint": fingerprint,
+                "shards": {
+                    str(i): completed[i].to_dict() for i in sorted(completed)
+                },
             },
-        }
-        tmp = self.checkpoint_path.with_suffix(
-            self.checkpoint_path.suffix + ".tmp"
         )
-        tmp.parent.mkdir(parents=True, exist_ok=True)
-        tmp.write_text(json.dumps(payload, indent=1))
-        os.replace(tmp, self.checkpoint_path)
 
     def _load_checkpoint(
-        self, fingerprint: Dict[str, Any]
-    ) -> Dict[int, ReliabilityResult]:
+        self, work: ShardWork, fingerprint: Dict[str, Any]
+    ) -> Dict[int, Any]:
         path = self.checkpoint_path
         assert path is not None
         if not path.exists():
@@ -810,7 +886,7 @@ class ParallelLifetimeRunner:
             )
         try:
             return {
-                int(index): ReliabilityResult.from_dict(shard)
+                int(index): work.result_type.from_dict(shard)
                 for index, shard in payload["shards"].items()
             }
         except (KeyError, TypeError, ValueError) as exc:

@@ -14,7 +14,7 @@ thermal proxy.
 from repro.replay.engine import ReplayConfig, ReplayEngine, default_perf_config
 from repro.replay.perturb import ReplayPerturbation
 from repro.replay.results import ReplayResult
-from repro.replay.runner import DEFAULT_REPLAY_SHARD_SIZE, ReplayCampaignRunner
+from repro.replay.runner import DEFAULT_REPLAY_SHARD_SIZE, ReplayWork
 from repro.replay.thermal import thermal_bank_multipliers
 from repro.replay.timeline import (
     FaultTimeline,
@@ -30,7 +30,7 @@ __all__ = [
     "ReplayPerturbation",
     "ReplayResult",
     "DEFAULT_REPLAY_SHARD_SIZE",
-    "ReplayCampaignRunner",
+    "ReplayWork",
     "thermal_bank_multipliers",
     "FaultTimeline",
     "TimelineEvent",

@@ -1,39 +1,31 @@
-"""Sharded, resumable replay campaigns (the parallel half).
+"""Replay campaigns as a :class:`~repro.reliability.parallel.ShardWork`.
 
-Mirrors :class:`~repro.reliability.parallel.ParallelLifetimeRunner`:
-the shard plan is a pure function of ``(trials, shard_size, root_seed)``
-via :func:`~repro.reliability.parallel.shard_plan`, workers pull shards
-from a process pool, completed shards checkpoint atomically under a
-campaign fingerprint, and the final aggregate is the monoid fold of the
-shard results in index order — so workers-1 and workers-4 runs (and a
-checkpoint/resume run) produce byte-identical serialized results.
+A replay campaign runs on the one sharded runner,
+:class:`~repro.reliability.parallel.ParallelLifetimeRunner`, by passing
+a :class:`ReplayWork` as ``work=``.  The runner supplies the shard plan,
+the process pool, crash containment, cancellation, the time budget,
+progress output and atomic checkpoints; the work replays one shard.
+Every shard replays the same workload trace, seeded from the campaign
+root, so the merged :class:`ReplayResult` is byte-identical for any
+worker count and across checkpoint/resume.
 """
 
 from __future__ import annotations
 
-import json
-import os
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from dataclasses import asdict, dataclass
-from pathlib import Path
-from typing import Any, Dict, Optional, Tuple, Union
+from typing import Any, ClassVar, Dict, Optional
 
-from repro import contracts
-from repro.errors import CheckpointError
-from repro.faults.rates import FailureRates
 from repro.ecc.base import CorrectionModel
+from repro.faults.rates import FailureRates
 from repro.perf.system import PerfConfig
 from repro.reliability.montecarlo import EngineConfig
-from repro.reliability.parallel import (
-    CHECKPOINT_VERSION,
-    ShardSpec,
-    shard_plan,
-)
-from repro.replay.engine import ReplayConfig, ReplayEngine
+from repro.reliability.parallel import ShardSpec, ShardWork
+from repro.replay.engine import ReplayConfig, ReplayEngine, default_perf_config
 from repro.replay.results import ReplayResult
 from repro.rng import derive_seed
 from repro.stack.geometry import StackGeometry
 from repro.telemetry.registry import MetricsRegistry
+from repro.telemetry.tracing import TraceWriter
 
 #: Replay trials are orders of magnitude heavier than reliability trials
 #: (each replays the full trace), so shards stay small.
@@ -41,227 +33,66 @@ DEFAULT_REPLAY_SHARD_SIZE = 8
 
 
 @dataclass(frozen=True)
-class _ReplayShardTask:
-    """Everything a worker process needs to run one replay shard."""
+class ReplayWork(ShardWork):
+    """Replay shards for one (scheme, workload, mitigation) tuple."""
 
-    spec: ShardSpec
+    result_type: ClassVar[Any] = ReplayResult
+
     geometry: StackGeometry
     rates: FailureRates
     model: CorrectionModel
     engine_config: EngineConfig
     replay_config: ReplayConfig
-    perf_config: PerfConfig
-    trace_seed: int
-    label: str
-    collect_metrics: bool
+    perf_config: Optional[PerfConfig] = None
+    collect_metrics: bool = False
+    #: Defaults to the engine's scheme label plus `` replay``.
+    label: str = ""
 
-
-def _run_replay_shard(task: _ReplayShardTask) -> Tuple[int, Dict[str, Any]]:
-    """Worker entry point (module-level so it pickles)."""
-    engine = ReplayEngine(
-        task.geometry,
-        task.rates,
-        task.model,
-        task.engine_config,
-        task.replay_config,
-        task.perf_config,
-    )
-    metrics = MetricsRegistry() if task.collect_metrics else None
-    result = engine.run_shard(
-        task.spec.seed,
-        task.spec.trials,
-        task.trace_seed,
-        label=task.label,
-        metrics=metrics,
-    )
-    return task.spec.index, result.to_dict()
-
-
-class ReplayCampaignRunner:
-    """Sharded, resumable, multi-process replay campaigns."""
-
-    def __init__(
-        self,
-        geometry: StackGeometry,
-        rates: FailureRates,
-        model: CorrectionModel,
-        engine_config: Optional[EngineConfig] = None,
-        replay_config: Optional[ReplayConfig] = None,
-        perf_config: Optional[PerfConfig] = None,
-        *,
-        root_seed: int = 0,
-        workers: int = 1,
-        shard_size: int = DEFAULT_REPLAY_SHARD_SIZE,
-        checkpoint_path: Optional[Union[str, Path]] = None,
-        resume: bool = False,
-        collect_metrics: bool = False,
-        label: Optional[str] = None,
-    ) -> None:
-        contracts.require(workers >= 1, "workers must be >= 1, got %r", workers)
-        contracts.require(
-            shard_size > 0, "shard_size must be positive, got %r", shard_size
-        )
-        self.geometry = geometry
-        self.rates = rates
-        self.model = model
-        self.engine_config = (
-            engine_config if engine_config is not None else EngineConfig()
-        )
-        self.replay_config = (
-            replay_config if replay_config is not None else ReplayConfig()
-        )
-        self.engine = ReplayEngine(
-            geometry, rates, model, self.engine_config, self.replay_config,
-            perf_config,
-        )
-        self.root_seed = root_seed
-        self.workers = workers
-        self.shard_size = shard_size
-        self.checkpoint_path = (
-            Path(checkpoint_path) if checkpoint_path is not None else None
-        )
-        self.resume = resume
-        self.collect_metrics = collect_metrics
-        self.label = label if label is not None else self.engine.scheme_label()
-
-    # ------------------------------------------------------------------ #
-    @property
-    def trace_seed(self) -> int:
-        """Seed of the shared workload trace (shard-independent)."""
-        return derive_seed(self.root_seed, "trace")
-
-    def run(self, trials: int) -> ReplayResult:
-        """Run (or resume) a ``trials``-trial campaign; returns the merge."""
-        contracts.require(trials >= 0, "trials must be >= 0, got %r", trials)
-        plan = shard_plan(trials, self.shard_size, self.root_seed)
-        fingerprint = self._fingerprint(trials)
-        completed: Dict[int, ReplayResult] = {}
-        if self.checkpoint_path is not None and self.resume:
-            completed = self._load_checkpoint(fingerprint)
-        pending = [shard for shard in plan if shard.index not in completed]
-        if not plan:
-            return ReplayResult.identity()
-        if self.workers == 1 or len(pending) <= 1:
-            self._run_serial(pending, completed, fingerprint)
-        else:
-            self._run_pool(pending, completed, fingerprint)
-        return ReplayResult.merge_all(
-            completed[shard.index] for shard in plan
-        )
-
-    # ------------------------------------------------------------------ #
-    def _task(self, shard: ShardSpec) -> _ReplayShardTask:
-        return _ReplayShardTask(
-            spec=shard,
-            geometry=self.geometry,
-            rates=self.rates,
-            model=self.model,
-            engine_config=self.engine_config,
-            replay_config=self.replay_config,
-            perf_config=self.engine.perf_config,
-            trace_seed=self.trace_seed,
-            label=self.label,
-            collect_metrics=self.collect_metrics,
-        )
-
-    def _run_serial(
-        self,
-        pending,
-        completed: Dict[int, ReplayResult],
-        fingerprint: Dict[str, Any],
-    ) -> None:
-        for shard in pending:
-            index, payload = _run_replay_shard(self._task(shard))
-            completed[index] = ReplayResult.from_dict(payload)
-            self._write_checkpoint(completed, fingerprint)
-
-    def _run_pool(
-        self,
-        pending,
-        completed: Dict[int, ReplayResult],
-        fingerprint: Dict[str, Any],
-    ) -> None:
-        with ProcessPoolExecutor(max_workers=self.workers) as pool:
-            futures = {
-                pool.submit(_run_replay_shard, self._task(shard)): shard
-                for shard in pending
-            }
-            remaining = set(futures)
-            while remaining:
-                done, remaining = wait(
-                    remaining, return_when=FIRST_COMPLETED
-                )
-                for future in done:
-                    index, payload = future.result()
-                    completed[index] = ReplayResult.from_dict(payload)
-                self._write_checkpoint(completed, fingerprint)
-
-    # ------------------------------------------------------------------ #
-    # Checkpointing (same discipline as the reliability runner)
-    # ------------------------------------------------------------------ #
-    def _fingerprint(self, trials: int) -> Dict[str, Any]:
-        engine_config = asdict(self.engine_config)
-        if engine_config.get("thermal_bank_fit") is not None:
-            engine_config["thermal_bank_fit"] = list(
-                engine_config["thermal_bank_fit"]
+    def __post_init__(self) -> None:
+        if self.perf_config is None:
+            object.__setattr__(
+                self, "perf_config", default_perf_config(self.replay_config)
             )
+        if not self.label:
+            object.__setattr__(self, "label", self._engine().scheme_label())
+
+    def _engine(self) -> ReplayEngine:
+        return ReplayEngine(
+            self.geometry,
+            self.rates,
+            self.model,
+            self.engine_config,
+            self.replay_config,
+            self.perf_config,
+        )
+
+    def run_shard(
+        self,
+        spec: ShardSpec,
+        root_seed: int,
+        tracer: Optional[TraceWriter] = None,
+    ) -> Dict[str, Any]:
+        result = self._engine().run_shard(
+            spec.seed,
+            spec.trials,
+            derive_seed(root_seed, "trace"),
+            label=self.label,
+            metrics=MetricsRegistry() if self.collect_metrics else None,
+        )
+        return result.to_dict()
+
+    def empty(self) -> ReplayResult:
+        return ReplayResult.identity()
+
+    def fingerprint(self) -> Dict[str, Any]:
+        assert self.perf_config is not None
         return {
-            "version": CHECKPOINT_VERSION,
             "kind": "replay",
-            "root_seed": self.root_seed,
-            "trials": trials,
-            "shard_size": self.shard_size,
             "label": self.label,
             "model": self.model.name,
-            "engine_config": engine_config,
+            "engine_config": asdict(self.engine_config),
             "replay_config": asdict(self.replay_config),
-            "perf_label": self.engine.perf_config.label(),
-            "rates_tsv_fit": self.rates.tsv_device_fit,
+            "perf_label": self.perf_config.label(),
+            "rates": self.rates,
+            "geometry": self.geometry,
         }
-
-    def _write_checkpoint(
-        self,
-        completed: Dict[int, ReplayResult],
-        fingerprint: Dict[str, Any],
-    ) -> None:
-        if self.checkpoint_path is None:
-            return
-        payload = {
-            "fingerprint": fingerprint,
-            "shards": {
-                str(i): completed[i].to_dict() for i in sorted(completed)
-            },
-        }
-        tmp = self.checkpoint_path.with_suffix(
-            self.checkpoint_path.suffix + ".tmp"
-        )
-        tmp.parent.mkdir(parents=True, exist_ok=True)
-        tmp.write_text(json.dumps(payload, indent=1))
-        os.replace(tmp, self.checkpoint_path)
-
-    def _load_checkpoint(
-        self, fingerprint: Dict[str, Any]
-    ) -> Dict[int, ReplayResult]:
-        path = self.checkpoint_path
-        assert path is not None
-        if not path.exists():
-            return {}
-        try:
-            payload = json.loads(path.read_text())
-        except (OSError, json.JSONDecodeError) as exc:
-            raise CheckpointError(f"unreadable checkpoint {path}: {exc}") from exc
-        saved = payload.get("fingerprint")
-        if saved != fingerprint:
-            raise CheckpointError(
-                f"checkpoint {path} belongs to a different replay campaign: "
-                f"saved fingerprint {saved!r} != expected {fingerprint!r}"
-            )
-        try:
-            return {
-                int(index): ReplayResult.from_dict(shard)
-                for index, shard in payload["shards"].items()
-            }
-        except (KeyError, TypeError, ValueError) as exc:
-            raise CheckpointError(
-                f"malformed shard table in checkpoint {path}: {exc}"
-            ) from exc

@@ -50,7 +50,7 @@ from repro.faults.rates import FailureRates
 from repro.reliability.montecarlo import EngineConfig
 from repro.reliability.parallel import CampaignReport, ParallelLifetimeRunner
 from repro.reliability.results import ReliabilityResult
-from repro.replay import ReplayCampaignRunner
+from repro.replay import ReplayWork
 from repro.schemes import SCHEMES
 from repro.service.jobs import CampaignSpec, Job, JobState
 from repro.service.queue import JobQueue
@@ -485,11 +485,12 @@ class CampaignScheduler:
         spec = job.spec
         geometry = spec.build_geometry()
         model = SCHEMES[spec.scheme](geometry)
+        rates = FailureRates.paper_baseline(tsv_device_fit=spec.tsv_fit)
         checkpoint = self._checkpoint_path(job)
-        if spec.mode == "replay":
-            replay_runner = ReplayCampaignRunner(
+        campaign: Dict[str, Any] = (
+            dict(work=ReplayWork(
                 geometry,
-                FailureRates.paper_baseline(tsv_device_fit=spec.tsv_fit),
+                rates,
                 model,
                 EngineConfig(
                     tsv_swap_standby=spec.tsv_swap,
@@ -497,19 +498,18 @@ class CampaignScheduler:
                     scrub_interval_hours=spec.scrub_hours,
                 ),
                 spec.replay_config(),
-                root_seed=spec.seed,
-                workers=workers,
-                shard_size=spec.shard_size,
-                checkpoint_path=checkpoint,
-                resume=checkpoint.exists(),
                 collect_metrics=spec.telemetry,
+            ))
+            if spec.mode == "replay"
+            else dict(
+                geometry=geometry,
+                rates=rates,
+                model=model,
+                config=spec.engine_config(),
             )
-            return replay_runner.run(trials=spec.effective_trials), None
+        )
         runner = ParallelLifetimeRunner(
-            geometry,
-            FailureRates.paper_baseline(tsv_device_fit=spec.tsv_fit),
-            model,
-            spec.engine_config(),
+            **campaign,
             root_seed=spec.seed,
             workers=workers,
             shard_size=spec.shard_size,

@@ -1,11 +1,16 @@
 """Tests for the parallel sharded Monte-Carlo runner.
 
 Covers the shard plan, worker-count independence, checkpoint/resume
-round-trips, the wall-clock budget, graceful interrupt draining, early
-stopping, and fault tolerance when a worker crashes mid-campaign.
+round-trips, the wall-clock budget, graceful interrupt draining, stopping
+across resume, and fault tolerance when a worker crashes mid-campaign.
+The campaign-mechanics suites run twice: on reliability shards and, via
+their ``TestReplay*`` subclasses, on replay shards.
 """
 
 import json
+import sys
+import threading
+from dataclasses import replace
 
 import pytest
 
@@ -13,29 +18,49 @@ import repro.reliability.parallel as parallel_mod
 from repro.core.parity3dp import make_1dp
 from repro.errors import CheckpointError, ContractViolation
 from repro.faults.rates import FailureRates
+from repro.faults.types import FaultKind
 from repro.reliability import (
     CrashInjection,
-    EarlyStopPolicy,
     ParallelLifetimeRunner,
     ReliabilityResult,
     shard_plan,
 )
 from repro.reliability.montecarlo import EngineConfig
+from repro.replay import ReplayConfig, ReplayWork
 from repro.rng import derive_seed
 
 #: High-ish fault rates so a few hundred trials produce failures.
 RATES = FailureRates.paper_baseline(tsv_device_fit=100.0)
 
+#: The campaign under test; the ``replay_campaign`` fixture switches all
+#: three to a small replay campaign for the ``TestReplay*`` suites.
+WORK = "reliability"
 TRIALS = 800
 SHARD = 200
 
 
-def make_runner(geometry, **kwargs):
+def make_runner(geometry, rates=RATES, **kwargs):
     kwargs.setdefault("root_seed", 42)
     kwargs.setdefault("shard_size", SHARD)
+    if WORK == "replay":
+        work = ReplayWork(
+            geometry, rates, make_1dp(geometry), EngineConfig(),
+            ReplayConfig(cores=1, requests_per_core=1),
+        )
+        return ParallelLifetimeRunner(work=work, **kwargs)
     return ParallelLifetimeRunner(
-        geometry, RATES, make_1dp(geometry), EngineConfig(), **kwargs
+        geometry, rates, make_1dp(geometry), EngineConfig(), **kwargs
     )
+
+
+@pytest.fixture
+def replay_campaign(monkeypatch):
+    """Run the suite on replay shards: 8 trials in shards of 2 (replay
+    trials cost milliseconds each, reliability trials microseconds)."""
+    module = sys.modules[__name__]
+    monkeypatch.setattr(module, "WORK", "replay")
+    monkeypatch.setattr(module, "TRIALS", 8)
+    monkeypatch.setattr(module, "SHARD", 2)
 
 
 class TestShardPlan:
@@ -163,6 +188,46 @@ class TestCheckpointResume:
         shard0 = ReliabilityResult.from_dict(payload["shards"]["0"])
         assert shard0.trials == SHARD
 
+    def test_resume_under_other_die_fit_rejected(self, geometry, tmp_path):
+        """The fingerprint covers the whole FailureRates, not just the
+        TSV FIT: a different die-FIT table is a different campaign."""
+        cp = tmp_path / "cp.json"
+        make_runner(geometry, workers=1, checkpoint_path=cp).run(trials=TRIALS)
+        die_fit = dict(RATES.die_fit)
+        die_fit[FaultKind.BIT] = (0.0, 0.0)
+        other = make_runner(
+            geometry, rates=replace(RATES, die_fit=die_fit), workers=1,
+            checkpoint_path=cp, resume=True,
+        )
+        with pytest.raises(CheckpointError):
+            other.run(trials=TRIALS)
+
+    def test_concurrent_checkpoint_writes_never_tear(self, geometry, tmp_path):
+        cp = tmp_path / "cp.json"
+        runner = make_runner(geometry, workers=1, checkpoint_path=cp)
+        shard = runner.run(trials=SHARD)
+        errors = []
+
+        def writer(offset):
+            try:
+                for i in range(100):
+                    runner._write_checkpoint({offset + i: shard}, {"w": offset})
+            except Exception as exc:  # collected, asserted below
+                errors.append(exc)
+
+        threads = [
+            threading.Thread(target=writer, args=(n * 1000,)) for n in (1, 2)
+        ]
+        for thread in threads:
+            thread.start()
+        while any(thread.is_alive() for thread in threads):
+            assert len(json.loads(cp.read_text())["shards"]) == 1
+        for thread in threads:
+            thread.join(timeout=60)
+            assert not thread.is_alive()
+        assert errors == []
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["cp.json"]
+
 
 class TestFaultTolerance:
     def test_worker_exception_yields_accurate_partial(self, geometry):
@@ -231,36 +296,6 @@ class TestInterrupt:
             geometry, workers=1, checkpoint_path=cp, resume=True
         ).run(trials=TRIALS)
         assert resumed == make_runner(geometry, workers=1).run(trials=TRIALS)
-
-
-class TestEarlyStop:
-    POLICY = EarlyStopPolicy(rel_halfwidth=0.9, min_failures=3)
-
-    def test_stops_on_prefix_and_is_deterministic(self, geometry):
-        serial = make_runner(
-            geometry, workers=1, shard_size=100, early_stop=self.POLICY
-        )
-        pooled = make_runner(
-            geometry, workers=2, shard_size=100, early_stop=self.POLICY
-        )
-        a = serial.run(trials=4000)
-        b = pooled.run(trials=4000)
-        assert serial.last_report.stopped_early
-        assert a == b
-        assert a.trials < 4000
-        # An early stop is a deliberate decision, not a partial failure.
-        assert not serial.last_report.partial
-
-    def test_policy_requires_failure_floor(self):
-        tight = EarlyStopPolicy(rel_halfwidth=0.5, min_failures=10)
-        few = ReliabilityResult(
-            scheme_name="x", trials=1000, failures=2, stratum_weight=1.0
-        )
-        assert not tight.satisfied(few)
-
-    def test_policy_validates_parameters(self):
-        with pytest.raises(ContractViolation):
-            EarlyStopPolicy(rel_halfwidth=0.0)
 
 
 class TestStoppingResume:
@@ -405,3 +440,47 @@ class TestCancelHook:
         runner = make_runner(geometry, workers=1)
         runner.run(trials=TRIALS)
         assert runner.last_report.cancelled is False
+
+
+# ---------------------------------------------------------------------- #
+# The same campaign mechanics on replay shards
+# ---------------------------------------------------------------------- #
+@pytest.mark.usefixtures("replay_campaign")
+class TestReplayWorkerCountIndependence(TestWorkerCountIndependence):
+    # Compares against LifetimeSimulator runs: reliability only.
+    test_matches_merged_per_shard_serial_runs = None
+
+
+@pytest.mark.usefixtures("replay_campaign")
+class TestReplayCheckpointResume(TestCheckpointResume):
+    # Parses the shard table as ReliabilityResult: reliability only.
+    test_checkpoint_is_valid_json_shard_table = None
+
+
+@pytest.mark.usefixtures("replay_campaign")
+class TestReplayFaultTolerance(TestFaultTolerance):
+    pass
+
+
+@pytest.mark.usefixtures("replay_campaign")
+class TestReplayInterrupt(TestInterrupt):
+    pass
+
+
+@pytest.mark.usefixtures("replay_campaign")
+class TestReplayCancelHook(TestCancelHook):
+    pass
+
+
+class TestWorkArguments:
+    def test_work_excludes_the_reliability_tuple(self, geometry):
+        work = ReplayWork(
+            geometry, RATES, make_1dp(geometry), EngineConfig(),
+            ReplayConfig(cores=1, requests_per_core=1),
+        )
+        with pytest.raises(ContractViolation):
+            ParallelLifetimeRunner(geometry, RATES, make_1dp(geometry), work=work)
+        with pytest.raises(ContractViolation):
+            ParallelLifetimeRunner(work=work, config=EngineConfig())
+        with pytest.raises(ContractViolation):
+            ParallelLifetimeRunner(geometry, RATES)

@@ -18,17 +18,17 @@ from repro.faults.injector import FaultInjector, ThermalFaultInjector
 from repro.faults.rates import FailureRates
 from repro.reliability.montecarlo import EngineConfig, LifetimeSimulator
 from repro.replay import (
-    DEFAULT_REPLAY_SHARD_SIZE,
     FaultTimeline,
-    ReplayCampaignRunner,
     ReplayConfig,
     ReplayEngine,
     ReplayPerturbation,
     ReplayResult,
     TimelineEvent,
+    ReplayWork,
     build_timeline,
     thermal_bank_multipliers,
 )
+from repro.reliability.parallel import ParallelLifetimeRunner
 from repro.schemes import SCHEMES
 from repro.stack.geometry import StackGeometry
 from repro.workloads.trace import MemoryRequest, Trace
@@ -321,8 +321,8 @@ class TestReplayResultMonoid:
 # Campaign runner: worker-count and resume byte identity
 # ---------------------------------------------------------------------- #
 def make_runner(geom, workers=1, thermal=False, checkpoint=None,
-                resume=False, **kw):
-    return ReplayCampaignRunner(
+                resume=False, collect_metrics=False, **kw):
+    work = ReplayWork(
         geom,
         FailureRates.paper_baseline(tsv_device_fit=500.0),
         make_3dp(geom),
@@ -331,6 +331,10 @@ def make_runner(geom, workers=1, thermal=False, checkpoint=None,
             workload="zipfian", cores=2, requests_per_core=64,
             thermal=thermal,
         ),
+        collect_metrics=collect_metrics,
+    )
+    return ParallelLifetimeRunner(
+        work=work,
         root_seed=42,
         workers=workers,
         shard_size=2,

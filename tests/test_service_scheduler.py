@@ -458,3 +458,72 @@ class TestScheduling:
             assert snapshot["counters"]["service/jobs_submitted"] == 1
         finally:
             scheduler.shutdown()
+
+
+class TestReplayJobs:
+    """Replay jobs run on the same runner as reliability jobs, so they
+    cancel and fail the same way."""
+
+    @staticmethod
+    def replay_spec(trials):
+        return CampaignSpec(
+            scheme="citadel", trials=trials, mode="replay",
+            workload="zipfian", requests=1, replay_cores=1, shard_size=1,
+        )
+
+    def test_cancel_running_replay_job(self, store):
+        # Over a minute of work uncancelled (far past WAIT_S); the
+        # cancel hook ends it at the next shard boundary.
+        spec = self.replay_spec(trials=20000)
+        scheduler = CampaignScheduler(store, slots=1).start()
+        try:
+            job = scheduler.submit(spec)
+            for _ in range(int(WAIT_S / 0.01)):
+                if job.state is JobState.RUNNING:
+                    break
+                threading.Event().wait(timeout=0.01)
+            scheduler.cancel(job.id)
+            wait_terminal(scheduler, job)
+            assert job.state is JobState.CANCELLED
+            assert not store.contains(spec)
+        finally:
+            scheduler.shutdown()
+
+    def test_crashed_replay_shard_is_never_stored(self, store, geometry):
+        from repro.faults.rates import FailureRates
+        from repro.reliability.montecarlo import EngineConfig
+        from repro.reliability.parallel import (
+            CrashInjection,
+            ParallelLifetimeRunner,
+        )
+        from repro.replay import ReplayWork
+        from repro.schemes import SCHEMES
+
+        def executor(spec, workers, cancel_event):
+            runner = ParallelLifetimeRunner(
+                work=ReplayWork(
+                    geometry,
+                    FailureRates.paper_baseline(),
+                    SCHEMES[spec.scheme](geometry),
+                    EngineConfig(tsv_swap_standby=4, use_dds=True),
+                    spec.replay_config(),
+                ),
+                root_seed=spec.seed,
+                shard_size=spec.shard_size,
+                crash_injection=CrashInjection(raise_on=frozenset({1})),
+                cancel_hook=cancel_event.is_set,
+            )
+            return runner.run(trials=spec.effective_trials), runner.last_report
+
+        scheduler = make_scheduler(
+            store, executor, default_max_retries=0
+        ).start()
+        try:
+            spec = self.replay_spec(trials=3)
+            job = scheduler.submit(spec)
+            wait_terminal(scheduler, job)
+            assert job.state is JobState.FAILED
+            assert "campaign incomplete" in job.error
+            assert not store.contains(spec)
+        finally:
+            scheduler.shutdown()

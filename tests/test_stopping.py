@@ -286,6 +286,24 @@ class TestStoppingCampaigns:
             b.to_dict(), sort_keys=True
         )
 
+    def test_stops_on_prefix_and_is_deterministic(self, geometry):
+        """The stopped result is the merge of the contiguous shard
+        prefix 0..k, whatever the worker count."""
+        config = EngineConfig(target_ci_width=0.15)
+        a, ra = run_stopping_campaign(
+            geometry, FailOnAnyFault(geometry), config, min_faults=0,
+            workers=1,
+        )
+        b, rb = run_stopping_campaign(
+            geometry, FailOnAnyFault(geometry), config, min_faults=0,
+            workers=2,
+        )
+        assert ra.stopped_early and rb.stopped_early
+        assert a == b
+        assert a.trials == 500 * ra.merged_shards < 8000
+        # An early stop is a deliberate decision, not a partial failure.
+        assert not ra.partial and not rb.partial
+
     def test_no_target_runs_every_trial(self, geometry):
         config = EngineConfig(sampling="importance")
         result, report = run_stopping_campaign(

@@ -242,7 +242,7 @@ class TestSamplingSidecar:
     trial-reduction sidecar dropped by bench_sampling_speedup."""
 
     def _sidecar(self, tmp_path, **overrides):
-        from tools.bench_report import check_sampling_sidecar
+        from tools.bench_report import SIDECARS, check_sidecar
 
         payload = {
             "bench": "sampling_speedup",
@@ -255,12 +255,12 @@ class TestSamplingSidecar:
         (tmp_path / "bench_sampling_speedup.json").write_text(
             json.dumps(payload)
         )
-        return check_sampling_sidecar(tmp_path)
+        return check_sidecar(tmp_path, SIDECARS["sampling"])
 
     def test_absent_sidecar_passes(self, tmp_path):
-        from tools.bench_report import check_sampling_sidecar
+        from tools.bench_report import SIDECARS, check_sidecar
 
-        assert check_sampling_sidecar(tmp_path) == 0
+        assert check_sidecar(tmp_path, SIDECARS["sampling"]) == 0
 
     def test_healthy_sidecar_passes(self, tmp_path, capsys):
         assert self._sidecar(tmp_path) == 0

@@ -46,7 +46,7 @@ import argparse
 import json
 import sys
 from pathlib import Path
-from typing import Any, Dict
+from typing import Any, Dict, NamedTuple
 
 _REPO_ROOT = Path(__file__).resolve().parent.parent
 if str(_REPO_ROOT / "src") not in sys.path:
@@ -85,139 +85,90 @@ def build_report(metrics_dir: Path) -> Dict[str, Any]:
     }
 
 
-def check_hotpath_sidecar(results_dir: Path) -> int:
-    """Enforce the engine hot-path speedup floor, if the bench ran.
+class Sidecar(NamedTuple):
+    """One timing sidecar a bench drops next to its metrics.
 
-    Returns 0 when the sidecar is absent (the bench did not run) or the
-    measured speedup meets its threshold; 1 on regression or a mangled
-    sidecar.
+    ``value`` must reach the recorded ``floor`` and ``identity`` must
+    hold.  The messages are formatted with ``value`` and ``floor``.
     """
-    sidecar = results_dir / "hotpath_speedup.json"
-    if not sidecar.is_file():
+
+    file: str
+    value: str
+    floor: str
+    identity: str
+    #: Name in the "unreadable ... sidecar" message.
+    name: str
+    broken_identity: str
+    regressed: str
+    passed: str
+
+
+SIDECARS: Dict[str, Sidecar] = {
+    "hotpath": Sidecar(
+        "hotpath_speedup.json", "speedup", "threshold", "results_identical",
+        "hotpath",
+        "hotpath bench reported non-identical results",
+        "incremental hot path regressed to {value:.2f}x "
+        "(threshold {floor:.1f}x)",
+        "hotpath speedup {value:.2f}x (threshold {floor:.1f}x)",
+    ),
+    "sampling": Sidecar(
+        "bench_sampling_speedup.json", "trial_reduction", "threshold",
+        "estimates_consistent", "sampling",
+        "importance and naive estimates disagree beyond combined "
+        "uncertainty",
+        "importance sampling trial reduction fell to {value:.1f}x "
+        "(threshold {floor:.1f}x)",
+        "sampling trial reduction {value:.1f}x (threshold {floor:.1f}x)",
+    ),
+    "replay": Sidecar(
+        "bench_replay_throughput.json", "requests_per_sec", "threshold",
+        "results_identical", "replay",
+        "replay bench reported worker-count-dependent results",
+        "replay throughput regressed to {value:.0f} req/s "
+        "(floor {floor:.0f} req/s)",
+        "replay throughput {value:.0f} req/s (floor {floor:.0f} req/s)",
+    ),
+    "batch": Sidecar(
+        "batch_speedup.json", "speedup", "threshold", "results_identical",
+        "batch",
+        "batch bench reported results diverging from the scalar engine",
+        "batch trial kernel regressed to {value:.2f}x over the scalar "
+        "loop (threshold {floor:.1f}x)",
+        "batch kernel speedup {value:.2f}x (threshold {floor:.1f}x)",
+    ),
+}
+
+
+def check_sidecar(results_dir: Path, sidecar: Sidecar) -> int:
+    """Enforce one sidecar's recorded floor, if its bench ran.
+
+    Returns 0 when the sidecar is absent (the bench did not run) or its
+    value meets the floor with the identity flag set; 1 on regression,
+    a broken identity, or a mangled sidecar.
+    """
+    path = results_dir / sidecar.file
+    if not path.is_file():
         return 0
     try:
-        data = json.loads(sidecar.read_text())
-        speedup = float(data["speedup"])
-        threshold = float(data["threshold"])
-        identical = bool(data["results_identical"])
+        data = json.loads(path.read_text())
+        value = float(data[sidecar.value])
+        floor = float(data[sidecar.floor])
+        identical = bool(data[sidecar.identity])
     except (ValueError, KeyError, TypeError) as exc:
-        print(f"bench_report: unreadable hotpath sidecar {sidecar}: {exc}",
-              file=sys.stderr)
+        print(f"bench_report: unreadable {sidecar.name} sidecar {path}: "
+              f"{exc}", file=sys.stderr)
         return 1
     if not identical:
-        print("bench_report: hotpath bench reported non-identical results",
+        print(f"bench_report: {sidecar.broken_identity}", file=sys.stderr)
+        return 1
+    if value < floor:
+        print("bench_report: " + sidecar.regressed.format(value=value,
+                                                          floor=floor),
               file=sys.stderr)
         return 1
-    if speedup < threshold:
-        print(f"bench_report: incremental hot path regressed to "
-              f"{speedup:.2f}x (threshold {threshold:.1f}x)",
-              file=sys.stderr)
-        return 1
-    print(f"bench_report: hotpath speedup {speedup:.2f}x "
-          f"(threshold {threshold:.1f}x)", file=sys.stderr)
-    return 0
-
-
-def check_sampling_sidecar(results_dir: Path) -> int:
-    """Enforce the importance-sampling trial-reduction floor, if the
-    sampling bench ran.
-
-    Returns 0 when the sidecar is absent or the measured reduction meets
-    its recorded threshold with consistent estimates; 1 on regression,
-    estimator disagreement, or a mangled sidecar.
-    """
-    sidecar = results_dir / "bench_sampling_speedup.json"
-    if not sidecar.is_file():
-        return 0
-    try:
-        data = json.loads(sidecar.read_text())
-        reduction = float(data["trial_reduction"])
-        threshold = float(data["threshold"])
-        consistent = bool(data["estimates_consistent"])
-    except (ValueError, KeyError, TypeError) as exc:
-        print(f"bench_report: unreadable sampling sidecar {sidecar}: {exc}",
-              file=sys.stderr)
-        return 1
-    if not consistent:
-        print("bench_report: importance and naive estimates disagree "
-              "beyond combined uncertainty", file=sys.stderr)
-        return 1
-    if reduction < threshold:
-        print(f"bench_report: importance sampling trial reduction fell to "
-              f"{reduction:.1f}x (threshold {threshold:.1f}x)",
-              file=sys.stderr)
-        return 1
-    print(f"bench_report: sampling trial reduction {reduction:.1f}x "
-          f"(threshold {threshold:.1f}x)", file=sys.stderr)
-    return 0
-
-
-def check_replay_sidecar(results_dir: Path) -> int:
-    """Enforce the replay-engine throughput floor, if the replay bench
-    ran.
-
-    Returns 0 when the sidecar is absent or the measured requests/sec
-    meets the recorded floor with worker-identical results; 1 on a
-    throughput regression, a worker-identity break, or a mangled
-    sidecar.
-    """
-    sidecar = results_dir / "bench_replay_throughput.json"
-    if not sidecar.is_file():
-        return 0
-    try:
-        data = json.loads(sidecar.read_text())
-        throughput = float(data["requests_per_sec"])
-        threshold = float(data["threshold"])
-        identical = bool(data["results_identical"])
-    except (ValueError, KeyError, TypeError) as exc:
-        print(f"bench_report: unreadable replay sidecar {sidecar}: {exc}",
-              file=sys.stderr)
-        return 1
-    if not identical:
-        print("bench_report: replay bench reported worker-count-dependent "
-              "results", file=sys.stderr)
-        return 1
-    if throughput < threshold:
-        print(f"bench_report: replay throughput regressed to "
-              f"{throughput:.0f} req/s (floor {threshold:.0f} req/s)",
-              file=sys.stderr)
-        return 1
-    print(f"bench_report: replay throughput {throughput:.0f} req/s "
-          f"(floor {threshold:.0f} req/s)", file=sys.stderr)
-    return 0
-
-
-def check_batch_sidecar(results_dir: Path) -> int:
-    """Enforce the batch-kernel speedup floor, if the batch bench ran.
-
-    Returns 0 when the sidecar is absent (the bench did not run) or the
-    measured batch-vs-scalar speedup meets its threshold with
-    byte-identical results; 1 on regression, an identity break, or a
-    mangled sidecar.
-    """
-    sidecar = results_dir / "batch_speedup.json"
-    if not sidecar.is_file():
-        return 0
-    try:
-        data = json.loads(sidecar.read_text())
-        speedup = float(data["speedup"])
-        threshold = float(data["threshold"])
-        identical = bool(data["results_identical"])
-    except (ValueError, KeyError, TypeError) as exc:
-        print(f"bench_report: unreadable batch sidecar {sidecar}: {exc}",
-              file=sys.stderr)
-        return 1
-    if not identical:
-        print("bench_report: batch bench reported results diverging from "
-              "the scalar engine", file=sys.stderr)
-        return 1
-    if speedup < threshold:
-        print(f"bench_report: batch trial kernel regressed to "
-              f"{speedup:.2f}x over the scalar loop "
-              f"(threshold {threshold:.1f}x)", file=sys.stderr)
-        return 1
-    print(f"bench_report: batch kernel speedup {speedup:.2f}x "
-          f"(threshold {threshold:.1f}x)", file=sys.stderr)
+    print("bench_report: " + sidecar.passed.format(value=value, floor=floor),
+          file=sys.stderr)
     return 0
 
 
@@ -248,10 +199,8 @@ def main(argv=None) -> int:
     print(f"bench_report: wrote {args.out} "
           f"({len(report['sources'])} source(s))", file=sys.stderr)
     return max(
-        check_hotpath_sidecar(Path(args.results_dir)),
-        check_sampling_sidecar(Path(args.results_dir)),
-        check_replay_sidecar(Path(args.results_dir)),
-        check_batch_sidecar(Path(args.results_dir)),
+        check_sidecar(Path(args.results_dir), sidecar)
+        for sidecar in SIDECARS.values()
     )
 
 
