@@ -163,9 +163,10 @@ BATCH_SPEEDUP_TARGET = 3.0
 
 @pytest.mark.benchmark(group="engine")
 def test_batch_kernel_speedup(benchmark, geometry):
-    """The vectorized batch path must beat the incremental *scalar* loop
-    by >= 3x on the paper's Citadel configuration, with byte-identical
-    results.
+    """The default engine, which runs this campaign through the
+    vectorized batch path, must beat the incremental *scalar* reference
+    loop (``LifetimeSimulator._run_scalar``) by >= 3x on the paper's
+    Citadel configuration, with byte-identical results.
 
     Paper-rate workload (not the stress rates above): the batch kernel's
     fast path is a survival proof, so its win is largest exactly where
@@ -178,13 +179,13 @@ def test_batch_kernel_speedup(benchmark, geometry):
     rates = FailureRates.paper_baseline(tsv_device_fit=TSV_FIT_HIGH)
 
     def serial(batch: bool):
-        config = EngineConfig(
-            tsv_swap_standby=4, use_dds=True, batch_trials=batch
-        )
+        config = EngineConfig(tsv_swap_standby=4, use_dds=True)
         sim = LifetimeSimulator(
             geometry, rates, make_3dp(geometry), config, seed=SEED
         )
-        return sim.run(trials=BATCH_TRIALS)
+        if batch:
+            return sim.run(trials=BATCH_TRIALS)
+        return sim._run_scalar(BATCH_TRIALS, sim.default_min_faults(), None)
 
     def experiment():
         t0 = time.perf_counter()

@@ -156,10 +156,6 @@ def build_parser() -> argparse.ArgumentParser:
                      metavar="W",
                      help="stop once the anytime-valid failure-probability "
                           "CI is narrower than W (checked at shard merges)")
-    rel.add_argument("--batch", action="store_true",
-                     help="evaluate trials through the vectorized batch "
-                          "kernel (byte-identical results; needs numpy and "
-                          "--sampling naive)")
     rel.add_argument("--telemetry", action="store_true",
                      help="collect deterministic engine metrics "
                           "(implied by --metrics-out)")
@@ -354,9 +350,6 @@ def build_parser() -> argparse.ArgumentParser:
                         metavar="W",
                         help="anytime-valid CI width at which the campaign "
                              "stops early")
-    submit.add_argument("--batch", action="store_true",
-                        help="evaluate trials through the vectorized batch "
-                             "kernel (byte-identical results)")
     submit.add_argument("--modes", action="store_true",
                         help="collect failure-mode attribution")
     submit.add_argument("--telemetry", action="store_true",
@@ -499,7 +492,6 @@ def cmd_reliability(args: argparse.Namespace) -> int:
             collect_metrics=collect_metrics,
             sampling=args.sampling,
             target_ci_width=args.target_ci_width,
-            batch_trials=args.batch,
         ),
         root_seed=args.seed,
         workers=args.workers,
@@ -738,7 +730,6 @@ def _spec_from_args(args: argparse.Namespace) -> "object":
         telemetry=args.telemetry,
         sampling=args.sampling,
         target_ci_width=args.target_ci_width,
-        batch=args.batch,
     )
 
 

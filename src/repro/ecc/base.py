@@ -111,8 +111,8 @@ class CorrectionModel(abc.ABC):
         """An array-shaped correctability kernel for the batch trial path.
 
         ``None`` (the default) means the scheme has no vectorized form and
-        ``EngineConfig.batch_trials`` campaigns fall back to the scalar
-        loop.  Implementations return a fresh
+        its naive-sampling campaigns run on the scalar loop.
+        Implementations return a fresh
         :class:`repro.ecc.batch_kernels.BatchCorrectionKernel` whose
         ``survives`` verdicts are *sound*: ``True`` only for trials the
         scalar engine would also report as non-failing.

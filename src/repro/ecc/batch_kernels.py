@@ -29,8 +29,8 @@ below mirror ``RangeMask.intersects``/``covers`` bit-for-bit and the
 batch-vs-scalar differential tests hold the two in lock-step.
 
 The module degrades gracefully without numpy: importing it is always safe
-(``np`` is ``None``) and the engine raises a ``ConfigurationError`` before
-any kernel is asked to run.
+(``np`` is ``None``) and the engine then runs every trial on the scalar
+path, so no kernel is ever asked to run.
 """
 
 from __future__ import annotations

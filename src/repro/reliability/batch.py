@@ -1,22 +1,24 @@
 """Batch trial engine: evaluate a shard's trials as numpy arrays.
 
-``EngineConfig.batch_trials`` routes naive-sampling campaigns through
-:class:`BatchTrialKernel`: trials are sampled in chunks (consuming the
-injector's RNG stream draw-for-draw like the scalar loop, so results stay
-bitwise-identical), flattened into :class:`repro.ecc.batch_kernels.TrialBatch`
-columns, and screened by the scheme's array-shaped kernel.  Trials the
-kernel *proves* survive are done — no Python fault objects, no model
-machinery.  The rest (a small minority on Citadel-class configs: genuine
-failures, TSV-Swap overflows, multi-round peels) are materialised into
-``Fault`` objects and re-run through ``LifetimeSimulator._simulate``, the
-exact scalar path.
+``LifetimeSimulator.run`` routes every naive-sampling campaign that
+:func:`make_batch_runner` accepts through :class:`BatchTrialKernel`:
+trials are sampled in chunks (consuming the injector's RNG stream
+draw-for-draw like the scalar loop, so results stay bitwise-identical),
+flattened into :class:`repro.ecc.batch_kernels.TrialBatch` columns, and
+screened by the scheme's array-shaped kernel.  Trials the kernel *proves*
+survive are done — no Python fault objects, no model machinery.  The rest
+(a small minority on Citadel-class configs: genuine failures, TSV-Swap
+overflows, multi-round peels, trials too fault-dense for one array pass)
+are materialised into ``Fault`` objects and re-run through
+``LifetimeSimulator._simulate``, the exact scalar path.
 
 Compatibility rules this module must uphold (and the batch differential
 tests enforce):
 
 * **RNG**: a trial consumes ``sample_count`` -> per-fault spec draws ->
   per-fault ``uniform`` times, in that order — exactly the scalar
-  ``sample_lifetime`` sequence.  Chunking never reorders or skips draws.
+  ``sample_lifetime`` sequence.  Chunking never reorders or skips draws,
+  and evaluating a chunk draws nothing, so chunk boundaries are free.
 * **Weights**: every trial's sampled stratum weight is checked bitwise
   against the engine-side tail probability, mirroring the naive loop's
   contract.
@@ -32,11 +34,10 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from typing import TYPE_CHECKING, List, Optional, Set, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 from repro import contracts
 from repro.ecc.batch_kernels import BatchCorrectionKernel, TrialBatch, np
-from repro.errors import ConfigurationError
 from repro.faults.injector import FaultSpec
 from repro.faults.types import FaultKind, Permanence
 from repro.reliability.results import ReliabilityResult
@@ -48,28 +49,37 @@ if TYPE_CHECKING:  # pragma: no cover - annotation-only import
 #: call overhead, small enough to keep the per-chunk Python lists cheap.
 CHUNK_TRIALS = 4096
 
+#: Candidate fault pairs per array pass.  The kernels index every
+#: intra-trial pair, k(k-1)/2 for a trial of k live faults, at about 80
+#: bytes of numpy temporaries per pair, so fault-dense trials (over a
+#: hundred live faults) would make a chunk's pair arrays dominate peak
+#: memory.  A chunk closes before a trial would push it past this budget,
+#: and a trial whose own pairs exceed it runs on the scalar path.
+#: Paper-rate trials carry two or three faults (under 3000 pairs per full
+#: chunk), so there the trial cap binds first.
+CHUNK_PAIRS = 1 << 13
+
+#: Columns of one fault row, in ``TrialBatch`` argument order.
+_N_COLUMNS = 10
+
 
 def make_batch_runner(
     sim: "LifetimeSimulator",
 ) -> Optional["BatchTrialKernel"]:
     """The batch runner for ``sim``, or ``None`` to use the scalar loop.
 
-    Raises :class:`ConfigurationError` when batching was requested but
-    numpy is unavailable.  Returns ``None`` — silent scalar fallback, the
-    results are identical either way — when the run needs per-trial
-    observability (metrics, sparing stats, failure modes, tracing) or the
-    model has no array-shaped kernel.
+    ``None`` — the results are identical either way — when numpy is
+    missing, the model has no array-shaped kernel, the run needs per-trial
+    observability (metrics, sparing stats, failure modes, tracing), or it
+    asks for a non-naive sampling plan or the from-scratch oracle
+    (``incremental_correction=False``), which stays fully scalar.
     """
     config = sim.config
-    if not config.batch_trials:
-        return None
-    if np is None:
-        raise ConfigurationError(
-            "EngineConfig.batch_trials requires numpy, which is not "
-            "installed; drop --batch to use the scalar path"
-        )
     if (
-        config.collect_metrics
+        np is None
+        or config.sampling != "naive"
+        or not config.incremental_correction
+        or config.collect_metrics
         or config.collect_sparing_stats
         or config.collect_failure_modes
         or sim.tracer is not None
@@ -100,68 +110,33 @@ class BatchTrialKernel:
     ) -> ReliabilityResult:
         sim = self.sim
         config = sim.config
-        expected_weight = (
-            sim.injector.prob_at_least(strata_min, config.lifetime_hours)
-            if strata_min > 0
-            else 1.0
-        )
-        failures = 0
-        failure_times: List[float] = []
-        for start in range(0, trials, CHUNK_TRIALS):
-            chunk = min(CHUNK_TRIALS, trials - start)
-            chunk_failures = self._run_chunk(
-                chunk, strata_min, expected_weight, failure_times
-            )
-            failures += chunk_failures
-        return ReliabilityResult(
-            scheme_name=label if label is not None else sim.scheme_label(),
-            trials=trials,
-            failures=failures,
-            stratum_weight=expected_weight,
-            lifetime_hours=config.lifetime_hours,
-            min_faults=strata_min,
-            sparing=None,
-            failure_times_hours=failure_times,
-            failure_modes=Counter(),
-            metrics=None,
-        )
-
-    # ------------------------------------------------------------------ #
-    def _run_chunk(
-        self,
-        n: int,
-        strata_min: int,
-        expected_weight: float,
-        failure_times: List[float],
-    ) -> int:
-        sim = self.sim
         injector = sim.injector
         geometry = sim.geometry
-        config = sim.config
         lifetime = config.lifetime_hours
         interval = config.scrub_interval_hours
         standby = config.tsv_swap_standby
         rng_uniform = injector.rng.uniform
         permanent_enum = Permanence.PERMANENT
-
-        #: Per trial: (specs in draw order, times sorted ascending) —
-        #: spec ``i`` pairs with the ``i``-th smallest time, matching
-        #: ``FaultInjector.place_at``.
-        sampled: List[Tuple[List[FaultSpec], List[float]]] = []
-        needs_scalar: Set[int] = set()
+        bank_kind = FaultKind.BANK
+        expected_weight = (
+            injector.prob_at_least(strata_min, lifetime)
+            if strata_min > 0
+            else 1.0
+        )
+        failure_times: List[float] = []
+        # The open chunk.  ``sampled`` holds, per trial, (specs in draw
+        # order, times sorted ascending) for the kernel to screen — spec
+        # ``i`` pairs with the ``i``-th smallest time, matching
+        # ``FaultInjector.place_at`` — or ``None`` for a trial already
+        # simulated, whose failure time (``None``: survived) is in
+        # ``decided``.  ``counts`` holds live faults per trial and
+        # ``rows`` one ``TrialBatch`` row per live fault.
+        sampled: List[Optional[Tuple[List[FaultSpec], List[float]]]] = []
+        decided: Dict[int, Optional[float]] = {}
         counts: List[int] = []
-        permanent: List[bool] = []
-        is_tsv: List[bool] = []
-        is_bank_kind: List[bool] = []
-        die: List[int] = []
-        bank: List[int] = []
-        row_base: List[int] = []
-        row_mask: List[int] = []
-        col_base: List[int] = []
-        col_mask: List[int] = []
-        epoch: List[int] = []
-
-        for index in range(n):
+        rows: List[tuple] = []
+        chunk_pairs = 0
+        for _ in range(trials):
             count, sampled_weight = injector.sample_count(
                 lifetime, min_faults=strata_min
             )
@@ -181,71 +156,107 @@ class BatchTrialKernel:
             specs = injector.sample_specs(count)
             times = [rng_uniform(0.0, lifetime) for _ in range(count)]
             times.sort()
-            sampled.append((specs, times))
             spec_is_tsv = [spec.kind.is_tsv for spec in specs]
-
-            drop_tsv = False
-            if standby is not None and True in spec_is_tsv:
-                if self._tsv_overflows(specs, spec_is_tsv, standby):
-                    # A channel overflowed its stand-by pool: partial
-                    # swaps and post-swap DDS behaviour need the scalar
-                    # TSV-Swap controller.
-                    needs_scalar.add(index)
-                    counts.append(0)
-                    continue
-                drop_tsv = True
-
-            live = 0
+            # TSV-Swap absorbs every TSV fault unless a channel's pool
+            # overflows; then partial swaps and post-swap DDS behaviour
+            # need the scalar controller.
+            drop_tsv = standby is not None and True in spec_is_tsv
+            live = count - spec_is_tsv.count(True) if drop_tsv else count
+            pairs = live * (live - 1) // 2
+            scalar = pairs > CHUNK_PAIRS or (
+                drop_tsv and self._tsv_overflows(specs, spec_is_tsv, standby)
+            )
+            if scalar:
+                pairs = 0
+            if (
+                len(counts) == CHUNK_TRIALS
+                or chunk_pairs + pairs > CHUNK_PAIRS
+            ):
+                self._evaluate(sampled, decided, counts, rows, failure_times)
+                sampled, decided, counts, rows = [], {}, [], []
+                chunk_pairs = 0
+            if scalar:
+                # Simulating draws nothing, so the trial can run now
+                # instead of holding its faults until the chunk closes.
+                decided[len(counts)] = self._simulate(specs, times)
+                sampled.append(None)
+                counts.append(0)
+                continue
+            sampled.append((specs, times))
+            counts.append(live)
+            chunk_pairs += pairs
             for spec, time_hours, tsv in zip(specs, times, spec_is_tsv):
                 if drop_tsv and tsv:
                     continue
-                live += 1
-                rb, rm, cb, cm = spec.footprint_masks(geometry)
-                permanent.append(spec.permanence is permanent_enum)
-                is_tsv.append(tsv)
-                is_bank_kind.append(spec.kind is FaultKind.BANK)
-                die.append(spec.die)
-                bank.append(spec.bank)
-                row_base.append(rb)
-                row_mask.append(rm)
-                col_base.append(cb)
-                col_mask.append(cm)
-                epoch.append(int(time_hours // interval))
-            counts.append(live)
-
-        batch = TrialBatch(
-            geometry,
-            counts,
-            permanent,
-            is_tsv,
-            is_bank_kind,
-            die,
-            bank,
-            row_base,
-            row_mask,
-            col_base,
-            col_mask,
-            epoch,
+                row_base, row_mask, col_base, col_mask = (
+                    spec.footprint_masks(geometry)
+                )
+                rows.append((
+                    spec.permanence is permanent_enum,
+                    tsv,
+                    spec.kind is bank_kind,
+                    spec.die,
+                    spec.bank,
+                    row_base,
+                    row_mask,
+                    col_base,
+                    col_mask,
+                    int(time_hours // interval),
+                ))
+        self._evaluate(sampled, decided, counts, rows, failure_times)
+        return ReliabilityResult(
+            scheme_name=label if label is not None else sim.scheme_label(),
+            trials=trials,
+            failures=len(failure_times),
+            stratum_weight=expected_weight,
+            lifetime_hours=lifetime,
+            min_faults=strata_min,
+            sparing=None,
+            failure_times_hours=failure_times,
+            failure_modes=Counter(),
+            metrics=None,
         )
-        survives = self.kernel.survives(batch)
 
-        failures = 0
-        for index in range(n):
-            if index not in needs_scalar and bool(survives[index]):
+    # ------------------------------------------------------------------ #
+    def _evaluate(
+        self,
+        sampled: List[Optional[Tuple[List[FaultSpec], List[float]]]],
+        decided: Dict[int, Optional[float]],
+        counts: List[int],
+        rows: List[tuple],
+        failure_times: List[float],
+    ) -> None:
+        """Screen one chunk with the kernel, re-run every trial it does
+        not prove survivable on the scalar path, and record the chunk's
+        failure times in trial order."""
+        if len(decided) < len(sampled):
+            columns = list(zip(*rows)) or [()] * _N_COLUMNS
+            survives = self.kernel.survives(
+                TrialBatch(self.sim.geometry, counts, *columns)
+            ).tolist()
+        for index, trial in enumerate(sampled):
+            if trial is None:
+                failed_at = decided[index]
+            elif survives[index]:
                 self.fast_trials += 1
                 continue
-            self.fallback_trials += 1
-            specs, times = sampled[index]
-            faults = [
-                spec.build(geometry, time_hours)
-                for spec, time_hours in zip(specs, times)
-            ]
-            outcome = sim._simulate(faults, None, None, None)
-            if outcome is not None:
-                failed_at, _mode = outcome
-                failures += 1
+            else:
+                failed_at = self._simulate(*trial)
+            if failed_at is not None:
                 failure_times.append(failed_at)
-        return failures
+
+    def _simulate(
+        self, specs: List[FaultSpec], times: List[float]
+    ) -> Optional[float]:
+        """Failure time of one trial on the exact scalar path, or None."""
+        self.fallback_trials += 1
+        geometry = self.sim.geometry
+        faults = [
+            spec.build(geometry, time_hours)
+            for spec, time_hours in zip(specs, times)
+        ]
+        outcome = self.sim._simulate(faults, None, None, None)
+        return None if outcome is None else outcome[0]
 
     @staticmethod
     def _tsv_overflows(

@@ -37,6 +37,7 @@ from repro.ecc.base import CorrectionModel
 from repro.faults.injector import FaultInjector, ThermalFaultInjector
 from repro.faults.rates import FailureRates
 from repro.faults.types import Fault
+from repro.reliability.batch import make_batch_runner
 from repro.reliability.results import (
     ReliabilityResult,
     SparingStats,
@@ -88,8 +89,8 @@ class EngineConfig:
     #: ``begin_trial``/``observe`` kernel (identical verdicts; an arrival
     #: costs O(touched component / candidates) instead of a from-scratch
     #: ``is_uncorrectable`` pass over the whole live set).  False forces
-    #: the from-scratch path — the reference used by the differential
-    #: tests and ``bench_engine_hotpath``.
+    #: the fully scalar from-scratch path — the reference used by the
+    #: differential tests and ``bench_engine_hotpath``.
     incremental_correction: bool = True
     #: Sampling plan over the fault-arrival process: ``"naive"`` is the
     #: legacy single-stratum path (byte-identical to prior releases),
@@ -101,15 +102,6 @@ class EngineConfig:
     #: sequence over the failure probability is narrower than this
     #: (consulted by ``ParallelLifetimeRunner`` at shard merge points).
     target_ci_width: Optional[float] = None
-    #: Evaluate naive-sampling trials in numpy batches: chunks of trials
-    #: become fault-column arrays screened by the scheme's
-    #: :meth:`~repro.ecc.base.CorrectionModel.batch_kernel`; only trials
-    #: the kernel cannot prove survivable re-run on the scalar path.
-    #: Results are byte-identical to the scalar loop (same RNG stream,
-    #: same weights, same failure times).  Falls back to the scalar loop
-    #: silently when the model has no kernel or per-trial observability
-    #: (metrics/sparing/failure modes/tracing) is on.
-    batch_trials: bool = False
     #: Per-bank-position thermal FIT multipliers from the replay engine's
     #: activity-weighted thermal proxy (one per bank of a die, applied to
     #: every die).  ``None`` — the default — keeps the uniform
@@ -141,12 +133,6 @@ class EngineConfig:
             self.target_ci_width is None or self.target_ci_width > 0,
             "target_ci_width must be positive or None, got %r",
             self.target_ci_width,
-        )
-        contracts.require(
-            not self.batch_trials or self.sampling == "naive",
-            "batch_trials only supports the naive sampling plan, "
-            "got sampling=%r",
-            self.sampling,
         )
         if self.thermal_bank_fit is not None:
             self.thermal_bank_fit = tuple(
@@ -224,16 +210,30 @@ class LifetimeSimulator:
         min_faults: Optional[int] = None,
         label: Optional[str] = None,
     ) -> ReliabilityResult:
-        """Run ``trials`` lifetimes and aggregate the failure statistics."""
+        """Run ``trials`` lifetimes and aggregate the failure statistics.
+
+        Naive-sampling runs go through the batch trial kernel whenever
+        :func:`~repro.reliability.batch.make_batch_runner` accepts this
+        simulator, and through :meth:`_run_scalar` otherwise; both give
+        byte-identical results.
+        """
         strata_min = self.default_min_faults() if min_faults is None else min_faults
         if self.config.sampling != "naive":
             return self._run_sampled(trials, strata_min, label)
-        if self.config.batch_trials:
-            from repro.reliability.batch import make_batch_runner
+        batch_runner = make_batch_runner(self)
+        if batch_runner is not None:
+            return batch_runner.run(trials, strata_min, label)
+        return self._run_scalar(trials, strata_min, label)
 
-            batch_runner = make_batch_runner(self)
-            if batch_runner is not None:
-                return batch_runner.run(trials, strata_min, label)
+    def _run_scalar(
+        self,
+        trials: int,
+        strata_min: int,
+        label: Optional[str],
+    ) -> ReliabilityResult:
+        """The naive trial loop, one ``sample_lifetime`` + ``_simulate``
+        per trial: the reference the batch path is tested against, and
+        the path for kernel-less models and observability runs."""
         stats = SparingStats() if self.config.collect_sparing_stats else None
         metrics = MetricsRegistry() if self.config.collect_metrics else None
         failures = 0

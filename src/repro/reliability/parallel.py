@@ -103,9 +103,9 @@ from repro.telemetry.tracing import TraceWriter
 #: (``ReliabilityResult.strata``); v5: merged results grew the optional
 #: run-provenance ``manifest`` sidecar; v6: ``EngineConfig`` grew
 #: ``thermal_bank_fit`` (the replay engine's thermal-FIT feedback);
-#: v7: ``EngineConfig`` grew ``batch_trials`` (the vectorized trial
-#: kernel toggle).
-CHECKPOINT_VERSION = 7
+#: v7: ``EngineConfig`` grew the vectorized trial kernel toggle; v8:
+#: that toggle is gone again (the engine picks the kernel by itself).
+CHECKPOINT_VERSION = 8
 
 #: Bucket edges (seconds) of the wall-clock shard-latency histogram kept
 #: in ``last_campaign_metrics`` (volatile: never merged into results).

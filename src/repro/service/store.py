@@ -27,7 +27,7 @@ from pathlib import Path
 from typing import Any, Dict, List, Optional, Union
 
 from repro import contracts
-from repro.errors import StoreError
+from repro.errors import SpecError, StoreError
 from repro.reliability.results import ReliabilityResult
 from repro.replay.results import ReplayResult
 from repro.service.jobs import CampaignSpec
@@ -211,7 +211,7 @@ class ResultStore:
         # under, or the entry was corrupted / tampered with.
         try:
             spec = CampaignSpec.from_dict(entry["spec"])
-        except (KeyError, TypeError) as exc:
+        except (KeyError, TypeError, SpecError) as exc:
             raise StoreError(f"malformed store entry {path}: {exc}") from exc
         if spec.spec_hash() != key:
             raise StoreError(

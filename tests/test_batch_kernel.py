@@ -1,18 +1,22 @@
 """Differential tests for the vectorized batch trial kernel.
 
-The batch path (``EngineConfig.batch_trials``) is a *survival filter*: the
-array kernels may only claim a trial survives when the exact scalar
-simulator would agree, and every other trial is re-run through the scalar
-path.  These tests pin both halves of that claim:
+``LifetimeSimulator.run`` sends every naive-sampling campaign it can
+through the batch path, a *survival filter*: the array kernels may only
+claim a trial survives when the exact scalar simulator would agree, and
+every other trial is re-run through the scalar path.  These tests pin
+both halves of that claim against the scalar reference loop
+(``LifetimeSimulator._run_scalar``):
 
 * byte-identity of ``ReliabilityResult`` documents between the scalar and
-  batch engines for every registered scheme, across worker counts, and
-  through checkpoint/resume;
+  batch engines for every registered scheme, with thermal FIT feedback,
+  under a tiny chunk pair budget, across worker counts, and through
+  checkpoint/resume;
 * hypothesis soundness at the kernel boundary — crowded random fault
   sets where a ``survives`` verdict must match a from-scratch scalar
   simulation of the same trial;
-* the dispatch contract — silent scalar fallback for observability runs
-  and kernel-less models, loud errors for impossible configurations.
+* the dispatch contract — silent scalar fallback for observability runs,
+  the from-scratch oracle, non-naive sampling, kernel-less models and a
+  missing numpy.
 """
 
 import json
@@ -23,7 +27,6 @@ from hypothesis import strategies as st
 
 import repro.reliability.batch as batch_mod
 from repro.core.parity3dp import make_3dp
-from repro.errors import ConfigurationError, ContractViolation
 from repro.faults.injector import FaultSpec
 from repro.faults.rates import FailureRates
 from repro.faults.types import FaultKind, Permanence
@@ -36,14 +39,19 @@ from repro.stack.geometry import LIFETIME_HOURS, StackGeometry
 GEOM = StackGeometry()
 #: TSV faults on so TSV-Swap absorption and the TSV kernel rows are hit.
 RATES = FailureRates.paper_baseline(tsv_device_fit=1430.0)
+#: A hot/cold bank-position profile for the thermal FIT feedback.
+THERMAL = tuple(1.0 + 0.5 * (bank % 3) for bank in range(GEOM.banks_per_die))
 
 np = pytest.importorskip("numpy")
 
 
 def run_once(scheme, seed, batch, trials=300, **config_kwargs):
-    config = EngineConfig(batch_trials=batch, **config_kwargs)
+    """``batch``: the default ``run``; otherwise the scalar reference."""
+    config = EngineConfig(**config_kwargs)
     sim = LifetimeSimulator(GEOM, RATES, SCHEMES[scheme](GEOM), config, seed=seed)
-    return sim.run(trials)
+    if batch:
+        return sim.run(trials)
+    return sim._run_scalar(trials, sim.default_min_faults(), None)
 
 
 def doc(result):
@@ -70,15 +78,68 @@ class TestBatchMatchesScalar:
         )
         assert doc(scalar) == doc(batch), scheme
 
+    def test_identical_with_thermal_bank_fit(self, scheme):
+        """``ThermalFaultInjector`` overrides bank placement; the batch
+        path samples specs through the same override."""
+        kwargs = dict(
+            tsv_swap_standby=4, use_dds=True, thermal_bank_fit=THERMAL
+        )
+        scalar = run_once(scheme, 17, batch=False, **kwargs)
+        batch = run_once(scheme, 17, batch=True, **kwargs)
+        assert doc(scalar) == doc(batch), scheme
+
+    def test_identical_under_tiny_pair_budget(self, scheme, monkeypatch):
+        """A one-pair budget holds at most one two-fault trial per chunk
+        and routes every trial of three or more live faults to the scalar
+        path; neither may change a byte."""
+        monkeypatch.setattr(batch_mod, "CHUNK_PAIRS", 1)
+        for seed in (7, 99):
+            scalar = run_once(scheme, seed, batch=False)
+            batch = run_once(scheme, seed, batch=True)
+            assert doc(scalar) == doc(batch), (scheme, seed)
+
+
+class TestPairBudget:
+    def test_chunks_stay_within_budget(self, monkeypatch):
+        monkeypatch.setattr(batch_mod, "CHUNK_PAIRS", 1)
+        chunks = []
+        evaluate = BatchTrialKernel._evaluate
+
+        def spy(self, sampled, decided, counts, rows, failure_times):
+            pairs = sum(c * (c - 1) // 2 for c in counts)
+            chunks.append((pairs, len(decided)))
+            return evaluate(self, sampled, decided, counts, rows, failure_times)
+
+        monkeypatch.setattr(BatchTrialKernel, "_evaluate", spy)
+
+        def make_sim():
+            return LifetimeSimulator(
+                GEOM, RATES, make_3dp(GEOM),
+                EngineConfig(tsv_swap_standby=4, use_dds=True), seed=302,
+            )
+
+        runner = make_batch_runner(make_sim())
+        result = runner.run(2000, 2, None)
+        assert doc(result) == doc(make_sim()._run_scalar(2000, 2, None))
+        assert max(pairs for pairs, _ in chunks) <= 1
+        assert len(chunks) > 1
+        # Some trial was over budget and went straight to the scalar path.
+        assert sum(decided for _, decided in chunks) > 0
+        assert runner.fast_trials > 0
+        assert runner.fast_trials + runner.fallback_trials == 2000
+
 
 class TestWorkerByteIdentity:
     def make_runner(self, batch, workers, **kwargs):
+        """``batch=False`` asks for the from-scratch oracle, which
+        ``make_batch_runner`` always leaves on the scalar loop."""
         return ParallelLifetimeRunner(
             GEOM,
             RATES,
             make_3dp(GEOM),
             EngineConfig(
-                tsv_swap_standby=4, use_dds=True, batch_trials=batch
+                tsv_swap_standby=4, use_dds=True,
+                incremental_correction=batch,
             ),
             root_seed=42,
             workers=workers,
@@ -236,7 +297,6 @@ class TestKernelSoundness:
 # ---------------------------------------------------------------------- #
 class TestDispatch:
     def make_sim(self, **config_kwargs):
-        config_kwargs.setdefault("batch_trials", True)
         config = EngineConfig(
             tsv_swap_standby=4, use_dds=True, **config_kwargs
         )
@@ -253,32 +313,32 @@ class TestDispatch:
         assert runner.fast_trials > 0
         assert runner.fast_trials + runner.fallback_trials == 400
 
-    def test_scalar_flag_off_returns_none(self):
-        assert make_batch_runner(self.make_sim(batch_trials=False)) is None
+    def test_from_scratch_oracle_runs_scalar(self):
+        sim = self.make_sim(incremental_correction=False)
+        assert make_batch_runner(sim) is None
+        assert doc(sim.run(200)) == doc(self.make_sim().run(200))
 
     def test_observability_forces_scalar_fallback(self):
         sim = self.make_sim(collect_metrics=True)
         assert make_batch_runner(sim) is None
-        # ... and the end-to-end run still matches the scalar engine.
-        with_batch_flag = self.make_sim(collect_metrics=True).run(200)
-        scalar = self.make_sim(
-            batch_trials=False, collect_metrics=True
-        ).run(200)
-        assert doc(with_batch_flag) == doc(scalar)
+        # ... and the telemetry run, metrics dropped, matches the default.
+        observed = sim.run(200).to_dict()
+        assert observed.pop("metrics") is not None
+        assert json.dumps(observed) == doc(self.make_sim().run(200))
 
     def test_kernelless_model_falls_back(self):
-        config = EngineConfig(batch_trials=True)
         sim = LifetimeSimulator(
-            GEOM, RATES, SCHEMES["bch"](GEOM), config, seed=1
+            GEOM, RATES, SCHEMES["bch"](GEOM), EngineConfig(), seed=1
         )
         assert sim.model.batch_kernel() is None
         assert make_batch_runner(sim) is None
 
     def test_batch_requires_naive_sampling(self):
-        with pytest.raises(ContractViolation):
-            EngineConfig(batch_trials=True, sampling="stratified")
+        assert make_batch_runner(self.make_sim(sampling="stratified")) is None
 
-    def test_missing_numpy_is_loud(self, monkeypatch):
+    def test_missing_numpy_runs_scalar(self, monkeypatch):
+        batched = self.make_sim().run(200)
         monkeypatch.setattr(batch_mod, "np", None)
-        with pytest.raises(ConfigurationError):
-            make_batch_runner(self.make_sim())
+        sim = self.make_sim()
+        assert make_batch_runner(sim) is None
+        assert doc(sim.run(200)) == doc(batched)

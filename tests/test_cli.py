@@ -20,6 +20,14 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["reliability", "--scheme", "nope"])
 
+    @pytest.mark.parametrize("command", ["reliability", "submit"])
+    def test_batch_flag_is_gone(self, command):
+        # The batch kernel is picked automatically; the old opt-in flag
+        # is a usage error.
+        with pytest.raises(SystemExit) as excinfo:
+            build_parser().parse_args([command, "--batch"])
+        assert excinfo.value.code == 2
+
     def test_perf_defaults(self):
         args = build_parser().parse_args(["perf"])
         assert args.benchmark == "mcf"

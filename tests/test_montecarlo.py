@@ -193,38 +193,62 @@ class TestMinFaultsDispatch:
 class TestSampledWeight:
     """The result's stratum weight is the weight the injector sampled the
     trials with, and the engine cross-checks it against its own tail
-    probability so the two formulas cannot drift apart unnoticed."""
+    probability so the two formulas cannot drift apart unnoticed.
+
+    The default (batch) path samples each trial's count through
+    ``sample_count``; the scalar reference loop draws whole lifetimes
+    through ``sample_lifetime``.  Both carry the contract."""
+
+    @staticmethod
+    def _spy(sim, method, scale=1.0):
+        sampled = []
+        original = getattr(sim.injector, method)
+
+        def spy(lifetime_hours, min_faults=0):
+            drawn, weight = original(lifetime_hours, min_faults=min_faults)
+            sampled.append(weight)
+            return drawn, weight * scale
+
+        setattr(sim.injector, method, spy)
+        return sampled
 
     def test_result_weight_is_exactly_the_sampled_weight(self, geom):
         sim = simulator(geom, make_3dp(geom))
-        sampled = []
-        original = sim.injector.sample_lifetime
-
-        def spy(lifetime_hours, min_faults=0):
-            faults, weight = original(lifetime_hours, min_faults=min_faults)
-            sampled.append(weight)
-            return faults, weight
-
-        sim.injector.sample_lifetime = spy
+        sampled = self._spy(sim, "sample_count")
         result = sim.run(trials=10, min_faults=2)
-        assert sampled and all(w == sampled[0] for w in sampled)
+        assert len(sampled) == 10 and all(w == sampled[0] for w in sampled)
         assert result.stratum_weight == sampled[0]  # same float, not approx
+
+    def test_result_weight_is_exactly_the_sampled_weight_scalar_reference(
+        self, geom
+    ):
+        sim = simulator(geom, make_3dp(geom))
+        sampled = self._spy(sim, "sample_lifetime")
+        result = sim._run_scalar(10, 2, None)
+        assert len(sampled) == 10 and all(w == sampled[0] for w in sampled)
+        assert result.stratum_weight == sampled[0]
 
     def test_disagreeing_weight_violates_contract(self, geom):
         from repro import contracts
         from repro.errors import ContractViolation
 
         sim = simulator(geom, make_3dp(geom))
-        original = sim.injector.sample_lifetime
-
-        def tampered(lifetime_hours, min_faults=0):
-            faults, weight = original(lifetime_hours, min_faults=min_faults)
-            return faults, weight * 0.5  # a silently biased estimator
-        sim.injector.sample_lifetime = tampered
+        self._spy(sim, "sample_count", scale=0.5)  # a biased estimator
         if not contracts.enabled():
             pytest.skip("contracts disabled in this environment")
         with pytest.raises(ContractViolation):
             sim.run(trials=2, min_faults=2)
+
+    def test_disagreeing_weight_violates_contract_scalar_reference(self, geom):
+        from repro import contracts
+        from repro.errors import ContractViolation
+
+        sim = simulator(geom, make_3dp(geom))
+        self._spy(sim, "sample_lifetime", scale=0.5)
+        if not contracts.enabled():
+            pytest.skip("contracts disabled in this environment")
+        with pytest.raises(ContractViolation):
+            sim._run_scalar(2, 2, None)
 
 
 class TestScrubEpochBoundaries:

@@ -430,7 +430,14 @@ class TestCancelHook:
             calls.append(True)
             return len(calls) > 1
 
-        runner = make_runner(geometry, workers=2, cancel_hook=hook)
+        # The hook is polled once per batch of completed shards.  Small
+        # shards keep work queued when it fires, however fast each shard
+        # runs (with four shards, two workers could drain the queue
+        # between the first and the second poll).
+        runner = make_runner(
+            geometry, workers=2, cancel_hook=hook,
+            shard_size=max(1, SHARD // 10),
+        )
         partial = runner.run(trials=TRIALS)
         report = runner.last_report
         assert report.cancelled

@@ -684,8 +684,8 @@ class TestRepro010:
 
 class TestProjectLockfileCurrent:
     """The checked-in lockfile must reflect the current schema surface:
-    CHECKPOINT_VERSION 7 (batch_trials) plus the sampling,
-    run-provenance, replay, and batch schema growth."""
+    CHECKPOINT_VERSION 8 (the batch toggles removed again) plus the
+    sampling, run-provenance and replay schema growth."""
 
     LOCKFILE = (
         Path(__file__).resolve().parent.parent
@@ -694,17 +694,19 @@ class TestProjectLockfileCurrent:
         / "schema_lock.json"
     )
 
-    def test_lockfile_records_checkpoint_version_7(self):
+    def test_lockfile_records_checkpoint_version_8(self):
         locked = json.loads(self.LOCKFILE.read_text())
-        assert locked["checkpoint_version"] == 7
+        assert locked["checkpoint_version"] == 8
 
     def test_lockfile_covers_batch_schema_surface(self):
+        """The batch kernel is picked automatically, so neither the
+        engine config nor the campaign spec carries a batch toggle."""
         locked = json.loads(self.LOCKFILE.read_text())
         classes = locked["classes"]
         engine = classes["repro.reliability.montecarlo.EngineConfig"]
-        assert any(f.startswith("batch_trials:") for f in engine)
+        assert not any(f.startswith("batch") for f in engine)
         spec = classes["repro.service.jobs.CampaignSpec"]
-        assert any(f.startswith("batch:") for f in spec)
+        assert not any(f.startswith("batch") for f in spec)
 
     def test_lockfile_covers_sampling_schema_surface(self):
         locked = json.loads(self.LOCKFILE.read_text())

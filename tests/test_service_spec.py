@@ -98,6 +98,27 @@ class TestCanonicalization:
         )
         assert implicit.spec_hash() == explicit.spec_hash()
 
+    @pytest.mark.parametrize(
+        "kwargs, expected",
+        [
+            ({}, "1c4f4f033344fb512229155b9c4dd4cd"
+                 "599a5ef82a5e65758c4a63048db0ea7a"),
+            (dict(scheme="3dp", tsv_swap=4, trials=200, shard_size=100,
+                  tsv_fit=1430.0, seed=5),
+             "843bc9852f15762328155a7159c555bb"
+             "4caaf7567ab1230a69503def83bf4426"),
+            (dict(scheme="secded", sampling="importance",
+                  target_ci_width=0.15, telemetry=True, modes=True),
+             "c6b8dde90d26c1e2fa00ec7f0bb3d2f7"
+             "89843317bb7992f18a8756d17f2a0457"),
+        ],
+        ids=["default", "3dp_tsv_swap", "importance_telemetry"],
+    )
+    def test_reliability_spec_hashes_are_pinned(self, kwargs, expected):
+        """Stored results are filed under these addresses: removing or
+        adding execution knobs must never move a reliability spec."""
+        assert CampaignSpec(**kwargs).spec_hash() == expected
+
     def test_citadel_respects_explicit_tsv_swap(self):
         spec = CampaignSpec(scheme="citadel", tsv_swap=8)
         assert spec.tsv_swap == 8

@@ -172,6 +172,27 @@ class TestIntegrity:
         with pytest.raises(StoreError, match="missing its result"):
             ResultStore(tmp_path / "store").get(spec)
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [("scheme", "no-such-scheme"), ("batch", True)],
+        ids=["tampered", "retired_batch_field"],
+    )
+    def test_invalid_filed_spec_raises_store_error(
+        self, tmp_path, field, value
+    ):
+        """A filed spec that no longer parses — tampered, or written when
+        specs still had a ``batch`` field — is a corrupt store entry, not
+        a bad client request."""
+        store = ResultStore(tmp_path / "store")
+        spec = make_spec()
+        store.put(spec, make_result(spec))
+        path = tmp_path / "store" / f"{spec.spec_hash()}.json"
+        entry = json.loads(path.read_text())
+        entry["spec"][field] = value
+        path.write_text(json.dumps(entry))
+        with pytest.raises(StoreError, match="malformed store entry"):
+            ResultStore(tmp_path / "store").get(spec)
+
 
 class TestConcurrency:
     def test_concurrent_readers_and_writers(self, tmp_path):
