@@ -12,8 +12,8 @@ per trial, so the timed loop covers the whole incremental protocol:
 Asserted here (and re-checked by ``tools/bench_report.py`` from the
 ``results/hotpath_speedup.json`` it reads):
 
-* serial wall-clock speedup of ``incremental_correction=True`` over the
-  from-scratch reference is >= 3x;
+* serial wall-clock speedup of the incremental kernels over the
+  from-scratch oracle (``FromScratch(make_3dp(g))``) is >= 3x;
 * the :class:`ReliabilityResult` — failure counts, failure times,
   stratum weight and the deterministic metrics snapshot — is identical
   across {incremental, from-scratch} x {1 worker, 4 workers}.
@@ -26,6 +26,7 @@ import pytest
 from conftest import RESULTS_DIR, emit, scaled
 from repro.analysis.report import ExperimentReport
 from repro.core.parity3dp import make_3dp
+from repro.ecc.base import FromScratch
 from repro.faults.rates import TSV_FIT_HIGH, TABLE_I_8GB_FIT, FailureRates
 from repro.faults.types import FaultKind
 from repro.reliability.experiments import run_campaign
@@ -60,13 +61,12 @@ def stress_rates() -> FailureRates:
     return FailureRates(die_fit=die_fit, tsv_device_fit=TSV_FIT_HIGH)
 
 
-def citadel_config(incremental: bool) -> EngineConfig:
+def citadel_config() -> EngineConfig:
     return EngineConfig(
         tsv_swap_standby=4,
         use_dds=True,
         scrub_interval_hours=SCRUB_INTERVAL_HOURS,
         collect_metrics=True,
-        incremental_correction=incremental,
     )
 
 
@@ -75,13 +75,14 @@ def test_incremental_hotpath_speedup(benchmark, geometry):
     rates = stress_rates()
 
     def campaign(incremental, workers):
+        model = make_3dp(geometry)
         return run_campaign(
-            geometry, rates, make_3dp(geometry), TRIALS, SEED,
+            geometry, rates, model if incremental else FromScratch(model),
+            TRIALS, SEED,
             min_faults=2, workers=workers, shard_size=SHARD_SIZE,
             tsv_swap_standby=4, use_dds=True,
             scrub_interval_hours=SCRUB_INTERVAL_HOURS,
             collect_metrics=True,
-            incremental_correction=incremental,
         )
 
     def experiment():
@@ -110,7 +111,7 @@ def test_incremental_hotpath_speedup(benchmark, geometry):
     # Sample the volatile kernel counters (stripped from result
     # snapshots) with a short serial run, for the report only.
     probe = LifetimeSimulator(
-        geometry, rates, make_3dp(geometry), citadel_config(True), seed=SEED
+        geometry, rates, make_3dp(geometry), citadel_config(), seed=SEED
     )
     probe.run(trials=20, min_faults=2)
     probe_metrics = probe.last_run_metrics

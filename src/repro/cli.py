@@ -59,7 +59,7 @@ from repro.reliability.parallel import (
 )
 from repro.reliability.results import ReliabilityResult
 from repro.replay import DEFAULT_REPLAY_SHARD_SIZE, ReplayConfig, ReplayWork
-from repro.schemes import SCHEMES
+from repro.schemes import SCHEMES, scheme_mitigations
 from repro.stack.geometry import StackGeometry
 from repro.stack.striping import StripingPolicy
 from repro.telemetry.console import err, out
@@ -473,11 +473,7 @@ def cmd_schemes(args: argparse.Namespace) -> int:
 def cmd_reliability(args: argparse.Namespace) -> int:
     geometry = StackGeometry()
     rates = FailureRates.paper_baseline(tsv_device_fit=args.tsv_fit)
-    tsv_swap = args.tsv_swap
-    use_dds = args.dds
-    if args.scheme == "citadel":
-        tsv_swap = 4 if tsv_swap is None else tsv_swap
-        use_dds = True
+    tsv_swap, use_dds = scheme_mitigations(args.scheme, args.tsv_swap, args.dds)
     collect_metrics = args.telemetry or args.metrics_out is not None
     model = SCHEMES[args.scheme](geometry)
     runner = ParallelLifetimeRunner(
@@ -618,11 +614,7 @@ def cmd_perf(args: argparse.Namespace) -> int:
 def cmd_replay(args: argparse.Namespace) -> int:
     geometry = StackGeometry()
     rates = FailureRates.paper_baseline(tsv_device_fit=args.tsv_fit)
-    tsv_swap = args.tsv_swap
-    use_dds = args.dds
-    if args.scheme == "citadel":
-        tsv_swap = 4 if tsv_swap is None else tsv_swap
-        use_dds = True
+    tsv_swap, use_dds = scheme_mitigations(args.scheme, args.tsv_swap, args.dds)
     collect_metrics = args.telemetry or args.metrics_out is not None
     model = SCHEMES[args.scheme](geometry)
     replay_config = ReplayConfig(
@@ -1016,11 +1008,7 @@ def cmd_profile(args: argparse.Namespace) -> int:
 
     geometry = StackGeometry()
     rates = FailureRates.paper_baseline(tsv_device_fit=args.tsv_fit)
-    tsv_swap = args.tsv_swap
-    use_dds = args.dds
-    if args.scheme == "citadel":
-        tsv_swap = 4 if tsv_swap is None else tsv_swap
-        use_dds = True
+    tsv_swap, use_dds = scheme_mitigations(args.scheme, args.tsv_swap, args.dds)
     model = SCHEMES[args.scheme](geometry)
     tmpdir: Optional[str] = None
     if args.trace_out is not None:

@@ -16,7 +16,8 @@ count, so models may additionally maintain incremental state across one
 trial via ``begin_trial`` / ``observe`` / ``rebuild``.  The base class
 provides a from-scratch fallback with identical verdicts; models that
 implement a real kernel set ``incremental_kernel = True`` so the engine
-can count fast-path arrivals.
+can count fast-path arrivals.  :class:`FromScratch` wraps any model in
+that fallback: the oracle the fast paths are tested against.
 """
 
 from __future__ import annotations
@@ -64,8 +65,10 @@ class CorrectionModel(abc.ABC):
     def is_uncorrectable(self, faults: Sequence[Fault]) -> bool:
         """True iff the fault set causes data loss."""
 
-    def min_faults_to_fail(self) -> int:
-        """Lower bound on simultaneous faults needed for data loss.
+    def min_faults_to_fail(self, tsv_possible: bool = True) -> int:
+        """Lower bound on simultaneous faults needed for data loss;
+        ``tsv_possible`` is False when no TSV fault can reach the model
+        (no TSV FIT, or TSV-Swap absorbs them).
 
         Conservative default: a single fault may be fatal.
         """
@@ -125,6 +128,42 @@ class CorrectionModel(abc.ABC):
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<{type(self).__name__}: {self.name}>"
+
+
+class FromScratch(CorrectionModel):
+    """The from-scratch oracle for ``model``: the same scheme, computed
+    the slow way.
+
+    It keeps the base-class fallback protocol, so every arrival re-runs
+    the wrapped model's ``is_uncorrectable`` over the whole live set, and
+    it has no batch kernel, so its campaigns stay on the scalar loop.
+    ``name``, verdicts, ``min_faults_to_fail`` and metrics are the wrapped
+    model's, so a campaign is the same campaign (same checkpoint identity,
+    same result) with or without the wrapper — the reference the
+    differential tests and ``bench_engine_hotpath`` compare against.
+    """
+
+    def __init__(self, model: CorrectionModel) -> None:
+        super().__init__(model.geometry)
+        self.model = model
+
+    @property
+    def name(self) -> str:
+        return self.model.name
+
+    @property
+    def metrics(self) -> Optional[MetricsRegistry]:
+        return self.model.metrics
+
+    @metrics.setter
+    def metrics(self, registry: Optional[MetricsRegistry]) -> None:
+        self.model.metrics = registry
+
+    def is_uncorrectable(self, faults: Sequence[Fault]) -> bool:
+        return self.model.is_uncorrectable(faults)
+
+    def min_faults_to_fail(self, tsv_possible: bool = True) -> int:
+        return self.model.min_faults_to_fail(tsv_possible)
 
 
 # ---------------------------------------------------------------------- #

@@ -69,16 +69,15 @@ def make_batch_runner(
     """The batch runner for ``sim``, or ``None`` to use the scalar loop.
 
     ``None`` — the results are identical either way — when numpy is
-    missing, the model has no array-shaped kernel, the run needs per-trial
-    observability (metrics, sparing stats, failure modes, tracing), or it
-    asks for a non-naive sampling plan or the from-scratch oracle
-    (``incremental_correction=False``), which stays fully scalar.
+    missing, the model has no array-shaped kernel (the from-scratch
+    oracle :class:`~repro.ecc.base.FromScratch` never has one), the run
+    needs per-trial observability (metrics, sparing stats, failure modes,
+    tracing), or it asks for a non-naive sampling plan.
     """
     config = sim.config
     if (
         np is None
         or config.sampling != "naive"
-        or not config.incremental_correction
         or config.collect_metrics
         or config.collect_sparing_stats
         or config.collect_failure_modes

@@ -23,12 +23,11 @@ while spending no time on empty lifetimes.
 
 from __future__ import annotations
 
-import inspect
 import math
 import random
 from collections import Counter
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro import contracts
 from repro.core.dds import DDSController
@@ -85,13 +84,6 @@ class EngineConfig:
     #: RNG draws), so sample statistics are bit-identical with telemetry
     #: on or off and shard metrics merge deterministically.
     collect_metrics: bool = False
-    #: Drive correctability through the model's incremental
-    #: ``begin_trial``/``observe`` kernel (identical verdicts; an arrival
-    #: costs O(touched component / candidates) instead of a from-scratch
-    #: ``is_uncorrectable`` pass over the whole live set).  False forces
-    #: the fully scalar from-scratch path — the reference used by the
-    #: differential tests and ``bench_engine_hotpath``.
-    incremental_correction: bool = True
     #: Sampling plan over the fault-arrival process: ``"naive"`` is the
     #: legacy single-stratum path (byte-identical to prior releases),
     #: ``"stratified"`` partitions by exact fault count, ``"importance"``
@@ -188,20 +180,7 @@ class LifetimeSimulator:
         tsv_possible = (
             self.rates.tsv_device_fit > 0 and self.config.tsv_swap_standby is None
         )
-        # Dispatch on the declared signature.  Calling with the argument
-        # and falling back on TypeError would also swallow TypeErrors
-        # raised *inside* the model and silently strand the scheme on the
-        # wrong stratum.
-        min_faults_to_fail = self.model.min_faults_to_fail
-        try:
-            parameters: Mapping[str, object] = inspect.signature(
-                min_faults_to_fail
-            ).parameters
-        except (TypeError, ValueError):  # pragma: no cover - C callables
-            parameters = {}
-        if "tsv_possible" in parameters:
-            return min_faults_to_fail(tsv_possible)
-        return min_faults_to_fail()
+        return self.model.min_faults_to_fail(tsv_possible)
 
     # ------------------------------------------------------------------ #
     def run(
@@ -379,9 +358,7 @@ class LifetimeSimulator:
             else None
         )
         model = self.model
-        incremental = config.incremental_correction
-        if incremental:
-            model.begin_trial()
+        model.begin_trial()
         live: List[Fault] = []
         outcome: Optional[Tuple[float, Optional[str]]] = None
         interval = config.scrub_interval_hours
@@ -405,20 +382,16 @@ class LifetimeSimulator:
                     at_hours=(scrub_epoch + 1) * interval,
                     recorder=recorder,
                 )
-                if incremental:
-                    model.rebuild(live)
+                model.rebuild(live)
                 if metrics is not None:
                     metrics.inc("engine/scrub_passes")
                 scrub_epoch = due_epoch
             if recorder is not None:
                 recorder.fault(fault)
             live.append(fault)
-            if incremental:
-                uncorrectable = model.observe(fault)
-                if metrics is not None and model.incremental_kernel:
-                    metrics.inc("engine/incremental_hits", volatile=True)
-            else:
-                uncorrectable = model.is_uncorrectable(live)
+            uncorrectable = model.observe(fault)
+            if metrics is not None and model.incremental_kernel:
+                metrics.inc("engine/incremental_hits", volatile=True)
             if tracer is not None:
                 tracer.event(
                     "correction",

@@ -17,8 +17,10 @@ campaign kind gets the same robustness features:
   (unique temp file + atomic rename) every ``checkpoint_every``
   completions; a killed campaign resumes with ``resume=True`` and re-runs
   only missing shards.
-  A fingerprint of the shard plan guards against resuming someone else's
-  checkpoint (:class:`~repro.errors.CheckpointError`).
+  A fingerprint of the shard plan and the whole work guards against
+  resuming someone else's checkpoint, and every resumed shard must
+  survive a ``from_dict``/``to_dict`` round trip unchanged
+  (:class:`~repro.errors.CheckpointError` otherwise).
 * **Wall-clock budget** — ``time_budget_s`` stops dispatching new shards
   once exceeded; completed shards are merged into an accurate partial
   result.
@@ -62,7 +64,7 @@ import time
 from concurrent.futures import FIRST_COMPLETED, Future, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
 from contextlib import nullcontext
-from dataclasses import asdict, dataclass, field, fields, is_dataclass
+from dataclasses import dataclass, field, fields, is_dataclass
 from enum import Enum
 from pathlib import Path
 from typing import (
@@ -95,17 +97,6 @@ from repro.telemetry.manifest import RunManifest, schemes_registry_hash
 from repro.telemetry.progress import ProgressReporter
 from repro.telemetry.registry import MetricsRegistry
 from repro.telemetry.tracing import TraceWriter
-
-#: v2: ``EngineConfig`` grew ``collect_metrics``; v3: it grew
-#: ``incremental_correction`` (the fingerprint embeds ``asdict(config)``,
-#: so older checkpoints cannot be resumed); v4: it grew ``sampling`` /
-#: ``target_ci_width`` and shard results grew per-stratum tallies
-#: (``ReliabilityResult.strata``); v5: merged results grew the optional
-#: run-provenance ``manifest`` sidecar; v6: ``EngineConfig`` grew
-#: ``thermal_bank_fit`` (the replay engine's thermal-FIT feedback);
-#: v7: ``EngineConfig`` grew the vectorized trial kernel toggle; v8:
-#: that toggle is gone again (the engine picks the kernel by itself).
-CHECKPOINT_VERSION = 8
 
 #: Bucket edges (seconds) of the wall-clock shard-latency histogram kept
 #: in ``last_campaign_metrics`` (volatile: never merged into results).
@@ -158,13 +149,14 @@ class ShardWork:
 
     The runner owns the shard plan, the pool, checkpoints and the merge;
     a work object supplies the rest.  It must pickle (pool workers
-    receive it with every shard).
+    receive it with every shard), and it is a frozen dataclass whose
+    fields are everything a shard's result depends on: the checkpoint
+    fingerprint is their JSON form.
 
-    * ``result_type`` — the result monoid: ``from_dict``, ``identity``
-      and ``merge_all``;
+    * ``result_type`` — the result monoid: ``from_dict``/``to_dict``,
+      ``identity`` and ``merge_all``;
     * :meth:`run_shard` — one shard, returned as the monoid's dict;
     * :meth:`empty` — the result reported when no shard was merged;
-    * :meth:`fingerprint` — the work's part of the checkpoint identity;
     * :meth:`finish` — an optional hook on the merged result.
     """
 
@@ -181,9 +173,6 @@ class ShardWork:
         raise NotImplementedError
 
     def empty(self) -> Any:
-        raise NotImplementedError
-
-    def fingerprint(self) -> Dict[str, Any]:
         raise NotImplementedError
 
     def finish(
@@ -257,17 +246,6 @@ class ReliabilityWork(ShardWork):
             min_faults=self.min_faults,
         )
 
-    def fingerprint(self) -> Dict[str, Any]:
-        return {
-            "kind": "reliability",
-            "min_faults": self.min_faults,
-            "label": self.label,
-            "model": self.model.name,
-            "engine_config": asdict(self.config),
-            "rates": self.rates,
-            "geometry": self.geometry,
-        }
-
     def finish(
         self, merged: Any, trials: int, root_seed: int, shard_size: int
     ) -> None:
@@ -283,7 +261,6 @@ class ReliabilityWork(ShardWork):
             shard_size=shard_size,
             sampling=self.config.sampling,
             target_ci_width=self.config.target_ci_width,
-            checkpoint_version=CHECKPOINT_VERSION,
             schemes_hash=schemes_registry_hash(),
             package_version=__version__,
         )
@@ -291,13 +268,16 @@ class ReliabilityWork(ShardWork):
 
 def _json_form(value: Any) -> Any:
     """``value`` as it reads back from JSON: dataclasses become field
-    dicts, enums their values, tuples lists, mapping keys strings — so a
-    saved fingerprint compares equal to a freshly computed one.
+    dicts, correction models their ``name``, enums their values, tuples
+    lists, mapping keys strings — so a saved fingerprint compares equal
+    to a freshly computed one.
 
-    ``FailureRates`` and ``StackGeometry`` enter the fingerprint only
-    to be compared, never to be rebuilt from a checkpoint: a field added
-    to either makes an old checkpoint fail the comparison loudly.
+    Field names are keys, so a field added to, removed from or renamed
+    in any dataclass of the work makes an old checkpoint fail the
+    comparison loudly; the fingerprint is only compared, never rebuilt.
     """
+    if isinstance(value, CorrectionModel):
+        return value.name
     if is_dataclass(value) and not isinstance(value, type):
         return {f.name: _json_form(getattr(value, f.name)) for f in fields(value)}
     if isinstance(value, Enum):
@@ -840,14 +820,14 @@ class ParallelLifetimeRunner:
     # Checkpointing
     # ------------------------------------------------------------------ #
     def _fingerprint(self, work: ShardWork, trials: int) -> Dict[str, Any]:
-        """Identity of the shard plan and its work; a checkpoint from a
-        different campaign must never be silently merged into this one."""
+        """Identity of the shard plan and every field of its work; a
+        checkpoint from a different campaign must never be silently
+        merged into this one."""
         return _json_form({
-            "version": CHECKPOINT_VERSION,
             "root_seed": self.root_seed,
             "trials": trials,
             "shard_size": self.shard_size,
-            **work.fingerprint(),
+            "work": work,
         })
 
     def _write_checkpoint(
@@ -878,18 +858,29 @@ class ParallelLifetimeRunner:
             payload = json.loads(path.read_text())
         except (OSError, json.JSONDecodeError) as exc:
             raise CheckpointError(f"unreadable checkpoint {path}: {exc}") from exc
+        if not isinstance(payload, dict):
+            raise CheckpointError(f"checkpoint {path} is not a JSON object")
         saved = payload.get("fingerprint")
         if saved != fingerprint:
             raise CheckpointError(
                 f"checkpoint {path} belongs to a different campaign: "
                 f"saved fingerprint {saved!r} != expected {fingerprint!r}"
             )
+        completed: Dict[int, Any] = {}
         try:
-            return {
-                int(index): work.result_type.from_dict(shard)
-                for index, shard in payload["shards"].items()
-            }
-        except (KeyError, TypeError, ValueError) as exc:
+            for index, shard in payload["shards"].items():
+                result = work.result_type.from_dict(shard)
+                # A shard written under another result schema cannot
+                # reproduce itself: a key added or removed since shows up.
+                if _json_form(result.to_dict()) != shard:
+                    raise CheckpointError(
+                        f"shard {index} of checkpoint {path} does not "
+                        f"round-trip; it was written under another "
+                        f"{work.result_type.__name__} schema"
+                    )
+                completed[int(index)] = result
+        except (AttributeError, KeyError, TypeError, ValueError) as exc:
             raise CheckpointError(
                 f"malformed shard table in checkpoint {path}: {exc}"
             ) from exc
+        return completed

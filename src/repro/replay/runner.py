@@ -12,7 +12,7 @@ worker count and across checkpoint/resume.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from typing import Any, ClassVar, Dict, Optional
 
 from repro.ecc.base import CorrectionModel
@@ -83,16 +83,3 @@ class ReplayWork(ShardWork):
 
     def empty(self) -> ReplayResult:
         return ReplayResult.identity()
-
-    def fingerprint(self) -> Dict[str, Any]:
-        assert self.perf_config is not None
-        return {
-            "kind": "replay",
-            "label": self.label,
-            "model": self.model.name,
-            "engine_config": asdict(self.engine_config),
-            "replay_config": asdict(self.replay_config),
-            "perf_label": self.perf_config.label(),
-            "rates": self.rates,
-            "geometry": self.geometry,
-        }

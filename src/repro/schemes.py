@@ -7,14 +7,15 @@ Each entry maps a stable public name to a factory
 ``StackGeometry -> CorrectionModel``.
 
 The ``citadel`` entry is the 3DP correction model; the TSV-Swap and DDS
-mitigations it implies are engine-level features wired by whoever builds
-the :class:`~repro.reliability.montecarlo.EngineConfig` (see
-:meth:`repro.service.jobs.CampaignSpec.__post_init__` and the CLI).
+mitigations it implies are engine-level features, applied by
+:func:`scheme_mitigations` wherever an
+:class:`~repro.reliability.montecarlo.EngineConfig` is built from a
+scheme name (the CLI and :class:`repro.service.jobs.CampaignSpec`).
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict
+from typing import Callable, Dict, Optional, Tuple
 
 from repro.core.parity3dp import make_1dp, make_2dp, make_3dp
 from repro.ecc import BCHCode, RAID5, SECDED, SymbolCode, TwoDimECC
@@ -37,3 +38,20 @@ SCHEMES: Dict[str, Callable[[StackGeometry], object]] = {
     "secded": lambda g: SECDED(g),
     "2d-ecc": lambda g: TwoDimECC(g),
 }
+
+#: TSV-Swap stand-by budget implied by the ``citadel`` scheme.
+CITADEL_DEFAULT_STANDBY_TSVS = 4
+
+
+def scheme_mitigations(
+    scheme: str, tsv_swap: Optional[int], dds: bool
+) -> Tuple[Optional[int], bool]:
+    """The ``(TSV-Swap stand-by budget, DDS)`` a ``scheme`` campaign runs
+    with, given the requested ones: ``citadel`` is 3DP + TSV-Swap(4) +
+    DDS, so it fills in an unset budget and always enables DDS; every
+    other scheme runs exactly what was asked."""
+    if scheme == "citadel":
+        if tsv_swap is None:
+            tsv_swap = CITADEL_DEFAULT_STANDBY_TSVS
+        return tsv_swap, True
+    return tsv_swap, dds

@@ -24,6 +24,7 @@ from repro.errors import (
     ServiceError,
     ServiceUnavailableError,
     SpecError,
+    StoreError,
 )
 from repro.reliability.results import ReliabilityResult
 from repro.service.jobs import CampaignSpec
@@ -36,6 +37,7 @@ _ERROR_CLASSES: Dict[str, type] = {
         JobNotFoundError,
         ResultNotReadyError,
         JobFailedError,
+        StoreError,
         ServiceError,
     )
 }

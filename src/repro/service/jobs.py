@@ -39,16 +39,11 @@ from repro.reliability.montecarlo import EngineConfig
 from repro.reliability.parallel import DEFAULT_SHARD_SIZE
 from repro.reliability.sampling import SAMPLING_METHODS
 from repro.replay import ReplayConfig
-from repro.schemes import SCHEMES
+from repro.schemes import SCHEMES, scheme_mitigations
 from repro.stack.geometry import StackGeometry
 from repro.workloads.profiles import WORKLOADS
 
 SPEC_SCHEMA_VERSION = 1
-
-#: TSV-Swap stand-by budget implied by the ``citadel`` scheme (the CLI
-#: applies the same default; keeping it here makes service and CLI
-#: submissions of ``citadel`` hash identically).
-CITADEL_DEFAULT_STANDBY_TSVS = 4
 
 #: Geometry override keys a spec may carry (``StackGeometry`` fields).
 GEOMETRY_FIELDS: Tuple[str, ...] = tuple(
@@ -214,15 +209,13 @@ class CampaignSpec:
                     f"geometry override {key!r} must be a positive int, "
                     f"got {value!r}"
                 )
-        # Canonicalize: the citadel scheme *is* 3DP + TSV-Swap + DDS, so
-        # bake the implied mitigations into the stored fields — a
-        # citadel submission hashes identically however it was phrased.
-        if self.scheme == "citadel":
-            if self.tsv_swap is None:
-                object.__setattr__(
-                    self, "tsv_swap", CITADEL_DEFAULT_STANDBY_TSVS
-                )
-            object.__setattr__(self, "dds", True)
+        # Canonicalize: bake the mitigations a scheme implies (citadel
+        # *is* 3DP + TSV-Swap + DDS) into the stored fields — a citadel
+        # submission hashes identically however it was phrased, and
+        # exactly like the CLI run it describes.
+        tsv_swap, dds = scheme_mitigations(self.scheme, self.tsv_swap, self.dds)
+        object.__setattr__(self, "tsv_swap", tsv_swap)
+        object.__setattr__(self, "dds", dds)
         # Freeze the mapping into a plain sorted dict so canonical_json
         # is insertion-order independent.
         object.__setattr__(

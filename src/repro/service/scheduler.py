@@ -224,6 +224,10 @@ class CampaignScheduler:
             if self._closed:
                 raise ServiceError("scheduler is shut down; not accepting jobs")
             key = spec.spec_hash()
+            # Look the spec up first: a corrupt store entry raises
+            # StoreError before any job is registered, so none is left
+            # queued with nothing to run it.
+            cached = self.store.get(key)
             self._seq += 1
             job = Job(
                 id=f"j{self._seq:06d}-{key[:SPEC_HASH_PREFIX_LEN]}",
@@ -238,7 +242,6 @@ class CampaignScheduler:
             )
             self._jobs[job.id] = job
             self.metrics.inc("service/jobs_submitted")
-            cached = self.store.get(key)
             if cached is not None:
                 job.state = JobState.DONE
                 job.cache_hit = True

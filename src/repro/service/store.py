@@ -27,7 +27,7 @@ from pathlib import Path
 from typing import Any, Dict, List, Optional, Union
 
 from repro import contracts
-from repro.errors import SpecError, StoreError
+from repro.errors import SpecError, StoreError, TelemetryError
 from repro.reliability.results import ReliabilityResult
 from repro.replay.results import ReplayResult
 from repro.service.jobs import CampaignSpec
@@ -100,19 +100,26 @@ class ResultStore:
         return spec_or_key
 
     # ------------------------------------------------------------------ #
-    @staticmethod
     def _parse_result(
-        entry: Dict[str, Any]
+        self, key: str, entry: Dict[str, Any]
     ) -> Union[ReliabilityResult, ReplayResult]:
         """Rebuild the stored result, dispatching on the entry kind.
 
         Reliability entries carry no ``kind`` key (they predate the
         replay mode and must stay byte-identical); replay entries are
-        tagged ``"kind": "replay"``.
+        tagged ``"kind": "replay"``.  A result document that does not
+        parse is a corrupt entry (:class:`StoreError`).
         """
-        if entry.get("kind") == "replay":
-            return ReplayResult.from_dict(entry["result"])
-        return ReliabilityResult.from_dict(entry["result"])
+        try:
+            if entry.get("kind") == "replay":
+                return ReplayResult.from_dict(entry["result"])
+            return ReliabilityResult.from_dict(entry["result"])
+        except (
+            AttributeError, KeyError, TypeError, ValueError, TelemetryError
+        ) as exc:
+            raise StoreError(
+                f"malformed result in store entry {self._path(key)}: {exc!r}"
+            ) from exc
 
     def get(
         self, spec_or_key: Union[CampaignSpec, str]
@@ -131,7 +138,7 @@ class ResultStore:
                 self._touch_disk(key)
                 self._inc("store/hits")
                 self._inc("store/memory_hits")
-                return self._parse_result(entry)
+                return self._parse_result(key, entry)
             entry = self._load(key)
             if entry is None:
                 self._inc("store/misses")
@@ -139,7 +146,7 @@ class ResultStore:
             self._remember(key, entry)
             self._inc("store/hits")
             self._inc("store/disk_hits")
-            return self._parse_result(entry)
+            return self._parse_result(key, entry)
 
     def entry(self, spec_or_key: Union[CampaignSpec, str]) -> Optional[Dict[str, Any]]:
         """The raw stored document (spec + result), or ``None``."""

@@ -2,12 +2,12 @@
 
 A :class:`RunManifest` records everything needed to re-run a campaign
 and trust that the bytes will match: the scheme, seed, trial plan,
-sampler/stopping configuration, the checkpoint schema version the run
-was produced under, a hash of the schemes registry (so a renamed or
-added scheme invalidates provenance), and the package version.  It is
-attached to merged :class:`~repro.reliability.results.ReliabilityResult`
-documents and to :class:`~repro.service.store.ResultStore` entries, and
-printed by ``repro status``.
+sampler/stopping configuration, a hash of the schemes registry (so a
+renamed or added scheme invalidates provenance), and the package
+version.  It is attached to merged
+:class:`~repro.reliability.results.ReliabilityResult` documents and to
+:class:`~repro.service.store.ResultStore` entries, and printed by
+``repro status``.
 
 Determinism boundary: the manifest's serialized core is a pure function
 of the campaign configuration — **no** hostname, wall-clock time,
@@ -57,7 +57,6 @@ class RunManifest:
     shard_size: int
     sampling: Optional[str]
     target_ci_width: Optional[float]
-    checkpoint_version: int
     schemes_hash: str
     package_version: str
     spec_hash: Optional[str] = None
@@ -73,7 +72,6 @@ class RunManifest:
             "shard_size": self.shard_size,
             "sampling": self.sampling,
             "target_ci_width": self.target_ci_width,
-            "checkpoint_version": self.checkpoint_version,
             "schemes_hash": self.schemes_hash,
             "package_version": self.package_version,
         }
@@ -90,7 +88,7 @@ class RunManifest:
                 f"(expected {MANIFEST_SCHEMA})"
             )
         for key in ("scheme", "seed", "trials", "shard_size",
-                    "checkpoint_version", "schemes_hash", "package_version"):
+                    "schemes_hash", "package_version"):
             if key not in data:
                 raise TelemetryError(f"manifest missing {key!r}: {data!r}")
         sampling = data.get("sampling")
@@ -103,7 +101,6 @@ class RunManifest:
             shard_size=int(data["shard_size"]),
             sampling=None if sampling is None else str(sampling),
             target_ci_width=None if width is None else float(width),
-            checkpoint_version=int(data["checkpoint_version"]),
             schemes_hash=str(data["schemes_hash"]),
             package_version=str(data["package_version"]),
             spec_hash=None if spec_hash is None else str(spec_hash),
@@ -123,7 +120,6 @@ class RunManifest:
         if self.target_ci_width is not None:
             lines.append(f"target CI width {self.target_ci_width:g}")
         lines.extend([
-            f"checkpoint ver  {self.checkpoint_version}",
             f"schemes hash    {self.schemes_hash}",
             f"package         {self.package_version}",
         ])

@@ -27,6 +27,7 @@ from hypothesis import strategies as st
 
 import repro.reliability.batch as batch_mod
 from repro.core.parity3dp import make_3dp
+from repro.ecc.base import FromScratch
 from repro.faults.injector import FaultSpec
 from repro.faults.rates import FailureRates
 from repro.faults.types import FaultKind, Permanence
@@ -131,16 +132,14 @@ class TestPairBudget:
 
 class TestWorkerByteIdentity:
     def make_runner(self, batch, workers, **kwargs):
-        """``batch=False`` asks for the from-scratch oracle, which
+        """``batch=False`` runs the from-scratch oracle, which
         ``make_batch_runner`` always leaves on the scalar loop."""
+        model = make_3dp(GEOM)
         return ParallelLifetimeRunner(
             GEOM,
             RATES,
-            make_3dp(GEOM),
-            EngineConfig(
-                tsv_swap_standby=4, use_dds=True,
-                incremental_correction=batch,
-            ),
+            model if batch else FromScratch(model),
+            EngineConfig(tsv_swap_standby=4, use_dds=True),
             root_seed=42,
             workers=workers,
             shard_size=200,
@@ -296,12 +295,12 @@ class TestKernelSoundness:
 # Dispatch contract
 # ---------------------------------------------------------------------- #
 class TestDispatch:
-    def make_sim(self, **config_kwargs):
+    def make_sim(self, model=None, **config_kwargs):
         config = EngineConfig(
             tsv_swap_standby=4, use_dds=True, **config_kwargs
         )
         return LifetimeSimulator(
-            GEOM, RATES, make_3dp(GEOM), config, seed=302
+            GEOM, RATES, model or make_3dp(GEOM), config, seed=302
         )
 
     def test_runner_used_and_counts_trials(self):
@@ -314,7 +313,7 @@ class TestDispatch:
         assert runner.fast_trials + runner.fallback_trials == 400
 
     def test_from_scratch_oracle_runs_scalar(self):
-        sim = self.make_sim(incremental_correction=False)
+        sim = self.make_sim(FromScratch(make_3dp(GEOM)))
         assert make_batch_runner(sim) is None
         assert doc(sim.run(200)) == doc(self.make_sim().run(200))
 

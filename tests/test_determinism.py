@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 from repro.core.datapath import CitadelDatapath
 from repro.core.parity3dp import make_1dp, make_3dp
+from repro.ecc.base import FromScratch
 from repro.faults.injector import FaultInjector
 from repro.faults.rates import FailureRates
 from repro.reliability.montecarlo import EngineConfig, LifetimeSimulator
@@ -28,11 +29,12 @@ def geom():
     return StackGeometry()
 
 
-def run_monte_carlo(geom, seed, trials=300, **cfg):
+def run_monte_carlo(geom, seed, trials=300, from_scratch=False, **cfg):
+    model = make_1dp(geom)
     sim = LifetimeSimulator(
         geom,
         FailureRates.paper_baseline(tsv_device_fit=100.0),
-        make_1dp(geom),
+        FromScratch(model) if from_scratch else model,
         EngineConfig(**cfg),
         seed=seed,
     )
@@ -145,21 +147,21 @@ class TestParallelRunnerDeterminism:
 
 
 class TestIncrementalCorrectionInvisible:
-    """``EngineConfig.incremental_correction`` is a pure performance knob:
-    results — counts, failure times, metrics snapshot — must be
-    byte-identical to the from-scratch reference path."""
+    """Incremental correction is a pure performance path: results —
+    counts, failure times, metrics snapshot — must be byte-identical to
+    the from-scratch oracle (:class:`FromScratch`)."""
 
     def run_citadel(self, geom, workers, incremental):
+        model = make_3dp(geom)
         runner = ParallelLifetimeRunner(
             geom,
             FailureRates.paper_baseline(tsv_device_fit=1430.0),
-            make_3dp(geom),
+            model if incremental else FromScratch(model),
             EngineConfig(
                 tsv_swap_standby=4,
                 use_dds=True,
                 collect_metrics=True,
                 collect_failure_modes=True,
-                incremental_correction=incremental,
             ),
             root_seed=302,
             workers=workers,
@@ -170,7 +172,7 @@ class TestIncrementalCorrectionInvisible:
     def test_serial_engine_flag_invisible(self, geom):
         fast = run_monte_carlo(geom, seed=42, collect_metrics=True)
         reference = run_monte_carlo(
-            geom, seed=42, collect_metrics=True, incremental_correction=False
+            geom, seed=42, collect_metrics=True, from_scratch=True
         )
         assert fast == reference
         assert fast.metrics == reference.metrics

@@ -14,10 +14,7 @@ import pytest
 from repro.errors import TelemetryError
 from repro.faults.rates import FailureRates
 from repro.reliability.montecarlo import EngineConfig
-from repro.reliability.parallel import (
-    CHECKPOINT_VERSION,
-    ParallelLifetimeRunner,
-)
+from repro.reliability.parallel import ParallelLifetimeRunner
 from repro.reliability.results import ReliabilityResult
 from repro.schemes import SCHEMES
 from repro.service.jobs import CampaignSpec
@@ -39,7 +36,6 @@ def make_manifest(**overrides):
         shard_size=100,
         sampling="naive",
         target_ci_width=None,
-        checkpoint_version=CHECKPOINT_VERSION,
         schemes_hash=schemes_registry_hash(),
         package_version="1.0.0",
     )
@@ -84,6 +80,12 @@ class TestRunManifestContract:
         with pytest.raises(TelemetryError, match="unsupported manifest"):
             RunManifest.from_dict(data)
 
+    def test_from_dict_ignores_retired_checkpoint_version(self):
+        """Store entries written while manifests carried a checkpoint
+        version still load."""
+        data = {**make_manifest().to_dict(), "checkpoint_version": 8}
+        assert RunManifest.from_dict(data) == make_manifest()
+
     def test_from_dict_rejects_missing_keys(self):
         data = make_manifest().to_dict()
         del data["schemes_hash"]
@@ -94,7 +96,7 @@ class TestRunManifestContract:
         lines = make_manifest().describe()
         text = "\n".join(lines)
         assert "SECDED" in text
-        assert f"checkpoint ver  {CHECKPOINT_VERSION}" in text
+        assert "schemes hash" in text
         assert "spec hash" not in text
         stamped = make_manifest().with_spec_hash("deadbeef").describe()
         assert any("deadbeef" in line for line in stamped)
@@ -123,7 +125,6 @@ class TestRunnerAttachment:
         assert manifest.seed == 7
         assert manifest.trials == 120
         assert manifest.shard_size == 40
-        assert manifest.checkpoint_version == CHECKPOINT_VERSION
         assert manifest.schemes_hash == schemes_registry_hash()
         assert manifest.spec_hash is None
 

@@ -155,9 +155,10 @@ class TestResults:
 
 
 class TestMinFaultsDispatch:
-    """``default_min_faults`` dispatches on the declared signature; it must
-    not call-and-catch TypeError, which masks TypeErrors raised *inside*
-    the model and strands the scheme on the wrong stratum."""
+    """``default_min_faults`` calls ``min_faults_to_fail(tsv_possible)``
+    directly; it must not call-and-catch TypeError, which masks
+    TypeErrors raised *inside* the model and strands the scheme on the
+    wrong stratum."""
 
     class _BuggyTsvBranch(SymbolCode):
         """A model whose TSV branch contains a genuine TypeError bug."""
@@ -166,12 +167,6 @@ class TestMinFaultsDispatch:
             if tsv_possible:
                 return 1 + None  # the bug the old except clause hid
             return 2
-
-    class _LegacyNoArg(SymbolCode):
-        """A model predating the ``tsv_possible`` parameter."""
-
-        def min_faults_to_fail(self):
-            return 3
 
     def test_internal_typeerror_propagates(self, geom):
         model = self._BuggyTsvBranch(geom, StripingPolicy.ACROSS_BANKS)
@@ -184,10 +179,6 @@ class TestMinFaultsDispatch:
     def test_no_tsv_branch_still_works(self, geom):
         model = self._BuggyTsvBranch(geom, StripingPolicy.ACROSS_BANKS)
         assert simulator(geom, model, tsv_fit=0.0).default_min_faults() == 2
-
-    def test_legacy_signature_dispatches_to_no_arg_call(self, geom):
-        model = self._LegacyNoArg(geom, StripingPolicy.ACROSS_BANKS)
-        assert simulator(geom, model, tsv_fit=1430.0).default_min_faults() == 3
 
 
 class TestSampledWeight:

@@ -16,6 +16,7 @@ import pytest
 
 import repro.reliability.parallel as parallel_mod
 from repro.core.parity3dp import make_1dp
+from repro.ecc.base import FromScratch
 from repro.errors import CheckpointError, ContractViolation
 from repro.faults.rates import FailureRates
 from repro.faults.types import FaultKind
@@ -39,18 +40,30 @@ TRIALS = 800
 SHARD = 200
 
 
-def make_runner(geometry, rates=RATES, **kwargs):
+def make_runner(
+    geometry, rates=RATES, collect_metrics=False, from_scratch=False,
+    **kwargs,
+):
     kwargs.setdefault("root_seed", 42)
     kwargs.setdefault("shard_size", SHARD)
+    model = make_1dp(geometry)
+    if from_scratch:
+        model = FromScratch(model)
     if WORK == "replay":
         work = ReplayWork(
-            geometry, rates, make_1dp(geometry), EngineConfig(),
+            geometry, rates, model, EngineConfig(),
             ReplayConfig(cores=1, requests_per_core=1),
+            collect_metrics=collect_metrics,
         )
         return ParallelLifetimeRunner(work=work, **kwargs)
     return ParallelLifetimeRunner(
-        geometry, rates, make_1dp(geometry), EngineConfig(), **kwargs
+        geometry, rates, model, EngineConfig(collect_metrics=collect_metrics),
+        **kwargs,
     )
+
+
+def doc(result):
+    return json.dumps(result.to_dict())
 
 
 @pytest.fixture
@@ -174,11 +187,104 @@ class TestCheckpointResume:
 
     def test_corrupt_checkpoint_rejected(self, geometry, tmp_path):
         cp = tmp_path / "cp.json"
-        cp.write_text("{not json")
-        with pytest.raises(CheckpointError):
+        make_runner(geometry, workers=1, checkpoint_path=cp).run(trials=TRIALS)
+        payload = json.loads(cp.read_text())
+        for corrupt in (
+            "{not json",
+            "[]",  # valid JSON, not an object
+            json.dumps({**payload, "shards": []}),  # shard table not an object
+        ):
+            cp.write_text(corrupt)
+            with pytest.raises(CheckpointError):
+                make_runner(
+                    geometry, workers=1, checkpoint_path=cp, resume=True
+                ).run(trials=TRIALS)
+
+    def test_fingerprint_field_drift_rejected(self, geometry, tmp_path):
+        """A checkpoint written before the engine config grew a field:
+        field names are fingerprint keys, so it belongs to another
+        campaign."""
+        cp = tmp_path / "cp.json"
+        make_runner(geometry, workers=1, checkpoint_path=cp).run(trials=TRIALS)
+        payload = json.loads(cp.read_text())
+        work = payload["fingerprint"]["work"]
+        del work["engine_config" if WORK == "replay" else "config"]["sampling"]
+        cp.write_text(json.dumps(payload))
+        with pytest.raises(CheckpointError, match="different campaign"):
             make_runner(
                 geometry, workers=1, checkpoint_path=cp, resume=True
             ).run(trials=TRIALS)
+
+    def resume_edited_shard(self, geometry, tmp_path, edit, **kwargs):
+        """Checkpoint a campaign, apply ``edit`` to shard 0, resume."""
+        cp = tmp_path / "cp.json"
+        make_runner(
+            geometry, workers=1, checkpoint_path=cp, **kwargs
+        ).run(trials=TRIALS)
+        payload = json.loads(cp.read_text())
+        edit(payload["shards"]["0"])
+        cp.write_text(json.dumps(payload))
+        make_runner(
+            geometry, workers=1, checkpoint_path=cp, resume=True, **kwargs
+        ).run(trials=TRIALS)
+
+    def test_shard_with_added_key_rejected(self, geometry, tmp_path):
+        """A shard written under a result schema with one more field
+        does not round-trip through ``from_dict``/``to_dict``."""
+        with pytest.raises(CheckpointError, match="round-trip"):
+            self.resume_edited_shard(
+                geometry, tmp_path, lambda shard: shard.update(extra=0)
+            )
+
+    def test_shard_with_removed_key_rejected(self, geometry, tmp_path):
+        """A shard written under a result schema with one field fewer:
+        ``from_dict`` fills in the default, so the round trip adds the
+        key back."""
+        with pytest.raises(CheckpointError, match="round-trip"):
+            self.resume_edited_shard(
+                geometry, tmp_path,
+                lambda shard: shard["metrics"].pop("timers"),
+                collect_metrics=True,
+            )
+
+    @pytest.mark.parametrize("written, resumed", [(False, True), (True, False)])
+    def test_resume_under_other_collect_metrics_rejected(
+        self, geometry, tmp_path, written, resumed
+    ):
+        """Telemetry adds ``metrics`` to every shard, so a checkpoint
+        written with it off cannot finish a campaign with it on, nor the
+        reverse."""
+        cp = tmp_path / "cp.json"
+        make_runner(
+            geometry, workers=1, checkpoint_path=cp, collect_metrics=written
+        ).run(trials=TRIALS)
+        other = make_runner(
+            geometry, workers=1, checkpoint_path=cp, resume=True,
+            collect_metrics=resumed,
+        )
+        with pytest.raises(CheckpointError, match="different campaign"):
+            other.run(trials=TRIALS)
+
+    @pytest.mark.parametrize("written, resumed", [(False, True), (True, False)])
+    def test_from_scratch_and_incremental_resume_each_other(
+        self, geometry, tmp_path, written, resumed
+    ):
+        """The from-scratch oracle computes the same campaign, so either
+        path finishes the other's checkpoint byte-identically."""
+        cp = tmp_path / "cp.json"
+        make_runner(
+            geometry, workers=1, checkpoint_path=cp, from_scratch=written,
+            crash_injection=CrashInjection(raise_on=frozenset({1})),
+        ).run(trials=TRIALS)
+        runner = make_runner(
+            geometry, workers=1, checkpoint_path=cp, resume=True,
+            from_scratch=resumed,
+        )
+        resumed_result = runner.run(trials=TRIALS)
+        assert runner.last_report.resumed_shards == TRIALS // SHARD - 1
+        assert runner.last_report.completed_shards == 1
+        reference = make_runner(geometry, workers=1).run(trials=TRIALS)
+        assert doc(resumed_result) == doc(reference)
 
     def test_checkpoint_is_valid_json_shard_table(self, geometry, tmp_path):
         cp = tmp_path / "cp.json"

@@ -106,11 +106,7 @@ class TestEmptyAndSingle:
         """A model claiming min_faults_to_fail()==2 must never fail on a
         single fault."""
         for model in ALL_MODELS:
-            try:
-                floor = model.min_faults_to_fail(tsv_possible=True)
-            except TypeError:
-                floor = model.min_faults_to_fail()
-            if floor >= 2:
+            if model.min_faults_to_fail(tsv_possible=True) >= 2:
                 assert not model.is_uncorrectable([fault]), model.name
 
 

@@ -1,11 +1,11 @@
-"""Tests for reprolint's project-wide pass: REPRO008/009/010, reporters,
-baseline ratchet, schema lockfile, and CLI exit codes.
+"""Tests for reprolint's project-wide pass: REPRO008/009, reporters,
+baseline ratchet, and CLI exit codes.
 
 Rule fixtures are synthetic trees mirroring the repository layout.  The
 acceptance tests at the bottom mutate *copies of the real sources*
-(scheduler lock removal, RNG injection into a snapshot path, checkpoint
-dataclass field addition) and assert the lint reproducibly fails —
-these are the exact regressions the project pass exists to catch.
+(scheduler lock removal, RNG injection into a snapshot path) and assert
+the lint reproducibly fails — these are the exact regressions the
+project pass exists to catch.
 """
 
 import io
@@ -44,15 +44,13 @@ def write_tree(tmp_path, files):
     return tmp_path
 
 
-def lint_tree(tmp_path, codes, options=None):
+def lint_tree(tmp_path, codes):
     checkers = [checker_by_code(code)() for code in codes]
-    return lint_paths(
-        [tmp_path], checkers=checkers, root=tmp_path, options=options
-    )
+    return lint_paths([tmp_path], checkers=checkers, root=tmp_path)
 
 
-def build_project(tmp_path, options=None):
-    runner = LintRunner([], root=tmp_path, options=options)
+def build_project(tmp_path):
+    runner = LintRunner([], root=tmp_path)
     return runner.build_project([tmp_path])
 
 
@@ -508,254 +506,6 @@ class TestRepro009:
 
 
 # ---------------------------------------------------------------------- #
-# REPRO010: checkpoint-schema drift
-# ---------------------------------------------------------------------- #
-_CK_SOURCE = (
-    "from dataclasses import dataclass\n"
-    "CHECKPOINT_VERSION = 1\n"
-    "@dataclass\n"
-    "class State:\n"
-    "    a: int\n"
-    "    b: str\n"
-    "    def to_dict(self):\n"
-    "        return {}\n"
-)
-
-
-def _lock_options(tmp_path):
-    return {"schema_lockfile": tmp_path / "schema_lock.json"}
-
-
-def _write_lock(tmp_path):
-    rc = reprolint_main(
-        [
-            str(tmp_path),
-            "--root",
-            str(tmp_path),
-            "--schema-lockfile",
-            str(tmp_path / "schema_lock.json"),
-            "--write-lockfile",
-        ]
-    )
-    assert rc == 0
-
-
-class TestRepro010:
-    def test_missing_lockfile_with_reachable_dataclasses(self, tmp_path):
-        write_tree(tmp_path, {"src/repro/ck.py": _CK_SOURCE})
-        findings = lint_tree(
-            tmp_path, ["REPRO010"], options=_lock_options(tmp_path)
-        )
-        assert codes_of(findings) == ["REPRO010"]
-        assert "missing" in findings[0].message
-
-    def test_no_reachable_dataclasses_no_lockfile_needed(self, tmp_path):
-        write_tree(tmp_path, {"src/repro/plain.py": "x = 1\n"})
-        assert (
-            lint_tree(tmp_path, ["REPRO010"], options=_lock_options(tmp_path))
-            == []
-        )
-
-    def test_in_sync_lockfile_clean(self, tmp_path):
-        write_tree(tmp_path, {"src/repro/ck.py": _CK_SOURCE})
-        _write_lock(tmp_path)
-        assert (
-            lint_tree(tmp_path, ["REPRO010"], options=_lock_options(tmp_path))
-            == []
-        )
-
-    def test_field_added_without_version_bump_fails(self, tmp_path):
-        write_tree(tmp_path, {"src/repro/ck.py": _CK_SOURCE})
-        _write_lock(tmp_path)
-        (tmp_path / "src/repro/ck.py").write_text(
-            _CK_SOURCE.replace("    b: str\n", "    b: str\n    c: float\n")
-        )
-        findings = lint_tree(
-            tmp_path, ["REPRO010"], options=_lock_options(tmp_path)
-        )
-        assert codes_of(findings) == ["REPRO010"]
-        assert "bump CHECKPOINT_VERSION" in findings[0].message
-        assert "c: float" in findings[0].message
-
-    def test_field_added_with_version_bump_asks_for_regeneration(
-        self, tmp_path
-    ):
-        write_tree(tmp_path, {"src/repro/ck.py": _CK_SOURCE})
-        _write_lock(tmp_path)
-        (tmp_path / "src/repro/ck.py").write_text(
-            _CK_SOURCE.replace("    b: str\n", "    b: str\n    c: float\n")
-            .replace("CHECKPOINT_VERSION = 1", "CHECKPOINT_VERSION = 2")
-        )
-        findings = lint_tree(
-            tmp_path, ["REPRO010"], options=_lock_options(tmp_path)
-        )
-        assert codes_of(findings) == ["REPRO010"]
-        assert "regenerate" in findings[0].message
-        assert "bump" not in findings[0].message
-
-    def test_version_bump_alone_requires_regeneration(self, tmp_path):
-        write_tree(tmp_path, {"src/repro/ck.py": _CK_SOURCE})
-        _write_lock(tmp_path)
-        (tmp_path / "src/repro/ck.py").write_text(
-            _CK_SOURCE.replace(
-                "CHECKPOINT_VERSION = 1", "CHECKPOINT_VERSION = 2"
-            )
-        )
-        findings = lint_tree(
-            tmp_path, ["REPRO010"], options=_lock_options(tmp_path)
-        )
-        assert codes_of(findings) == ["REPRO010"]
-        assert "regenerate" in findings[0].message
-
-    def test_regeneration_after_bump_is_clean(self, tmp_path):
-        write_tree(tmp_path, {"src/repro/ck.py": _CK_SOURCE})
-        _write_lock(tmp_path)
-        (tmp_path / "src/repro/ck.py").write_text(
-            _CK_SOURCE.replace("    b: str\n", "    b: str\n    c: float\n")
-            .replace("CHECKPOINT_VERSION = 1", "CHECKPOINT_VERSION = 2")
-        )
-        _write_lock(tmp_path)
-        assert (
-            lint_tree(tmp_path, ["REPRO010"], options=_lock_options(tmp_path))
-            == []
-        )
-
-    def test_nested_dataclass_fields_are_fingerprinted(self, tmp_path):
-        source = (
-            "from dataclasses import dataclass\n"
-            "@dataclass\n"
-            "class Inner:\n"
-            "    x: int\n"
-            "@dataclass\n"
-            "class Outer:\n"
-            "    inner: Inner\n"
-            "    def to_dict(self):\n"
-            "        return {}\n"
-        )
-        write_tree(tmp_path, {"src/repro/nest.py": source})
-        _write_lock(tmp_path)
-        locked = json.loads((tmp_path / "schema_lock.json").read_text())
-        assert "repro.nest.Inner" in locked["classes"]
-        # Drifting the *nested* class alone is caught.
-        (tmp_path / "src/repro/nest.py").write_text(
-            source.replace("    x: int\n", "    x: int\n    y: int\n")
-        )
-        findings = lint_tree(
-            tmp_path, ["REPRO010"], options=_lock_options(tmp_path)
-        )
-        assert codes_of(findings) == ["REPRO010"]
-        assert "Inner" in findings[0].message
-
-    def test_asdict_target_is_a_schema_root(self, tmp_path):
-        source = (
-            "from dataclasses import dataclass, asdict\n"
-            "@dataclass\n"
-            "class Config:\n"
-            "    n: int\n"
-            "class Runner:\n"
-            "    def __init__(self, config: Config):\n"
-            "        self.config = config\n"
-            "    def _write_checkpoint(self):\n"
-            "        return asdict(self.config)\n"
-        )
-        write_tree(tmp_path, {"src/repro/run.py": source})
-        _write_lock(tmp_path)
-        locked = json.loads((tmp_path / "schema_lock.json").read_text())
-        assert "repro.run.Config" in locked["classes"]
-
-    def test_sampling_field_drift_without_bump_fails(self, tmp_path):
-        """ISSUE 7 regression: growing an engine-config dataclass a
-        ``sampling`` knob without bumping CHECKPOINT_VERSION must fail
-        lint against the existing lockfile."""
-        write_tree(tmp_path, {"src/repro/ck.py": _CK_SOURCE})
-        _write_lock(tmp_path)
-        (tmp_path / "src/repro/ck.py").write_text(
-            _CK_SOURCE.replace(
-                "    b: str\n", "    b: str\n    sampling: str\n"
-            )
-        )
-        findings = lint_tree(
-            tmp_path, ["REPRO010"], options=_lock_options(tmp_path)
-        )
-        assert codes_of(findings) == ["REPRO010"]
-        assert "bump CHECKPOINT_VERSION" in findings[0].message
-        assert "sampling: str" in findings[0].message
-
-
-class TestProjectLockfileCurrent:
-    """The checked-in lockfile must reflect the current schema surface:
-    CHECKPOINT_VERSION 8 (the batch toggles removed again) plus the
-    sampling, run-provenance and replay schema growth."""
-
-    LOCKFILE = (
-        Path(__file__).resolve().parent.parent
-        / "tools"
-        / "reprolint"
-        / "schema_lock.json"
-    )
-
-    def test_lockfile_records_checkpoint_version_8(self):
-        locked = json.loads(self.LOCKFILE.read_text())
-        assert locked["checkpoint_version"] == 8
-
-    def test_lockfile_covers_batch_schema_surface(self):
-        """The batch kernel is picked automatically, so neither the
-        engine config nor the campaign spec carries a batch toggle."""
-        locked = json.loads(self.LOCKFILE.read_text())
-        classes = locked["classes"]
-        engine = classes["repro.reliability.montecarlo.EngineConfig"]
-        assert not any(f.startswith("batch") for f in engine)
-        spec = classes["repro.service.jobs.CampaignSpec"]
-        assert not any(f.startswith("batch") for f in spec)
-
-    def test_lockfile_covers_sampling_schema_surface(self):
-        locked = json.loads(self.LOCKFILE.read_text())
-        classes = locked["classes"]
-        engine = classes["repro.reliability.montecarlo.EngineConfig"]
-        assert any(f.startswith("sampling:") for f in engine)
-        assert any(f.startswith("target_ci_width:") for f in engine)
-        assert "repro.reliability.results.StratumStats" in classes
-        spec = classes["repro.service.jobs.CampaignSpec"]
-        assert any(f.startswith("sampling:") for f in spec)
-
-    def test_lockfile_covers_manifest_schema_surface(self):
-        locked = json.loads(self.LOCKFILE.read_text())
-        classes = locked["classes"]
-        result = classes["repro.reliability.results.ReliabilityResult"]
-        assert any(f.startswith("manifest:") for f in result)
-        manifest = classes["repro.telemetry.manifest.RunManifest"]
-        assert any(f.startswith("schemes_hash:") for f in manifest)
-        assert any(f.startswith("spec_hash:") for f in manifest)
-
-    def test_lockfile_covers_replay_schema_surface(self):
-        locked = json.loads(self.LOCKFILE.read_text())
-        classes = locked["classes"]
-        engine = classes["repro.reliability.montecarlo.EngineConfig"]
-        assert any(f.startswith("thermal_bank_fit:") for f in engine)
-        assert "repro.replay.engine.ReplayConfig" in classes
-        assert "repro.replay.results.ReplayResult" in classes
-        spec = classes["repro.service.jobs.CampaignSpec"]
-        assert any(f.startswith("mode:") for f in spec)
-        assert any(f.startswith("workload:") for f in spec)
-
-    def test_checked_in_lockfile_is_in_sync(self):
-        root = self.LOCKFILE.parent.parent.parent
-        rc = reprolint_main(
-            [
-                str(root / "src"),
-                str(root / "tests"),
-                str(root / "benchmarks"),
-                "--root",
-                str(root),
-                "--schema-lockfile",
-                str(self.LOCKFILE),
-                "--check-lockfile",
-            ]
-        )
-        assert rc == 0
-
-
-# ---------------------------------------------------------------------- #
 # Baseline ratchet
 # ---------------------------------------------------------------------- #
 class TestBaseline:
@@ -941,27 +691,8 @@ class TestCli:
     def test_list_rules_includes_project_rules(self, capsys):
         assert reprolint_main(["--list-rules"]) == 0
         out = capsys.readouterr().out
-        for code in ("REPRO008", "REPRO009", "REPRO010"):
+        for code in ("REPRO008", "REPRO009"):
             assert code in out
-
-    def test_check_lockfile_stale_and_sync(self, tmp_path, capsys):
-        write_tree(tmp_path, {"src/repro/ck.py": _CK_SOURCE})
-        lock = tmp_path / "schema_lock.json"
-        base = [
-            str(tmp_path),
-            "--root",
-            str(tmp_path),
-            "--schema-lockfile",
-            str(lock),
-        ]
-        assert reprolint_main(base + ["--check-lockfile"]) == 1  # missing
-        assert reprolint_main(base + ["--write-lockfile"]) == 0
-        assert reprolint_main(base + ["--check-lockfile"]) == 0
-        (tmp_path / "src/repro/ck.py").write_text(
-            _CK_SOURCE.replace("    b: str\n", "    b: str\n    c: float\n")
-        )
-        assert reprolint_main(base + ["--check-lockfile"]) == 1  # stale
-        capsys.readouterr()
 
 
 # ---------------------------------------------------------------------- #
@@ -1013,24 +744,6 @@ class TestAcceptanceInjections:
             for f in findings
         )
 
-    def test_adding_checkpoint_field_without_bump_fails_lint(self, tmp_path):
-        _copy_real(tmp_path, ["src/repro/reliability/results.py"])
-        lock = tmp_path / "schema_lock.json"
-        _write_lock(tmp_path)
-        options = {"schema_lockfile": lock}
-        assert lint_tree(tmp_path, ["REPRO010"], options=options) == []
-        results = tmp_path / "src/repro/reliability/results.py"
-        source = results.read_text()
-        anchor = "    min_faults: int"
-        assert anchor in source
-        results.write_text(
-            source.replace(anchor, anchor + "\n    new_field: int = 0", 1)
-        )
-        findings = lint_tree(tmp_path, ["REPRO010"], options=options)
-        assert findings, "unversioned schema drift must fail the lint"
-        assert any("ReliabilityResult" in f.message for f in findings)
-        assert any("CHECKPOINT_VERSION" in f.message for f in findings)
-
 
 # ---------------------------------------------------------------------- #
 # The real repository must lint clean under the project rules
@@ -1044,17 +757,3 @@ class TestRepositoryIsClean:
             root=REPO_ROOT,
         )
         assert findings == [], "\n".join(f.render() for f in findings)
-
-    def test_schema_lockfile_in_sync(self, capsys):
-        rc = reprolint_main(
-            [
-                str(REPO_ROOT / "src"),
-                str(REPO_ROOT / "tests"),
-                str(REPO_ROOT / "benchmarks"),
-                "--root",
-                str(REPO_ROOT),
-                "--check-lockfile",
-            ]
-        )
-        capsys.readouterr()
-        assert rc == 0

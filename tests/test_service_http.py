@@ -9,6 +9,7 @@ end-to-end class runs a real (small) Monte-Carlo campaign and compares
 against a direct :class:`ParallelLifetimeRunner` run.
 """
 
+import json
 import threading
 
 import pytest
@@ -20,6 +21,7 @@ from repro.errors import (
     ServiceError,
     ServiceUnavailableError,
     SpecError,
+    StoreError,
 )
 from repro.faults.rates import FailureRates
 from repro.reliability.parallel import CampaignReport, ParallelLifetimeRunner
@@ -253,6 +255,25 @@ class TestErrorContract:
         client, _, _ = service
         with pytest.raises(SpecError, match="spec"):
             client._request("POST", "/jobs", {"priority": 1})
+
+    def test_malformed_stored_result_raises_store_error(
+        self, service, tmp_path
+    ):
+        """A stored result that no longer parses is a StoreError answer
+        (not a dropped connection), and no job is left queued for it."""
+        client, _, _ = service
+        spec = make_spec(seed=3)
+        ResultStore(tmp_path / "store").put(
+            spec, stub_executor(spec, 1, None)[0]
+        )
+        path = tmp_path / "store" / f"{spec.spec_hash()}.json"
+        entry = json.loads(path.read_text())
+        del entry["result"]["trials"]
+        path.write_text(json.dumps(entry))
+        with pytest.raises(StoreError, match="malformed result"):
+            client.submit(spec)
+        assert client.healthz()["jobs"]["queued"] == 0
+        assert client.jobs() == []
 
     def test_result_before_done_raises_not_ready(self, tmp_path):
         gate = threading.Event()

@@ -16,8 +16,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import SpecError
+from repro.schemes import CITADEL_DEFAULT_STANDBY_TSVS
 from repro.service.jobs import (
-    CITADEL_DEFAULT_STANDBY_TSVS,
     GEOMETRY_FIELDS,
     SPEC_SCHEMA_VERSION,
     CampaignSpec,

@@ -57,7 +57,7 @@ class FailOnTwoPermanent(CorrectionModel):
     def is_uncorrectable(self, faults) -> bool:
         return sum(1 for f in faults if f.is_permanent) >= 2
 
-    def min_faults_to_fail(self) -> int:
+    def min_faults_to_fail(self, tsv_possible: bool = True) -> int:
         return 2
 
 

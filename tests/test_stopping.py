@@ -63,7 +63,7 @@ class FailOnEpochPair(CorrectionModel):
         epochs = [int(f.time_hours // self.epoch_hours) for f in faults]
         return len(epochs) != len(set(epochs))
 
-    def min_faults_to_fail(self) -> int:
+    def min_faults_to_fail(self, tsv_possible: bool = True) -> int:
         return 2
 
 

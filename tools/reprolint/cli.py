@@ -30,11 +30,6 @@ from tools.reprolint.rules import (
     ALL_PROJECT_CHECKERS,
     checker_by_code,
 )
-from tools.reprolint.rules.repro010_schema import (
-    compute_lock_payload,
-    lockfile_path,
-    render_lock_payload,
-)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -83,24 +78,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="record current findings into --baseline and exit 0",
     )
     parser.add_argument(
-        "--schema-lockfile",
-        type=Path,
-        default=None,
-        help="REPRO010 lockfile path (default: <root>/tools/reprolint/"
-        "schema_lock.json)",
-    )
-    parser.add_argument(
-        "--write-lockfile",
-        action="store_true",
-        help="regenerate the REPRO010 schema lockfile and exit 0",
-    )
-    parser.add_argument(
-        "--check-lockfile",
-        action="store_true",
-        help="verify the schema lockfile matches the analyzed sources "
-        "byte-for-byte; exit 1 if stale",
-    )
-    parser.add_argument(
         "--list-rules",
         action="store_true",
         help="print the rule catalog and exit",
@@ -138,40 +115,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         Path("tests"),
         Path("benchmarks"),
     ]
-    options = {}
-    if args.schema_lockfile is not None:
-        options["schema_lockfile"] = args.schema_lockfile
-    runner = LintRunner(checkers, root=args.root, options=options)  # type: ignore[arg-type]
-
-    if args.write_lockfile or args.check_lockfile:
-        try:
-            project = runner.build_project(paths)
-        except FileNotFoundError as exc:
-            print(f"reprolint: {exc}", file=sys.stderr)
-            return 2
-        lock_path = lockfile_path(project)
-        rendered = render_lock_payload(compute_lock_payload(project))
-        if args.write_lockfile:
-            lock_path.parent.mkdir(parents=True, exist_ok=True)
-            lock_path.write_text(rendered, encoding="utf-8")
-            print(f"reprolint: wrote schema lockfile {lock_path}")
-            return 0
-        if not lock_path.exists():
-            print(
-                f"reprolint: schema lockfile {lock_path} is missing; "
-                "generate it with --write-lockfile",
-                file=sys.stderr,
-            )
-            return 1
-        if lock_path.read_text(encoding="utf-8") != rendered:
-            print(
-                f"reprolint: schema lockfile {lock_path} is stale; "
-                "regenerate it with --write-lockfile",
-                file=sys.stderr,
-            )
-            return 1
-        print(f"reprolint: schema lockfile {lock_path} is in sync")
-        return 0
+    runner = LintRunner(checkers, root=args.root)  # type: ignore[arg-type]
 
     try:
         findings = runner.run(paths)

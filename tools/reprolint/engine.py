@@ -35,7 +35,6 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import (
     TYPE_CHECKING,
-    Any,
     Dict,
     Iterable,
     Iterator,
@@ -274,25 +273,18 @@ def iter_python_files(paths: Sequence[Path]) -> Iterator[Path]:
 
 
 class LintRunner:
-    """Runs per-file and project checkers over a set of paths.
-
-    ``options`` is an open key/value channel from the CLI to project
-    rules (e.g. ``schema_lockfile`` for REPRO010); rules read it off the
-    :class:`~tools.reprolint.project.ProjectContext`.
-    """
+    """Runs per-file and project checkers over a set of paths."""
 
     def __init__(
         self,
         checkers: Sequence[Checker],
         root: Optional[Path] = None,
-        options: Optional[Dict[str, Any]] = None,
     ) -> None:
         self.checkers = [c for c in checkers if not isinstance(c, ProjectChecker)]
         self.project_checkers = [
             c for c in checkers if isinstance(c, ProjectChecker)
         ]
         self.root = (root if root is not None else Path.cwd()).resolve()
-        self.options: Dict[str, Any] = dict(options or {})
 
     def _relpath(self, path: Path) -> str:
         resolved = path.resolve()
@@ -355,7 +347,7 @@ class LintRunner:
             ctx, _ = self.load_context(path)
             if ctx is not None:
                 contexts.append(ctx)
-        return ProjectContext.build(contexts, root=self.root, options=self.options)
+        return ProjectContext.build(contexts, root=self.root)
 
     def run(self, paths: Sequence[Path]) -> List[Finding]:
         contexts: List[FileContext] = []
@@ -371,9 +363,7 @@ class LintRunner:
         if self.project_checkers:
             from tools.reprolint.project import ProjectContext
 
-            project = ProjectContext.build(
-                contexts, root=self.root, options=self.options
-            )
+            project = ProjectContext.build(contexts, root=self.root)
             by_relpath = {ctx.relpath: ctx for ctx in contexts}
             for checker in self.project_checkers:
                 for finding in checker.check_project(project):
@@ -391,11 +381,10 @@ def lint_paths(
     paths: Sequence[Path],
     checkers: Optional[Sequence[Checker]] = None,
     root: Optional[Path] = None,
-    options: Optional[Dict[str, Any]] = None,
 ) -> List[Finding]:
     """Convenience wrapper used by tests and the CLI."""
     if checkers is None:
         from tools.reprolint.rules import ALL_CHECKERS, ALL_PROJECT_CHECKERS
 
         checkers = [cls() for cls in (*ALL_CHECKERS, *ALL_PROJECT_CHECKERS)]
-    return LintRunner(checkers, root=root, options=options).run(list(paths))
+    return LintRunner(checkers, root=root).run(list(paths))

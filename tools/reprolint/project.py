@@ -3,9 +3,8 @@
 Per-file rules (REPRO001-007) see one :class:`FileContext` at a time.
 The properties that actually break reproductions are *cross-module*: an
 unseeded RNG leaking through a call chain into a deterministic snapshot,
-an unguarded mutation on an object shared across scheduler threads, or a
-checkpointed dataclass growing a field nobody versioned.  This module
-builds the shared infrastructure those rules need:
+or an unguarded mutation on an object shared across scheduler threads.
+This module builds the shared infrastructure those rules need:
 
 * a **symbol table** — every module, class, method and function in the
   analyzed file set, keyed by qualified name
@@ -34,7 +33,7 @@ import ast
 from collections import deque
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Dict, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
 from tools.reprolint.engine import FileContext
 from tools.reprolint.rules.common import dotted_name
@@ -121,8 +120,6 @@ class ModuleInfo:
     imports: Dict[str, str] = field(default_factory=dict)
     classes: Dict[str, ClassInfo] = field(default_factory=dict)
     functions: Dict[str, FunctionInfo] = field(default_factory=dict)
-    #: module-level integer constants (``CHECKPOINT_VERSION = 3``).
-    int_constants: Dict[str, int] = field(default_factory=dict)
 
 
 _LOCK_CONSTRUCTORS = ("Lock", "RLock", "Condition", "Semaphore",
@@ -132,9 +129,8 @@ _LOCK_CONSTRUCTORS = ("Lock", "RLock", "Condition", "Semaphore",
 class ProjectContext:
     """Symbol table + import graph + approximate call graph."""
 
-    def __init__(self, root: Path, options: Optional[Dict[str, Any]] = None):
+    def __init__(self, root: Path):
         self.root = root
-        self.options: Dict[str, Any] = dict(options or {})
         self.files: Dict[str, FileContext] = {}
         self.modules: Dict[str, ModuleInfo] = {}
         self.classes: Dict[str, ClassInfo] = {}
@@ -150,9 +146,8 @@ class ProjectContext:
         cls,
         contexts: Sequence[FileContext],
         root: Path,
-        options: Optional[Dict[str, Any]] = None,
     ) -> "ProjectContext":
-        project = cls(root, options)
+        project = cls(root)
         for ctx in contexts:
             project._index_file(ctx)
         project._infer_attr_types()
@@ -192,12 +187,6 @@ class ProjectContext:
                 self._index_class(module, stmt)
             elif isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 self._index_function(module, stmt, cls=None)
-            elif isinstance(stmt, ast.Assign) and len(stmt.targets) == 1:
-                target = stmt.targets[0]
-                if isinstance(target, ast.Name) and isinstance(
-                    stmt.value, ast.Constant
-                ) and isinstance(stmt.value.value, int):
-                    module.int_constants[target.id] = stmt.value.value
 
     def _index_class(self, module: ModuleInfo, node: ast.ClassDef) -> None:
         from tools.reprolint.rules.common import decorator_matches

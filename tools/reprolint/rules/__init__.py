@@ -25,7 +25,6 @@ from tools.reprolint.rules.repro006_dataclass_validation import (
 from tools.reprolint.rules.repro007_telemetry import TelemetryDisciplineChecker
 from tools.reprolint.rules.repro008_taint import DeterminismTaintChecker
 from tools.reprolint.rules.repro009_locks import LockDisciplineChecker
-from tools.reprolint.rules.repro010_schema import SchemaDriftChecker
 
 ALL_CHECKERS: Tuple[Type[Checker], ...] = (
     UnseededRandomChecker,
@@ -40,7 +39,6 @@ ALL_CHECKERS: Tuple[Type[Checker], ...] = (
 ALL_PROJECT_CHECKERS: Tuple[Type[ProjectChecker], ...] = (
     DeterminismTaintChecker,
     LockDisciplineChecker,
-    SchemaDriftChecker,
 )
 
 
@@ -57,7 +55,6 @@ __all__ = [
     "checker_by_code",
     "DeterminismTaintChecker",
     "LockDisciplineChecker",
-    "SchemaDriftChecker",
     "UnseededRandomChecker",
     "MagicGeometryLiteralChecker",
     "FloatEqualityChecker",
