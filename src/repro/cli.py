@@ -44,13 +44,11 @@ import sys
 import threading
 from dataclasses import asdict
 from pathlib import Path
-from typing import Any, Dict, Optional, Sequence
+from typing import TYPE_CHECKING, Any, Dict, Optional, Sequence, Union
 
 from repro.core.citadel import CitadelConfig
 from repro.errors import ReproError, TelemetryError
-from repro.faults.rates import FailureRates
 from repro.perf import PerfConfig, PowerModel, SystemSimulator
-from repro.reliability.montecarlo import EngineConfig
 from repro.reliability.sampling import SAMPLING_METHODS
 from repro.reliability.parallel import (
     DEFAULT_SHARD_SIZE,
@@ -58,8 +56,8 @@ from repro.reliability.parallel import (
     ParallelLifetimeRunner,
 )
 from repro.reliability.results import ReliabilityResult
-from repro.replay import DEFAULT_REPLAY_SHARD_SIZE, ReplayConfig, ReplayWork
-from repro.schemes import SCHEMES, scheme_mitigations
+from repro.replay import DEFAULT_REPLAY_SHARD_SIZE, ReplayResult
+from repro.schemes import SCHEMES
 from repro.stack.geometry import StackGeometry
 from repro.stack.striping import StripingPolicy
 from repro.telemetry.console import err, out
@@ -72,6 +70,9 @@ from repro.telemetry.stats import (
 )
 from repro.workloads import PROFILES, WORKLOADS, rate_mode_traces
 from repro.workloads.generator import DEFAULT_CORES
+
+if TYPE_CHECKING:
+    from repro.service.jobs import CampaignSpec
 
 
 def package_version() -> str:
@@ -108,6 +109,17 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
+    def add_campaign_options(p: argparse.ArgumentParser) -> None:
+        """The campaign flags ``_spec_from_args`` reads."""
+        p.add_argument("--scheme", choices=sorted(SCHEMES), default="citadel")
+        p.add_argument("--tsv-fit", type=float, default=0.0,
+                       help="TSV device FIT (paper sweeps 14-1430)")
+        p.add_argument("--tsv-swap", type=int, default=None, metavar="N",
+                       help="enable TSV-Swap with N stand-by TSVs per channel")
+        p.add_argument("--dds", action="store_true", help="enable DDS sparing")
+        p.add_argument("--scrub-hours", type=float, default=12.0)
+        p.add_argument("--seed", type=int, default=0)
+
     overhead = sub.add_parser(
         "overhead", help="storage-overhead accounting (§VII-E)"
     )
@@ -125,15 +137,8 @@ def build_parser() -> argparse.ArgumentParser:
                          help="emit the scheme table as JSON on stdout")
 
     rel = sub.add_parser("reliability", help="Monte-Carlo lifetime study")
-    rel.add_argument("--scheme", choices=sorted(SCHEMES), default="citadel")
+    add_campaign_options(rel)
     rel.add_argument("--trials", type=int, default=20000)
-    rel.add_argument("--tsv-fit", type=float, default=0.0,
-                     help="TSV device FIT (paper sweeps 14-1430)")
-    rel.add_argument("--tsv-swap", type=int, default=None, metavar="N",
-                     help="enable TSV-Swap with N stand-by TSVs per channel")
-    rel.add_argument("--dds", action="store_true", help="enable DDS sparing")
-    rel.add_argument("--scrub-hours", type=float, default=12.0)
-    rel.add_argument("--seed", type=int, default=0)
     rel.add_argument("--modes", action="store_true",
                      help="report failure-mode attribution")
     rel.add_argument("--workers", type=int, default=1,
@@ -192,8 +197,7 @@ def build_parser() -> argparse.ArgumentParser:
         "replay",
         help="trace-replay co-simulation: joint reliability/perf/power",
     )
-    replay.add_argument("--scheme", choices=sorted(SCHEMES),
-                        default="citadel")
+    add_campaign_options(replay)
     replay.add_argument("--workload", choices=sorted(WORKLOADS),
                         default="zipfian")
     replay.add_argument("--trials", type=int, default=32,
@@ -202,15 +206,6 @@ def build_parser() -> argparse.ArgumentParser:
     replay.add_argument("--requests", type=int, default=512,
                         help="requests per core (default 512)")
     replay.add_argument("--cores", type=int, default=4)
-    replay.add_argument("--seed", type=int, default=0)
-    replay.add_argument("--tsv-fit", type=float, default=0.0,
-                        help="TSV device FIT (paper sweeps 14-1430)")
-    replay.add_argument("--tsv-swap", type=int, default=None, metavar="N",
-                        help="enable TSV-Swap with N stand-by TSVs "
-                             "per channel")
-    replay.add_argument("--dds", action="store_true",
-                        help="enable DDS sparing")
-    replay.add_argument("--scrub-hours", type=float, default=12.0)
     replay.add_argument("--thermal", action="store_true",
                         help="feed baseline bank activity back into "
                              "per-bank FIT multipliers")
@@ -256,14 +251,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="profile a small serial campaign: deterministic span "
              "hotspots plus an optional wall-clock sampling profiler",
     )
-    profile.add_argument("--scheme", choices=sorted(SCHEMES),
-                         default="citadel")
+    add_campaign_options(profile)
     profile.add_argument("--trials", type=int, default=2000)
-    profile.add_argument("--tsv-fit", type=float, default=0.0)
-    profile.add_argument("--tsv-swap", type=int, default=None, metavar="N")
-    profile.add_argument("--dds", action="store_true")
-    profile.add_argument("--scrub-hours", type=float, default=12.0)
-    profile.add_argument("--seed", type=int, default=0)
     profile.add_argument("--sampling", choices=list(SAMPLING_METHODS),
                          default="naive")
     profile.add_argument("--shard-size", type=int, default=None, metavar="N")
@@ -331,16 +320,11 @@ def build_parser() -> argparse.ArgumentParser:
         "submit", help="submit a campaign to a running service"
     )
     add_client_options(submit)
-    submit.add_argument("--scheme", choices=sorted(SCHEMES), default="citadel")
+    add_campaign_options(submit)
     submit.add_argument("--trials", type=int, default=20000)
     submit.add_argument("--scale", type=int, default=1,
                         help="trial divisor for smoke runs (runs "
                              "trials//scale trials)")
-    submit.add_argument("--tsv-fit", type=float, default=0.0)
-    submit.add_argument("--tsv-swap", type=int, default=None, metavar="N")
-    submit.add_argument("--dds", action="store_true")
-    submit.add_argument("--scrub-hours", type=float, default=12.0)
-    submit.add_argument("--seed", type=int, default=0)
     submit.add_argument("--shard-size", type=int, default=DEFAULT_SHARD_SIZE,
                         metavar="N")
     submit.add_argument("--sampling", choices=list(SAMPLING_METHODS),
@@ -470,31 +454,40 @@ def cmd_schemes(args: argparse.Namespace) -> int:
     return 0
 
 
+def _spec_from_args(args: argparse.Namespace, **fields: Any) -> CampaignSpec:
+    """The campaign a command's flags describe: the campaign options,
+    ``--trials``, ``--shard-size`` when given, and the command's own
+    ``fields``."""
+    # Lazy, so the commands that run no campaign never load the service.
+    from repro.service.jobs import CampaignSpec
+
+    if args.shard_size is not None:
+        fields["shard_size"] = args.shard_size
+    return CampaignSpec(
+        scheme=args.scheme,
+        trials=args.trials,
+        tsv_fit=args.tsv_fit,
+        tsv_swap=args.tsv_swap,
+        dds=args.dds,
+        scrub_hours=args.scrub_hours,
+        seed=args.seed,
+        **fields,
+    )
+
+
 def cmd_reliability(args: argparse.Namespace) -> int:
-    geometry = StackGeometry()
-    rates = FailureRates.paper_baseline(tsv_device_fit=args.tsv_fit)
-    tsv_swap, use_dds = scheme_mitigations(args.scheme, args.tsv_swap, args.dds)
-    collect_metrics = args.telemetry or args.metrics_out is not None
-    model = SCHEMES[args.scheme](geometry)
+    spec = _spec_from_args(
+        args,
+        modes=args.modes,
+        telemetry=args.telemetry or args.metrics_out is not None,
+        sampling=args.sampling,
+        target_ci_width=args.target_ci_width,
+    )
     runner = ParallelLifetimeRunner(
-        geometry,
-        rates,
-        model,
-        EngineConfig(
-            tsv_swap_standby=tsv_swap,
-            use_dds=use_dds,
-            scrub_interval_hours=args.scrub_hours,
-            collect_failure_modes=args.modes,
-            collect_metrics=collect_metrics,
-            sampling=args.sampling,
-            target_ci_width=args.target_ci_width,
-        ),
-        root_seed=args.seed,
+        spec.work(),
+        root_seed=spec.seed,
         workers=args.workers,
-        shard_size=(
-            args.shard_size if args.shard_size is not None
-            else DEFAULT_SHARD_SIZE
-        ),
+        shard_size=spec.shard_size,
         checkpoint_path=args.checkpoint,
         resume=args.resume,
         time_budget_s=args.time_budget,
@@ -502,7 +495,7 @@ def cmd_reliability(args: argparse.Namespace) -> int:
         trace_path=args.trace_out,
         trace_sample_every=args.trace_sample_every,
     )
-    result = runner.run(trials=args.trials)
+    result = runner.run(trials=spec.effective_trials)
     report = runner.last_report
     if args.metrics_out is not None:
         registry = result.metrics if result.metrics is not None else (
@@ -612,36 +605,21 @@ def cmd_perf(args: argparse.Namespace) -> int:
 
 
 def cmd_replay(args: argparse.Namespace) -> int:
-    geometry = StackGeometry()
-    rates = FailureRates.paper_baseline(tsv_device_fit=args.tsv_fit)
-    tsv_swap, use_dds = scheme_mitigations(args.scheme, args.tsv_swap, args.dds)
-    collect_metrics = args.telemetry or args.metrics_out is not None
-    model = SCHEMES[args.scheme](geometry)
-    replay_config = ReplayConfig(
+    spec = _spec_from_args(
+        args,
+        mode="replay",
         workload=args.workload,
-        cores=args.cores,
-        requests_per_core=args.requests,
+        requests=args.requests,
+        replay_cores=args.cores,
         thermal=args.thermal,
+        telemetry=args.telemetry or args.metrics_out is not None,
+        shard_size=DEFAULT_REPLAY_SHARD_SIZE,
     )
     runner = ParallelLifetimeRunner(
-        work=ReplayWork(
-            geometry,
-            rates,
-            model,
-            EngineConfig(
-                tsv_swap_standby=tsv_swap,
-                use_dds=use_dds,
-                scrub_interval_hours=args.scrub_hours,
-            ),
-            replay_config,
-            collect_metrics=collect_metrics,
-        ),
-        root_seed=args.seed,
+        spec.work(),
+        root_seed=spec.seed,
         workers=args.workers,
-        shard_size=(
-            args.shard_size if args.shard_size is not None
-            else DEFAULT_REPLAY_SHARD_SIZE
-        ),
+        shard_size=spec.shard_size,
         checkpoint_path=args.checkpoint,
         resume=args.resume,
     )
@@ -649,7 +627,7 @@ def cmd_replay(args: argparse.Namespace) -> int:
         f"replay: {args.workload} x {args.trials} trials "
         f"({args.cores} cores x {args.requests} requests each)"
     )
-    result = runner.run(trials=args.trials)
+    result = runner.run(trials=spec.effective_trials)
     _campaign_status(runner.last_report)
     if args.metrics_out is not None:
         registry = result.metrics if result.metrics is not None else (
@@ -657,7 +635,6 @@ def cmd_replay(args: argparse.Namespace) -> int:
         )
         write_json_atomic(Path(args.metrics_out), registry.to_dict())
         err(f"metrics written to {args.metrics_out}")
-    summary = result.summary()
     if args.json:
         out(json.dumps(
             {
@@ -685,6 +662,18 @@ def cmd_replay(args: argparse.Namespace) -> int:
             sort_keys=True,
         ))
         return 0
+    _report(result)
+    return 0
+
+
+def _report(result: Union[ReliabilityResult, ReplayResult]) -> None:
+    """A campaign result as text: the summary line of a reliability
+    result, the joint reliability/performance/power report of a replay
+    result (``repro replay``, and ``repro fetch`` of a replay job)."""
+    if not isinstance(result, ReplayResult):
+        out(result.summary())
+        return
+    summary = result.summary()
     out(f"{summary['label']} on {summary['workload']}: "
         f"{summary['trials']} trials")
     out(f"  failure probability   {summary['failure_probability']:.3e}")
@@ -699,32 +688,11 @@ def cmd_replay(args: argparse.Namespace) -> int:
             for kind, count in sorted(result.event_counts.items())
         )
         out(f"  timeline events       {events}")
-    return 0
 
 
 # ---------------------------------------------------------------------- #
 # Campaign service
 # ---------------------------------------------------------------------- #
-def _spec_from_args(args: argparse.Namespace) -> "object":
-    from repro.service.jobs import CampaignSpec
-
-    return CampaignSpec(
-        scheme=args.scheme,
-        trials=args.trials,
-        scale=args.scale,
-        tsv_fit=args.tsv_fit,
-        tsv_swap=args.tsv_swap,
-        dds=args.dds,
-        scrub_hours=args.scrub_hours,
-        seed=args.seed,
-        shard_size=args.shard_size,
-        modes=args.modes,
-        telemetry=args.telemetry,
-        sampling=args.sampling,
-        target_ci_width=args.target_ci_width,
-    )
-
-
 def cmd_serve(args: argparse.Namespace) -> int:
     from repro.service.http import make_server
     from repro.service.scheduler import CampaignScheduler
@@ -808,10 +776,17 @@ def cmd_serve(args: argparse.Namespace) -> int:
 
 
 def cmd_submit(args: argparse.Namespace) -> int:
-    from repro.service.client import ServiceClient
+    from repro.service.client import ServiceClient, parse_result
 
     client = ServiceClient(args.url, timeout_s=args.timeout)
-    spec = _spec_from_args(args)
+    spec = _spec_from_args(
+        args,
+        scale=args.scale,
+        modes=args.modes,
+        telemetry=args.telemetry,
+        sampling=args.sampling,
+        target_ci_width=args.target_ci_width,
+    )
     job = client.submit(
         spec, priority=args.priority, workers=args.workers
     )
@@ -832,8 +807,7 @@ def cmd_submit(args: argparse.Namespace) -> int:
     if args.json:
         out(json.dumps(document, indent=1, sort_keys=True))
         return 0
-    result = ReliabilityResult.from_dict(document["result"])
-    out(result.summary())
+    _report(parse_result(document))
     final = document["job"]
     err(
         f"job {final['id']}: cache_hit={str(final['cache_hit']).lower()} "
@@ -894,14 +868,14 @@ def cmd_status(args: argparse.Namespace) -> int:
 
 
 def cmd_fetch(args: argparse.Namespace) -> int:
-    from repro.service.client import ServiceClient
+    from repro.service.client import ServiceClient, parse_result
 
     client = ServiceClient(args.url, timeout_s=args.timeout)
     document = client.result_document(args.job)
     if args.json:
         out(json.dumps(document, indent=1, sort_keys=True))
         return 0
-    out(ReliabilityResult.from_dict(document["result"]).summary())
+    _report(parse_result(document))
     return 0
 
 
@@ -1006,10 +980,7 @@ def cmd_profile(args: argparse.Namespace) -> int:
     )
     from repro.telemetry.tracing import read_trace
 
-    geometry = StackGeometry()
-    rates = FailureRates.paper_baseline(tsv_device_fit=args.tsv_fit)
-    tsv_swap, use_dds = scheme_mitigations(args.scheme, args.tsv_swap, args.dds)
-    model = SCHEMES[args.scheme](geometry)
+    spec = _spec_from_args(args, sampling=args.sampling)
     tmpdir: Optional[str] = None
     if args.trace_out is not None:
         trace_path = Path(args.trace_out)
@@ -1018,21 +989,10 @@ def cmd_profile(args: argparse.Namespace) -> int:
         trace_path = Path(tmpdir) / "trace.jsonl"
     try:
         runner = ParallelLifetimeRunner(
-            geometry,
-            rates,
-            model,
-            EngineConfig(
-                tsv_swap_standby=tsv_swap,
-                use_dds=use_dds,
-                scrub_interval_hours=args.scrub_hours,
-                sampling=args.sampling,
-            ),
-            root_seed=args.seed,
+            spec.work(),
+            root_seed=spec.seed,
             workers=1,  # serial: one trace file, one thread to sample
-            shard_size=(
-                args.shard_size if args.shard_size is not None
-                else DEFAULT_SHARD_SIZE
-            ),
+            shard_size=spec.shard_size,
             trace_path=str(trace_path),
             trace_sample_every=args.trace_sample_every,
         )
@@ -1044,7 +1004,7 @@ def cmd_profile(args: argparse.Namespace) -> int:
         if profiler is not None:
             profiler.start()
         try:
-            result = runner.run(trials=args.trials)
+            result = runner.run(trials=spec.effective_trials)
         finally:
             if profiler is not None:
                 profiler.stop()

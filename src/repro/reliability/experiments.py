@@ -24,7 +24,11 @@ from repro.ecc import SymbolCode
 from repro.ecc.base import CorrectionModel
 from repro.faults.rates import TSV_FIT_HIGH, FailureRates
 from repro.reliability.montecarlo import EngineConfig
-from repro.reliability.parallel import DEFAULT_SHARD_SIZE, ParallelLifetimeRunner
+from repro.reliability.parallel import (
+    DEFAULT_SHARD_SIZE,
+    ParallelLifetimeRunner,
+    ReliabilityWork,
+)
 from repro.reliability.results import ReliabilityResult
 from repro.stack.geometry import StackGeometry
 from repro.stack.striping import StripingPolicy
@@ -58,10 +62,10 @@ def run_campaign(
     mirroring the old serial ``run_reliability`` helper signature.
     """
     runner = ParallelLifetimeRunner(
-        geometry,
-        rates,
-        model,
-        EngineConfig(**engine_cfg),
+        ReliabilityWork(
+            geometry, rates, model, EngineConfig(**engine_cfg),
+            min_faults=min_faults, label=label or "",
+        ),
         root_seed=root_seed,
         workers=workers,
         shard_size=shard_size,
@@ -69,7 +73,7 @@ def run_campaign(
         resume=resume,
         time_budget_s=time_budget_s,
     )
-    return runner.run(trials=trials, min_faults=min_faults, label=label)
+    return runner.run(trials=trials)
 
 
 def fig14_experiment(

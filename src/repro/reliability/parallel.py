@@ -8,10 +8,11 @@ index)``, so the merged result is identical for any worker count —
 ``workers=1`` (which runs the same shards in-process, no pool) and
 ``workers=8`` produce byte-identical aggregates.
 
-It is the one sharded runner of the package.  What a shard computes is
-a :class:`ShardWork`: lifetime reliability (:class:`ReliabilityWork`,
-the default) or trace replay (:class:`repro.replay.ReplayWork`).  Every
-campaign kind gets the same robustness features:
+It is the one sharded runner of the package, and a :class:`ShardWork`
+is the one way to describe a campaign to it: lifetime reliability
+(:class:`ReliabilityWork`) or trace replay
+(:class:`repro.replay.ReplayWork`).  Every campaign kind gets the same
+robustness features:
 
 * **Checkpointing** — completed shards are appended to a JSON checkpoint
   (unique temp file + atomic rename) every ``checkpoint_every``
@@ -27,18 +28,20 @@ campaign kind gets the same robustness features:
 * **Graceful interrupt** — ``KeyboardInterrupt`` drains already-running
   shards, checkpoints them, and returns the partial aggregate instead of
   losing the campaign.
-* **Worker-crash containment** — a shard that raises is recorded as
-  failed and excluded from the merge (trial counts stay accurate); a
-  hard worker death (``BrokenProcessPool``) aborts dispatch but still
-  returns the completed prefix.
+* **Worker-crash containment** — a shard whose worker crashes
+  (``RuntimeError``, ``OSError``) is recorded as failed and excluded
+  from the merge (trial counts stay accurate); a hard worker death
+  (``BrokenProcessPool``) aborts dispatch but still returns the
+  completed prefix.  Any other exception, every ``ReproError``
+  included, cancels the queued shards and propagates.
 * **Cooperative cancel** — ``cancel_hook`` is polled between shards;
   the campaign stops dispatching and returns the partial merge.
 
-Reliability campaigns may also stop early: the anytime-valid
-:class:`~repro.reliability.stopping.StoppingRule` is evaluated on the
-*contiguous shard prefix* (never on whichever shards happened to finish
-first), which keeps the stopped result deterministic across worker
-counts.
+Reliability campaigns may also stop early: the work's anytime-valid
+:class:`~repro.reliability.stopping.StoppingRule` (set by
+``EngineConfig.target_ci_width``) is evaluated on the *contiguous shard
+prefix* (never on whichever shards happened to finish first), which
+keeps the stopped result deterministic across worker counts.
 
 Observability (all opt-in, none of it feeds back into the simulation):
 
@@ -157,7 +160,8 @@ class ShardWork:
       ``identity`` and ``merge_all``;
     * :meth:`run_shard` — one shard, returned as the monoid's dict;
     * :meth:`empty` — the result reported when no shard was merged;
-    * :meth:`finish` — an optional hook on the merged result.
+    * :meth:`finish` — an optional hook on the merged result;
+    * :meth:`stopping_rule` — the campaign's early-stopping rule, if any.
     """
 
     result_type: ClassVar[Any]
@@ -180,10 +184,17 @@ class ShardWork:
     ) -> None:
         """Post-merge hook; the default does nothing."""
 
+    def stopping_rule(self) -> Optional[StoppingRule]:
+        """The anytime-valid rule the runner consults on contiguous shard
+        prefixes; the default (None) runs every planned shard."""
+        return None
+
 
 @dataclass(frozen=True)
 class ReliabilityWork(ShardWork):
-    """Lifetime-reliability shards (the runner's default work)."""
+    """Lifetime-reliability shards; ``min_faults`` and ``label`` default
+    to the engine's (:meth:`LifetimeSimulator.default_min_faults`,
+    :meth:`LifetimeSimulator.scheme_label`)."""
 
     result_type: ClassVar[Any] = ReliabilityResult
 
@@ -191,29 +202,23 @@ class ReliabilityWork(ShardWork):
     rates: FailureRates
     model: CorrectionModel
     config: EngineConfig
-    min_faults: int
-    label: str
+    min_faults: Optional[int] = None
+    label: str = ""
 
-    @classmethod
-    def resolve(
-        cls,
-        geometry: StackGeometry,
-        rates: FailureRates,
-        model: CorrectionModel,
-        config: EngineConfig,
-        min_faults: Optional[int] = None,
-        label: Optional[str] = None,
-    ) -> "ReliabilityWork":
-        """Fill in the engine's default ``min_faults`` and label."""
-        template = LifetimeSimulator(geometry, rates, model, config, seed=0)
-        return cls(
-            geometry,
-            rates,
-            model,
-            config,
-            template.default_min_faults() if min_faults is None else min_faults,
-            template.scheme_label() if label is None else label,
+    def __post_init__(self) -> None:
+        template = LifetimeSimulator(
+            self.geometry, self.rates, self.model, self.config, seed=0
         )
+        if self.min_faults is None:
+            object.__setattr__(
+                self, "min_faults", template.default_min_faults()
+            )
+        if not self.label:
+            object.__setattr__(self, "label", template.scheme_label())
+
+    def stopping_rule(self) -> Optional[StoppingRule]:
+        width = self.config.target_ci_width
+        return None if width is None else StoppingRule(width)
 
     def run_shard(
         self,
@@ -237,6 +242,7 @@ class ReliabilityWork(ShardWork):
     def empty(self) -> ReliabilityResult:
         # An empty-but-labelled result rather than the bare identity, so
         # downstream summaries stay readable.
+        assert self.min_faults is not None  # filled in by __post_init__
         return ReliabilityResult(
             scheme_name=self.label,
             trials=0,
@@ -287,6 +293,11 @@ def _json_form(value: Any) -> Any:
     if isinstance(value, (list, tuple)):
         return [_json_form(v) for v in value]
     return value
+
+
+#: What a crashed shard raises (``BrokenProcessPool`` is a
+#: ``RuntimeError``); any other exception propagates.
+_SHARD_CRASHES = (RuntimeError, OSError)
 
 
 @dataclass(frozen=True)
@@ -366,22 +377,16 @@ def _run_shard(
 class ParallelLifetimeRunner:
     """Sharded, resumable, multi-process campaigns.
 
-    Drop-in upgrade of :class:`LifetimeSimulator.run`: construction takes
-    the same ``(geometry, rates, model, config)`` tuple plus a
-    ``root_seed``, and :meth:`run` returns the same
-    :class:`ReliabilityResult` type the serial engine produces.  Other
-    campaign kinds pass their :class:`ShardWork` as ``work=`` instead of
-    that tuple; :meth:`run` then returns the work's result type.
+    ``work`` is the campaign: what every shard computes, and its
+    stopping rule.  The other parameters fix the shard plan
+    (``root_seed``, ``shard_size``) and how it executes; :meth:`run`
+    returns the work's result type.
     """
 
     def __init__(
         self,
-        geometry: Optional[StackGeometry] = None,
-        rates: Optional[FailureRates] = None,
-        model: Optional[CorrectionModel] = None,
-        config: Optional[EngineConfig] = None,
+        work: ShardWork,
         *,
-        work: Optional[ShardWork] = None,
         root_seed: int = 0,
         workers: int = 1,
         shard_size: int = DEFAULT_SHARD_SIZE,
@@ -389,7 +394,6 @@ class ParallelLifetimeRunner:
         checkpoint_every: int = 1,
         resume: bool = False,
         time_budget_s: Optional[float] = None,
-        stopping: Optional[StoppingRule] = None,
         crash_injection: Optional[CrashInjection] = None,
         progress: bool = False,
         progress_interval_s: float = 1.0,
@@ -398,16 +402,6 @@ class ParallelLifetimeRunner:
         trace_sample_every: int = 1,
         cancel_hook: Optional[Callable[[], bool]] = None,
     ) -> None:
-        contracts.require(
-            (work is None) == (
-                geometry is not None and rates is not None and model is not None
-            ),
-            "pass either (geometry, rates, model) or work=, not both",
-        )
-        contracts.require(
-            work is None or (config is None and stopping is None),
-            "config and stopping apply to reliability campaigns only",
-        )
         contracts.require(workers >= 1, "workers must be >= 1, got %r", workers)
         contracts.require(
             shard_size > 0, "shard_size must be positive, got %r", shard_size
@@ -422,12 +416,6 @@ class ParallelLifetimeRunner:
             "time_budget_s must be positive, got %r",
             time_budget_s,
         )
-        self.geometry = geometry
-        self.rates = rates
-        self.model = model
-        self.config = config if config is not None else EngineConfig()
-        #: The campaign's shard work; None runs lifetime reliability on
-        #: ``(geometry, rates, model, config)``.
         self.work = work
         self.root_seed = root_seed
         self.workers = workers
@@ -438,11 +426,6 @@ class ParallelLifetimeRunner:
         self.checkpoint_every = checkpoint_every
         self.resume = resume
         self.time_budget_s = time_budget_s
-        #: Anytime-valid stopping rule, consulted on the contiguous shard
-        #: prefix.  When None but the engine config sets
-        #: ``target_ci_width``, :meth:`run` resolves a default
-        #: :class:`StoppingRule` — the path the campaign service uses.
-        self.stopping = stopping
         self.crash_injection = (
             crash_injection if crash_injection is not None else CrashInjection()
         )
@@ -462,45 +445,27 @@ class ParallelLifetimeRunner:
         #: Wall-clock campaign observability (shard latency, completion
         #: counters).  Kept runner-side, never merged into the result.
         self.last_campaign_metrics: Optional[MetricsRegistry] = None
+        self._stopping = work.stopping_rule()
         self._reporter: Optional[ProgressReporter] = None
         self._tracer: Optional[TraceWriter] = None
         self._campaign: Optional[MetricsRegistry] = None
-        self._active_stopping: Optional[StoppingRule] = None
 
     # ------------------------------------------------------------------ #
-    def run(
-        self,
-        trials: int,
-        min_faults: Optional[int] = None,
-        label: Optional[str] = None,
-    ) -> Any:
+    def run(self, trials: int) -> Any:
         """Run (or resume) the campaign and return the merged result.
 
-        ``min_faults`` and ``label`` override the reliability engine's
-        defaults; a ``work=`` campaign fixes both in its work object.
         ``self.last_report`` carries the campaign bookkeeping
         (shard counts, early-stop / interrupt / budget flags).
         """
         started = time.monotonic()
-        if self.work is not None:
-            work = self.work
-        else:
-            assert self.geometry is not None and self.rates is not None
-            assert self.model is not None
-            work = ReliabilityWork.resolve(
-                self.geometry, self.rates, self.model, self.config,
-                min_faults, label,
-            )
-        self._active_stopping = self.stopping
-        if self._active_stopping is None and self.config.target_ci_width is not None:
-            self._active_stopping = StoppingRule(self.config.target_ci_width)
+        work = self.work
         shards = shard_plan(trials, self.shard_size, self.root_seed)
         report = CampaignReport(planned_shards=len(shards))
-        fingerprint = self._fingerprint(work, trials)
+        fingerprint = self._fingerprint(trials)
 
         completed: Dict[int, Any] = {}
         if self.resume and self.checkpoint_path is not None:
-            completed = self._load_checkpoint(work, fingerprint)
+            completed = self._load_checkpoint(fingerprint)
             report.resumed_shards = len(completed)
         pending = [s for s in shards if s.index not in completed]
 
@@ -537,11 +502,11 @@ class ParallelLifetimeRunner:
             with campaign_span:
                 try:
                     if self.workers == 1:
-                        self._run_serial(pending, completed, report, fingerprint,
-                                         work, started)
+                        self._run_serial(pending, completed, report,
+                                         fingerprint, started)
                     else:
-                        self._run_pool(pending, completed, report, fingerprint,
-                                       work, started)
+                        self._run_pool(pending, completed, report,
+                                       fingerprint, started)
                 except KeyboardInterrupt:
                     report.interrupted = True
         finally:
@@ -563,7 +528,7 @@ class ParallelLifetimeRunner:
             self._campaign = None
         self._write_checkpoint(completed, fingerprint)
 
-        merged = self._merge(work, completed, report)
+        merged = self._merge(completed, report)
         if merged.is_identity:
             # Nothing completed (0 trials, or everything crashed/stopped).
             merged = work.empty()
@@ -590,8 +555,8 @@ class ParallelLifetimeRunner:
                 "campaign/trials_saved",
                 max(0, planned_trials - merged.trials),
             )
-        if self._active_stopping is not None:
-            lo, hi = self._active_stopping.interval(merged)
+        if self._stopping is not None:
+            lo, hi = self._stopping.interval(merged)
             registry.gauge_set("campaign/ci_width", hi - lo, volatile=True)
         if isinstance(merged, ReliabilityResult):
             registry.gauge_set(
@@ -607,7 +572,6 @@ class ParallelLifetimeRunner:
         completed: Dict[int, Any],
         report: CampaignReport,
         fingerprint: Dict[str, Any],
-        work: ShardWork,
         started: float,
     ) -> None:
         """``workers=1`` degenerate case: same shards, same merge, no pool."""
@@ -619,7 +583,7 @@ class ParallelLifetimeRunner:
             if self._out_of_budget(started):
                 report.budget_exhausted = True
                 break
-            task = self._task(spec, work)
+            task = self._task(spec)
             tracer = self._tracer
             shard_span: ContextManager[Any] = (
                 tracer.span("shard", index=spec.index, trials=spec.trials)
@@ -635,10 +599,10 @@ class ParallelLifetimeRunner:
                         if tracer is not None
                         else _run_shard(task)
                     )
-            except (RuntimeError, OSError):
+            except _SHARD_CRASHES:
                 report.failed_shards.append(spec.index)
                 continue
-            completed[index] = work.result_type.from_dict(payload)
+            completed[index] = self.work.result_type.from_dict(payload)
             report.completed_shards += 1
             self._observe_shard(seconds)
             self._emit_progress(completed)
@@ -656,13 +620,12 @@ class ParallelLifetimeRunner:
         completed: Dict[int, Any],
         report: CampaignReport,
         fingerprint: Dict[str, Any],
-        work: ShardWork,
         started: float,
     ) -> None:
         since_checkpoint = 0
         with ProcessPoolExecutor(max_workers=self.workers) as pool:
             futures: Dict[Future[Tuple[int, Dict[str, Any], float]], ShardSpec] = {
-                pool.submit(_run_shard, self._task(spec, work)): spec
+                pool.submit(_run_shard, self._task(spec)): spec
                 for spec in pending
             }
             try:
@@ -678,10 +641,12 @@ class ParallelLifetimeRunner:
                             report.pool_broken = True
                             report.failed_shards.append(spec.index)
                             continue
-                        except Exception:
+                        except _SHARD_CRASHES:
                             report.failed_shards.append(spec.index)
                             continue
-                        completed[index] = work.result_type.from_dict(payload)
+                        completed[index] = self.work.result_type.from_dict(
+                            payload
+                        )
                         report.completed_shards += 1
                         self._observe_shard(seconds)
                         self._emit_progress(completed)
@@ -724,12 +689,19 @@ class ParallelLifetimeRunner:
                         continue
                     try:
                         index, payload, seconds = future.result()
-                    except Exception:
+                    except _SHARD_CRASHES:
                         report.failed_shards.append(spec.index)
                         continue
-                    completed[index] = work.result_type.from_dict(payload)
+                    completed[index] = self.work.result_type.from_dict(
+                        payload
+                    )
                     report.completed_shards += 1
                     self._observe_shard(seconds)
+                raise
+            except Exception:
+                # The campaign's own error: cancel the queued shards
+                # first, or leaving the pool would run them all.
+                self._cancel_all(futures)
                 raise
 
     @staticmethod
@@ -740,10 +712,10 @@ class ParallelLifetimeRunner:
             future.cancel()
 
     # ------------------------------------------------------------------ #
-    def _task(self, spec: ShardSpec, work: ShardWork) -> _ShardTask:
+    def _task(self, spec: ShardSpec) -> _ShardTask:
         return _ShardTask(
             spec=spec,
-            work=work,
+            work=self.work,
             root_seed=self.root_seed,
             crash=self.crash_injection,
         )
@@ -787,11 +759,11 @@ class ParallelLifetimeRunner:
         on the shard plan, never on completion order; a failed shard
         breaks the prefix and disables stopping past it.
         """
-        rule = self._active_stopping
+        rule = self._stopping
         if rule is None or not completed:
             return None
         failed_set = set(failed)
-        prefix = ReliabilityResult.identity()
+        prefix = self.work.result_type.identity()
         k = 0
         while k in completed:
             if k in failed_set:
@@ -804,7 +776,6 @@ class ParallelLifetimeRunner:
 
     def _merge(
         self,
-        work: ShardWork,
         completed: Dict[int, Any],
         report: CampaignReport,
     ) -> Any:
@@ -814,12 +785,12 @@ class ParallelLifetimeRunner:
             report.stopped_early = True
             indices = [i for i in indices if i <= stop]
         report.merged_shards = len(indices)
-        return work.result_type.merge_all(completed[i] for i in indices)
+        return self.work.result_type.merge_all(completed[i] for i in indices)
 
     # ------------------------------------------------------------------ #
     # Checkpointing
     # ------------------------------------------------------------------ #
-    def _fingerprint(self, work: ShardWork, trials: int) -> Dict[str, Any]:
+    def _fingerprint(self, trials: int) -> Dict[str, Any]:
         """Identity of the shard plan and every field of its work; a
         checkpoint from a different campaign must never be silently
         merged into this one."""
@@ -827,7 +798,7 @@ class ParallelLifetimeRunner:
             "root_seed": self.root_seed,
             "trials": trials,
             "shard_size": self.shard_size,
-            "work": work,
+            "work": self.work,
         })
 
     def _write_checkpoint(
@@ -847,9 +818,7 @@ class ParallelLifetimeRunner:
             },
         )
 
-    def _load_checkpoint(
-        self, work: ShardWork, fingerprint: Dict[str, Any]
-    ) -> Dict[int, Any]:
+    def _load_checkpoint(self, fingerprint: Dict[str, Any]) -> Dict[int, Any]:
         path = self.checkpoint_path
         assert path is not None
         if not path.exists():
@@ -869,14 +838,14 @@ class ParallelLifetimeRunner:
         completed: Dict[int, Any] = {}
         try:
             for index, shard in payload["shards"].items():
-                result = work.result_type.from_dict(shard)
+                result = self.work.result_type.from_dict(shard)
                 # A shard written under another result schema cannot
                 # reproduce itself: a key added or removed since shows up.
                 if _json_form(result.to_dict()) != shard:
                     raise CheckpointError(
                         f"shard {index} of checkpoint {path} does not "
                         f"round-trip; it was written under another "
-                        f"{work.result_type.__name__} schema"
+                        f"{self.work.result_type.__name__} schema"
                     )
                 completed[int(index)] = result
         except (AttributeError, KeyError, TypeError, ValueError) as exc:

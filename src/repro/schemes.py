@@ -8,9 +8,8 @@ Each entry maps a stable public name to a factory
 
 The ``citadel`` entry is the 3DP correction model; the TSV-Swap and DDS
 mitigations it implies are engine-level features, applied by
-:func:`scheme_mitigations` wherever an
-:class:`~repro.reliability.montecarlo.EngineConfig` is built from a
-scheme name (the CLI and :class:`repro.service.jobs.CampaignSpec`).
+:func:`scheme_mitigations` when a :class:`repro.service.jobs.CampaignSpec`
+(the campaign description of the CLI and the service) is built.
 """
 
 from __future__ import annotations

@@ -27,6 +27,7 @@ from repro.errors import (
     StoreError,
 )
 from repro.reliability.results import ReliabilityResult
+from repro.replay import ReplayResult
 from repro.service.jobs import CampaignSpec
 
 #: error ``type`` name (over the wire) -> exception class raised here.
@@ -44,6 +45,16 @@ _ERROR_CLASSES: Dict[str, type] = {
 
 DEFAULT_TIMEOUT_S = 30.0
 DEFAULT_POLL_INTERVAL_S = 0.2
+
+
+def parse_result(
+    document: Mapping[str, Any]
+) -> Union[ReliabilityResult, ReplayResult]:
+    """The result in a ``GET /jobs/{id}/result`` document, parsed by its
+    job spec's ``mode`` (the store dispatches on its ``kind`` tag)."""
+    if document["job"]["spec"].get("mode") == "replay":
+        return ReplayResult.from_dict(document["result"])
+    return ReliabilityResult.from_dict(document["result"])
 
 
 class ServiceClient:
@@ -141,10 +152,8 @@ class ServiceClient:
         """The raw ``{"job": ..., "result": ...}`` document."""
         return self._request("GET", f"/jobs/{job_id}/result")
 
-    def result(self, job_id: str) -> ReliabilityResult:
-        return ReliabilityResult.from_dict(
-            self.result_document(job_id)["result"]
-        )
+    def result(self, job_id: str) -> Union[ReliabilityResult, ReplayResult]:
+        return parse_result(self.result_document(job_id))
 
     def cancel(self, job_id: str) -> Dict[str, Any]:
         return self._request("DELETE", f"/jobs/{job_id}")

@@ -1,9 +1,11 @@
 """Job model for the campaign service.
 
 A :class:`CampaignSpec` is the validated, *canonical* description of one
-reliability campaign — exactly the knobs ``repro reliability`` exposes
-(scheme, trials, TSV FIT, mitigations, seed, shard size) plus a
+campaign — the knobs ``repro reliability`` and ``repro replay`` expose
+(scheme, trials, TSV FIT, mitigations, seed, shard size, ...) plus a
 ``scale`` divisor for smoke-sized runs and optional geometry overrides.
+:meth:`CampaignSpec.work` turns it into what the runner executes; the
+service and the CLI both run that.
 Canonicalization matters because the result store is content-addressed:
 two submissions describe *the same campaign* iff their canonical JSON
 documents are byte-identical, so :meth:`CampaignSpec.spec_hash` is the
@@ -35,10 +37,15 @@ from typing import Any, Dict, Mapping, Optional, Tuple
 
 from repro import contracts
 from repro.errors import SpecError
+from repro.faults.rates import FailureRates
 from repro.reliability.montecarlo import EngineConfig
-from repro.reliability.parallel import DEFAULT_SHARD_SIZE
+from repro.reliability.parallel import (
+    DEFAULT_SHARD_SIZE,
+    ReliabilityWork,
+    ShardWork,
+)
 from repro.reliability.sampling import SAMPLING_METHODS
-from repro.replay import ReplayConfig
+from repro.replay import ReplayConfig, ReplayWork
 from repro.schemes import SCHEMES, scheme_mitigations
 from repro.stack.geometry import StackGeometry
 from repro.workloads.profiles import WORKLOADS
@@ -329,32 +336,46 @@ class CampaignSpec:
             raise SpecError(f"malformed campaign spec: {exc}") from exc
 
     # ------------------------------------------------------------------ #
-    # Execution ingredients (shared by service and CLI paths)
+    # Execution (shared by the service and the CLI)
     # ------------------------------------------------------------------ #
-    def build_geometry(self) -> StackGeometry:
-        return StackGeometry(**dict(self.geometry))
-
-    def engine_config(self) -> EngineConfig:
-        return EngineConfig(
+    def work(self) -> ShardWork:
+        """The campaign as runner work: the one mapping from these
+        settings to what every shard computes (run it with
+        ``root_seed=seed``, ``shard_size`` and ``effective_trials``).
+        Replay shards take only the mitigations of the engine settings."""
+        geometry = StackGeometry(**dict(self.geometry))
+        model = SCHEMES[self.scheme](geometry)
+        rates = FailureRates.paper_baseline(tsv_device_fit=self.tsv_fit)
+        config = EngineConfig(
             tsv_swap_standby=self.tsv_swap,
             use_dds=self.dds,
             scrub_interval_hours=self.scrub_hours,
-            collect_failure_modes=self.modes,
-            collect_metrics=self.telemetry,
-            sampling=self.sampling,
-            target_ci_width=self.target_ci_width,
         )
-
-    def replay_config(self) -> ReplayConfig:
-        contracts.require(
-            self.mode == "replay",
-            "replay_config() is only meaningful for replay specs",
-        )
-        return ReplayConfig(
-            workload=self.workload,
-            cores=self.replay_cores,
-            requests_per_core=self.requests,
-            thermal=self.thermal,
+        if self.mode == "replay":
+            return ReplayWork(
+                geometry,
+                rates,
+                model,
+                config,
+                ReplayConfig(
+                    workload=self.workload,
+                    cores=self.replay_cores,
+                    requests_per_core=self.requests,
+                    thermal=self.thermal,
+                ),
+                collect_metrics=self.telemetry,
+            )
+        return ReliabilityWork(
+            geometry,
+            rates,
+            model,
+            replace(
+                config,
+                collect_failure_modes=self.modes,
+                collect_metrics=self.telemetry,
+                sampling=self.sampling,
+                target_ci_width=self.target_ci_width,
+            ),
         )
 
 

@@ -46,12 +46,8 @@ from repro.errors import (
     ServiceError,
     StoreError,
 )
-from repro.faults.rates import FailureRates
-from repro.reliability.montecarlo import EngineConfig
 from repro.reliability.parallel import CampaignReport, ParallelLifetimeRunner
 from repro.reliability.results import ReliabilityResult
-from repro.replay import ReplayWork
-from repro.schemes import SCHEMES
 from repro.service.jobs import CampaignSpec, Job, JobState
 from repro.service.queue import JobQueue
 from repro.service.store import ResultStore
@@ -486,33 +482,9 @@ class CampaignScheduler:
         if self._executor is not None:
             return self._executor(job.spec, workers, job.cancel_event)
         spec = job.spec
-        geometry = spec.build_geometry()
-        model = SCHEMES[spec.scheme](geometry)
-        rates = FailureRates.paper_baseline(tsv_device_fit=spec.tsv_fit)
         checkpoint = self._checkpoint_path(job)
-        campaign: Dict[str, Any] = (
-            dict(work=ReplayWork(
-                geometry,
-                rates,
-                model,
-                EngineConfig(
-                    tsv_swap_standby=spec.tsv_swap,
-                    use_dds=spec.dds,
-                    scrub_interval_hours=spec.scrub_hours,
-                ),
-                spec.replay_config(),
-                collect_metrics=spec.telemetry,
-            ))
-            if spec.mode == "replay"
-            else dict(
-                geometry=geometry,
-                rates=rates,
-                model=model,
-                config=spec.engine_config(),
-            )
-        )
         runner = ParallelLifetimeRunner(
-            **campaign,
+            spec.work(),
             root_seed=spec.seed,
             workers=workers,
             shard_size=spec.shard_size,

@@ -31,7 +31,7 @@ from repro.ecc.base import FromScratch
 from repro.faults.injector import FaultSpec
 from repro.faults.rates import FailureRates
 from repro.faults.types import FaultKind, Permanence
-from repro.reliability import ParallelLifetimeRunner
+from repro.reliability import ParallelLifetimeRunner, ReliabilityWork
 from repro.reliability.batch import BatchTrialKernel, make_batch_runner
 from repro.reliability.montecarlo import EngineConfig, LifetimeSimulator
 from repro.schemes import SCHEMES
@@ -136,10 +136,12 @@ class TestWorkerByteIdentity:
         ``make_batch_runner`` always leaves on the scalar loop."""
         model = make_3dp(GEOM)
         return ParallelLifetimeRunner(
-            GEOM,
-            RATES,
-            model if batch else FromScratch(model),
-            EngineConfig(tsv_swap_standby=4, use_dds=True),
+            ReliabilityWork(
+                GEOM,
+                RATES,
+                model if batch else FromScratch(model),
+                EngineConfig(tsv_swap_standby=4, use_dds=True),
+            ),
             root_seed=42,
             workers=workers,
             shard_size=200,

@@ -90,6 +90,28 @@ class TestCommands:
         # Same-Bank is the normalization baseline: 1.000x.
         assert "1.000x" in out
 
+    @pytest.mark.parametrize("command", ["reliability", "replay", "profile"])
+    def test_zero_trials_rejected_by_the_spec(self, command, capsys):
+        # The same CampaignSpec validation `repro submit` applies.
+        assert main([command, "--trials", "0"]) == 1
+        captured = capsys.readouterr()
+        assert "trials must be a positive int" in captured.err
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_shard_error_exits_1_at_any_worker_count(self, workers, capsys):
+        """An error the campaign raises inside a shard is not a worker
+        crash: it ends the run, in the pool as in-process."""
+        rc = main([
+            "reliability", "--scheme", "3dp", "--tsv-fit", "1e12",
+            "--trials", "20", "--shard-size", "10",
+            "--workers", str(workers),
+        ])
+        captured = capsys.readouterr()
+        assert rc == 1
+        assert "too large" in captured.err
+        assert captured.out == ""
+
 
 class TestVersion:
     def test_version_flag_prints_package_version(self, capsys):

@@ -18,7 +18,7 @@ from repro.ecc.base import FromScratch
 from repro.faults.injector import FaultInjector
 from repro.faults.rates import FailureRates
 from repro.reliability.montecarlo import EngineConfig, LifetimeSimulator
-from repro.reliability.parallel import ParallelLifetimeRunner
+from repro.reliability.parallel import ParallelLifetimeRunner, ReliabilityWork
 from repro.rng import DEFAULT_SEED, derive_seed, make_rng
 from repro.stack.geometry import StackGeometry
 from repro.workloads import rate_mode_traces
@@ -102,10 +102,12 @@ class TestParallelRunnerDeterminism:
 
     def run_parallel(self, geom, workers, **cfg):
         runner = ParallelLifetimeRunner(
-            geom,
-            FailureRates.paper_baseline(tsv_device_fit=100.0),
-            make_1dp(geom),
-            EngineConfig(**cfg),
+            ReliabilityWork(
+                geom,
+                FailureRates.paper_baseline(tsv_device_fit=100.0),
+                make_1dp(geom),
+                EngineConfig(**cfg),
+            ),
             root_seed=42,
             workers=workers,
             shard_size=200,
@@ -135,10 +137,12 @@ class TestParallelRunnerDeterminism:
 
     def test_different_root_seeds_diverge(self, geom):
         runner = ParallelLifetimeRunner(
-            geom,
-            FailureRates.paper_baseline(tsv_device_fit=100.0),
-            make_1dp(geom),
-            EngineConfig(),
+            ReliabilityWork(
+                geom,
+                FailureRates.paper_baseline(tsv_device_fit=100.0),
+                make_1dp(geom),
+                EngineConfig(),
+            ),
             root_seed=43,
             workers=1,
             shard_size=200,
@@ -154,14 +158,16 @@ class TestIncrementalCorrectionInvisible:
     def run_citadel(self, geom, workers, incremental):
         model = make_3dp(geom)
         runner = ParallelLifetimeRunner(
-            geom,
-            FailureRates.paper_baseline(tsv_device_fit=1430.0),
-            model if incremental else FromScratch(model),
-            EngineConfig(
-                tsv_swap_standby=4,
-                use_dds=True,
-                collect_metrics=True,
-                collect_failure_modes=True,
+            ReliabilityWork(
+                geom,
+                FailureRates.paper_baseline(tsv_device_fit=1430.0),
+                model if incremental else FromScratch(model),
+                EngineConfig(
+                    tsv_swap_standby=4,
+                    use_dds=True,
+                    collect_metrics=True,
+                    collect_failure_modes=True,
+                ),
             ),
             root_seed=302,
             workers=workers,
@@ -282,11 +288,13 @@ class TestSerializedByteIdentity:
         import json
 
         runner = ParallelLifetimeRunner(
-            geom,
-            FailureRates.paper_baseline(tsv_device_fit=100.0),
-            make_1dp(geom),
-            EngineConfig(collect_failure_modes=True,
-                         collect_sparing_stats=True),
+            ReliabilityWork(
+                geom,
+                FailureRates.paper_baseline(tsv_device_fit=100.0),
+                make_1dp(geom),
+                EngineConfig(collect_failure_modes=True,
+                             collect_sparing_stats=True),
+            ),
             root_seed=42,
             workers=workers,
             shard_size=200,

@@ -14,7 +14,7 @@ import pytest
 from repro.errors import TelemetryError
 from repro.faults.rates import FailureRates
 from repro.reliability.montecarlo import EngineConfig
-from repro.reliability.parallel import ParallelLifetimeRunner
+from repro.reliability.parallel import ParallelLifetimeRunner, ReliabilityWork
 from repro.reliability.results import ReliabilityResult
 from repro.schemes import SCHEMES
 from repro.service.jobs import CampaignSpec
@@ -46,10 +46,12 @@ def make_manifest(**overrides):
 def run_campaign(workers, seed=7, trials=120):
     geometry = StackGeometry()
     runner = ParallelLifetimeRunner(
-        geometry,
-        FailureRates.paper_baseline(tsv_device_fit=0.0),
-        SCHEMES["secded"](geometry),
-        EngineConfig(),
+        ReliabilityWork(
+            geometry,
+            FailureRates.paper_baseline(tsv_device_fit=0.0),
+            SCHEMES["secded"](geometry),
+            EngineConfig(),
+        ),
         root_seed=seed,
         workers=workers,
         shard_size=40,

@@ -2,7 +2,8 @@
 
 Covers the shard plan, worker-count independence, checkpoint/resume
 round-trips, the wall-clock budget, graceful interrupt draining, stopping
-across resume, and fault tolerance when a worker crashes mid-campaign.
+across resume, fault tolerance when a worker crashes mid-campaign, and
+campaign errors, which propagate instead.
 The campaign-mechanics suites run twice: on reliability shards and, via
 their ``TestReplay*`` subclasses, on replay shards.
 """
@@ -10,20 +11,25 @@ their ``TestReplay*`` subclasses, on replay shards.
 import json
 import sys
 import threading
-from dataclasses import replace
+import time
+from dataclasses import dataclass, replace
+from pathlib import Path
+from typing import Any, ClassVar
 
 import pytest
 
 import repro.reliability.parallel as parallel_mod
 from repro.core.parity3dp import make_1dp
 from repro.ecc.base import FromScratch
-from repro.errors import CheckpointError, ContractViolation
+from repro.errors import CheckpointError, ConfigurationError, ContractViolation
 from repro.faults.rates import FailureRates
 from repro.faults.types import FaultKind
 from repro.reliability import (
     CrashInjection,
     ParallelLifetimeRunner,
     ReliabilityResult,
+    ReliabilityWork,
+    ShardWork,
     shard_plan,
 )
 from repro.reliability.montecarlo import EngineConfig
@@ -55,11 +61,12 @@ def make_runner(
             ReplayConfig(cores=1, requests_per_core=1),
             collect_metrics=collect_metrics,
         )
-        return ParallelLifetimeRunner(work=work, **kwargs)
-    return ParallelLifetimeRunner(
-        geometry, rates, model, EngineConfig(collect_metrics=collect_metrics),
-        **kwargs,
-    )
+    else:
+        work = ReliabilityWork(
+            geometry, rates, model,
+            EngineConfig(collect_metrics=collect_metrics),
+        )
+    return ParallelLifetimeRunner(work, **kwargs)
 
 
 def doc(result):
@@ -365,6 +372,42 @@ class TestFaultTolerance:
         assert result.trials < TRIALS
 
 
+@dataclass(frozen=True)
+class RejectingWork(ShardWork):
+    """Shard 0 raises a campaign error, which is not a worker crash.
+    Every shard first leaves a marker file, so a test can count the
+    shards that started."""
+
+    result_type: ClassVar[Any] = ReliabilityResult
+    marker_dir: str
+    label: str = "rejecting"
+
+    def run_shard(self, spec, root_seed, tracer=None):
+        Path(self.marker_dir, str(spec.index)).touch()
+        if spec.index == 0:
+            raise ConfigurationError("shard 0 rejects its configuration")
+        time.sleep(0.2)
+        return ReliabilityResult(
+            scheme_name=self.label, trials=spec.trials, failures=0,
+            lifetime_hours=1.0,
+        ).to_dict()
+
+
+class TestCampaignErrors:
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_campaign_error_propagates_and_stops_dispatch(
+        self, tmp_path, workers
+    ):
+        runner = ParallelLifetimeRunner(
+            RejectingWork(str(tmp_path)), workers=workers, shard_size=1
+        )
+        with pytest.raises(ConfigurationError, match="rejects"):
+            runner.run(trials=40)
+        # The pool cancelled its queued shards before re-raising; only
+        # those already handed to a worker ran.
+        assert len(list(tmp_path.iterdir())) < 10
+
+
 class TestInterrupt:
     def test_keyboard_interrupt_drains_to_partial(self, geometry, monkeypatch):
         real_run_shard = parallel_mod._run_shard
@@ -425,7 +468,8 @@ class TestStoppingResume:
         kwargs.setdefault("shard_size", SHARD)
         config = EngineConfig(sampling="importance", target_ci_width=self.WIDTH)
         return ParallelLifetimeRunner(
-            geometry, RATES, make_1dp(geometry), config, **kwargs
+            ReliabilityWork(geometry, RATES, make_1dp(geometry), config),
+            **kwargs,
         )
 
     def test_stop_fires_mid_campaign(self, geometry):
@@ -584,16 +628,3 @@ class TestReplayInterrupt(TestInterrupt):
 class TestReplayCancelHook(TestCancelHook):
     pass
 
-
-class TestWorkArguments:
-    def test_work_excludes_the_reliability_tuple(self, geometry):
-        work = ReplayWork(
-            geometry, RATES, make_1dp(geometry), EngineConfig(),
-            ReplayConfig(cores=1, requests_per_core=1),
-        )
-        with pytest.raises(ContractViolation):
-            ParallelLifetimeRunner(geometry, RATES, make_1dp(geometry), work=work)
-        with pytest.raises(ContractViolation):
-            ParallelLifetimeRunner(work=work, config=EngineConfig())
-        with pytest.raises(ContractViolation):
-            ParallelLifetimeRunner(geometry, RATES)

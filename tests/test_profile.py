@@ -17,7 +17,7 @@ import pytest
 from repro.errors import TelemetryError
 from repro.faults.rates import FailureRates
 from repro.reliability.montecarlo import EngineConfig
-from repro.reliability.parallel import ParallelLifetimeRunner
+from repro.reliability.parallel import ParallelLifetimeRunner, ReliabilityWork
 from repro.schemes import SCHEMES
 from repro.stack.geometry import StackGeometry
 from repro.telemetry.profile import (
@@ -202,10 +202,12 @@ class TestProfilerNeverChangesResults:
     def run_campaign(self):
         geometry = StackGeometry()
         runner = ParallelLifetimeRunner(
-            geometry,
-            FailureRates.paper_baseline(tsv_device_fit=0.0),
-            SCHEMES["secded"](geometry),
-            EngineConfig(collect_metrics=True),
+            ReliabilityWork(
+                geometry,
+                FailureRates.paper_baseline(tsv_device_fit=0.0),
+                SCHEMES["secded"](geometry),
+                EngineConfig(collect_metrics=True),
+            ),
             root_seed=11,
             workers=1,
             shard_size=50,

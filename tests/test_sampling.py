@@ -27,7 +27,7 @@ from repro.ecc.base import CorrectionModel
 from repro.errors import ConfigurationError
 from repro.faults.injector import FaultInjector
 from repro.faults.rates import FailureRates
-from repro.reliability import ParallelLifetimeRunner
+from repro.reliability import ParallelLifetimeRunner, ReliabilityWork
 from repro.reliability.montecarlo import EngineConfig, LifetimeSimulator
 from repro.reliability.sampling import (
     DEFAULT_MIXTURE_WEIGHT,
@@ -224,10 +224,12 @@ def run_sampled(geometry, method, seed, trials=2000, workers=1,
                 scrub_hours=SCRUB_INTERVAL_HOURS):
     model = FailOnEpochPair(geometry, epoch_hours=scrub_hours)
     runner = ParallelLifetimeRunner(
-        geometry,
-        RATES,
-        model,
-        EngineConfig(sampling=method, scrub_interval_hours=scrub_hours),
+        ReliabilityWork(
+            geometry,
+            RATES,
+            model,
+            EngineConfig(sampling=method, scrub_interval_hours=scrub_hours),
+        ),
         root_seed=seed,
         workers=workers,
         shard_size=500,
@@ -340,10 +342,13 @@ class TestWorkerByteIdentity:
         )
         direct = sim.run(trials=400, label="direct")
         runner = ParallelLifetimeRunner(
-            geometry, RATES, FailOnEpochPair(geometry), config,
+            ReliabilityWork(
+                geometry, RATES, FailOnEpochPair(geometry), config,
+                label="direct",
+            ),
             root_seed=9, workers=1, shard_size=400,
         )
-        via_runner = runner.run(trials=400, label="direct")
+        via_runner = runner.run(trials=400)
         # The runner stamps a provenance manifest the bare engine cannot
         # know about; the physics payload must be identical.
         runner_doc = via_runner.to_dict()

@@ -24,8 +24,15 @@ from repro.errors import (
     StoreError,
 )
 from repro.faults.rates import FailureRates
-from repro.reliability.parallel import CampaignReport, ParallelLifetimeRunner
+from repro.reliability.montecarlo import EngineConfig
+from repro.reliability.parallel import (
+    CampaignReport,
+    ParallelLifetimeRunner,
+    ReliabilityWork,
+)
 from repro.reliability.results import ReliabilityResult
+from repro.cli import main
+from repro.replay import ReplayResult
 from repro.service.client import ServiceClient
 from repro.service.http import make_server
 from repro.service.jobs import CampaignSpec
@@ -351,10 +358,12 @@ class TestEndToEnd:
     def direct_run(self, tmp_path):
         geometry = StackGeometry()
         runner = ParallelLifetimeRunner(
-            geometry,
-            FailureRates.paper_baseline(tsv_device_fit=0.0),
-            SCHEMES["secded"](geometry),
-            CampaignSpec(**self.SPEC).engine_config(),
+            ReliabilityWork(
+                geometry,
+                FailureRates.paper_baseline(tsv_device_fit=0.0),
+                SCHEMES["secded"](geometry),
+                EngineConfig(),
+            ),
             root_seed=self.SPEC["seed"],
             workers=1,
             shard_size=self.SPEC["shard_size"],
@@ -387,3 +396,51 @@ class TestEndToEnd:
             server.server_close()
             scheduler.shutdown()
             thread.join(timeout=WAIT_S)
+
+
+class TestReplayFetch:
+    """A finished replay job reads back as a ReplayResult, and ``repro
+    fetch`` prints the report ``repro replay`` prints for that campaign."""
+
+    SPEC = dict(
+        scheme="citadel", trials=2, mode="replay", requests=16,
+        replay_cores=1, shard_size=2,
+    )
+    REPLAY_ARGV = [
+        "replay", "--trials", "2", "--requests", "16", "--cores", "1",
+        "--shard-size", "2",
+    ]
+
+    @pytest.fixture
+    def replay_job(self, tmp_path):
+        """(service URL, id of a finished replay job), real executor."""
+        scheduler = CampaignScheduler(ResultStore(tmp_path / "store"),
+                                      slots=1).start()
+        server = make_server(scheduler, quiet=True)
+        thread = threading.Thread(target=server.serve_forever, daemon=True)
+        thread.start()
+        url = f"http://127.0.0.1:{server.port}"
+        try:
+            client = ServiceClient(url, timeout_s=60.0)
+            job = client.submit(CampaignSpec(**self.SPEC))
+            client.wait(job["id"], timeout_s=60.0)
+            yield url, job["id"]
+        finally:
+            server.shutdown()
+            server.server_close()
+            scheduler.shutdown()
+            thread.join(timeout=WAIT_S)
+
+    def test_client_result_parses_by_mode(self, replay_job):
+        url, job_id = replay_job
+        result = ServiceClient(url, timeout_s=WAIT_S).result(job_id)
+        assert isinstance(result, ReplayResult)
+        assert result.trials == 2
+
+    def test_fetch_prints_the_replay_report(self, replay_job, capsys):
+        url, job_id = replay_job
+        assert main(["fetch", "--url", url, "--job", job_id]) == 0
+        fetched = capsys.readouterr().out
+        assert main(self.REPLAY_ARGV) == 0
+        assert fetched == capsys.readouterr().out
+        assert "mean slowdown" in fetched

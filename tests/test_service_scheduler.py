@@ -489,25 +489,15 @@ class TestReplayJobs:
         finally:
             scheduler.shutdown()
 
-    def test_crashed_replay_shard_is_never_stored(self, store, geometry):
-        from repro.faults.rates import FailureRates
-        from repro.reliability.montecarlo import EngineConfig
+    def test_crashed_replay_shard_is_never_stored(self, store):
         from repro.reliability.parallel import (
             CrashInjection,
             ParallelLifetimeRunner,
         )
-        from repro.replay import ReplayWork
-        from repro.schemes import SCHEMES
 
         def executor(spec, workers, cancel_event):
             runner = ParallelLifetimeRunner(
-                work=ReplayWork(
-                    geometry,
-                    FailureRates.paper_baseline(),
-                    SCHEMES[spec.scheme](geometry),
-                    EngineConfig(tsv_swap_standby=4, use_dds=True),
-                    spec.replay_config(),
-                ),
+                spec.work(),
                 root_seed=spec.seed,
                 shard_size=spec.shard_size,
                 crash_injection=CrashInjection(raise_on=frozenset({1})),

@@ -175,7 +175,7 @@ class TestCanonicalization:
 
     def test_sampling_fields_flow_into_engine_config(self):
         spec = CampaignSpec(sampling="importance", target_ci_width=0.02)
-        config = spec.engine_config()
+        config = spec.work().config
         assert config.sampling == "importance"
         assert config.target_ci_width == 0.02
 

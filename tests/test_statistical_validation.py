@@ -22,7 +22,11 @@ import math
 from repro.ecc.base import CorrectionModel
 from repro.faults.rates import FailureRates
 from repro.faults.types import Permanence
-from repro.reliability import AnalyticModel, ParallelLifetimeRunner
+from repro.reliability import (
+    AnalyticModel,
+    ParallelLifetimeRunner,
+    ReliabilityWork,
+)
 from repro.reliability.montecarlo import EngineConfig
 
 RATES = FailureRates.paper_baseline(tsv_device_fit=0.0)
@@ -76,15 +80,14 @@ def wilson_interval(failures: int, trials: int, z: float = Z):
 
 def run_campaign(geometry, model, seed, min_faults, workers=1):
     runner = ParallelLifetimeRunner(
-        geometry,
-        RATES,
-        model,
-        EngineConfig(),
+        ReliabilityWork(
+            geometry, RATES, model, EngineConfig(), min_faults=min_faults
+        ),
         root_seed=seed,
         workers=workers,
         shard_size=500,
     )
-    return runner.run(trials=TRIALS, min_faults=min_faults)
+    return runner.run(trials=TRIALS)
 
 
 def poisson_at_least(lam: float, k: int) -> float:

@@ -20,7 +20,7 @@ from repro.ecc.base import CorrectionModel
 from repro.errors import ContractViolation
 from repro.faults.injector import FaultInjector
 from repro.faults.rates import FailureRates
-from repro.reliability import ParallelLifetimeRunner
+from repro.reliability import ParallelLifetimeRunner, ReliabilityWork
 from repro.reliability.montecarlo import EngineConfig, LifetimeSimulator
 from repro.reliability.results import ReliabilityResult, StratumStats
 from repro.reliability.stopping import (
@@ -234,10 +234,12 @@ class TestPrefixCoverage:
 def run_stopping_campaign(geometry, model, config, seed=5, workers=1,
                           trials=8000, min_faults=None):
     runner = ParallelLifetimeRunner(
-        geometry, RATES, model, config,
+        ReliabilityWork(
+            geometry, RATES, model, config, min_faults=min_faults, label="stop"
+        ),
         root_seed=seed, workers=workers, shard_size=500,
     )
-    result = runner.run(trials=trials, min_faults=min_faults, label="stop")
+    result = runner.run(trials=trials)
     return result, runner.last_report
 
 
@@ -312,27 +314,16 @@ class TestStoppingCampaigns:
         assert report is not None and not report.stopped_early
         assert result.trials == 1000
 
-    def test_explicit_rule_overrides_config_default(self, geometry):
-        """A runner-level StoppingRule takes precedence over the width
-        the engine config would resolve."""
-        config = EngineConfig(target_ci_width=1e-12)  # never satisfiable
-        runner = ParallelLifetimeRunner(
-            geometry, RATES, FailOnAnyFault(geometry), config,
-            root_seed=5, workers=1, shard_size=500,
-            stopping=StoppingRule(target_ci_width=0.5),
-        )
-        result = runner.run(trials=8000, min_faults=0, label="stop")
-        assert runner.last_report is not None
-        assert runner.last_report.stopped_early
-        assert result.trials < 8000
-
     def test_campaign_metrics_record_savings(self, geometry):
         config = EngineConfig(target_ci_width=0.15)
         runner = ParallelLifetimeRunner(
-            geometry, RATES, FailOnAnyFault(geometry), config,
+            ReliabilityWork(
+                geometry, RATES, FailOnAnyFault(geometry), config,
+                min_faults=0, label="stop",
+            ),
             root_seed=5, workers=1, shard_size=500,
         )
-        result = runner.run(trials=8000, min_faults=0, label="stop")
+        result = runner.run(trials=8000)
         registry = runner.last_campaign_metrics
         assert registry is not None
         snapshot = registry.to_dict()

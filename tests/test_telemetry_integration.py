@@ -25,7 +25,7 @@ from repro.errors import TelemetryError
 from repro.faults.rates import FailureRates
 from repro.core.parity3dp import make_3dp
 from repro.reliability.montecarlo import EngineConfig
-from repro.reliability.parallel import ParallelLifetimeRunner
+from repro.reliability.parallel import ParallelLifetimeRunner, ReliabilityWork
 from repro.telemetry.registry import MetricsRegistry
 from repro.telemetry.stats import derived_stats, load_metrics_file
 from tools.bench_report import build_report
@@ -33,10 +33,12 @@ from tools.bench_report import build_report
 
 def run_parallel(geometry, workers, trials=600, **cfg):
     runner = ParallelLifetimeRunner(
-        geometry,
-        FailureRates.paper_baseline(tsv_device_fit=100.0),
-        make_3dp(geometry),
-        EngineConfig(tsv_swap_standby=4, use_dds=True, **cfg),
+        ReliabilityWork(
+            geometry,
+            FailureRates.paper_baseline(tsv_device_fit=100.0),
+            make_3dp(geometry),
+            EngineConfig(tsv_swap_standby=4, use_dds=True, **cfg),
+        ),
         root_seed=42,
         workers=workers,
         shard_size=200,
@@ -74,10 +76,12 @@ class TestMetricsNeverChangeResults:
 
     def test_campaign_wallclock_metrics_stay_out_of_results(self, geometry):
         runner = ParallelLifetimeRunner(
-            geometry,
-            FailureRates.paper_baseline(tsv_device_fit=100.0),
-            make_3dp(geometry),
-            EngineConfig(collect_metrics=True),
+            ReliabilityWork(
+                geometry,
+                FailureRates.paper_baseline(tsv_device_fit=100.0),
+                make_3dp(geometry),
+                EngineConfig(collect_metrics=True),
+            ),
             root_seed=7,
             workers=2,
             shard_size=100,
