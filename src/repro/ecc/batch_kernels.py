@@ -43,7 +43,9 @@ except ImportError:  # pragma: no cover
     np = None  # type: ignore[assignment]
 
 from repro import contracts
+from repro.ecc.symbol_code import same_bank_check_rows
 from repro.stack.geometry import StackGeometry
+from repro.stack.striping import StripingPolicy
 
 if TYPE_CHECKING:  # pragma: no cover
     from numpy import ndarray
@@ -246,11 +248,13 @@ class BatchCorrectionKernel:
 
 
 class PairwiseBatchKernel(BatchCorrectionKernel):
-    """Shared shape of the pairwise schemes (SECDED / 2D-ECC / RAID-5).
+    """Shared shape of the pairwise schemes (SECDED, 2D-ECC, RAID-5 and
+    the symbol codes): every ``IncrementalPairwiseModel`` subclass.
 
     A trial survives when no single fault is fatal alone and no possibly-
     co-live pair is fatal together — the vectorized mirror of
-    ``IncrementalPairwiseModel``'s monotone verdict.
+    ``IncrementalPairwiseModel``'s monotone verdict.  Subclasses mirror
+    the model's ``_fatal_alone`` and ``_fatal_pair`` hooks rule for rule.
     """
 
     def __init__(self, geometry: StackGeometry) -> None:
@@ -351,3 +355,124 @@ class RAID5BatchKernel(PairwiseBatchKernel):
             batch, first, second
         )
         return ~same_strip & rows_intersect(batch, first, second)
+
+
+class SymbolBatchKernel(PairwiseBatchKernel):
+    """Vector mirror of ``repro.ecc.symbol_code.SymbolCode``.
+
+    Every fault touches one die, and only TSV faults (always on a data
+    die) touch more than one bank; a fault on a die at or above
+    ``data_dies`` sits in the metadata die and holds check symbols only.
+    """
+
+    def __init__(
+        self, geometry: StackGeometry, policy: StripingPolicy, symbol_bits: int
+    ) -> None:
+        super().__init__(geometry)
+        self.policy = policy
+        self._symbol_bits = symbol_bits
+        self._line_low = geometry.line_bits - 1
+
+    def _fatal_alone(self, batch: TrialBatch) -> ndarray:
+        data = batch.die < self.geometry.data_dies
+        if self.policy is StripingPolicy.SAME_BANK:
+            # _line_slice() is None: don't-care bits reach the slice index.
+            within = batch.col_mask & self._line_low
+            return data & (within >= self._symbol_bits)
+        if self.policy is StripingPolicy.ACROSS_BANKS:
+            # spans_multiple_banks(): a TSV fault on a multi-bank die.
+            return data & batch.is_tsv & (self.geometry.banks_per_die > 1)
+        # Across Channels: a single-die fault stays in one symbol unit.
+        return np.zeros(batch.n_faults, dtype=bool)
+
+    def _fatal_pair(
+        self, batch: TrialBatch, first: ndarray, second: ndarray
+    ) -> ndarray:
+        data_dies = self.geometry.data_dies
+        meta_first = batch.die[first] >= data_dies
+        meta_second = batch.die[second] >= data_dies
+        # Two metadata faults sit in the one check unit: never fatal.
+        fatal = ~(meta_first | meta_second) & self._data_pair_fatal(
+            batch, first, second
+        )
+        mixed = np.flatnonzero(meta_first != meta_second)
+        if mixed.size:
+            meta_is_first = meta_first[mixed]
+            fatal[mixed] = self._meta_data_fatal(
+                batch,
+                np.where(meta_is_first, first[mixed], second[mixed]),
+                np.where(meta_is_first, second[mixed], first[mixed]),
+            )
+        return fatal
+
+    def _data_pair_fatal(
+        self, batch: TrialBatch, first: ndarray, second: ndarray
+    ) -> ndarray:
+        same_die = batch.die[first] == batch.die[second]
+        if self.policy is StripingPolicy.SAME_BANK:
+            line_low = self._line_low
+            base_a, base_b = batch.col_base[first], batch.col_base[second]
+            # share_line_slot(): the faults can reach one line slot ...
+            share_slot = (
+                (base_a ^ base_b)
+                & ~(batch.col_mask[first] | batch.col_mask[second] | line_low)
+            ) == 0
+            # ... through different 64-bit slices of it.
+            other_slice = (base_a & line_low) // self._symbol_bits != (
+                base_b & line_low
+            ) // self._symbol_bits
+            return (
+                same_die
+                & banks_intersect(batch, first, second)
+                & rows_intersect(batch, first, second)
+                & share_slot
+                & other_slice
+            )
+        overlap = rows_intersect(batch, first, second) & cols_intersect(
+            batch, first, second
+        )
+        if self.policy is StripingPolicy.ACROSS_BANKS:
+            # One symbol unit per bank of a die.
+            return same_die & ~banks_equal(batch, first, second) & overlap
+        # Across Channels: one symbol unit per die.
+        return ~same_die & banks_intersect(batch, first, second) & overlap
+
+    def _meta_data_fatal(
+        self, batch: TrialBatch, meta: ndarray, data: ndarray
+    ) -> ndarray:
+        """Does the metadata fault hit the check of a line the data fault
+        also corrupts?"""
+        if self.policy is StripingPolicy.ACROSS_CHANNELS:
+            # The metadata die is the ninth unit, at the same coordinates.
+            return (
+                banks_intersect(batch, meta, data)
+                & rows_intersect(batch, meta, data)
+                & cols_intersect(batch, meta, data)
+            )
+        # Metadata bank d serves data die d.
+        serves = batch.bank[meta] == batch.die[data]
+        if self.policy is StripingPolicy.ACROSS_BANKS:
+            return (
+                serves
+                & rows_intersect(batch, meta, data)
+                & cols_intersect(batch, meta, data)
+            )
+        # Same Bank: the check rows of the data fault's lines, bank by bank
+        # (every bank of the die for a TSV fault).
+        meta_base, meta_mask = batch.row_base[meta], batch.row_mask[meta]
+        data_base, data_mask = batch.row_base[data], batch.row_mask[data]
+
+        def check_row_hit(bank: ndarray) -> ndarray:
+            base, mask = same_bank_check_rows(
+                self.geometry, bank, data_base, data_mask
+            )
+            return rm_intersects(meta_base, meta_mask, base, mask)
+
+        hit = check_row_hit(batch.bank[data])
+        tsv = batch.is_tsv[data]
+        if tsv.any():
+            any_bank = np.zeros(data.shape, dtype=bool)
+            for bank in range(self.geometry.banks_per_die):
+                any_bank |= check_row_hit(np.full(data.shape, bank))
+            hit = np.where(tsv, any_bank, hit)
+        return serves & hit

@@ -24,7 +24,7 @@ in distinct units with intersecting codeword coordinates.
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import TYPE_CHECKING, Any, List, Optional, Tuple
 
 from repro.ecc.base import share_line_slot
 from repro.ecc.incremental import FaultBuckets, IncrementalPairwiseModel
@@ -33,8 +33,31 @@ from repro.faults.types import Fault
 from repro.stack.geometry import StackGeometry
 from repro.stack.striping import StripingPolicy
 
+if TYPE_CHECKING:  # pragma: no cover - annotation-only import
+    from repro.ecc.batch_kernels import SymbolBatchKernel
+
 #: The paper's 8+1 layout: eight data symbol units plus one check unit.
 DEFAULT_DATA_UNITS = 8
+
+#: Same Bank: one metadata row holds the checks of ``2**shift`` data rows
+#: (2 KB rows, 64 check bits per line).
+SAME_BANK_CHECK_ROW_SHIFT = 3
+
+
+def same_bank_check_rows(
+    geometry: StackGeometry, bank: Any, row_base: Any, row_mask: Any
+) -> Tuple[Any, Any]:
+    """Same Bank: the metadata rows holding the checks of data rows
+    ``(row_base, row_mask)`` of bank ``bank``, as a ``(base, mask)`` row
+    set.  The check of line (die c, bank b, row r) lives in metadata bank
+    c at row ``(b << (width - shift)) | (r >> shift)``.  Takes ints (the
+    scalar rule) or int64 arrays (the batch kernel's columns) alike."""
+    shift = SAME_BANK_CHECK_ROW_SHIFT
+    width = geometry.row_address_bits
+    base = ((bank << (width - shift)) | (row_base >> shift)) & (
+        (1 << width) - 1
+    )
+    return base, row_mask >> shift
 
 
 class SymbolCode(IncrementalPairwiseModel):
@@ -72,6 +95,11 @@ class SymbolCode(IncrementalPairwiseModel):
         if self.policy is StripingPolicy.ACROSS_BANKS:
             return 1 if tsv_possible else 2
         return 2
+
+    def batch_kernel(self) -> "SymbolBatchKernel":
+        from repro.ecc.batch_kernels import SymbolBatchKernel
+
+        return SymbolBatchKernel(self.geometry, self.policy, self._symbol_bits)
 
     # ------------------------------------------------------------------ #
     def _is_meta_fault(self, fault: Fault) -> bool:
@@ -162,19 +190,15 @@ class SymbolCode(IncrementalPairwiseModel):
                 and fm.rows.intersects(fd.rows)
                 and fm.cols.intersects(fd.cols)
             )
-        # Same Bank: check of line (die c, bank b, row r) lives in metadata
-        # bank c at row (b << shift_hi) | (r >> meta_shift).
+        # Same Bank: the check rows of the data fault's lines, bank by bank.
         if not fm.banks & fd.dies:
             return False
-        shift = 3  # 8 data rows of checks per metadata row (2KB rows, 64b/line)
         width = self.geometry.row_address_bits
-        hi = width - shift
         for bank in fd.banks:
-            base = ((bank << hi) | (fd.rows.base >> shift)) & ((1 << width) - 1)
-            meta_rows = RangeMask(
-                base=base, mask=(fd.rows.mask >> shift), width=width
+            base, mask = same_bank_check_rows(
+                self.geometry, bank, fd.rows.base, fd.rows.mask
             )
-            if fm.rows.intersects(meta_rows):
+            if fm.rows.intersects(RangeMask(base, mask, width)):
                 return True
         return False
 

@@ -19,10 +19,12 @@ scheme).
 
 from __future__ import annotations
 
+import itertools
 import math
 import random
+from bisect import bisect
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple
 
 from repro import contracts
 from repro.errors import ConfigurationError
@@ -95,6 +97,60 @@ def _poisson_tail_log_space(lam: float, min_faults: int) -> float:
     if log_survival >= 0.0:
         return 1.0
     return math.exp(log_survival)
+
+
+# ---------------------------------------------------------------------- #
+# Draw-exact sampling primitives
+# ---------------------------------------------------------------------- #
+# The spec sampler makes exactly the RNG calls that ``random.Random``'s
+# ``choices(weights=...)`` and ``randrange(n)`` make, with their per-call
+# set-up moved to construction, so the RNG stream (and every sampled
+# fault and result) is the one those calls give.  ``tests/test_injector.py``
+# checks the sampler against a reference built on the stdlib calls.
+class _WeightedPick:
+    """``rng.choices(range(n), weights)[0]``, cumulative weights built once.
+
+    ``choices`` accumulates the weights on every call, then bisects one
+    ``random()`` draw scaled by their total; this does the bisection only.
+    """
+
+    __slots__ = ("cum_weights", "total", "last")
+
+    def __init__(self, weights: Sequence[float]) -> None:
+        self.cum_weights = list(itertools.accumulate(weights))
+        self.total = self.cum_weights[-1] + 0.0
+        if not (self.total > 0.0 and math.isfinite(self.total)):
+            raise ConfigurationError(
+                f"sampling weights must have a positive finite total, "
+                f"got {self.total!r}"
+            )
+        self.last = len(self.cum_weights) - 1
+
+    def draw(self, random_float: Callable[[], float]) -> int:
+        return bisect(
+            self.cum_weights, random_float() * self.total, 0, self.last
+        )
+
+
+def _bounded(n: int) -> Tuple[int, int]:
+    """The ``(bound, bits)`` that :func:`_draw_below` takes for
+    ``randrange(n)``."""
+    return n, n.bit_length()
+
+
+#: Bounds of an address TSV's stuck-value draw, ``randrange(2)``.
+_STUCK_VALUE_BOUND = _bounded(2)
+
+
+def _draw_below(
+    getrandbits: Callable[[int], int], bound: int, bits: int
+) -> int:
+    """``rng.randrange(bound)``: ``bound.bit_length()`` random bits,
+    redrawn until the value is below ``bound``."""
+    value = getrandbits(bits)
+    while value >= bound:
+        value = getrandbits(bits)
+    return value
 
 
 @dataclass(frozen=True)
@@ -264,7 +320,22 @@ class FaultInjector:
         self.rng = make_rng(rng, seed)
         self._entries = self._build_entries()
         self._total_rate = sum(e.rate_per_hour for e in self._entries)
-        self._weights = [e.rate_per_hour for e in self._entries]
+        # The spec sampler's tables: which entry a fault comes from, what
+        # it becomes, and the bounds of its placement draws.
+        self._entry_pick = _WeightedPick(
+            [e.rate_per_hour for e in self._entries]
+        )
+        self._placements = [self._placement(e) for e in self._entries]
+        self._die_bound = _bounded(
+            geometry.total_dies
+            if rates.include_metadata_die
+            else geometry.data_dies
+        )
+        self._bank_bound = _bounded(geometry.banks_per_die)
+        self._channel_bound = _bounded(geometry.channels)
+        self._tsv_bound = _bounded(
+            geometry.data_tsvs_per_channel + geometry.addr_tsvs_per_channel
+        )
 
     # ------------------------------------------------------------------ #
     def _build_entries(self) -> List[_RateEntry]:
@@ -439,89 +510,67 @@ class FaultInjector:
         return [self._sample_spec() for _ in range(count)]
 
     def _sample_spec(self) -> FaultSpec:
-        entry = self.rng.choices(self._entries, weights=self._weights, k=1)[0]
-        if entry.kind.is_tsv:
+        rng = self.rng
+        placement = self._placements[self._entry_pick.draw(rng.random)]
+        if placement is None:
             return self._sample_tsv_spec()
-        return self._sample_dram_spec(entry.kind, entry.permanence)
+        kind, permanence, coordinates = placement
+        getrandbits = rng.getrandbits
+        die = _draw_below(getrandbits, *self._die_bound)
+        bank = self._sample_bank()
+        return FaultSpec(
+            kind,
+            permanence,
+            die,
+            bank,
+            *[_draw_below(getrandbits, *bound) for bound in coordinates],
+        )
 
     def _sample_fault(self) -> Fault:
         return self._sample_spec().build(self.geometry)
-
-    def _sample_die(self) -> int:
-        num_dies = (
-            self.geometry.total_dies
-            if self.rates.include_metadata_die
-            else self.geometry.data_dies
-        )
-        return self.rng.randrange(num_dies)
 
     def _sample_bank(self) -> int:
         """Bank placement for a die-local fault.
 
         Uniform here; :class:`ThermalFaultInjector` reweights it by the
-        per-bank thermal multipliers.  The call consumes exactly one
-        ``randrange`` draw either way.
+        per-bank thermal multipliers.
         """
-        return self.rng.randrange(self.geometry.banks_per_die)
+        return _draw_below(self.rng.getrandbits, *self._bank_bound)
 
-    def _sample_dram_spec(
-        self, kind: FaultKind, permanence: Permanence
-    ) -> FaultSpec:
-        geometry, rng = self.geometry, self.rng
-        die = self._sample_die()
-        bank = self._sample_bank()
+    def _placement(
+        self, entry: _RateEntry
+    ) -> Optional[Tuple[FaultKind, Permanence, Tuple[Tuple[int, int], ...]]]:
+        """What a fault drawn from ``entry`` becomes: its kind, permanence
+        and the bounds of its ``a``/``b`` placement draws (see
+        :class:`FaultSpec`), drawn after its die and bank.  ``None`` for a
+        TSV entry, whose faults :meth:`_sample_tsv_spec` places."""
+        geometry, kind = self.geometry, entry.kind
+        if kind.is_tsv:
+            return None
+        rows = _bounded(geometry.rows_per_bank)
+        subarrays = _bounded(geometry.subarrays_per_bank)
         if kind is FaultKind.BIT:
-            return FaultSpec(
-                kind,
-                permanence,
-                die,
-                bank,
-                rng.randrange(geometry.rows_per_bank),
-                rng.randrange(geometry.row_bits),
+            coordinates: Tuple[Tuple[int, int], ...] = (
+                rows, _bounded(geometry.row_bits)
             )
-        if kind is FaultKind.WORD:
+        elif kind is FaultKind.WORD:
             words_per_row = max(1, geometry.row_bits // WORD_BITS)
-            return FaultSpec(
-                kind,
-                permanence,
-                die,
-                bank,
-                rng.randrange(geometry.rows_per_bank),
-                rng.randrange(words_per_row),
-            )
-        if kind is FaultKind.COLUMN:
-            return FaultSpec(
-                kind, permanence, die, bank, rng.randrange(geometry.row_bits)
-            )
-        if kind is FaultKind.ROW:
-            return FaultSpec(
-                kind,
-                permanence,
-                die,
-                bank,
-                rng.randrange(geometry.rows_per_bank),
-            )
-        if kind is FaultKind.SUBARRAY:
-            return FaultSpec(
-                kind,
-                permanence,
-                die,
-                bank,
-                rng.randrange(geometry.subarrays_per_bank),
-            )
-        if kind is FaultKind.BANK:
+            coordinates = (rows, _bounded(words_per_row))
+        elif kind is FaultKind.COLUMN:
+            coordinates = (_bounded(geometry.row_bits),)
+        elif kind is FaultKind.ROW:
+            coordinates = (rows,)
+        elif kind is FaultKind.SUBARRAY:
+            coordinates = (subarrays,)
+        elif kind is FaultKind.BANK:
             # Table I's "single bank" rate: transposed to subarray failures
             # unless the 'full' ablation is selected (§II-B, Figure 17).
             if self.rates.bank_fault_granularity == "subarray":
-                return FaultSpec(
-                    FaultKind.SUBARRAY,
-                    permanence,
-                    die,
-                    bank,
-                    rng.randrange(geometry.subarrays_per_bank),
-                )
-            return FaultSpec(kind, permanence, die, bank)
-        raise ConfigurationError(f"unsupported DRAM fault kind: {kind}")
+                return FaultKind.SUBARRAY, entry.permanence, (subarrays,)
+            coordinates = ()
+        else:
+            raise ConfigurationError(f"unsupported DRAM fault kind: {kind}")
+        return kind, entry.permanence, coordinates
 
     def _sample_tsv_spec(self) -> FaultSpec:
         """TSV faults land on a uniformly random TSV of a random channel.
@@ -529,11 +578,10 @@ class FaultInjector:
         The DTSV/ATSV split is proportional to the TSV populations
         (256:24 per channel in the baseline geometry).
         """
-        geometry, rng = self.geometry, self.rng
-        channel = rng.randrange(geometry.channels)
-        num_dtsv = geometry.data_tsvs_per_channel
-        num_atsv = geometry.addr_tsvs_per_channel
-        pick = rng.randrange(num_dtsv + num_atsv)
+        getrandbits = self.rng.getrandbits
+        channel = _draw_below(getrandbits, *self._channel_bound)
+        num_dtsv = self.geometry.data_tsvs_per_channel
+        pick = _draw_below(getrandbits, *self._tsv_bound)
         if pick < num_dtsv:
             return FaultSpec(
                 FaultKind.DATA_TSV, Permanence.PERMANENT, channel, -1, pick
@@ -544,7 +592,7 @@ class FaultInjector:
             channel,
             -1,
             pick - num_dtsv,
-            rng.randrange(2),
+            _draw_below(getrandbits, *_STUCK_VALUE_BOUND),
         )
 
 
@@ -581,6 +629,7 @@ class ThermalFaultInjector(FaultInjector):
             raise ConfigurationError("thermal multipliers must be positive")
         self.multipliers = plan
         self._mean_multiplier = math.fsum(plan) / len(plan)
+        self._bank_pick = _WeightedPick(plan)
         super().__init__(geometry, rates, rng, seed)
 
     def _build_entries(self) -> List[_RateEntry]:
@@ -599,5 +648,4 @@ class ThermalFaultInjector(FaultInjector):
         return entries
 
     def _sample_bank(self) -> int:
-        banks = range(self.geometry.banks_per_die)
-        return self.rng.choices(banks, weights=self.multipliers, k=1)[0]
+        return self._bank_pick.draw(self.rng.random)

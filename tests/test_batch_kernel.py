@@ -16,7 +16,8 @@ both halves of that claim against the scalar reference loop
   simulation of the same trial;
 * the dispatch contract — silent scalar fallback for observability runs,
   the from-scratch oracle, non-naive sampling, kernel-less models and a
-  missing numpy.
+  missing numpy — and the share of a Fig. 18 symbol-code campaign the
+  kernel settles.
 """
 
 import json
@@ -176,8 +177,11 @@ class TestWorkerByteIdentity:
 # Kernel-boundary soundness (hypothesis)
 # ---------------------------------------------------------------------- #
 #: Small coordinate pools force aliasing — the same trick as the
-#: incremental-correction differential.
-DIES = st.integers(0, min(3, GEOM.total_dies - 1))
+#: incremental-correction differential.  The last die is the metadata
+#: die, whose faults only the metadata-die rules judge.
+DIES = st.sampled_from(
+    sorted({*range(min(4, GEOM.total_dies)), GEOM.total_dies - 1})
+)
 BANKS = st.integers(0, min(2, GEOM.banks_per_die - 1))
 ROWS = st.integers(0, 7)
 COLS = st.integers(0, min(127, GEOM.row_bits - 1))
@@ -293,6 +297,38 @@ class TestKernelSoundness:
         assert bool(kernel.survives(batch)[0])
 
 
+class TestSameBankCheckRow:
+    """``ROWS`` reaches a data line's Same Bank check row only for bank 0
+    (the bank fills the check row's top bits), so pin a bank above 0 by
+    hand: a metadata fault on the check row is fatal, one row off is
+    not, and the kernel must agree with the scalar engine both ways."""
+
+    @pytest.mark.parametrize("offset,fatal", [(0, True), (1, False)])
+    def test_metadata_fault_on_check_row(self, offset, fatal):
+        die, bank, row = 1, 5, 42
+        # The checks of 8 data rows share one metadata row, and the check
+        # row's top 3 bits are the data bank.
+        check_row = (bank << (GEOM.row_address_bits - 3)) | (row >> 3)
+        specs = [
+            FaultSpec(FaultKind.BIT, Permanence.PERMANENT, die, bank, row, 7),
+            FaultSpec(
+                FaultKind.BIT, Permanence.PERMANENT, GEOM.total_dies - 1,
+                die, check_row + offset, 300,
+            ),
+        ]
+        times = [100.0, 200.0]
+        config = EngineConfig()
+        sim = LifetimeSimulator(
+            GEOM, RATES, SCHEMES["symbol-same-bank"](GEOM), config, seed=0
+        )
+        faults = [spec.build(GEOM, t) for spec, t in zip(specs, times)]
+        assert (sim._simulate(faults, None, None, None) is not None) is fatal
+        batch = build_single_trial_batch(
+            specs, times, config.scrub_interval_hours
+        )
+        assert bool(sim.model.batch_kernel().survives(batch)[0]) is not fatal
+
+
 # ---------------------------------------------------------------------- #
 # Dispatch contract
 # ---------------------------------------------------------------------- #
@@ -326,6 +362,34 @@ class TestDispatch:
         observed = sim.run(200).to_dict()
         assert observed.pop("metrics") is not None
         assert json.dumps(observed) == doc(self.make_sim().run(200))
+
+    @pytest.mark.parametrize(
+        "scheme",
+        ["symbol-same-bank", "symbol-across-banks", "symbol-across-channels"],
+    )
+    def test_symbol_codes_run_on_the_batch_kernel(self, scheme):
+        sim = self.make_sim(SCHEMES[scheme](GEOM))
+        assert isinstance(make_batch_runner(sim), BatchTrialKernel)
+
+    def test_fig18_symbol_campaign_settles_on_the_fast_path(self):
+        """The Fig. 18 symbol-code point (TSV-Swap 4, TSV FIT 1430):
+        nearly every trial is proven by the kernel, not re-simulated."""
+
+        def make_sim():
+            return LifetimeSimulator(
+                GEOM, RATES, SCHEMES["symbol-across-channels"](GEOM),
+                EngineConfig(tsv_swap_standby=4), seed=18,
+            )
+
+        sim = make_sim()
+        runner = make_batch_runner(sim)
+        result = runner.run(4000, sim.default_min_faults(), None)
+        assert runner.fast_trials + runner.fallback_trials == 4000
+        assert runner.fast_trials >= 0.95 * 4000
+        reference = make_sim()
+        assert doc(result) == doc(
+            reference._run_scalar(4000, reference.default_min_faults(), None)
+        )
 
     def test_kernelless_model_falls_back(self):
         sim = LifetimeSimulator(

@@ -8,9 +8,13 @@ from decimal import Decimal, localcontext
 import pytest
 
 from repro.errors import ConfigurationError, ContractViolation
-from repro.faults.injector import FaultInjector
+from repro.faults.injector import (
+    FaultInjector,
+    FaultSpec,
+    ThermalFaultInjector,
+)
 from repro.faults.rates import FailureRates
-from repro.faults.types import FaultKind, Permanence
+from repro.faults.types import WORD_BITS, FaultKind, Permanence
 from repro.reliability.analytic import AnalyticModel
 from repro.stack.geometry import LIFETIME_HOURS, StackGeometry
 
@@ -263,3 +267,119 @@ class TestPlaceAtGuard:
         faults = inj.sample_kinds(2)
         placed = FaultInjector.place_at(faults, [5.0, 1.0])
         assert [f.time_hours for f in placed] == [1.0, 5.0]
+
+
+# ---------------------------------------------------------------------- #
+# Draw-exact spec sampling
+# ---------------------------------------------------------------------- #
+def reference_spec(inj, rng):
+    """One spec drawn the way the sampler was first written: one
+    ``rng.choices`` over the rate entries, then one ``rng.randrange`` per
+    placement coordinate.  The injector must reproduce these draws
+    exactly, since every pinned result depends on the RNG stream."""
+    geom = inj.geometry
+    weights = [entry.rate_per_hour for entry in inj._entries]
+    entry = rng.choices(inj._entries, weights=weights, k=1)[0]
+    if entry.kind.is_tsv:
+        channel = rng.randrange(geom.channels)
+        num_dtsv = geom.data_tsvs_per_channel
+        pick = rng.randrange(num_dtsv + geom.addr_tsvs_per_channel)
+        if pick < num_dtsv:
+            return FaultSpec(
+                FaultKind.DATA_TSV, Permanence.PERMANENT, channel, -1, pick
+            )
+        return FaultSpec(
+            FaultKind.ADDR_TSV, Permanence.PERMANENT, channel, -1,
+            pick - num_dtsv, rng.randrange(2),
+        )
+    die = rng.randrange(
+        geom.total_dies if inj.rates.include_metadata_die else geom.data_dies
+    )
+    if isinstance(inj, ThermalFaultInjector):
+        banks = range(geom.banks_per_die)
+        bank = rng.choices(banks, weights=inj.multipliers, k=1)[0]
+    else:
+        bank = rng.randrange(geom.banks_per_die)
+    kind, perm = entry.kind, entry.permanence
+    if kind is FaultKind.BIT:
+        coordinates = (
+            rng.randrange(geom.rows_per_bank), rng.randrange(geom.row_bits)
+        )
+    elif kind is FaultKind.WORD:
+        coordinates = (
+            rng.randrange(geom.rows_per_bank),
+            rng.randrange(max(1, geom.row_bits // WORD_BITS)),
+        )
+    elif kind is FaultKind.COLUMN:
+        coordinates = (rng.randrange(geom.row_bits),)
+    elif kind is FaultKind.ROW:
+        coordinates = (rng.randrange(geom.rows_per_bank),)
+    elif kind is FaultKind.SUBARRAY:
+        coordinates = (rng.randrange(geom.subarrays_per_bank),)
+    elif inj.rates.bank_fault_granularity == "subarray":
+        kind = FaultKind.SUBARRAY
+        coordinates = (rng.randrange(geom.subarrays_per_bank),)
+    else:
+        coordinates = ()
+    return FaultSpec(kind, perm, die, bank, *coordinates)
+
+
+#: Name -> injector factory ``(geometry, rng) -> FaultInjector``.
+SAMPLER_CONFIGS = {
+    "paper": lambda g, rng: FaultInjector(
+        g, FailureRates.paper_baseline(), rng
+    ),
+    "paper+tsv": lambda g, rng: FaultInjector(
+        g, FailureRates.paper_baseline(tsv_device_fit=1430.0), rng
+    ),
+    "no-metadata-die": lambda g, rng: FaultInjector(
+        g, FailureRates(include_metadata_die=False, tsv_device_fit=1430.0),
+        rng,
+    ),
+    "full-bank": lambda g, rng: FaultInjector(
+        g, FailureRates.paper_baseline(
+            tsv_device_fit=1430.0, bank_fault_granularity="full"
+        ), rng,
+    ),
+    "thermal": lambda g, rng: ThermalFaultInjector(
+        g, FailureRates.paper_baseline(tsv_device_fit=1430.0), rng,
+        multipliers=tuple(
+            1.0 + 0.5 * (bank % 3) for bank in range(g.banks_per_die)
+        ),
+    ),
+}
+
+
+class TestDrawExactSampling:
+    """``sample_specs`` (and ``sample_kinds``, built on the same sampler)
+    is a faster form of :func:`reference_spec`, never a different one."""
+
+    @pytest.mark.parametrize("config", sorted(SAMPLER_CONFIGS))
+    def test_matches_reference_sampler(self, geom, config):
+        kinds = set()
+        for seed in range(20):
+            inj = SAMPLER_CONFIGS[config](geom, random.Random(seed))
+            reference_rng = random.Random(seed)
+            specs = inj.sample_specs(300)
+            expected = [reference_spec(inj, reference_rng) for _ in range(300)]
+            assert specs == expected, (config, seed)
+            assert inj.rng.getstate() == reference_rng.getstate(), (
+                config, seed
+            )
+            kinds.update(spec.kind for spec in specs)
+        # Every kind the rates can produce was compared, rare ones too.
+        # Table I has no subarray rate: subarray faults are transposed
+        # bank faults, which the 'full' ablation keeps whole.
+        full = inj.rates.bank_fault_granularity == "full"
+        expected_kinds = {
+            FaultKind.BIT, FaultKind.WORD, FaultKind.COLUMN, FaultKind.ROW,
+            FaultKind.BANK if full else FaultKind.SUBARRAY,
+        }
+        if inj.rates.tsv_device_fit > 0:
+            expected_kinds |= {FaultKind.DATA_TSV, FaultKind.ADDR_TSV}
+        assert kinds == expected_kinds
+
+    def test_nonfinite_rates_rejected(self, geom):
+        rates = FailureRates.paper_baseline(tsv_device_fit=math.inf)
+        with pytest.raises(ConfigurationError):
+            FaultInjector(geom, rates)
