@@ -50,12 +50,25 @@ the component's membership signature (frozen set of fault uids) lets
 post-scrub rebuilds reuse outcomes for re-formed components.  Both paths
 report identical verdicts and identical ``parity/*`` counters; reuse is
 surfaced via the volatile ``parity/peel_reuse`` counter.
+
+An arrival finds the components it aliases with through a column-block
+index rather than by testing every live fault.  Every dimension's group
+is keyed by column — ``(row, col)``, ``(die, col)``, ``(bank, col)`` —
+so two faults alias only if their column sets intersect.  A fault whose
+column mask stays inside one aligned ``COL_BLOCK_BITS``-bit block (bit,
+word and column faults) is listed under that block; every other fault
+(row, subarray, bank, TSV) goes in one side list.  A narrow arrival is
+tested against its block-mates and the side list only; a wide one
+against every live fault.  A uid -> component map turns each aliasing
+candidate into the component to merge, and the verdict is a count of
+components with survivors, kept current on merge and rebuild.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
 
 from repro import contracts
 from repro.ecc import batch_kernels
@@ -66,18 +79,34 @@ from repro.faults.types import Fault
 from repro.stack.geometry import StackGeometry
 from repro.telemetry.registry import MetricsRegistry
 
+#: log2 of the column-block width the incremental kernel indexes live
+#: faults by.  Any width is sound; 64 bits is at least ``WORD_BITS``, so
+#: an aligned word — like a bit or a column — lies in one block.
+_COL_BLOCK_SHIFT = 6
+COL_BLOCK_BITS = 1 << _COL_BLOCK_SHIFT
 
-@dataclass
+
+def _col_block(fault: Fault) -> Optional[int]:
+    """The aligned column block holding all of ``fault``'s columns, or
+    None when its column mask spans more than one block."""
+    cols = fault.footprint.cols
+    if cols.mask >> _COL_BLOCK_SHIFT:
+        return None
+    return cols.base >> _COL_BLOCK_SHIFT
+
+
+@dataclass(eq=False)
 class _PeeledComponent:
-    """A connected component of the alias graph with its peel outcome."""
+    """A connected component of the alias graph with its peel outcome.
+
+    Compared and hashed by identity: the kernel keeps its live
+    components as the keys of an insertion-ordered dict.
+    """
 
     members: Tuple[Fault, ...]
     survivors: Tuple[Fault, ...]
     #: metric name -> peel-event count for this component's decode.
     events: Dict[str, int]
-    #: Union of the members' die / bank occupancy (merge pre-filter).
-    dies: Set[int]
-    banks: Set[int]
 
 
 class ParityND(CorrectionModel):
@@ -99,10 +128,7 @@ class ParityND(CorrectionModel):
         self.dimensions = dims
         self._sorted_dims = sorted(dims)
         self.parity_bank = (geometry.data_dies - 1, geometry.banks_per_die - 1)
-        self._inc_components: List[_PeeledComponent] = []
-        self._peel_cache: Dict[
-            FrozenSet[int], Tuple[Tuple[Fault, ...], Dict[str, int]]
-        ] = {}
+        self.begin_trial()
 
     @property
     def name(self) -> str:
@@ -288,24 +314,38 @@ class ParityND(CorrectionModel):
     # Incremental peeling kernel
     # ------------------------------------------------------------------ #
     def begin_trial(self) -> None:
-        self._inc_live = []
-        self._inc_components = []
-        self._peel_cache = {}
+        self._peel_cache: Dict[
+            FrozenSet[int], Tuple[Tuple[Fault, ...], Dict[str, int]]
+        ] = {}
+        self._clear_components()
+
+    def _clear_components(self) -> None:
+        """Empty the live component structure and its index."""
+        #: Live components, in insertion order (keys of an ordered dict).
+        self._inc_components: Dict[_PeeledComponent, None] = {}
+        #: Components that have survivors: the verdict is ``> 0``.
+        self._inc_failing = 0
+        #: fault uid -> the live component it belongs to.
+        self._component_of: Dict[int, _PeeledComponent] = {}
+        #: Column block -> live faults whose columns lie in that block.
+        self._col_blocks: Dict[int, List[Fault]] = {}
+        #: Live faults whose columns span several blocks.
+        self._wide: List[Fault] = []
 
     def observe(self, fault: Fault) -> bool:
         metrics = self.metrics
         if metrics is not None:
             metrics.inc("parity/checks")
-        reused = 0
         if self._is_peeling_fault(fault):
-            self._inc_live.append(fault)
             reused = self._absorb(fault)
         else:
             # Metadata-only fault: the peeled structure is untouched.
             reused = len(self._inc_components)
-        if metrics is not None and reused:
-            metrics.inc("parity/peel_reuse", reused, volatile=True)
-        return self._emit_verdict(metrics)
+        if metrics is not None:
+            if reused:
+                metrics.inc("parity/peel_reuse", reused, volatile=True)
+            self._emit_counters(metrics)
+        return self._inc_failing > 0
 
     def rebuild(self, live: Sequence[Fault]) -> None:
         """Resynchronise the component structure after scrub/DDS edits.
@@ -314,31 +354,31 @@ class ParityND(CorrectionModel):
         loses edges), so each old component is re-partitioned in
         isolation; fully intact components — and split parts whose
         membership signature is in the peel cache — reuse their peel
-        outcome.  DDS re-exposure can also *add* back faults observed
-        earlier in the trial; those merge in exactly like arrivals.
+        outcome.  The surviving components are then re-indexed.  DDS
+        re-exposure can also *add* back faults observed earlier in the
+        trial; those merge in exactly like arrivals.
         """
         data = [f for f in live if self._is_peeling_fault(f)]
         kept = {f.uid for f in data}
-        represented: Set[int] = set()
+        previous = self._inc_components
+        self._clear_components()
         reused = 0
-        next_components: List[_PeeledComponent] = []
-        for comp in self._inc_components:
-            member_uids = [m.uid for m in comp.members]
-            represented.update(u for u in member_uids if u in kept)
-            if all(u in kept for u in member_uids):
-                next_components.append(comp)
+        for comp in previous:
+            if all(m.uid in kept for m in comp.members):
+                self._add_component(comp)
                 reused += 1
                 continue
             remaining = [m for m in comp.members if m.uid in kept]
             for part in self._split_members(remaining):
                 part_comp, cache_hit = self._component_from(part)
-                next_components.append(part_comp)
+                self._add_component(part_comp)
                 if cache_hit:
                     reused += 1
-        self._inc_components = next_components
-        self._inc_live = list(data)
+        for comp in self._inc_components:
+            for member in comp.members:
+                self._index(member)
         for fault in data:
-            if fault.uid not in represented:
+            if fault.uid not in self._component_of:
                 self._absorb(fault)  # DDS re-exposed an earlier arrival
         metrics = self.metrics
         if metrics is not None and reused:
@@ -348,33 +388,47 @@ class ParityND(CorrectionModel):
     def _absorb(self, fault: Fault) -> int:
         """Merge ``fault`` into the component structure; re-peels only the
         merged component.  Returns the number of untouched components."""
-        touched: List[_PeeledComponent] = []
-        untouched: List[_PeeledComponent] = []
-        for comp in self._inc_components:
-            if self._touches(fault, comp):
-                touched.append(comp)
-            else:
-                untouched.append(comp)
-        members = [m for comp in touched for m in comp.members]
-        members.append(fault)
-        members.sort(key=lambda f: f.uid)
+        # Aliasing needs intersecting columns in every dimension, and a
+        # narrow fault's columns lie in its block, so a narrow arrival
+        # can only alias its block-mates and the wide faults.
+        block = _col_block(fault)
+        if block is None:
+            candidates: Iterable[Fault] = itertools.chain(
+                self._wide, *self._col_blocks.values()
+            )
+        else:
+            candidates = itertools.chain(
+                self._col_blocks.get(block, ()), self._wide
+            )
+        touched: Dict[_PeeledComponent, None] = {}
+        for other in candidates:
+            comp = self._component_of[other.uid]
+            if comp not in touched and self._alias_any(fault, other):
+                touched[comp] = None
+        members = [fault]
+        for comp in touched:
+            del self._inc_components[comp]
+            if comp.survivors:
+                self._inc_failing -= 1
+            members.extend(comp.members)
         merged, _ = self._component_from(members)
-        untouched.append(merged)
-        self._inc_components = untouched
-        return len(untouched) - 1
+        self._add_component(merged)
+        self._index(fault)
+        return len(self._inc_components) - 1
 
-    def _touches(self, fault: Fault, comp: _PeeledComponent) -> bool:
-        fp = fault.footprint
-        dims = self.dimensions
-        if 1 not in dims and not (
-            (2 in dims and fp.dies & comp.dies)
-            or (3 in dims and fp.banks & comp.banks)
-        ):
-            # Dims 2/3 alias only within a shared die/bank; without dim 1
-            # (whose (row, col) groups span the whole stack) the component
-            # occupancy rules the merge out without a member scan.
-            return False
-        return any(self._alias_any(fault, member) for member in comp.members)
+    def _add_component(self, comp: _PeeledComponent) -> None:
+        self._inc_components[comp] = None
+        if comp.survivors:
+            self._inc_failing += 1
+        for member in comp.members:
+            self._component_of[member.uid] = comp
+
+    def _index(self, fault: Fault) -> None:
+        block = _col_block(fault)
+        if block is None:
+            self._wide.append(fault)
+        else:
+            self._col_blocks.setdefault(block, []).append(fault)
 
     def _component_from(
         self, members: Sequence[Fault]
@@ -392,17 +446,8 @@ class ParityND(CorrectionModel):
             events = peel_events
             self._peel_cache[signature] = (survivors, events)
             cache_hit = False
-        dies: Set[int] = set()
-        banks: Set[int] = set()
-        for member in ordered:
-            dies.update(member.footprint.dies)
-            banks.update(member.footprint.banks)
         component = _PeeledComponent(
-            members=tuple(ordered),
-            survivors=survivors,
-            events=events,
-            dies=dies,
-            banks=banks,
+            members=tuple(ordered), survivors=survivors, events=events
         )
         return component, cache_hit
 
@@ -428,8 +473,8 @@ class ParityND(CorrectionModel):
             parts.append(sorted(part, key=lambda f: f.uid))
         return parts
 
-    def _emit_verdict(self, metrics: Optional[MetricsRegistry]) -> bool:
-        """Re-emit the standing counters and return the verdict.
+    def _emit_counters(self, metrics: MetricsRegistry) -> None:
+        """Re-emit the standing ``parity/*`` counters.
 
         The from-scratch path re-counts every peel event of the current
         live set on each ``is_uncorrectable`` call; emitting each
@@ -437,19 +482,14 @@ class ParityND(CorrectionModel):
         counters identical call-for-call.
         """
         survivor_kinds: List[str] = []
-        uncorrectable = False
         for comp in self._inc_components:
-            if metrics is not None:
-                for event_name, count in comp.events.items():
-                    metrics.inc(event_name, count)
-            if comp.survivors:
-                uncorrectable = True
-                survivor_kinds.extend(f.kind.value for f in comp.survivors)
-        if metrics is not None and uncorrectable:
+            for event_name, count in comp.events.items():
+                metrics.inc(event_name, count)
+            survivor_kinds.extend(f.kind.value for f in comp.survivors)
+        if self._inc_failing:
             metrics.inc("parity/uncorrectable")
             cause = "+".join(sorted(survivor_kinds))
             metrics.inc(f"parity/uncorrectable_cause/{cause}")
-        return uncorrectable
 
 
 class ParityPeelBatchKernel(batch_kernels.BatchCorrectionKernel):

@@ -16,7 +16,8 @@ from repro.core.datapath import CitadelDatapath
 from repro.core.parity3dp import make_1dp, make_3dp
 from repro.ecc.base import FromScratch
 from repro.faults.injector import FaultInjector
-from repro.faults.rates import FailureRates
+from repro.faults.rates import TABLE_I_8GB_FIT, TSV_FIT_HIGH, FailureRates
+from repro.faults.types import FaultKind
 from repro.reliability.montecarlo import EngineConfig, LifetimeSimulator
 from repro.reliability.parallel import ParallelLifetimeRunner, ReliabilityWork
 from repro.rng import DEFAULT_SEED, derive_seed, make_rng
@@ -150,30 +151,49 @@ class TestParallelRunnerDeterminism:
         assert runner.run(trials=800) != self.run_parallel(geom, workers=1)
 
 
+def stress_rates():
+    """Table I rates with the bit/word FITs x1000, as in
+    ``benchmarks/bench_engine_hotpath.py``: about 150 faults per trial,
+    nearly all of them correctable."""
+    die_fit = {
+        kind: (
+            (transient * 1000, permanent * 1000)
+            if kind in (FaultKind.BIT, FaultKind.WORD)
+            else (transient, permanent)
+        )
+        for kind, (transient, permanent) in TABLE_I_8GB_FIT.items()
+    }
+    return FailureRates(die_fit=die_fit, tsv_device_fit=TSV_FIT_HIGH)
+
+
 class TestIncrementalCorrectionInvisible:
     """Incremental correction is a pure performance path: results —
     counts, failure times, metrics snapshot — must be byte-identical to
     the from-scratch oracle (:class:`FromScratch`)."""
 
-    def run_citadel(self, geom, workers, incremental):
+    def run_citadel(
+        self, geom, workers, incremental, rates=None, trials=600,
+        shard_size=150, **cfg,
+    ):
         model = make_3dp(geom)
         runner = ParallelLifetimeRunner(
             ReliabilityWork(
                 geom,
-                FailureRates.paper_baseline(tsv_device_fit=1430.0),
+                rates or FailureRates.paper_baseline(tsv_device_fit=1430.0),
                 model if incremental else FromScratch(model),
                 EngineConfig(
                     tsv_swap_standby=4,
                     use_dds=True,
                     collect_metrics=True,
                     collect_failure_modes=True,
+                    **cfg,
                 ),
             ),
             root_seed=302,
             workers=workers,
-            shard_size=150,
+            shard_size=shard_size,
         )
-        return runner.run(trials=600)
+        return runner.run(trials=trials)
 
     def test_serial_engine_flag_invisible(self, geom):
         fast = run_monte_carlo(geom, seed=42, collect_metrics=True)
@@ -189,6 +209,26 @@ class TestIncrementalCorrectionInvisible:
         reference = self.run_citadel(geom, workers=1, incremental=False)
         for workers in (1, 4):
             fast = self.run_citadel(geom, workers=workers, incremental=True)
+            assert fast == reference
+            assert fast.metrics == reference.metrics
+
+    def test_stress_rates_flag_invisible_any_worker_count(self, geom):
+        """Stress rates and a scrub every quarter lifetime: trials carry
+        over 100 faults, so the 3DP kernel's column index and component
+        map hold many faults and every scrub re-indexes them."""
+        stress = dict(
+            rates=stress_rates(), trials=8, shard_size=2,
+            scrub_interval_hours=15330.0,
+        )
+        reference = self.run_citadel(
+            geom, workers=1, incremental=False, **stress
+        )
+        assert reference.metrics.counter("engine/faults_sampled") > 100 * 8
+        assert reference.metrics.counter("engine/scrub_passes") > 0
+        for workers in (1, 4):
+            fast = self.run_citadel(
+                geom, workers=workers, incremental=True, **stress
+            )
             assert fast == reference
             assert fast.metrics == reference.metrics
 

@@ -9,12 +9,15 @@ banks and rows so that pair predicates, occupancy indexes and the 3DP
 peel cache are all exercised, not just the lone-fault fast paths.
 """
 
+import itertools
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.parity3dp import ParityND, make_3dp
+from repro.core.parity3dp import COL_BLOCK_BITS, ParityND, make_3dp
 from repro.faults.types import (
+    WORD_BITS,
     Permanence,
     make_addr_tsv_fault,
     make_bank_fault,
@@ -78,6 +81,143 @@ def crowded_faults(draw):
 
 FAULT_SEQS = st.lists(crowded_faults(), min_size=0, max_size=7)
 
+#: Both sides of every block edge of the 3DP kernel's column index.
+BLOCK_EDGE_COLS = [
+    edge + side
+    for edge in range(COL_BLOCK_BITS, GEOM.row_bits, COL_BLOCK_BITS)
+    for side in (-1, 0)
+]
+ROW_COLS = st.one_of(
+    st.integers(0, GEOM.row_bits - 1), st.sampled_from(BLOCK_EDGE_COLS)
+)
+
+
+@st.composite
+def cross_block_seqs(draw):
+    """Fault sequences spread over the whole row width.
+
+    ``crowded_faults`` keeps every column in the first two blocks of the
+    3DP column index.  Here a few anchor columns are drawn anywhere in a
+    row or next to a block edge, and each fault lands on an anchor or
+    one column beside it: faults share far-apart blocks, or sit just
+    across an edge.  Some sequences also carry a data-TSV fault, whose
+    columns span every block, arriving after the first narrow faults.
+    """
+    anchors = draw(st.lists(ROW_COLS, min_size=1, max_size=3))
+    seq = []
+    for _ in range(draw(st.integers(0, 6))):
+        kind = draw(
+            st.sampled_from(["bit", "word", "column", "row", "subarray"])
+        )
+        die, bank, row, perm = draw(DIES), draw(BANKS), draw(ROWS), draw(PERM)
+        col = draw(st.sampled_from(anchors)) + draw(st.integers(-1, 1))
+        col = min(max(col, 0), GEOM.row_bits - 1)
+        if kind == "bit":
+            seq.append(make_bit_fault(GEOM, die, bank, row, col, perm))
+        elif kind == "word":
+            seq.append(
+                make_word_fault(GEOM, die, bank, row, col // WORD_BITS, perm)
+            )
+        elif kind == "column":
+            seq.append(make_column_fault(GEOM, die, bank, col, perm))
+        elif kind == "row":
+            seq.append(make_row_fault(GEOM, die, bank, row, perm))
+        else:
+            sub = draw(st.integers(0, 1))
+            seq.append(make_subarray_fault(GEOM, die, bank, sub, perm))
+    if draw(st.booleans()):
+        tsv = draw(st.sampled_from(anchors)) % GEOM.data_tsvs_per_channel
+        at = draw(st.integers(len(seq) // 2, len(seq)))
+        seq.insert(at, make_data_tsv_fault(GEOM, draw(DIES), tsv))
+    return seq
+
+
+KEEP_MASKS = st.lists(st.booleans(), min_size=7, max_size=7)
+
+
+def check_prefix_verdicts(factory, seq):
+    incremental = factory(GEOM)
+    reference = factory(GEOM)
+    incremental.begin_trial()
+    live = []
+    for fault in seq:
+        live.append(fault)
+        assert incremental.observe(fault) == reference.is_uncorrectable(
+            live
+        ), f"{incremental.name} diverged at prefix length {len(live)}"
+
+
+def check_rebuild_with_subset(factory, seq, keep_mask):
+    """Scrub path: drop a random subset, then keep observing.
+
+    Mirrors the engine: every fault handed to ``rebuild`` was observed
+    earlier (scrubs remove transients / DDS spares, and re-exposure only
+    ever returns previously observed faults).
+    """
+    if len(seq) < 2:
+        return
+    split = len(seq) // 2
+    head, tail = seq[:split], seq[split:]
+
+    incremental = factory(GEOM)
+    incremental.begin_trial()
+    for fault in head:
+        incremental.observe(fault)
+    survivors = [f for f, keep in zip(head, keep_mask) if keep]
+    incremental.rebuild(survivors)
+
+    reference = factory(GEOM)
+    live = list(survivors)
+    for fault in tail:
+        live.append(fault)
+        assert incremental.observe(fault) == reference.is_uncorrectable(
+            live
+        ), f"{incremental.name} diverged after rebuild at size {len(live)}"
+
+
+def check_rebuild_with_reexposed(factory, seq, keep_mask):
+    """DDS re-exposure: a second rebuild re-adds previously dropped
+    faults, so ``rebuild`` must also handle additions."""
+    if len(seq) < 2:
+        return
+    incremental = factory(GEOM)
+    incremental.begin_trial()
+    for fault in seq:
+        incremental.observe(fault)
+    survivors = [f for f, keep in zip(seq, keep_mask) if keep]
+    incremental.rebuild(survivors)
+    # Re-expose everything that was dropped (all observed earlier).
+    incremental.rebuild(list(seq))
+
+    reference = factory(GEOM)
+    probe = make_bit_fault(GEOM, 0, 0, 0, 0, Permanence.TRANSIENT)
+    assert incremental.observe(probe) == reference.is_uncorrectable(
+        list(seq) + [probe]
+    )
+
+
+def check_peel_event_streams(factory, seq):
+    """The ``parity/*`` counters of ``observe`` after each arrival equal
+    those of ``is_uncorrectable`` on each prefix."""
+    model = factory(GEOM)
+    assert isinstance(model, ParityND)
+    model.metrics = MetricsRegistry()
+    model.begin_trial()
+    for fault in seq:
+        model.observe(fault)
+
+    reference = factory(GEOM)
+    reference.metrics = MetricsRegistry()
+    live = []
+    for fault in seq:
+        live.append(fault)
+        reference.is_uncorrectable(live)
+
+    assert (
+        model.metrics.deterministic_snapshot()
+        == reference.metrics.deterministic_snapshot()
+    )
+
 
 @pytest.mark.parametrize("scheme", sorted(SCHEMES))
 class TestObserveMatchesFromScratch:
@@ -86,65 +226,73 @@ class TestObserveMatchesFromScratch:
     @settings(max_examples=30, deadline=None)
     @given(seq=FAULT_SEQS)
     def test_prefix_verdicts_identical(self, scheme, seq):
-        incremental = SCHEMES[scheme](GEOM)
-        reference = SCHEMES[scheme](GEOM)
-        incremental.begin_trial()
-        live = []
-        for fault in seq:
-            live.append(fault)
-            assert incremental.observe(fault) == reference.is_uncorrectable(
-                live
-            ), f"{scheme} diverged at prefix length {len(live)}"
+        check_prefix_verdicts(SCHEMES[scheme], seq)
 
     @settings(max_examples=30, deadline=None)
-    @given(seq=FAULT_SEQS, keep_mask=st.lists(st.booleans(), min_size=7, max_size=7))
+    @given(seq=FAULT_SEQS, keep_mask=KEEP_MASKS)
     def test_rebuild_with_subset_then_observe(self, scheme, seq, keep_mask):
-        """Scrub path: drop a random subset, then keep observing.
-
-        Mirrors the engine: every fault handed to ``rebuild`` was observed
-        earlier (scrubs remove transients / DDS spares, and re-exposure
-        only ever returns previously observed faults).
-        """
-        if len(seq) < 2:
-            return
-        split = len(seq) // 2
-        head, tail = seq[:split], seq[split:]
-
-        incremental = SCHEMES[scheme](GEOM)
-        incremental.begin_trial()
-        for fault in head:
-            incremental.observe(fault)
-        survivors = [f for f, keep in zip(head, keep_mask) if keep]
-        incremental.rebuild(survivors)
-
-        reference = SCHEMES[scheme](GEOM)
-        live = list(survivors)
-        for fault in tail:
-            live.append(fault)
-            assert incremental.observe(fault) == reference.is_uncorrectable(
-                live
-            ), f"{scheme} diverged after rebuild at live size {len(live)}"
+        check_rebuild_with_subset(SCHEMES[scheme], seq, keep_mask)
 
     @settings(max_examples=20, deadline=None)
-    @given(seq=FAULT_SEQS, keep_mask=st.lists(st.booleans(), min_size=7, max_size=7))
+    @given(seq=FAULT_SEQS, keep_mask=KEEP_MASKS)
     def test_rebuild_with_reexposed_faults(self, scheme, seq, keep_mask):
-        """DDS re-exposure: a second rebuild re-adds previously dropped
-        faults, so ``rebuild`` must also handle additions."""
-        if len(seq) < 2:
-            return
-        incremental = SCHEMES[scheme](GEOM)
-        incremental.begin_trial()
-        for fault in seq:
-            incremental.observe(fault)
-        survivors = [f for f, keep in zip(seq, keep_mask) if keep]
-        incremental.rebuild(survivors)
-        # Re-expose everything that was dropped (all observed earlier).
-        incremental.rebuild(list(seq))
+        check_rebuild_with_reexposed(SCHEMES[scheme], seq, keep_mask)
 
-        reference = SCHEMES[scheme](GEOM)
-        probe = make_bit_fault(GEOM, 0, 0, 0, 0, Permanence.TRANSIENT)
-        assert incremental.observe(probe) == reference.is_uncorrectable(
-            list(seq) + [probe]
+
+#: Every non-empty subset of {1, 2, 3}.  ``SCHEMES`` registers only {1},
+#: {1, 2} and {1, 2, 3}, so no scheme runs ``ParityND`` without dimension 1.
+DIMENSION_SUBSETS = [
+    frozenset(dims)
+    for size in (1, 2, 3)
+    for dims in itertools.combinations((1, 2, 3), size)
+]
+
+#: Fault pools for the ``ParityND`` differentials.
+PARITY_SEQS = {"crowded": FAULT_SEQS, "cross_block": cross_block_seqs()}
+
+
+@pytest.mark.parametrize("pool", sorted(PARITY_SEQS))
+@pytest.mark.parametrize(
+    "dims",
+    DIMENSION_SUBSETS,
+    ids=lambda dims: "dims" + "".join(str(d) for d in sorted(dims)),
+)
+class TestParityNDDimensionSubsets:
+    """The incremental peel equals the from-scratch peel for every
+    dimension subset, on crowded and on row-wide fault pools."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(data=st.data())
+    def test_prefix_verdicts_identical(self, dims, pool, data):
+        check_prefix_verdicts(
+            lambda g: ParityND(g, dims), data.draw(PARITY_SEQS[pool])
+        )
+
+    @settings(max_examples=30, deadline=None)
+    @given(data=st.data(), keep_mask=KEEP_MASKS)
+    def test_rebuild_with_subset_then_observe(
+        self, dims, pool, data, keep_mask
+    ):
+        check_rebuild_with_subset(
+            lambda g: ParityND(g, dims),
+            data.draw(PARITY_SEQS[pool]),
+            keep_mask,
+        )
+
+    @settings(max_examples=20, deadline=None)
+    @given(data=st.data(), keep_mask=KEEP_MASKS)
+    def test_rebuild_with_reexposed_faults(self, dims, pool, data, keep_mask):
+        check_rebuild_with_reexposed(
+            lambda g: ParityND(g, dims),
+            data.draw(PARITY_SEQS[pool]),
+            keep_mask,
+        )
+
+    @settings(max_examples=25, deadline=None)
+    @given(data=st.data())
+    def test_peel_event_streams_identical(self, dims, pool, data):
+        check_peel_event_streams(
+            lambda g: ParityND(g, dims), data.draw(PARITY_SEQS[pool])
         )
 
 
@@ -156,24 +304,7 @@ class TestParityPeelMetrics:
     @settings(max_examples=25, deadline=None)
     @given(seq=FAULT_SEQS)
     def test_peel_event_streams_identical(self, seq):
-        model = make_3dp(GEOM)
-        assert isinstance(model, ParityND)
-        model.metrics = MetricsRegistry()
-        model.begin_trial()
-        for fault in seq:
-            model.observe(fault)
-
-        reference = make_3dp(GEOM)
-        reference.metrics = MetricsRegistry()
-        live = []
-        for fault in seq:
-            live.append(fault)
-            reference.is_uncorrectable(live)
-
-        assert (
-            model.metrics.deterministic_snapshot()
-            == reference.metrics.deterministic_snapshot()
-        )
+        check_peel_event_streams(make_3dp, seq)
 
     def test_peel_reuse_counter_is_volatile(self):
         model = make_3dp(GEOM)
