@@ -1,7 +1,6 @@
 """Performance and power substrate: DRAM timing simulation, LLC parity
 caching, Micron-style power accounting."""
 
-from repro.perf.bank import BankState, ChannelState
 from repro.perf.llc import LRUCache
 from repro.perf.power import EnergyCounters, PowerModel, PowerParams
 from repro.perf.system import PerfConfig, PerfResult, SystemSimulator
@@ -12,8 +11,6 @@ from repro.perf.timing import (
 )
 
 __all__ = [
-    "BankState",
-    "ChannelState",
     "LRUCache",
     "EnergyCounters",
     "PowerModel",

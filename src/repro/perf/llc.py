@@ -7,12 +7,17 @@ on-chip XOR, on a miss the parity line is fetched from the parity bank
 the spatial locality of the writeback stream versus the eviction pressure
 of demand misses — so this model is a real set-associative LRU cache fed
 by both demand lines and parity lines.
+
+Keys are any hashables; a set is chosen by ``hash(key) % num_sets``.
+The performance simulator keys lines by integer address, so its cache is
+physically indexed (``hash`` of a non-negative int below 2**61 - 1 is
+the int itself) and picks the same sets in every process.
 """
 
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import Hashable, List, Optional
+from typing import Dict, Hashable, Optional
 
 from repro.errors import ConfigurationError
 from repro.telemetry.registry import MetricsRegistry
@@ -31,7 +36,8 @@ class LRUCache:
             raise ConfigurationError("num_sets and ways must be positive")
         self.num_sets = num_sets
         self.ways = ways
-        self._sets: List[OrderedDict] = [OrderedDict() for _ in range(num_sets)]
+        #: Set index -> its lines in LRU order; a set exists once touched.
+        self._sets: Dict[int, OrderedDict] = {}
         self.hits = 0
         self.misses = 0
         self.evictions = 0
@@ -45,14 +51,14 @@ class LRUCache:
         return cls(num_sets=lines // ways, ways=ways)
 
     # ------------------------------------------------------------------ #
-    def _set_for(self, key: Hashable) -> OrderedDict:
-        return self._sets[hash(key) % self.num_sets]
-
     def access(self, key: Hashable) -> bool:
         """Touch ``key``; returns True on hit.  Misses insert the line
         (LRU eviction)."""
-        cache_set = self._set_for(key)
-        if key in cache_set:
+        index = hash(key) % self.num_sets
+        cache_set = self._sets.get(index)
+        if cache_set is None:
+            cache_set = self._sets[index] = OrderedDict()
+        elif key in cache_set:
             cache_set.move_to_end(key)
             self.hits += 1
             return True
@@ -64,7 +70,8 @@ class LRUCache:
         return False
 
     def contains(self, key: Hashable) -> bool:
-        return key in self._set_for(key)
+        cache_set = self._sets.get(hash(key) % self.num_sets)
+        return cache_set is not None and key in cache_set
 
     @property
     def hit_rate(self) -> float:
@@ -85,8 +92,7 @@ class LRUCache:
         recency order) would give the next run a warmed-up hit rate.
         """
         self.reset_stats()
-        for cache_set in self._sets:
-            cache_set.clear()
+        self._sets.clear()
 
     def record_metrics(
         self, registry: Optional[MetricsRegistry], prefix: str = "llc"

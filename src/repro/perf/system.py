@@ -2,38 +2,58 @@
 
 8 cores with limited memory-level parallelism share the stacked-memory
 channels; requests are expanded according to the striping policy and
-served FCFS against open-page bank state machines and per-channel data
-buses.  The 3DP overlay adds, per writeback: a read-before-write (the XOR
-delta of Figure 12), a parity-line lookup in the LLC and — on a miss —
-a parity fetch from (and eventual writeback to) the parity bank.
+served FCFS (in arrival order — a conservative stand-in for FR-FCFS)
+against open-page bank state machines and per-channel data buses.  The
+3DP overlay adds, per writeback: a read-before-write (the XOR delta of
+Figure 12), a parity-line lookup in the LLC and — on a miss — a parity
+fetch from (and eventual writeback to) the parity bank.
 
 Outputs: execution time (max over cores), event counters for the power
 model, row-buffer and parity-cache statistics.
 
+A run compiles each request once into a flat record: its gap, its LLC
+key, its bank fan-out grouped by channel (from
+:func:`~repro.stack.striping.sub_accesses`, the one striping rule) and,
+for a 3DP writeback, the same for its parity line.  The service loop then
+replays the records against flat per-bank and per-channel integer state.
+The LLC is physically indexed: a demand line's key is its line address,
+a parity line's key lies past the line address space, and both are
+plain ints, so set selection is the same in every process.
+
 A per-request perturbation hook lets the replay co-simulation engine
 (``repro.replay``) inject protection traffic — scrub reads, DDS copy
 traffic, TSV-Swap mux delay, degraded-bank correction latency — into the
-service loop.  With no hook installed the simulation takes exactly the
-pre-hook code path, so aggregate results stay byte-identical.
+service loop.  A run without a hook perturbs nothing.
 """
 
 from __future__ import annotations
 
 import heapq
+import operator
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro import contracts
 from repro.errors import ConfigurationError
-from repro.perf.bank import ChannelState
 from repro.perf.llc import DEFAULT_LLC_CAPACITY_BYTES, DEFAULT_LLC_WAYS, LRUCache
 from repro.perf.power import EnergyCounters
 from repro.perf.timing import DRAMTimings
-from repro.stack.address import LineLocation
+from repro.stack.address import AddressMapper, LineLocation
 from repro.stack.geometry import StackGeometry
 from repro.stack.striping import StripingPolicy, sub_accesses
 from repro.telemetry.registry import MetricsRegistry
-from repro.workloads.trace import Trace
+from repro.workloads.trace import MemoryRequest, Trace
+
+#: A line access's bank fan-out: ``(channel, global bank ids)`` per
+#: channel it occupies, in first-touch order.
+_Groups = Tuple[Tuple[int, Tuple[int, ...]], ...]
+#: One compiled line access: (LLC key, row, fan-out, bytes, banks).
+_Line = Tuple[int, int, _Groups, int, int]
+#: One compiled request: (gap, is_write, LLC key, row, fan-out, bytes,
+#: banks, dim-1 parity line of a 3DP writeback or None, the request).
+_Record = Tuple[
+    int, bool, int, int, _Groups, int, int, Optional[_Line], MemoryRequest
+]
 
 
 @dataclass(frozen=True)
@@ -146,7 +166,14 @@ class PerfResult:
 
 
 class SystemSimulator:
-    """Event-ordered FCFS simulation of the full memory system."""
+    """Event-ordered FCFS simulation of the full memory system.
+
+    :meth:`run` compiles its traces into a plan once and replays it from
+    flat integer state; the plan is reused for as long as the simulator
+    is handed the same :class:`Trace` objects (traces are immutable), so
+    a baseline run and every perturbed rerun of it share one
+    compilation.
+    """
 
     def __init__(
         self,
@@ -154,98 +181,239 @@ class SystemSimulator:
         config: PerfConfig,
         timings: DRAMTimings = DRAMTimings(),
         metrics: Optional[MetricsRegistry] = None,
-        hook: Optional[RequestHook] = None,
     ) -> None:
         self.geometry = geometry
         self.config = config
         self.timings = timings
-        #: Per-request perturbation source (replay co-simulation); when
-        #: ``None`` the service loop is exactly the unhooked code path.
-        self.hook = hook
         #: Observability hook: after every :meth:`run`, the run's event
         #: counters (``perf/``) and LLC statistics (``llc/``) are added
         #: to this registry.  Purely a mirror of :class:`PerfResult` —
         #: the simulation itself never reads it.
         self.metrics = metrics
+        self._mapper = AddressMapper(geometry, config.stacks)
+        #: The traces :attr:`_plan` was compiled from, held so that their
+        #: identities stay valid, and the plan: one record list per core.
+        self._compiled: Tuple[Trace, ...] = ()
+        self._plan: List[List[_Record]] = []
 
     # ------------------------------------------------------------------ #
-    def run(self, traces: Sequence[Trace]) -> PerfResult:
+    def run(
+        self, traces: Sequence[Trace], hook: Optional[RequestHook] = None
+    ) -> PerfResult:
+        """Simulate ``traces`` (one per core) from an idle memory system.
+
+        ``hook`` is the per-request perturbation source of the replay
+        co-simulation; with ``None`` no request is perturbed.
+        """
         if not traces:
             raise ConfigurationError("need at least one core trace")
-        geometry, config = self.geometry, self.config
-        channels = [
-            ChannelState(self.timings, geometry.banks_per_die)
-            for _ in range(config.stacks * geometry.channels)
-        ]
+        plan = self._plan_for(traces)
+        geometry, config, timings = self.geometry, self.config, self.timings
         llc = LRUCache(
             num_sets=config.llc_capacity_bytes
             // geometry.line_bytes
             // config.llc_ways,
             ways=config.llc_ways,
         )
-        result = PerfResult(label=config.label(), exec_cycles=0,
-                            counters=EnergyCounters())
+        llc_access = llc.access
+        caching = config.parity_caching
+
+        # Flat bank and bus state, indexed by global bank id
+        # (``channel * banks_per_die + bank``) and by channel.  Rows are
+        # non-negative, so -1 marks a closed row buffer.
+        total_channels = config.stacks * geometry.channels
+        num_banks = total_channels * geometry.banks_per_die
+        open_row = [-1] * num_banks
+        busy_until = [0] * num_banks
+        activations = [0] * num_banks
+        bus_free_at = [0] * total_channels
+        t_hit = timings.row_hit_latency
+        t_rp, t_ras, t_wtr, t_burst = (
+            timings.tRP, timings.tRAS, timings.tWTR, timings.tBURST
+        )
+        t_act_to_data = timings.tRCD + timings.tCAS
+
+        def access(at: int, row: int, groups: _Groups, is_write: bool) -> int:
+            """Reserve one line access's banks, then one bus slot per
+            channel; returns the cycle its last transfer ends.
+
+            Sub-accesses within one channel gang onto a single bus burst
+            (the banks drive disjoint TSV subsets of the same beats,
+            §V-A), so an Across-Banks access costs one bus slot on one
+            channel while an Across-Channels access costs one slot on
+            every channel.  Each bank is open-page: a row hit costs tCAS;
+            a miss precharges, activates and holds the row for tRAS; a
+            write adds the tWTR turnaround.
+            """
+            completion = at
+            for channel, banks in groups:
+                ready = 0
+                for bank in banks:
+                    start = busy_until[bank]
+                    if start < at:
+                        start = at
+                    if open_row[bank] == row:
+                        data_at = free_at = start + t_hit
+                    else:
+                        activations[bank] += 1
+                        open_row[bank] = row
+                        act_at = start + t_rp
+                        data_at = act_at + t_act_to_data
+                        free_at = act_at + t_ras
+                        if free_at < data_at:
+                            free_at = data_at
+                    busy_until[bank] = free_at + t_wtr if is_write else free_at
+                    if data_at > ready:
+                        ready = data_at
+                start = bus_free_at[channel]
+                if start < ready:
+                    start = ready
+                end = bus_free_at[channel] = start + t_burst
+                if end > completion:
+                    completion = end
+            return completion
+
+        # The PerfResult counters, kept in locals until the end of the run.
+        # Every bank access is a row hit or a row miss, and every miss
+        # activates, so row hits are bank accesses minus activations.
+        demand_reads = demand_writes = rbw_reads = 0
+        parity_lookups = parity_hits = parity_fetches = 0
+        read_bytes = write_bytes = bank_accesses = 0
+        extra_reads = extra_writes = perturb_delay = 0
 
         # Per-core cursors: (next_issue_time, core_id) on a heap.
-        positions = [0] * len(traces)
-        outstanding: List[List[int]] = [[] for _ in traces]
-        clocks = [0] * len(traces)
-        finish = [0] * len(traces)
-        heap: List[Tuple[int, int]] = []
-        for cid, trace in enumerate(traces):
-            if len(trace):
-                clocks[cid] = trace.requests[0].gap_cycles
-                heapq.heappush(heap, (clocks[cid], cid))
+        cores = len(plan)
+        lengths = [len(records) for records in plan]
+        windows = [trace.mlp or config.mlp_per_core for trace in traces]
+        positions = [0] * cores
+        outstanding: List[List[int]] = [[] for _ in range(cores)]
+        finish = [0] * cores
+        heap = [
+            (records[0][0], cid) for cid, records in enumerate(plan) if records
+        ]
+        heapq.heapify(heap)
+        heappop, heappush = heapq.heappop, heapq.heappush
 
+        on_request = hook.on_request if hook is not None else None
         served = 0
         while heap:
-            now, cid = heapq.heappop(heap)
-            trace = traces[cid]
-            request = trace.requests[positions[cid]]
+            now, cid = heappop(heap)
+            records = plan[cid]
+            position = positions[cid]
+            (_, is_write, key, row, groups, nbytes, nbanks, parity,
+             request) = records[position]
             issue = now
-            if self.hook is not None:
-                effect = self.hook.on_request(served, request, now)
+            if on_request is not None:
+                effect = on_request(served, request, now)
                 if effect is not None:
-                    for home, is_write in effect.extra_accesses:
-                        self._memory_access(home, now, is_write, channels, result)
-                        if is_write:
-                            result.extra_writes += 1
+                    # Injected traffic is expanded when it is served.
+                    for home, extra_write in effect.extra_accesses:
+                        _, x_row, x_groups, x_bytes, x_banks = self._line(home)
+                        access(now, x_row, x_groups, extra_write)
+                        bank_accesses += x_banks
+                        if extra_write:
+                            write_bytes += x_bytes
+                            extra_writes += 1
                         else:
-                            result.extra_reads += 1
+                            read_bytes += x_bytes
+                            extra_reads += 1
                     issue = now + effect.delay_cycles
-                    result.perturb_delay_cycles += effect.delay_cycles
+                    perturb_delay += effect.delay_cycles
             served += 1
-            completion = self._serve(request, issue, channels, llc, result)
-            finish[cid] = max(finish[cid], completion)
+            # Demand lines occupy (and pressure) the LLC.
+            llc_access(key)
+            if parity is None:
+                completion = access(issue, row, groups, is_write)
+                bank_accesses += nbanks
+                if is_write:
+                    demand_writes += 1
+                    write_bytes += nbytes
+                else:
+                    demand_reads += 1
+                    read_bytes += nbytes
+            else:
+                # A 3DP writeback (Figure 12): read-before-write for the
+                # XOR delta, the write itself, then the dim-1 parity
+                # update, which does not delay the request's completion.
+                completion = access(issue, row, groups, False)
+                completion = access(completion, row, groups, True)
+                demand_writes += 1
+                rbw_reads += 1
+                read_bytes += nbytes
+                write_bytes += nbytes
+                bank_accesses += 2 * nbanks
+                parity_lookups += 1
+                p_key, p_row, p_groups, p_bytes, p_banks = parity
+                if caching and llc_access(p_key):
+                    parity_hits += 1  # on-chip XOR update, no memory traffic
+                else:
+                    if caching:
+                        # Miss: fetch the parity line into the LLC; the
+                        # dirty line's eventual writeback is charged now.
+                        access(completion, p_row, p_groups, False)
+                        access(completion, p_row, p_groups, True)
+                    else:
+                        # No caching: read-modify-write it in memory.
+                        done = access(completion, p_row, p_groups, False)
+                        access(done, p_row, p_groups, True)
+                    parity_fetches += 1
+                    read_bytes += p_bytes
+                    write_bytes += p_bytes
+                    bank_accesses += 2 * p_banks
+            if completion > finish[cid]:
+                finish[cid] = completion
             # Writebacks also hold a window slot: evictions are produced by
             # the same miss stream, so a stalled core stops emitting them
             # (keeps the request loop closed under saturation).
-            heapq.heappush(outstanding[cid], completion)
-            positions[cid] += 1
-            if positions[cid] >= len(trace):
-                continue
-            next_time = now + trace.requests[positions[cid]].gap_cycles
             pending = outstanding[cid]
-            window = trace.mlp if trace.mlp else self.config.mlp_per_core
+            heappush(pending, completion)
+            position += 1
+            positions[cid] = position
+            if position >= lengths[cid]:
+                continue
+            next_time = now + records[position][0]
             # Retire completions that happened by then.
             while pending and pending[0] <= next_time:
-                heapq.heappop(pending)
+                heappop(pending)
             # Window full: stall until the oldest miss returns.
+            window = windows[cid]
             while len(pending) >= window:
-                next_time = max(next_time, heapq.heappop(pending))
-            heapq.heappush(heap, (next_time, cid))
+                oldest = heappop(pending)
+                if oldest > next_time:
+                    next_time = oldest
+            heappush(heap, (next_time, cid))
 
-        result.core_finish_cycles = finish
-        result.exec_cycles = max(finish) if finish else 0
-        for channel in channels:
-            result.bank_activations.append(
-                [bank.activations for bank in channel.banks]
-            )
-            for bank in channel.banks:
-                result.counters.activations += bank.activations
-                result.row_hits += bank.row_hits
-                result.row_misses += bank.row_misses
-        result.counters.exec_cycles = result.exec_cycles
+        banks_per_die = geometry.banks_per_die
+        row_misses = sum(activations)
+        exec_cycles = max(finish)
+        result = PerfResult(
+            label=config.label(),
+            exec_cycles=exec_cycles,
+            counters=EnergyCounters(
+                activations=row_misses,
+                read_bytes=read_bytes,
+                write_bytes=write_bytes,
+                exec_cycles=exec_cycles,
+            ),
+            demand_reads=demand_reads,
+            demand_writes=demand_writes,
+            rbw_reads=rbw_reads,
+            parity_fetches=parity_fetches,
+            # Every fetched parity line is written back.
+            parity_writebacks=parity_fetches,
+            parity_lookups=parity_lookups,
+            parity_hits=parity_hits,
+            row_hits=bank_accesses - row_misses,
+            row_misses=row_misses,
+            core_finish_cycles=finish,
+            extra_reads=extra_reads,
+            extra_writes=extra_writes,
+            perturb_delay_cycles=perturb_delay,
+            bank_activations=[
+                activations[base:base + banks_per_die]
+                for base in range(0, num_banks, banks_per_die)
+            ],
+        )
         self._record_metrics(result, llc)
         return result
 
@@ -272,71 +440,61 @@ class SystemSimulator:
             registry.inc("perf/perturb_delay_cycles", result.perturb_delay_cycles)
 
     # ------------------------------------------------------------------ #
-    def _serve(
-        self,
-        request,
-        now: int,
-        channels: List[ChannelState],
-        llc: LRUCache,
-        result: PerfResult,
-    ) -> int:
-        """Serve one demand request; returns its completion cycle."""
-        config = self.config
-        # Demand lines occupy (and pressure) the LLC.
-        llc.access(("demand", request.home))
-        if request.is_write:
-            result.demand_writes += 1
-        else:
-            result.demand_reads += 1
+    def _plan_for(self, traces: Sequence[Trace]) -> List[List[_Record]]:
+        """The compiled plan of ``traces``, compiled on first sight."""
+        if len(traces) != len(self._compiled) or not all(
+            map(operator.is_, traces, self._compiled)
+        ):
+            self._plan = [
+                [self._compile(request) for request in trace.requests]
+                for trace in traces
+            ]
+            self._compiled = tuple(traces)
+        return self._plan
 
-        completion = now
-        if config.parity_protection and request.is_write:
-            # Read-before-write: obtain old data for the XOR delta.
-            completion = self._memory_access(
-                request.home, now, is_write=False, channels=channels,
-                result=result,
+    def _compile(self, request: MemoryRequest) -> _Record:
+        """One request's record: everything its service needs but time."""
+        home = request.home
+        key, row, groups, nbytes, nbanks = self._line(home)
+        parity: Optional[_Line] = None
+        if request.is_write and self.config.parity_protection:
+            parity = (self._parity_key(home),) + self._line(
+                self._parity_home(home)
+            )[1:]
+        return (request.gap_cycles, request.is_write, key, row, groups,
+                nbytes, nbanks, parity, request)
+
+    def _line(self, home: LineLocation) -> _Line:
+        """One line access: its address, which is also its LLC key (range
+        checked), and its bank fan-out under the striping policy."""
+        key = self._mapper.to_address(home)
+        banks_per_die = self.geometry.banks_per_die
+        by_channel: Dict[int, List[int]] = {}
+        nbytes = 0
+        subs = sub_accesses(self.config.striping, self.geometry, home)
+        for sub in subs:
+            by_channel.setdefault(sub.channel, []).append(
+                sub.channel * banks_per_die + sub.bank
             )
-            result.rbw_reads += 1
-        completion = self._memory_access(
-            request.home, completion, is_write=request.is_write,
-            channels=channels, result=result,
+            nbytes += sub.bytes
+        # Striping spreads a line over banks or channels, never over rows.
+        groups = tuple(
+            (channel, tuple(banks)) for channel, banks in by_channel.items()
         )
-        if config.parity_protection and request.is_write:
-            self._update_parity(request.home, completion, channels, llc, result)
-        return completion
+        return key, home.row, groups, nbytes, len(subs)
 
-    def _memory_access(
-        self,
-        home: LineLocation,
-        at: int,
-        is_write: bool,
-        channels: List[ChannelState],
-        result: PerfResult,
-    ) -> int:
-        """Expand per the striping policy and reserve banks + buses.
+    def _parity_key(self, home: LineLocation) -> int:
+        """LLC key of the dim-1 parity line of ``home``'s group.
 
-        Sub-accesses within one channel gang onto a single bus burst (the
-        banks drive disjoint TSV subsets of the same beats, §V-A), so an
-        Across-Banks access costs one bus slot on one channel while an
-        Across-Channels access costs one slot on every channel.
+        Parity keys sit just past the line address space, one per (row,
+        slot) group, so they never collide with a demand line.
         """
-        completion = at
-        per_channel_data: Dict[int, int] = {}
-        for sub in sub_accesses(self.config.striping, self.geometry, home):
-            bank = channels[sub.channel].banks[sub.bank]
-            data_at = bank.access(at, sub.row, is_write)
-            prev = per_channel_data.get(sub.channel, 0)
-            per_channel_data[sub.channel] = max(prev, data_at)
-            if is_write:
-                result.counters.write_bytes += sub.bytes
-            else:
-                result.counters.read_bytes += sub.bytes
-        for channel_id, data_at in per_channel_data.items():
-            done = channels[channel_id].reserve_bus(data_at)
-            completion = max(completion, done)
-        return completion
+        return (
+            self._mapper.num_lines
+            + home.row * self.geometry.lines_per_row
+            + home.slot
+        )
 
-    # ------------------------------------------------------------------ #
     def _parity_home(self, home: LineLocation) -> LineLocation:
         """Physical home of the dim-1 parity line for this group.
 
@@ -352,33 +510,3 @@ class SystemSimulator:
             row=home.row,
             slot=home.slot,
         )
-
-    def _update_parity(
-        self,
-        home: LineLocation,
-        at: int,
-        channels: List[ChannelState],
-        llc: LRUCache,
-        result: PerfResult,
-    ) -> None:
-        """Dim-1 parity update for a writeback (Figure 12)."""
-        result.parity_lookups += 1
-        group = ("parity", home.row, home.slot)
-        if self.config.parity_caching:
-            if llc.access(group):
-                result.parity_hits += 1
-                return  # on-chip XOR update, no memory traffic
-            # Miss: fetch the parity line, install in LLC; a dirty parity
-            # line is eventually written back — account for it now.
-            parity_home = self._parity_home(home)
-            self._memory_access(parity_home, at, False, channels, result)
-            result.parity_fetches += 1
-            self._memory_access(parity_home, at, True, channels, result)
-            result.parity_writebacks += 1
-            return
-        # No caching: read-modify-write the parity line in memory.
-        parity_home = self._parity_home(home)
-        done = self._memory_access(parity_home, at, False, channels, result)
-        result.parity_fetches += 1
-        self._memory_access(parity_home, done, True, channels, result)
-        result.parity_writebacks += 1

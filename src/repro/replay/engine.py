@@ -147,7 +147,10 @@ class ReplayEngine:
         replay = self.replay_config
         traces = self.build_traces(trace_seed)
         total_requests = sum(len(trace) for trace in traces)
-        baseline = SystemSimulator(self.geometry, self.perf_config).run(traces)
+        # One simulator per shard: the baseline and every trial replay the
+        # same traces, so they share one compiled plan.
+        simulator = SystemSimulator(self.geometry, self.perf_config)
+        baseline = simulator.run(traces)
         baseline_energy = self.power.active_energy_nj(baseline.counters)
 
         engine_config = self.engine_config
@@ -203,9 +206,7 @@ class ReplayEngine:
                 expected_weight,
             )
             hook = ReplayPerturbation(timeline, self.geometry, total_requests)
-            perf = SystemSimulator(
-                self.geometry, self.perf_config, hook=hook
-            ).run(traces)
+            perf = simulator.run(traces, hook=hook)
             energy = self.power.active_energy_nj(perf.counters)
 
             result.trials += 1

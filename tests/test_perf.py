@@ -1,17 +1,30 @@
 """Tests for the performance/power substrate: bank timing, LLC, power
-accounting and the system simulator's qualitative behaviors."""
+accounting and the system simulator's qualitative behaviors, plus the
+differential against the object-based reference loop
+(``perf_reference.py``)."""
+
+import json
+import os
+import subprocess
+import sys
+from dataclasses import asdict
+from pathlib import Path
 
 import pytest
 
+import repro
+from perf_reference import BankState, ChannelState, ReferenceSimulator
 from repro.errors import ConfigurationError
-from repro.perf.bank import BankState, ChannelState
 from repro.perf.llc import LRUCache
 from repro.perf.power import EnergyCounters, PowerModel, PowerParams
 from repro.perf.system import PerfConfig, SystemSimulator
 from repro.perf.timing import DRAMTimings
+from repro.replay.perturb import ReplayPerturbation
+from repro.replay.timeline import FaultTimeline, TimelineEvent
 from repro.stack.address import LineLocation
 from repro.stack.geometry import StackGeometry
 from repro.stack.striping import StripingPolicy
+from repro.workloads.generator import rate_mode_traces
 from repro.workloads.trace import MemoryRequest, Trace
 
 
@@ -298,3 +311,205 @@ class TestPerfEdgeCases:
         c.reset_stats()
         assert c.access("a")  # still resident: only counters were zeroed
         assert c.hits == 1 and c.misses == 0
+
+
+# ---------------------------------------------------------------------- #
+# LLC determinism across processes
+# ---------------------------------------------------------------------- #
+_HASH_SEED_SCRIPT = """
+import json
+from dataclasses import asdict
+from repro.perf.system import PerfConfig, SystemSimulator
+from repro.stack.geometry import StackGeometry
+from repro.workloads.generator import rate_mode_traces
+
+geometry = StackGeometry()
+traces = rate_mode_traces(
+    "zipfian", geometry, cores=4, requests_per_core=1024, seed=0
+)
+config = PerfConfig(
+    parity_protection=True, parity_caching=True, llc_capacity_bytes=1 << 10
+)
+result = SystemSimulator(geometry, config).run(traces)
+print(json.dumps(asdict(result), sort_keys=True))
+"""
+
+
+def _run_under_hash_seed(seed: str) -> dict:
+    src = str(Path(repro.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONHASHSEED=seed)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", _HASH_SEED_SCRIPT],
+        capture_output=True, text=True, env=env, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout)
+
+
+class TestHashSeedIndependence:
+    def test_overflowing_llc_gives_same_answer_in_every_process(self):
+        """A 1 KB LLC has two sets, so set selection decides every
+        eviction; the integer line keys make it independent of
+        ``PYTHONHASHSEED``."""
+        first = _run_under_hash_seed("0")
+        assert first["parity_lookups"] > first["parity_hits"] > 0
+        assert _run_under_hash_seed("1") == first
+
+
+# ---------------------------------------------------------------------- #
+# Differential: compiled plan + flat state vs the object-based loop
+# ---------------------------------------------------------------------- #
+#: (lifetime hours, events): one of each perturbation kind, spread over
+#: the trace, including a transient fault for the scrub to clear and an
+#: unabsorbed TSV fault that degrades a whole channel.
+_LIFETIME = 100.0
+_EVENTS = (
+    TimelineEvent(seq=0, time_hours=5.0, kind="fault", fault_kind="row",
+                  dies=(0,), banks=(1,), detail="transient"),
+    TimelineEvent(seq=1, time_hours=10.0, kind="fault", fault_kind="bank",
+                  dies=(1,), banks=(3,), detail="permanent"),
+    TimelineEvent(seq=2, time_hours=20.0, kind="tsv_swap",
+                  fault_kind="data_tsv", channel=2),
+    TimelineEvent(seq=3, time_hours=30.0, kind="fault",
+                  fault_kind="data_tsv", channel=5, detail="permanent"),
+    TimelineEvent(seq=4, time_hours=40.0, kind="scrub", dropped=1),
+    TimelineEvent(seq=5, time_hours=60.0, kind="dds_remap",
+                  fault_kind="bank", dies=(1,), banks=(3,), detail="bank"),
+    TimelineEvent(seq=6, time_hours=75.0, kind="scrub"),
+    TimelineEvent(seq=7, time_hours=90.0, kind="dds_remap", fault_kind="row",
+                  dies=(0,), banks=(6,), detail="row"),
+)
+
+
+def _hook(geometry, traces):
+    """A fresh perturbation (hooks are stateful) over the hand-built
+    timeline."""
+    timeline = FaultTimeline(
+        lifetime_hours=_LIFETIME, events=_EVENTS, weight=1.0,
+        num_faults=3, failed=False, failure_time_hours=None,
+    )
+    return ReplayPerturbation(
+        timeline, geometry, sum(len(trace) for trace in traces)
+    )
+
+
+def _both(geometry, config, traces, hooked, timings=T):
+    """``asdict`` of the compiled run and of the reference run."""
+    compiled = SystemSimulator(geometry, config, timings).run(
+        traces, hook=_hook(geometry, traces) if hooked else None
+    )
+    reference = ReferenceSimulator(geometry, config, timings).run(
+        traces, hook=_hook(geometry, traces) if hooked else None
+    )
+    return asdict(compiled), asdict(reference)
+
+
+@pytest.fixture(scope="module")
+def grid_traces():
+    geometry = StackGeometry()
+    return {
+        name: rate_mode_traces(
+            name, geometry, cores=2, requests_per_core=300, seed=11
+        )
+        for name in ("zipfian", "bursty", "mcf")
+    }
+
+
+_PARITY_MODES = {
+    "no-parity": dict(parity_protection=False),
+    "3dp-cached": dict(parity_protection=True, parity_caching=True),
+    "3dp-uncached": dict(parity_protection=True, parity_caching=False),
+}
+
+
+class TestCompiledMatchesReference:
+    @pytest.mark.parametrize("hooked", [False, True], ids=["plain", "hooked"])
+    @pytest.mark.parametrize("llc_bytes", [8 << 20, 1 << 10],
+                             ids=["llc-8MB", "llc-1KB"])
+    @pytest.mark.parametrize("parity", sorted(_PARITY_MODES))
+    @pytest.mark.parametrize("striping", list(StripingPolicy),
+                             ids=lambda policy: policy.value)
+    def test_grid(self, geom, grid_traces, striping, parity, llc_bytes,
+                  hooked):
+        config = PerfConfig(
+            striping=striping, llc_capacity_bytes=llc_bytes,
+            **_PARITY_MODES[parity],
+        )
+        for name, traces in grid_traces.items():
+            compiled, reference = _both(geom, config, traces, hooked)
+            assert compiled == reference, name
+
+    @pytest.mark.parametrize("hooked", [False, True], ids=["plain", "hooked"])
+    def test_mlp_zero_takes_the_config_window(self, geom, grid_traces,
+                                              hooked):
+        zipf, mcf = grid_traces["zipfian"][0], grid_traces["mcf"][1]
+        traces = [Trace(name="mlp0", requests=zipf.requests, mlp=0), mcf]
+        config = PerfConfig(parity_protection=True, mlp_per_core=2)
+        compiled, reference = _both(geom, config, traces, hooked)
+        assert compiled == reference
+
+    @pytest.mark.parametrize("hooked", [False, True], ids=["plain", "hooked"])
+    def test_zero_length_trace_beside_a_busy_one(self, geom, grid_traces,
+                                                 hooked):
+        traces = [Trace(name="empty", requests=(), mlp=4),
+                  grid_traces["bursty"][0]]
+        config = PerfConfig(parity_protection=True, parity_caching=False)
+        compiled, reference = _both(geom, config, traces, hooked)
+        assert compiled == reference
+        assert compiled["core_finish_cycles"][0] == 0
+
+    @pytest.mark.parametrize("striping", list(StripingPolicy),
+                             ids=lambda policy: policy.value)
+    def test_one_stack(self, geom, striping):
+        traces = rate_mode_traces(
+            "zipfian", geom, cores=2, requests_per_core=300, seed=5, stacks=1
+        )
+        config = PerfConfig(striping=striping, parity_protection=True,
+                            llc_capacity_bytes=1 << 10, stacks=1)
+        for hooked in (False, True):
+            compiled, reference = _both(geom, config, traces, hooked)
+            assert compiled == reference
+            assert len(compiled["bank_activations"]) == geom.channels
+
+    @pytest.mark.parametrize("striping", list(StripingPolicy),
+                             ids=lambda policy: policy.value)
+    def test_other_timings(self, geom, grid_traces, striping):
+        """tRAS below tRCD + tCAS (data, not tRAS, frees the bank) and a
+        two-cycle burst."""
+        timings = DRAMTimings(tWTR=3, tCAS=11, tRCD=10, tRP=4, tRAS=12,
+                              tBURST=2)
+        config = PerfConfig(striping=striping, parity_protection=True)
+        for hooked in (False, True):
+            compiled, reference = _both(
+                geom, config, grid_traces["mcf"], hooked, timings
+            )
+            assert compiled == reference
+
+    def test_reused_simulator_matches_a_fresh_one(self, geom, grid_traces):
+        """One simulator keeps its compiled plan while it is handed the
+        same traces and recompiles when they change."""
+        config = PerfConfig(parity_protection=True,
+                            llc_capacity_bytes=1 << 10)
+        a, b = grid_traces["zipfian"], grid_traces["mcf"]
+        simulator = SystemSimulator(geom, config)
+        for traces, hooked in ((a, False), (b, False), (a, False),
+                               (a, True)):
+            hook = _hook(geom, traces) if hooked else None
+            reused = simulator.run(traces, hook=hook)
+            fresh = SystemSimulator(geom, config).run(
+                traces, hook=_hook(geom, traces) if hooked else None
+            )
+            assert asdict(reused) == asdict(fresh)
+
+    def test_hook_changes_the_answer(self, geom, grid_traces):
+        """The hooked grid is not vacuous: the timeline perturbs."""
+        traces = grid_traces["mcf"]
+        config = PerfConfig(parity_protection=True)
+        plain, _ = _both(geom, config, traces, hooked=False)
+        hooked, _ = _both(geom, config, traces, hooked=True)
+        assert hooked["extra_reads"] > 0 and hooked["extra_writes"] > 0
+        assert hooked["perturb_delay_cycles"] > 0
+        assert hooked["exec_cycles"] >= plain["exec_cycles"]
