@@ -493,21 +493,35 @@ class ParityND(CorrectionModel):
 
 
 class ParityPeelBatchKernel(batch_kernels.BatchCorrectionKernel):
-    """Array-shaped round-one peelability check for :class:`ParityND`.
+    """Array-shaped peel of :class:`ParityND` over possibly-co-live faults.
 
-    A trial is proven correctable when *every* peeling fault has at least
-    one enabled dimension in which it neither self-aliases nor aliases
-    with any possibly-co-live peeling fault: then every live subset peels
-    completely in its first round (peeling evaluates each fault against
-    the round's starting set, and both the self- and pair-alias
-    predicates are monotone under subsets), so no prefix of the trial is
-    ever uncorrectable.  Trials needing multi-round peeling — or
-    containing unswapped TSV faults, which self-alias everywhere — come
-    back ``False`` and re-run on the exact scalar peeler.
+    The kernel peels every trial of a chunk to a fixed point, in arrays,
+    following the paper's decode order (dimensions 2 and 3 clear the
+    small faults, then dimension 1 a concurrent column or bank failure).
+    Each round, a still-unpeeled peeling fault peels when some enabled
+    dimension has no self-alias and no alias with any still-unpeeled
+    possibly-co-live peeling fault; the rounds stop when one peels
+    nothing.  A trial is proven correctable when every peeling fault has
+    peeled.
 
-    Metadata-die faults are excluded exactly like ``unpeelable`` excludes
-    them (they are DDS bookkeeping, not peeling work).
+    Soundness is by induction on rounds.  Say fault ``g`` peeled through
+    dimension ``d`` in array round ``r``, and take any real live set
+    holding ``g``.  Every alias partner of ``g`` in ``d`` there is
+    co-live with ``g``, so it peeled in an earlier array round and, by
+    induction, the scalar peel of that live set removes it by round
+    ``r - 1``; the scalar peel then removes ``g`` by round ``r``.  A
+    trial holding a fault the array peel never clears (an unswapped TSV
+    fault self-aliases everywhere) comes back ``False`` and re-runs on
+    the exact scalar peeler.
+
+    Only pairs of :meth:`TrialBatch.pairs` at ``COL_BLOCK_BITS`` are
+    seen: every dimension's group contains the column, so faults whose
+    column sets cannot meet never alias.  Metadata-die faults are
+    excluded exactly like ``unpeelable`` excludes them (they are DDS
+    bookkeeping, not peeling work).
     """
+
+    col_block_bits = COL_BLOCK_BITS
 
     def __init__(self, geometry: StackGeometry, dims: Sequence[int]) -> None:
         self.geometry = geometry
@@ -516,17 +530,37 @@ class ParityPeelBatchKernel(batch_kernels.BatchCorrectionKernel):
     def survives(self, batch: "batch_kernels.TrialBatch") -> "np.ndarray":
         geometry = self.geometry
         multi_bank = geometry.banks_per_die > 1
+        n_faults = batch.n_faults
         # All sampled faults touch a single die; ``die`` is the channel
         # (== die) for TSV faults, so the metadata-die filter is uniform.
         peeling = batch.die < geometry.data_dies
-        first, second, colive = batch.pairs()
+        first, second, colive = batch.pairs(self.col_block_bits)
         consider = colive & peeling[first] & peeling[second]
-        ok = np.zeros(batch.n_faults, dtype=bool)
-        for dim in self.dims:
-            ok |= ~self._self_alias(batch, dim, multi_bank) & ~self._has_alias(
-                batch, dim, first, second, consider
+        first, second = first[consider], second[consider]
+        # Per enabled dimension: the faults that do not self-alias, and
+        # the pairs that alias.
+        dims = [
+            (
+                ~self._self_alias(batch, dim, multi_bank),
+                self._alias_pairs(batch, dim, first, second),
             )
-        return batch.trials_where_none(peeling & ~ok)
+            for dim in self.dims
+        ]
+        pending = peeling
+        while pending.any():
+            open_pairs = pending[first] & pending[second]
+            peels = np.zeros(n_faults, dtype=bool)
+            for free, alias in dims:
+                hit = alias & open_pairs
+                blocked = np.zeros(n_faults, dtype=bool)
+                blocked[first[hit]] = True
+                blocked[second[hit]] = True
+                peels |= free & ~blocked
+            peels &= pending
+            if not peels.any():
+                break
+            pending = pending & ~peels
+        return batch.trials_where_none(pending)
 
     # -------------------------------------------------------------- #
     def _self_alias(
@@ -539,23 +573,6 @@ class ParityPeelBatchKernel(batch_kernels.BatchCorrectionKernel):
         if dim == 2:
             return spans_rows | spans_banks
         return spans_rows  # dim 3: every sampled fault is single-die
-
-    def _has_alias(
-        self,
-        batch: "batch_kernels.TrialBatch",
-        dim: int,
-        first: "np.ndarray",
-        second: "np.ndarray",
-        consider: "np.ndarray",
-    ) -> "np.ndarray":
-        """Per-fault mask: aliases with some co-live peeling fault in ``dim``."""
-        if not first.size:
-            return np.zeros(batch.n_faults, dtype=bool)
-        alias = self._alias_pairs(batch, dim, first, second) & consider
-        hits = np.bincount(
-            first[alias], minlength=batch.n_faults
-        ) + np.bincount(second[alias], minlength=batch.n_faults)
-        return hits > 0
 
     def _alias_pairs(
         self,

@@ -19,9 +19,19 @@ The soundness argument shared by every kernel:
   within neighbouring scrub epochs (:meth:`TrialBatch.pairs` keeps a
   two-epoch slack over the float-exact boundary arithmetic of
   ``LifetimeSimulator._scrub_epoch_at``, so the mask over-approximates).
-* Every verdict predicate is monotone in the live set (pairwise fatality
-  and round-one peelability both are), so "no predicate fires on the
-  possibly-co-live superset" implies "correctable at every prefix".
+* A kernel judges a trial on its possibly-co-live pairs, and what it
+  proves there holds for every live set drawn from them: pairwise
+  fatality is monotone in the live set, and the 3DP peel's argument is
+  an induction over peel rounds (``ParityPeelBatchKernel``).  So "proven
+  on the possibly-co-live superset" implies "correctable at every
+  prefix".
+* A kernel need not see every pair.  :meth:`TrialBatch.pairs` takes the
+  kernel's column-block width and leaves out the pairs of narrow faults
+  in different aligned column blocks, whose column sets cannot meet.
+  The pairwise kernels pass a width that puts every fault in one block,
+  so they see every intra-trial pair; the 3DP kernel passes
+  ``COL_BLOCK_BITS``, sound because every parity group contains the
+  column.
 
 All set algebra happens on the FaultSim address+mask representation
 (:mod:`repro.faults.footprint`) flattened to int64 columns; the formulas
@@ -35,7 +45,7 @@ path, so no kernel is ever asked to run.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, List, Optional, Tuple
+from typing import TYPE_CHECKING, List, Tuple
 
 try:  # pragma: no cover - numpy is present in the supported environments
     import numpy as np
@@ -57,6 +67,9 @@ else:
 #: ``int(t // interval)`` can round one epoch either way near a boundary,
 #: so two epochs of slack keeps the mask a strict over-approximation.
 COLIVE_EPOCH_SLACK = 2
+
+#: Block of a wide fault in :func:`column_blocks`.
+WIDE = -1
 
 #: Word size of the SECDED code (matches ``repro.ecc.secded._WORD_BITS``).
 _SECDED_WORD_BITS = 64
@@ -108,36 +121,61 @@ class TrialBatch:
         self.col_base = np.asarray(col_base, dtype=np.int64)
         self.col_mask = np.asarray(col_mask, dtype=np.int64)
         self.epoch = np.asarray(epoch, dtype=np.int64)
-        self._pair_cache: Optional[
-            Tuple[ndarray, ndarray, ndarray]
-        ] = None
 
     # ------------------------------------------------------------------ #
-    def pairs(self) -> Tuple[ndarray, ndarray, ndarray]:
-        """All intra-trial ordered fault pairs as index vectors.
+    def pairs(self, col_block_bits: int) -> Tuple[ndarray, ndarray, ndarray]:
+        """The intra-trial fault pairs whose column sets can meet.
 
-        Returns ``(first, second, colive)``: for every trial with ``c``
-        faults, all ``c * (c - 1) / 2`` pairs with ``first`` arriving no
-        later than ``second``, plus the possibly-co-live mask described in
-        the module docstring.
+        Faults are placed by :func:`column_blocks`: a narrow fault pairs
+        with the narrow faults of its trial in the same aligned
+        ``col_block_bits``-column block, and a wide fault with every
+        other fault of its trial.  At a width of ``geometry.row_bits``
+        or more every fault is narrow and in block 0, so every
+        intra-trial pair is returned.
+
+        Returns ``(first, second, colive)``: each pair once, ``first``
+        arriving no later than ``second``, plus the possibly-co-live mask
+        described in the module docstring.
         """
-        if self._pair_cache is None:
-            indices = np.arange(self.n_faults, dtype=np.int64)
-            # Position of each fault within its trial = number of
-            # predecessors it pairs with (as ``second``).
-            local = indices - np.repeat(self.offsets, self.counts)
-            second = np.repeat(indices, local)
-            block_starts = np.cumsum(local) - local
-            n_pairs = int(local.sum())
-            within = np.arange(n_pairs, dtype=np.int64) - np.repeat(
-                block_starts, local
-            )
-            first = np.repeat(indices - local, local) + within
-            colive = self.permanent[first] | (
-                self.epoch[second] <= self.epoch[first] + COLIVE_EPOCH_SLACK
-            )
-            self._pair_cache = (first, second, colive)
-        return self._pair_cache
+        blocks = column_blocks(self.col_base, self.col_mask, col_block_bits)
+        wide = blocks == WIDE
+        # Index of the first fault of each fault's trial.
+        starts = self.offsets[self.trial]
+        # A wide fault pairs with every fault of its trial before it ...
+        wide_idx = np.flatnonzero(wide)
+        before = wide_idx - starts[wide_idx]
+        first_wide = _ranges(starts[wide_idx], before)
+        second_wide = np.repeat(wide_idx, before)
+        # ... a narrow fault with the wide faults of its trial before it
+        # (``wide_before[i]``: wide faults at indices below ``i``) ...
+        narrow_idx = np.flatnonzero(~wide)
+        wide_before = np.concatenate(([0], np.cumsum(wide)))
+        low = wide_before[starts[narrow_idx]]
+        before = wide_before[narrow_idx] - low
+        first_mixed = wide_idx[_ranges(low, before)]
+        second_mixed = np.repeat(narrow_idx, before)
+        # ... and with its block-mates before it: sort the narrow faults
+        # by (trial, block), stably, so each group keeps arrival order.
+        order = narrow_idx[
+            np.lexsort((blocks[narrow_idx], self.trial[narrow_idx]))
+        ]
+        position = np.arange(order.size, dtype=np.int64)
+        group_head = np.ones(order.size, dtype=bool)
+        group_head[1:] = (
+            self.trial[order[1:]] != self.trial[order[:-1]]
+        ) | (blocks[order[1:]] != blocks[order[:-1]])
+        group_start = np.maximum.accumulate(
+            np.where(group_head, position, 0)
+        )
+        before = position - group_start
+        first_mates = order[_ranges(group_start, before)]
+        second_mates = np.repeat(order, before)
+        first = np.concatenate((first_wide, first_mixed, first_mates))
+        second = np.concatenate((second_wide, second_mixed, second_mates))
+        colive = self.permanent[first] | (
+            self.epoch[second] <= self.epoch[first] + COLIVE_EPOCH_SLACK
+        )
+        return first, second, colive
 
     def trials_where_none(self, fault_flag: ndarray) -> ndarray:
         """Per-trial mask: no fault of the trial has ``fault_flag`` set."""
@@ -145,6 +183,51 @@ class TrialBatch:
             self.trial[fault_flag], minlength=self.n_trials
         )
         return hits == 0
+
+
+def column_blocks(
+    col_base: ndarray, col_mask: ndarray, col_block_bits: int
+) -> ndarray:
+    """The aligned ``col_block_bits``-column block holding each fault's
+    columns, or :data:`WIDE` for a fault whose columns span several.
+
+    This is the one rule behind the pair index: :meth:`TrialBatch.pairs`
+    and :func:`candidate_pair_count` both place faults with it.  Two
+    narrow faults in different blocks have disjoint column sets.
+    ``ParityND``'s incremental index places ``Fault`` objects by the
+    same rule.
+    """
+    shift = col_block_bits.bit_length() - 1
+    return np.where(col_mask >> shift == 0, col_base >> shift, WIDE)
+
+
+def candidate_pair_count(
+    col_base: List[int], col_mask: List[int], col_block_bits: int
+) -> int:
+    """How many pairs :meth:`TrialBatch.pairs` indexes for one trial
+    whose faults have these column ``(base, mask)`` forms."""
+    blocks = column_blocks(
+        np.asarray(col_base, dtype=np.int64),
+        np.asarray(col_mask, dtype=np.int64),
+        col_block_bits,
+    )
+    narrow = blocks != WIDE
+    wide = blocks.size - int(np.count_nonzero(narrow))
+    mates = np.bincount(blocks[narrow])
+    return (
+        wide * (blocks.size - wide)
+        + wide * (wide - 1) // 2
+        + int((mates * (mates - 1)).sum()) // 2
+    )
+
+
+def _ranges(starts: ndarray, lengths: ndarray) -> ndarray:
+    """``starts[i] .. starts[i] + lengths[i] - 1`` for every ``i``,
+    concatenated."""
+    ends = np.cumsum(lengths)
+    return np.repeat(starts - (ends - lengths), lengths) + np.arange(
+        ends[-1] if ends.size else 0, dtype=np.int64
+    )
 
 
 # ---------------------------------------------------------------------- #
@@ -241,7 +324,13 @@ class BatchCorrectionKernel:
     skips the scalar simulation), ``False`` sends it to the exact scalar
     path.  The boundary is deliberately data-only (int64/bool columns in,
     bool vector out) so a native backend can implement the same contract.
+
+    ``col_block_bits`` is the column-block width the kernel passes to
+    :meth:`TrialBatch.pairs`; the engine charges each trial the pairs
+    that width indexes against its chunk budget.
     """
+
+    col_block_bits: int
 
     def survives(self, batch: TrialBatch) -> ndarray:
         raise NotImplementedError
@@ -255,14 +344,19 @@ class PairwiseBatchKernel(BatchCorrectionKernel):
     co-live pair is fatal together — the vectorized mirror of
     ``IncrementalPairwiseModel``'s monotone verdict.  Subclasses mirror
     the model's ``_fatal_alone`` and ``_fatal_pair`` hooks rule for rule.
+    Their pair rules need no column overlap (RAID-5 and 2D-ECC fire on a
+    shared row, the Same Bank metadata rule on a check row), so the
+    kernel's one column block spans the whole row: every intra-trial
+    pair.
     """
 
     def __init__(self, geometry: StackGeometry) -> None:
         self.geometry = geometry
+        self.col_block_bits = geometry.row_bits
 
     def survives(self, batch: TrialBatch) -> ndarray:
         ok = batch.trials_where_none(self._fatal_alone(batch))
-        first, second, colive = batch.pairs()
+        first, second, colive = batch.pairs(self.col_block_bits)
         if first.size:
             fatal = self._fatal_pair(batch, first, second) & colive
             pair_bad = np.bincount(

@@ -6,10 +6,14 @@ trials are sampled in chunks (consuming the injector's RNG stream
 draw-for-draw like the scalar loop, so results stay bitwise-identical),
 flattened into :class:`repro.ecc.batch_kernels.TrialBatch` columns, and
 screened by the scheme's array-shaped kernel.  Trials the kernel *proves*
-survive are done — no Python fault objects, no model machinery.  The rest
-(a small minority on Citadel-class configs: genuine failures, TSV-Swap
-overflows, multi-round peels, trials too fault-dense for one array pass)
-are materialised into ``Fault`` objects and re-run through
+survive are done — no Python fault objects, no model machinery.  That
+holds for fault-dense trials too: the 3DP kernel indexes only the pairs
+whose column blocks can meet and peels to a fixed point in arrays, so a
+bit/word-FIT×1000 stress trial of about 150 live faults is screened like
+a paper-rate one.  The rest (a small minority on Citadel-class configs:
+genuine failures, TSV-Swap overflows, peels the kernel cannot finish,
+trials whose indexed pairs alone exceed the chunk budget) are
+materialised into ``Fault`` objects and re-run through
 ``LifetimeSimulator._simulate``, the exact scalar path.
 
 Compatibility rules this module must uphold (and the batch differential
@@ -37,7 +41,12 @@ from collections import Counter
 from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 from repro import contracts
-from repro.ecc.batch_kernels import BatchCorrectionKernel, TrialBatch, np
+from repro.ecc.batch_kernels import (
+    BatchCorrectionKernel,
+    TrialBatch,
+    candidate_pair_count,
+    np,
+)
 from repro.faults.injector import FaultSpec
 from repro.faults.types import FaultKind, Permanence
 from repro.reliability.results import ReliabilityResult
@@ -49,14 +58,16 @@ if TYPE_CHECKING:  # pragma: no cover - annotation-only import
 #: call overhead, small enough to keep the per-chunk Python lists cheap.
 CHUNK_TRIALS = 4096
 
-#: Candidate fault pairs per array pass.  The kernels index every
-#: intra-trial pair, k(k-1)/2 for a trial of k live faults, at about 80
-#: bytes of numpy temporaries per pair, so fault-dense trials (over a
-#: hundred live faults) would make a chunk's pair arrays dominate peak
-#: memory.  A chunk closes before a trial would push it past this budget,
-#: and a trial whose own pairs exceed it runs on the scalar path.
-#: Paper-rate trials carry two or three faults (under 3000 pairs per full
-#: chunk), so there the trial cap binds first.
+#: Candidate fault pairs per array pass, at about 80 bytes of numpy
+#: temporaries per pair.  A trial is charged the pairs its kernel's
+#: ``TrialBatch.pairs`` indexes: the all-pairs bound k(k-1)/2 for k live
+#: faults while that fits the chunk, else the exact count at the
+#: kernel's column-block width (every pair for the pairwise kernels;
+#: about 57 block pairs instead of about 11,700 for a 3DP stress trial
+#: of about 150 live faults).  A chunk closes before a trial would push
+#: it past this budget, and a trial whose own pairs exceed it runs on
+#: the scalar path.  Paper-rate trials carry two or three faults (under
+#: 3000 pairs per full chunk), so there the trial cap binds first.
 CHUNK_PAIRS = 1 << 13
 
 #: Columns of one fault row, in ``TrialBatch`` argument order.
@@ -117,6 +128,7 @@ class BatchTrialKernel:
         rng_uniform = injector.rng.uniform
         permanent_enum = Permanence.PERMANENT
         bank_kind = FaultKind.BANK
+        block_bits = self.kernel.col_block_bits
         expected_weight = (
             injector.prob_at_least(strata_min, lifetime)
             if strata_min > 0
@@ -129,11 +141,12 @@ class BatchTrialKernel:
         # ``FaultInjector.place_at`` — or ``None`` for a trial already
         # simulated, whose failure time (``None``: survived) is in
         # ``decided``.  ``counts`` holds live faults per trial and
-        # ``rows`` one ``TrialBatch`` row per live fault.
+        # ``rows`` the ``TrialBatch`` columns of every live fault, flat,
+        # ``_N_COLUMNS`` values per fault.
         sampled: List[Optional[Tuple[List[FaultSpec], List[float]]]] = []
         decided: Dict[int, Optional[float]] = {}
         counts: List[int] = []
-        rows: List[tuple] = []
+        rows: List[int] = []
         chunk_pairs = 0
         for _ in range(trials):
             count, sampled_weight = injector.sample_count(
@@ -160,13 +173,29 @@ class BatchTrialKernel:
             # overflows; then partial swaps and post-swap DDS behaviour
             # need the scalar controller.
             drop_tsv = standby is not None and True in spec_is_tsv
-            live = count - spec_is_tsv.count(True) if drop_tsv else count
-            pairs = live * (live - 1) // 2
-            scalar = pairs > CHUNK_PAIRS or (
-                drop_tsv and self._tsv_overflows(specs, spec_is_tsv, standby)
+            scalar = drop_tsv and self._tsv_overflows(
+                specs, spec_is_tsv, standby
             )
-            if scalar:
-                pairs = 0
+            pairs = 0
+            if not scalar:
+                live = [
+                    (spec, time_hours, tsv)
+                    for spec, time_hours, tsv in zip(specs, times, spec_is_tsv)
+                    if not (drop_tsv and tsv)
+                ]
+                masks = [spec.footprint_masks(geometry) for spec, _, _ in live]
+                # k(k-1)/2 bounds the pairs the kernel indexes; count them
+                # exactly only when that bound would not fit the chunk.
+                pairs = len(live) * (len(live) - 1) // 2
+                if chunk_pairs + pairs > CHUNK_PAIRS:
+                    pairs = candidate_pair_count(
+                        [col_base for _, _, col_base, _ in masks],
+                        [col_mask for _, _, _, col_mask in masks],
+                        block_bits,
+                    )
+                    if pairs > CHUNK_PAIRS:
+                        scalar = True
+                        pairs = 0
             if (
                 len(counts) == CHUNK_TRIALS
                 or chunk_pairs + pairs > CHUNK_PAIRS
@@ -182,15 +211,12 @@ class BatchTrialKernel:
                 counts.append(0)
                 continue
             sampled.append((specs, times))
-            counts.append(live)
+            counts.append(len(live))
             chunk_pairs += pairs
-            for spec, time_hours, tsv in zip(specs, times, spec_is_tsv):
-                if drop_tsv and tsv:
-                    continue
-                row_base, row_mask, col_base, col_mask = (
-                    spec.footprint_masks(geometry)
-                )
-                rows.append((
+            for (spec, time_hours, tsv), (
+                row_base, row_mask, col_base, col_mask
+            ) in zip(live, masks):
+                rows.extend((
                     spec.permanence is permanent_enum,
                     tsv,
                     spec.kind is bank_kind,
@@ -222,14 +248,14 @@ class BatchTrialKernel:
         sampled: List[Optional[Tuple[List[FaultSpec], List[float]]]],
         decided: Dict[int, Optional[float]],
         counts: List[int],
-        rows: List[tuple],
+        rows: List[int],
         failure_times: List[float],
     ) -> None:
         """Screen one chunk with the kernel, re-run every trial it does
         not prove survivable on the scalar path, and record the chunk's
         failure times in trial order."""
         if len(decided) < len(sampled):
-            columns = list(zip(*rows)) or [()] * _N_COLUMNS
+            columns = np.array(rows, dtype=np.int64).reshape(-1, _N_COLUMNS).T
             survives = self.kernel.survives(
                 TrialBatch(self.sim.geometry, counts, *columns)
             ).tolist()

@@ -12,8 +12,12 @@ both halves of that claim against the scalar reference loop
   under a tiny chunk pair budget, across worker counts, and through
   checkpoint/resume;
 * hypothesis soundness at the kernel boundary — crowded random fault
-  sets where a ``survives`` verdict must match a from-scratch scalar
-  simulation of the same trial;
+  sets, and for 3DP dense sets around column-block edges, where a
+  ``survives`` verdict must match a from-scratch scalar simulation of
+  the same trial — plus the paper's two-round peel by hand;
+* the pair index against a brute-force reference, and its per-trial
+  count against the engine's;
+* a fault-dense stress campaign that the kernel must settle;
 * the dispatch contract — silent scalar fallback for observability runs,
   the from-scratch oracle, non-naive sampling, kernel-less models and a
   missing numpy — and the share of a Fig. 18 symbol-code campaign the
@@ -27,10 +31,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import repro.reliability.batch as batch_mod
-from repro.core.parity3dp import make_3dp
+from repro.core.parity3dp import COL_BLOCK_BITS, ParityND, make_3dp
 from repro.ecc.base import FromScratch
+from repro.ecc.batch_kernels import (
+    COLIVE_EPOCH_SLACK,
+    TrialBatch,
+    candidate_pair_count,
+)
 from repro.faults.injector import FaultSpec
-from repro.faults.rates import FailureRates
+from repro.faults.rates import TABLE_I_8GB_FIT, FailureRates
 from repro.faults.types import FaultKind, Permanence
 from repro.reliability import ParallelLifetimeRunner, ReliabilityWork
 from repro.reliability.batch import BatchTrialKernel, make_batch_runner
@@ -45,6 +54,37 @@ RATES = FailureRates.paper_baseline(tsv_device_fit=1430.0)
 THERMAL = tuple(1.0 + 0.5 * (bank % 3) for bank in range(GEOM.banks_per_die))
 
 np = pytest.importorskip("numpy")
+
+#: The bench's ``hotpath-stress`` set-up: bit and word FIT x1000 and a
+#: scrub every quarter lifetime give about 150 live faults per trial.
+STRESS_SCALE = 1000
+STRESS_SCRUB_HOURS = 15330.0
+
+
+def scaled_rates(kinds):
+    """Table I with the bit and word FITs x1000, keeping only ``kinds``."""
+    die_fit = {}
+    for kind, (transient, permanent) in TABLE_I_8GB_FIT.items():
+        if kind not in kinds:
+            continue
+        if kind in (FaultKind.BIT, FaultKind.WORD):
+            transient, permanent = (
+                transient * STRESS_SCALE, permanent * STRESS_SCALE
+            )
+        die_fit[kind] = (transient, permanent)
+    return FailureRates(die_fit=die_fit, tsv_device_fit=1430.0)
+
+
+def stress_sim(rates, seed):
+    """3DP + TSV-Swap 4 + DDS with quarter-lifetime scrubs."""
+    return LifetimeSimulator(
+        GEOM, rates, make_3dp(GEOM),
+        EngineConfig(
+            tsv_swap_standby=4, use_dds=True,
+            scrub_interval_hours=STRESS_SCRUB_HOURS,
+        ),
+        seed=seed,
+    )
 
 
 def run_once(scheme, seed, batch, trials=300, **config_kwargs):
@@ -91,9 +131,10 @@ class TestBatchMatchesScalar:
         assert doc(scalar) == doc(batch), scheme
 
     def test_identical_under_tiny_pair_budget(self, scheme, monkeypatch):
-        """A one-pair budget holds at most one two-fault trial per chunk
-        and routes every trial of three or more live faults to the scalar
-        path; neither may change a byte."""
+        """A one-pair budget admits a trial to a chunk only while the
+        chunk's indexed pairs stay within one, and sends a trial whose
+        own indexed pairs exceed one to the scalar path at once; neither
+        may change a byte."""
         monkeypatch.setattr(batch_mod, "CHUNK_PAIRS", 1)
         for seed in (7, 99):
             scalar = run_once(scheme, seed, batch=False)
@@ -101,18 +142,37 @@ class TestBatchMatchesScalar:
             assert doc(scalar) == doc(batch), (scheme, seed)
 
 
+def spy_chunks(monkeypatch):
+    """Record each chunk the engine evaluates as ``(indexed, decided,
+    screened)``: the pairs ``TrialBatch.pairs`` returned for it, the
+    trials simulated before it closed, and the live-fault count of each
+    trial it sent to the kernel."""
+    chunks = []
+    indexed = []
+    evaluate = BatchTrialKernel._evaluate
+    pairs = TrialBatch.pairs
+
+    def pairs_spy(self, col_block_bits):
+        result = pairs(self, col_block_bits)
+        indexed.append(result[0].size)
+        return result
+
+    def evaluate_spy(self, sampled, decided, counts, rows, failure_times):
+        indexed.clear()
+        screened = [c for i, c in enumerate(counts) if i not in decided]
+        outcome = evaluate(self, sampled, decided, counts, rows, failure_times)
+        chunks.append((sum(indexed), len(decided), screened))
+        return outcome
+
+    monkeypatch.setattr(TrialBatch, "pairs", pairs_spy)
+    monkeypatch.setattr(BatchTrialKernel, "_evaluate", evaluate_spy)
+    return chunks
+
+
 class TestPairBudget:
     def test_chunks_stay_within_budget(self, monkeypatch):
         monkeypatch.setattr(batch_mod, "CHUNK_PAIRS", 1)
-        chunks = []
-        evaluate = BatchTrialKernel._evaluate
-
-        def spy(self, sampled, decided, counts, rows, failure_times):
-            pairs = sum(c * (c - 1) // 2 for c in counts)
-            chunks.append((pairs, len(decided)))
-            return evaluate(self, sampled, decided, counts, rows, failure_times)
-
-        monkeypatch.setattr(BatchTrialKernel, "_evaluate", spy)
+        chunks = spy_chunks(monkeypatch)
 
         def make_sim():
             return LifetimeSimulator(
@@ -123,12 +183,48 @@ class TestPairBudget:
         runner = make_batch_runner(make_sim())
         result = runner.run(2000, 2, None)
         assert doc(result) == doc(make_sim()._run_scalar(2000, 2, None))
-        assert max(pairs for pairs, _ in chunks) <= 1
+        assert max(indexed for indexed, _, _ in chunks) <= 1
         assert len(chunks) > 1
         # Some trial was over budget and went straight to the scalar path.
-        assert sum(decided for _, decided in chunks) > 0
+        assert sum(decided for _, decided, _ in chunks) > 0
         assert runner.fast_trials > 0
         assert runner.fast_trials + runner.fallback_trials == 2000
+
+    def test_dense_narrow_trials_join_a_chunk(self, monkeypatch):
+        """Over 128 live faults is over the budget in all pairs, but bit,
+        word and column faults pair only with their block-mates, so such
+        a trial is screened by the kernel instead of simulated at once."""
+        chunks = spy_chunks(monkeypatch)
+        rates = scaled_rates(
+            {FaultKind.BIT, FaultKind.WORD, FaultKind.COLUMN}
+        )
+        runner = make_batch_runner(stress_sim(rates, seed=5))
+        result = runner.run(12, 2, None)
+        assert doc(result) == doc(
+            stress_sim(rates, seed=5)._run_scalar(12, 2, None)
+        )
+        screened = [count for _, _, trials in chunks for count in trials]
+        assert max(screened) > 128
+        budget = batch_mod.CHUNK_PAIRS
+        assert max(indexed for indexed, _, _ in chunks) <= budget
+        assert runner.fast_trials > 0
+
+
+class TestStressRates:
+    def test_stress_campaign_settles_on_the_fast_path(self):
+        """The bench's stress rates (about 150 live faults per trial):
+        the batch run equals the scalar reference byte for byte, and the
+        kernel proves nearly every trial instead of re-simulating it."""
+        rates = scaled_rates(set(TABLE_I_8GB_FIT))
+        trials = 30
+        sim = stress_sim(rates, seed=8)
+        runner = make_batch_runner(sim)
+        assert isinstance(runner, BatchTrialKernel)
+        result = runner.run(trials, 2, None)
+        assert runner.fast_trials >= 0.95 * trials
+        scalar = stress_sim(rates, seed=8)._run_scalar(trials, 2, None)
+        assert doc(result) == doc(scalar)
+        assert doc(stress_sim(rates, seed=8).run(trials, 2)) == doc(scalar)
 
 
 class TestWorkerByteIdentity:
@@ -232,69 +328,304 @@ TIME_STRATEGY = st.lists(
     min_size=6, max_size=6,
 )
 
+#: Columns on both sides of three column-block edges.
+EDGE_COLS = st.sampled_from([
+    edge * COL_BLOCK_BITS + offset
+    for edge in (1, 2, 3)
+    for offset in (-2, -1, 0, 1)
+])
+#: The 32-bit words around the same edges (word ``w`` holds columns
+#: ``32w`` to ``32w + 31``).
+EDGE_WORDS = st.integers(1, 6)
+#: Wider pools than the crowded ones, so that dense trials still peel,
+#: often over two or three rounds.
+DENSE_DIES = st.sampled_from([*range(GEOM.data_dies), GEOM.total_dies - 1])
+DENSE_BANKS = st.integers(0, GEOM.banks_per_die - 1)
+DENSE_ROWS = st.integers(0, 255)
+
+
+@st.composite
+def dense_cross_block_specs(draw):
+    """Narrow faults that meet or just miss their block-mates, and the
+    row and subarray faults that meet every one of them."""
+    kind = draw(
+        st.sampled_from(
+            ["bit"] * 4 + ["word"] * 2 + ["column"] * 2 + ["row", "subarray"]
+        )
+    )
+    perm = draw(PERM)
+    die = draw(DENSE_DIES)
+    bank = draw(DENSE_BANKS)
+    if kind == "bit":
+        return FaultSpec(
+            FaultKind.BIT, perm, die, bank, draw(DENSE_ROWS), draw(EDGE_COLS)
+        )
+    if kind == "word":
+        return FaultSpec(
+            FaultKind.WORD, perm, die, bank, draw(DENSE_ROWS),
+            draw(EDGE_WORDS),
+        )
+    if kind == "column":
+        return FaultSpec(
+            FaultKind.COLUMN, perm, die, bank, draw(EDGE_COLS), 0
+        )
+    if kind == "row":
+        return FaultSpec(FaultKind.ROW, perm, die, bank, draw(DENSE_ROWS), 0)
+    sub = draw(st.integers(0, min(1, GEOM.subarrays_per_bank - 1)))
+    return FaultSpec(FaultKind.SUBARRAY, perm, die, bank, sub, 0)
+
+
+DENSE_TRIAL_STRATEGY = st.lists(
+    dense_cross_block_specs(), min_size=8, max_size=40
+)
+DENSE_TIME_STRATEGY = st.lists(
+    st.floats(min_value=0.0, max_value=LIFETIME_HOURS - 1.0,
+              allow_nan=False, allow_infinity=False),
+    min_size=40, max_size=40,
+)
+
 #: Schemes whose models expose an array-shaped kernel.
 KERNEL_SCHEMES = sorted(
     name for name in SCHEMES if SCHEMES[name](GEOM).batch_kernel() is not None
 )
+#: The ``ParityND`` schemes, whose kernel peels in arrays.
+PEEL_SCHEMES = sorted(
+    name
+    for name in KERNEL_SCHEMES
+    if isinstance(SCHEMES[name](GEOM), ParityND)
+)
 
 
-def build_single_trial_batch(specs, times, interval):
-    """Mirror ``BatchTrialKernel._run_chunk``'s column assembly for one
-    trial with no TSV-Swap absorption."""
-    from repro.ecc.batch_kernels import TrialBatch
-
+def build_trial_batch(trials, interval):
+    """Mirror ``BatchTrialKernel.run``'s column assembly for trials of
+    ``(specs, times)`` with no TSV-Swap absorption."""
     columns = {
         "permanent": [], "is_tsv": [], "is_bank_kind": [], "die": [],
         "bank": [], "row_base": [], "row_mask": [], "col_base": [],
         "col_mask": [], "epoch": [],
     }
-    for spec, t in zip(specs, times):
-        rb, rm, cb, cm = spec.footprint_masks(GEOM)
-        columns["permanent"].append(spec.permanence is Permanence.PERMANENT)
-        columns["is_tsv"].append(spec.kind.is_tsv)
-        columns["is_bank_kind"].append(spec.kind is FaultKind.BANK)
-        columns["die"].append(spec.die)
-        columns["bank"].append(spec.bank)
-        columns["row_base"].append(rb)
-        columns["row_mask"].append(rm)
-        columns["col_base"].append(cb)
-        columns["col_mask"].append(cm)
-        columns["epoch"].append(int(t // interval))
-    return TrialBatch(GEOM, [len(specs)], **columns)
+    for specs, times in trials:
+        for spec, t in zip(specs, times):
+            rb, rm, cb, cm = spec.footprint_masks(GEOM)
+            columns["permanent"].append(
+                spec.permanence is Permanence.PERMANENT
+            )
+            columns["is_tsv"].append(spec.kind.is_tsv)
+            columns["is_bank_kind"].append(spec.kind is FaultKind.BANK)
+            columns["die"].append(spec.die)
+            columns["bank"].append(spec.bank)
+            columns["row_base"].append(rb)
+            columns["row_mask"].append(rm)
+            columns["col_base"].append(cb)
+            columns["col_mask"].append(cm)
+            columns["epoch"].append(int(t // interval))
+    return TrialBatch(
+        GEOM, [len(specs) for specs, _ in trials], **columns
+    )
 
 
-@pytest.mark.parametrize("scheme", KERNEL_SCHEMES)
+def build_single_trial_batch(specs, times, interval):
+    return build_trial_batch([(specs, times)], interval)
+
+
+def assert_sound(scheme, specs, raw_times):
+    """A kernel that proves the trial must see the scalar engine agree,
+    with and without DDS."""
+    for use_dds in (False, True):
+        config = EngineConfig(use_dds=use_dds)
+        sim = LifetimeSimulator(
+            GEOM, RATES, SCHEMES[scheme](GEOM), config, seed=0
+        )
+        times = sorted(raw_times[: len(specs)])
+        batch = build_single_trial_batch(
+            specs, times, config.scrub_interval_hours
+        )
+        kernel = sim.model.batch_kernel()
+        verdict = kernel.survives(batch)
+        assert verdict.shape == (1,)
+        if bool(verdict[0]):
+            faults = [spec.build(GEOM, t) for spec, t in zip(specs, times)]
+            assert sim._simulate(faults, None, None, None) is None, (
+                scheme, use_dds, specs, times
+            )
+
+
 class TestKernelSoundness:
     """A ``survives`` verdict must never contradict the scalar engine."""
 
+    @pytest.mark.parametrize("scheme", KERNEL_SCHEMES)
     @settings(max_examples=40, deadline=None)
     @given(specs=TRIAL_STRATEGY, raw_times=TIME_STRATEGY)
     def test_survives_implies_scalar_survival(self, scheme, specs, raw_times):
-        for use_dds in (False, True):
-            config = EngineConfig(use_dds=use_dds)
-            sim = LifetimeSimulator(
-                GEOM, RATES, SCHEMES[scheme](GEOM), config, seed=0
-            )
-            times = sorted(raw_times[: len(specs)])
-            batch = build_single_trial_batch(
-                specs, times, config.scrub_interval_hours
-            )
-            kernel = sim.model.batch_kernel()
-            verdict = kernel.survives(batch)
-            assert verdict.shape == (1,)
-            if bool(verdict[0]):
-                faults = [
-                    spec.build(GEOM, t) for spec, t in zip(specs, times)
-                ]
-                assert sim._simulate(faults, None, None, None) is None, (
-                    scheme, use_dds, specs, times
-                )
+        assert_sound(scheme, specs, raw_times)
 
+    @pytest.mark.parametrize("scheme", PEEL_SCHEMES)
+    @settings(max_examples=40, deadline=None)
+    @given(specs=DENSE_TRIAL_STRATEGY, raw_times=DENSE_TIME_STRATEGY)
+    def test_dense_cross_block_survival_is_sound(
+        self, scheme, specs, raw_times
+    ):
+        """Up to 40 faults around column-block edges: many peel rounds,
+        and pairs the block index must keep or may drop."""
+        assert_sound(scheme, specs, raw_times)
+
+    @pytest.mark.parametrize(
+        "scheme,proven",
+        [("1dp", False), ("2dp", True), ("3dp", True), ("citadel", True)],
+    )
+    def test_two_round_peel(self, scheme, proven):
+        """The paper's decode order (§VI): a column fault at (d0, b0,
+        col c) and a bit fault at (d1, b1, row r, col c) alias in
+        dimension 1.  The bit peels through dimension 2 in round one,
+        then the column through dimension 1 in round two; 1DP has no
+        second dimension and loses both."""
+        col, row = 77, 1234
+        specs = [
+            FaultSpec(FaultKind.COLUMN, Permanence.PERMANENT, 0, 0, col, 0),
+            FaultSpec(FaultKind.BIT, Permanence.PERMANENT, 1, 1, row, col),
+        ]
+        times = [1000.0, 50000.0]
+        config = EngineConfig()
+        sim = LifetimeSimulator(
+            GEOM, RATES, SCHEMES[scheme](GEOM), config, seed=0
+        )
+        faults = [spec.build(GEOM, t) for spec, t in zip(specs, times)]
+        assert (sim._simulate(faults, None, None, None) is None) is proven
+        batch = build_single_trial_batch(
+            specs, times, config.scrub_interval_hours
+        )
+        assert bool(sim.model.batch_kernel().survives(batch)[0]) is proven
+        if proven:
+            survivors, events = sim.model._peel(faults)
+            assert survivors == []
+            assert events["parity/corrected/dim1"] == 1
+            assert events["parity/corrected/dim2"] == 1
+
+    @pytest.mark.parametrize("scheme", KERNEL_SCHEMES)
     def test_empty_trial_survives(self, scheme):
         config = EngineConfig()
         batch = build_single_trial_batch([], [], config.scrub_interval_hours)
         kernel = SCHEMES[scheme](GEOM).batch_kernel()
         assert bool(kernel.survives(batch)[0])
+
+
+# ---------------------------------------------------------------------- #
+# The pair index
+# ---------------------------------------------------------------------- #
+#: Pair-index widths: one column, half a word, the 3DP kernel's block,
+#: a wider block, and the whole row (the pairwise kernels' one block).
+PAIR_WIDTHS = [1, 16, COL_BLOCK_BITS, 1024, GEOM.row_bits]
+#: Block edges near the start, middle and end of a row.
+PAIR_EDGES = st.sampled_from(
+    [edge * COL_BLOCK_BITS for edge in (1, 2, 16, 17)]
+    + [GEOM.row_bits - COL_BLOCK_BITS]
+)
+
+
+@st.composite
+def edge_narrow_specs(draw):
+    """A bit, word or column fault just before or just after a block edge."""
+    kind = draw(st.sampled_from(["bit", "word", "column"]))
+    perm = draw(PERM)
+    die = draw(DIES)
+    bank = draw(BANKS)
+    edge = draw(PAIR_EDGES)
+    if kind == "word":
+        word = edge // 32 + draw(st.integers(-1, 0))
+        return FaultSpec(FaultKind.WORD, perm, die, bank, draw(ROWS), word)
+    col = edge + draw(st.integers(-2, 1))
+    if kind == "bit":
+        return FaultSpec(FaultKind.BIT, perm, die, bank, draw(ROWS), col)
+    return FaultSpec(FaultKind.COLUMN, perm, die, bank, col, 0)
+
+
+#: Crowded specs bring the wide row, subarray, bank and TSV rows.
+PAIR_TRIAL = st.lists(
+    st.one_of(crowded_specs(), edge_narrow_specs()), min_size=0, max_size=10
+)
+
+
+@st.composite
+def pair_batches(draw):
+    """Over 256 trials, mostly empty, with runs of filled neighbours
+    anywhere in the batch: a ``(trial, block)`` grouping that mixes up
+    trials pairs faults across them."""
+    n_trials = draw(st.integers(257, 600))
+    trials = [([], []) for _ in range(n_trials)]
+    for _ in range(draw(st.integers(1, 3))):
+        start = draw(st.integers(0, n_trials - 1))
+        stop = min(start + draw(st.integers(1, 4)), n_trials)
+        for index in range(start, stop):
+            specs = draw(PAIR_TRIAL)
+            times = sorted(
+                draw(
+                    st.lists(
+                        st.floats(0.0, LIFETIME_HOURS - 1.0),
+                        min_size=len(specs), max_size=len(specs),
+                    )
+                )
+            )
+            trials[index] = (specs, times)
+    return trials
+
+
+class TestPairIndex:
+    """``TrialBatch.pairs`` against a brute-force reference."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(trials=pair_batches())
+    def test_pairs_match_the_block_rule(self, trials):
+        interval = EngineConfig().scrub_interval_hours
+        batch = build_trial_batch(trials, interval)
+        masks = [
+            spec.footprint_masks(GEOM) for specs, _ in trials for spec in specs
+        ]
+        for width in PAIR_WIDTHS:
+            shift = width.bit_length() - 1
+            first, second, colive = batch.pairs(width)
+            got = list(zip(first.tolist(), second.tolist()))
+            assert len(got) == len(set(got)), width
+            expected = set()
+            offset = 0
+            for specs, _ in trials:
+                for i in range(offset, offset + len(specs)):
+                    for j in range(i + 1, offset + len(specs)):
+                        _, _, base_i, mask_i = masks[i]
+                        _, _, base_j, mask_j = masks[j]
+                        if (
+                            mask_i >> shift
+                            or mask_j >> shift
+                            or base_i >> shift == base_j >> shift
+                        ):
+                            expected.add((i, j))
+                        else:
+                            # A pair left out has disjoint column sets.
+                            assert (base_i ^ base_j) & ~(mask_i | mask_j)
+                offset += len(specs)
+            assert set(got) == expected, width
+            if width >= GEOM.row_bits:
+                assert len(got) == sum(
+                    len(specs) * (len(specs) - 1) // 2 for specs, _ in trials
+                )
+            permanent = batch.permanent.tolist()
+            epoch = batch.epoch.tolist()
+            for (i, j), co in zip(got, colive.tolist()):
+                assert co == (
+                    permanent[i]
+                    or epoch[j] <= epoch[i] + COLIVE_EPOCH_SLACK
+                )
+            per_trial = np.bincount(
+                batch.trial[first], minlength=batch.n_trials
+            ).tolist()
+            offset = 0
+            for index, (specs, _) in enumerate(trials):
+                trial_masks = masks[offset:offset + len(specs)]
+                assert candidate_pair_count(
+                    [cb for _, _, cb, _ in trial_masks],
+                    [cm for _, _, _, cm in trial_masks],
+                    width,
+                ) == per_trial[index], (width, index)
+                offset += len(specs)
 
 
 class TestSameBankCheckRow:
