@@ -5,8 +5,11 @@
 plan is a pure function of ``(trials, shard_size)`` and each shard draws
 from its own generator seeded with ``derive_seed(root_seed, "shard",
 index)``, so the merged result is identical for any worker count —
-``workers=1`` (which runs the same shards in-process, no pool) and
-``workers=8`` produce byte-identical aggregates.
+``workers=1`` and ``workers=8`` produce byte-identical aggregates.
+One dispatch loop serves every worker count, with one shard in flight
+in-process or two per pool worker.  A stop, a cancel, the budget, a
+broken pool or an interrupt only ends dispatch: the shards in flight are
+always drained, merged and checkpointed.
 
 It is the one sharded runner of the package, and a :class:`ShardWork`
 is the one way to describe a campaign to it: lifetime reliability
@@ -25,17 +28,18 @@ robustness features:
 * **Wall-clock budget** — ``time_budget_s`` stops dispatching new shards
   once exceeded; completed shards are merged into an accurate partial
   result.
-* **Graceful interrupt** — ``KeyboardInterrupt`` drains already-running
-  shards, checkpoints them, and returns the partial aggregate instead of
-  losing the campaign.
+* **Graceful interrupt** — ``KeyboardInterrupt`` drains the shards in
+  flight, checkpoints them, and returns the partial aggregate instead of
+  losing the campaign; a second interrupt during the drain ends it.
 * **Worker-crash containment** — a shard whose worker crashes
   (``RuntimeError``, ``OSError``) is recorded as failed and excluded
   from the merge (trial counts stay accurate); a hard worker death
-  (``BrokenProcessPool``) aborts dispatch but still returns the
-  completed prefix.  Any other exception, every ``ReproError``
-  included, cancels the queued shards and propagates.
-* **Cooperative cancel** — ``cancel_hook`` is polled between shards;
-  the campaign stops dispatching and returns the partial merge.
+  (``BrokenProcessPool``) fails only the shards in flight, stops
+  dispatch and still returns what completed.  Any other exception,
+  every ``ReproError`` included, propagates.
+* **Cooperative cancel** — ``cancel_hook`` is polled before each
+  dispatch; the campaign stops dispatching and returns the partial
+  merge.
 
 Reliability campaigns may also stop early: the work's anytime-valid
 :class:`~repro.reliability.stopping.StoppingRule` (set by
@@ -47,11 +51,12 @@ Observability (all opt-in, none of it feeds back into the simulation):
 
 * ``progress=True`` — a throttled stderr heartbeat with shards done,
   trial throughput, ETA and remaining wall-clock budget.
-* ``trace_path`` — a structured JSONL trace: one ``campaign`` span, one
-  ``shard`` span (serial mode) or ``shard_completed`` event (pool mode)
-  per shard; in serial mode the tracer also reaches the trial loop for
-  sampled ``trial`` spans and ``correction`` events.  Pool workers do
-  not trace (a trace sink does not cross process boundaries).
+* ``trace_path`` — a structured JSONL trace: one ``campaign`` span and
+  one ``shard_completed`` event per completed shard at any worker
+  count.  An in-process shard also gets a ``shard`` span, and the
+  tracer reaches its trial loop for sampled ``trial`` spans and
+  ``correction`` events.  Pool workers do not trace (a trace sink does
+  not cross process boundaries).
 * ``last_campaign_metrics`` — wall-clock campaign metrics (shard latency
   histogram, completion counters).  Deliberately kept *outside* the
   merged result, whose ``metrics`` sidecar only ever carries the
@@ -64,8 +69,9 @@ from __future__ import annotations
 import json
 import os
 import time
-from concurrent.futures import FIRST_COMPLETED, Future, ProcessPoolExecutor, wait
-from concurrent.futures.process import BrokenProcessPool
+from collections import deque
+from concurrent.futures import FIRST_COMPLETED, Executor, Future, wait
+from concurrent.futures.process import BrokenProcessPool, ProcessPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass, field, fields, is_dataclass
 from enum import Enum
@@ -351,27 +357,52 @@ class _ShardTask:
     work: ShardWork
     root_seed: int
     crash: CrashInjection
+    #: The campaign tracer, on in-process tasks only.
+    tracer: Optional[TraceWriter] = None
 
 
-def _run_shard(
-    task: _ShardTask, tracer: Optional[TraceWriter] = None
-) -> Tuple[int, Dict[str, Any], float]:
+#: What a shard returns: ``(shard index, result dict, wall seconds)``.
+_Outcome = Tuple[int, Dict[str, Any], float]
+
+
+def _run_shard(task: _ShardTask) -> _Outcome:
     """Worker entry point (module-level so it pickles).
 
-    Returns ``(shard index, result dict, wall seconds)``.  The elapsed
-    time feeds the parent's volatile campaign metrics only; the result
-    dict carries nothing wall-clock-derived.  ``tracer`` is only ever
-    non-None in the serial (``workers=1``) in-process path.
+    The elapsed time feeds the parent's volatile campaign metrics only;
+    the result dict carries nothing wall-clock-derived.  A task that
+    carries a tracer runs inside a ``shard`` span.
     """
-    if task.spec.index in task.crash.exit_on:
+    spec, tracer = task.spec, task.tracer
+    if spec.index in task.crash.exit_on:
         os._exit(17)
-    if task.spec.index in task.crash.raise_on:
+    if spec.index in task.crash.raise_on:
         raise RuntimeError(
-            f"injected crash in shard {task.spec.index} (CrashInjection)"
+            f"injected crash in shard {spec.index} (CrashInjection)"
         )
     started = time.monotonic()
-    payload = task.work.run_shard(task.spec, task.root_seed, tracer)
-    return task.spec.index, payload, time.monotonic() - started
+    with (
+        tracer.span("shard", index=spec.index, trials=spec.trials)
+        if tracer is not None
+        else nullcontext()
+    ):
+        payload = task.work.run_shard(spec, task.root_seed, tracer)
+    return spec.index, payload, time.monotonic() - started
+
+
+class _InlineExecutor(Executor):
+    """The ``workers=1`` executor: ``submit`` runs the shard at once, in
+    this process, and returns its finished future.  An interrupt is not
+    a result: it propagates from ``submit`` itself."""
+
+    def submit(
+        self, fn: Callable[..., Any], /, *args: Any, **kwargs: Any
+    ) -> Future[Any]:
+        future: Future[Any] = Future()
+        try:
+            future.set_result(fn(*args, **kwargs))
+        except Exception as exc:
+            future.set_exception(exc)
+        return future
 
 
 class ParallelLifetimeRunner:
@@ -434,12 +465,12 @@ class ParallelLifetimeRunner:
         self.progress_stream = progress_stream
         self.trace_path = Path(trace_path) if trace_path is not None else None
         self.trace_sample_every = trace_sample_every
-        #: Cooperative cancellation: polled between shards (serial mode)
-        #: and between completions (pool mode).  When it returns True the
-        #: campaign stops dispatching, checkpoints what completed, and
-        #: returns the partial merge with ``report.cancelled`` set —
-        #: the embedding the campaign service uses to cancel running
-        #: jobs without killing worker processes mid-shard.
+        #: Cooperative cancellation: polled before each dispatch.  When it
+        #: returns True the campaign stops dispatching, drains and
+        #: checkpoints the shards in flight, and returns the partial
+        #: merge with ``report.cancelled`` set — the embedding the
+        #: campaign service uses to cancel running jobs without killing
+        #: worker processes mid-shard.
         self.cancel_hook = cancel_hook
         self.last_report: Optional[CampaignReport] = None
         #: Wall-clock campaign observability (shard latency, completion
@@ -500,15 +531,10 @@ class ParallelLifetimeRunner:
         )
         try:
             with campaign_span:
-                try:
-                    if self.workers == 1:
-                        self._run_serial(pending, completed, report,
-                                         fingerprint, started)
-                    else:
-                        self._run_pool(pending, completed, report,
-                                       fingerprint, started)
-                except KeyboardInterrupt:
-                    report.interrupted = True
+                self._dispatch(pending, completed, report, fingerprint, started)
+        except KeyboardInterrupt:
+            # The loop re-raises a second interrupt: the run ends here.
+            report.interrupted = True
         finally:
             if self._reporter is not None:
                 self._reporter.finish(
@@ -566,7 +592,7 @@ class ParallelLifetimeRunner:
             )
 
     # ------------------------------------------------------------------ #
-    def _run_serial(
+    def _dispatch(
         self,
         pending: Sequence[ShardSpec],
         completed: Dict[int, Any],
@@ -574,178 +600,107 @@ class ParallelLifetimeRunner:
         fingerprint: Dict[str, Any],
         started: float,
     ) -> None:
-        """``workers=1`` degenerate case: same shards, same merge, no pool."""
-        since_checkpoint = 0
-        for spec in pending:
-            if self._cancel_requested():
-                report.cancelled = True
-                break
-            if self._out_of_budget(started):
-                report.budget_exhausted = True
-                break
-            task = self._task(spec)
-            tracer = self._tracer
-            shard_span: ContextManager[Any] = (
-                tracer.span("shard", index=spec.index, trials=spec.trials)
-                if tracer is not None
-                else nullcontext()
-            )
-            try:
-                with shard_span:
-                    # Single-arg call when untraced keeps drop-in shims
-                    # (tests monkeypatch ``_run_shard(task)``) working.
-                    index, payload, seconds = (
-                        _run_shard(task, tracer)
-                        if tracer is not None
-                        else _run_shard(task)
-                    )
-            except _SHARD_CRASHES:
-                report.failed_shards.append(spec.index)
-                continue
-            completed[index] = self.work.result_type.from_dict(payload)
-            report.completed_shards += 1
-            self._observe_shard(seconds)
-            self._emit_progress(completed)
-            since_checkpoint += 1
-            if since_checkpoint >= self.checkpoint_every:
-                self._write_checkpoint(completed, fingerprint)
-                since_checkpoint = 0
-            if self._stop_index(completed, report.failed_shards) is not None:
-                report.stopped_early = True
-                break
-
-    def _run_pool(
-        self,
-        pending: Sequence[ShardSpec],
-        completed: Dict[int, Any],
-        report: CampaignReport,
-        fingerprint: Dict[str, Any],
-        started: float,
-    ) -> None:
-        since_checkpoint = 0
-        with ProcessPoolExecutor(max_workers=self.workers) as pool:
-            futures: Dict[Future[Tuple[int, Dict[str, Any], float]], ShardSpec] = {
-                pool.submit(_run_shard, self._task(spec)): spec
-                for spec in pending
-            }
-            try:
-                while futures:
-                    done, _ = wait(
-                        futures, timeout=0.5, return_when=FIRST_COMPLETED
-                    )
-                    for future in done:
-                        spec = futures.pop(future)
+        """The one shard loop: keep a window of shards in flight until
+        none is pending or dispatch ends, then drain.  Only a second
+        interrupt, during the drain, propagates."""
+        inline = self.workers == 1
+        window = 1 if inline else 2 * self.workers
+        tracer = self._tracer if inline else None
+        queue = deque(pending)
+        inflight: Dict[Future[_Outcome], ShardSpec] = {}
+        with (
+            _InlineExecutor()
+            if inline
+            else ProcessPoolExecutor(max_workers=self.workers)
+        ) as executor:
+            while True:
+                try:
+                    while queue and len(inflight) < window:
+                        if self._halt(completed, report, started):
+                            queue.clear()
+                            break
+                        spec = queue.popleft()
+                        task = _ShardTask(spec, self.work, self.root_seed,
+                                          self.crash_injection, tracer)
                         try:
-                            index, payload, seconds = future.result()
+                            inflight[executor.submit(_run_shard, task)] = spec
                         except BrokenProcessPool:
                             report.pool_broken = True
-                            report.failed_shards.append(spec.index)
-                            continue
-                        except _SHARD_CRASHES:
-                            report.failed_shards.append(spec.index)
-                            continue
-                        completed[index] = self.work.result_type.from_dict(
-                            payload
-                        )
-                        report.completed_shards += 1
-                        self._observe_shard(seconds)
-                        self._emit_progress(completed)
-                        if self._tracer is not None:
-                            self._tracer.event(
-                                "shard_completed",
-                                index=index,
-                                trials=spec.trials,
-                                seconds=seconds,
-                            )
-                        since_checkpoint += 1
-                        if since_checkpoint >= self.checkpoint_every:
-                            self._write_checkpoint(completed, fingerprint)
-                            since_checkpoint = 0
-                    if report.pool_broken:
-                        for future in list(futures):
-                            future.cancel()
-                            report.failed_shards.append(
-                                futures.pop(future).index
-                            )
-                        break
-                    if self._stop_index(completed, report.failed_shards) is not None:
-                        report.stopped_early = True
-                        self._cancel_all(futures)
-                        break
-                    if self._cancel_requested():
-                        report.cancelled = True
-                        self._cancel_all(futures)
-                        break
-                    if self._out_of_budget(started):
-                        report.budget_exhausted = True
-                        self._cancel_all(futures)
-                        break
-            except KeyboardInterrupt:
-                # Graceful drain: stop dispatching, let running shards
-                # finish, fold them in, then re-raise for run() to flag.
-                self._cancel_all(futures)
-                for future, spec in futures.items():
-                    if future.cancelled():
-                        continue
-                    try:
-                        index, payload, seconds = future.result()
-                    except _SHARD_CRASHES:
-                        report.failed_shards.append(spec.index)
-                        continue
-                    completed[index] = self.work.result_type.from_dict(
-                        payload
-                    )
-                    report.completed_shards += 1
-                    self._observe_shard(seconds)
-                raise
-            except Exception:
-                # The campaign's own error: cancel the queued shards
-                # first, or leaving the pool would run them all.
-                self._cancel_all(futures)
-                raise
+                    if not inflight:
+                        return
+                    done, _ = wait(inflight, return_when=FIRST_COMPLETED)
+                    for future in done:
+                        self._complete(future, inflight.pop(future),
+                                       completed, report, fingerprint)
+                except KeyboardInterrupt:
+                    if report.interrupted:
+                        raise
+                    report.interrupted = True
+                    queue.clear()
 
-    @staticmethod
-    def _cancel_all(
-        futures: Dict[Future[Tuple[int, Dict[str, Any], float]], ShardSpec]
+    def _halt(
+        self,
+        completed: Dict[int, Any],
+        report: CampaignReport,
+        started: float,
+    ) -> bool:
+        """Whether to dispatch no more shards: the pool broke, or the
+        stopping rule, the cancel hook or the budget fired (checked in
+        that order; the first to fire sets its report flag)."""
+        if report.pool_broken:
+            return True
+        if self._stop_index(completed, report.failed_shards) is not None:
+            report.stopped_early = True
+        elif self.cancel_hook is not None and self.cancel_hook():
+            report.cancelled = True
+        elif (
+            self.time_budget_s is not None
+            and time.monotonic() - started >= self.time_budget_s
+        ):
+            report.budget_exhausted = True
+        else:
+            return False
+        return True
+
+    def _complete(
+        self,
+        future: Future[_Outcome],
+        spec: ShardSpec,
+        completed: Dict[int, Any],
+        report: CampaignReport,
+        fingerprint: Dict[str, Any],
     ) -> None:
-        for future in futures:
-            future.cancel()
-
-    # ------------------------------------------------------------------ #
-    def _task(self, spec: ShardSpec) -> _ShardTask:
-        return _ShardTask(
-            spec=spec,
-            work=self.work,
-            root_seed=self.root_seed,
-            crash=self.crash_injection,
-        )
-
-    def _observe_shard(self, seconds: float) -> None:
-        """Record one shard's wall-clock latency (volatile campaign metrics)."""
-        if self._campaign is None:
+        """A finished shard either merges or fails."""
+        try:
+            index, payload, seconds = future.result()
+        except _SHARD_CRASHES as exc:
+            report.failed_shards.append(spec.index)
+            report.pool_broken |= isinstance(exc, BrokenProcessPool)
             return
-        self._campaign.observe(
-            "campaign/shard_seconds",
-            seconds,
-            edges=SHARD_SECONDS_EDGES,
-            volatile=True,
-        )
-        self._campaign.record_seconds("campaign/shard_time", seconds)
-
-    def _emit_progress(self, completed: Dict[int, Any]) -> None:
+        completed[index] = self.work.result_type.from_dict(payload)
+        report.completed_shards += 1
+        if self._campaign is not None:
+            # Wall-clock shard latency (volatile campaign metrics).
+            self._campaign.observe(
+                "campaign/shard_seconds",
+                seconds,
+                edges=SHARD_SECONDS_EDGES,
+                volatile=True,
+            )
+            self._campaign.record_seconds("campaign/shard_time", seconds)
         if self._reporter is not None:
             self._reporter.update(
                 len(completed), sum(r.trials for r in completed.values())
             )
-
-    def _cancel_requested(self) -> bool:
-        return self.cancel_hook is not None and self.cancel_hook()
-
-    def _out_of_budget(self, started: float) -> bool:
-        return (
-            self.time_budget_s is not None
-            and time.monotonic() - started >= self.time_budget_s
-        )
+        if self._tracer is not None:
+            self._tracer.event(
+                "shard_completed",
+                index=index,
+                trials=spec.trials,
+                seconds=seconds,
+            )
+        if report.completed_shards % self.checkpoint_every == 0:
+            self._write_checkpoint(completed, fingerprint)
 
     def _stop_index(
         self,

@@ -4,8 +4,9 @@ Covers the shard plan, worker-count independence, checkpoint/resume
 round-trips, the wall-clock budget, graceful interrupt draining, stopping
 across resume, fault tolerance when a worker crashes mid-campaign, and
 campaign errors, which propagate instead.
-The campaign-mechanics suites run twice: on reliability shards and, via
-their ``TestReplay*`` subclasses, on replay shards.
+The campaign-mechanics suites run on reliability shards and, via their
+``TestReplay*`` subclasses, on replay shards; each runs in-process and,
+via its ``*Pooled*`` subclasses, on pools of 2 and 4 workers.
 """
 
 import json
@@ -35,6 +36,7 @@ from repro.reliability import (
 from repro.reliability.montecarlo import EngineConfig
 from repro.replay import ReplayConfig, ReplayWork
 from repro.rng import derive_seed
+from repro.telemetry.tracing import read_trace
 
 #: High-ish fault rates so a few hundred trials produce failures.
 RATES = FailureRates.paper_baseline(tsv_device_fit=100.0)
@@ -44,6 +46,9 @@ RATES = FailureRates.paper_baseline(tsv_device_fit=100.0)
 WORK = "reliability"
 TRIALS = 800
 SHARD = 200
+#: The worker count ``make_runner`` defaults to; the ``pooled`` fixture
+#: sets it to 2 and to 4.
+WORKERS = 1
 
 
 def make_runner(
@@ -52,6 +57,7 @@ def make_runner(
 ):
     kwargs.setdefault("root_seed", 42)
     kwargs.setdefault("shard_size", SHARD)
+    kwargs.setdefault("workers", WORKERS)
     model = make_1dp(geometry)
     if from_scratch:
         model = FromScratch(model)
@@ -81,6 +87,12 @@ def replay_campaign(monkeypatch):
     monkeypatch.setattr(module, "WORK", "replay")
     monkeypatch.setattr(module, "TRIALS", 8)
     monkeypatch.setattr(module, "SHARD", 2)
+
+
+@pytest.fixture(params=[2, 4])
+def pooled(request, monkeypatch):
+    """Run the suite on a process pool of 2, then of 4 workers."""
+    monkeypatch.setattr(sys.modules[__name__], "WORKERS", request.param)
 
 
 class TestShardPlan:
@@ -116,11 +128,11 @@ class TestWorkerCountIndependence:
         assert serial == pooled
 
     def test_matches_merged_per_shard_serial_runs(self, geometry):
-        """The pooled aggregate is exactly the merge of the plan's
+        """The runner's aggregate is exactly the merge of the plan's
         shards run one by one through the serial engine."""
         from repro.reliability.montecarlo import LifetimeSimulator
 
-        pooled = make_runner(geometry, workers=2).run(trials=TRIALS)
+        pooled = make_runner(geometry).run(trials=TRIALS)
         shards = []
         for spec in shard_plan(TRIALS, SHARD, root_seed=42):
             sim = LifetimeSimulator(
@@ -133,18 +145,18 @@ class TestWorkerCountIndependence:
         assert ReliabilityResult.merge_all(shards) == pooled
 
     def test_zero_trials(self, geometry):
-        result = make_runner(geometry, workers=1).run(trials=0)
+        result = make_runner(geometry).run(trials=0)
         assert result.trials == 0 and result.failures == 0
 
 
 class TestCheckpointResume:
     def test_checkpoint_written_and_resumable(self, geometry, tmp_path):
         cp = tmp_path / "cp.json"
-        reference = make_runner(geometry, workers=1).run(trials=TRIALS)
-        make_runner(geometry, workers=1, checkpoint_path=cp).run(trials=TRIALS)
+        reference = make_runner(geometry).run(trials=TRIALS)
+        make_runner(geometry, checkpoint_path=cp).run(trials=TRIALS)
         assert cp.exists()
         runner = make_runner(
-            geometry, workers=1, checkpoint_path=cp, resume=True
+            geometry, checkpoint_path=cp, resume=True
         )
         resumed = runner.run(trials=TRIALS)
         assert resumed == reference
@@ -154,7 +166,7 @@ class TestCheckpointResume:
     def test_resume_after_crash_equals_uninterrupted(self, geometry, tmp_path):
         cp = tmp_path / "cp.json"
         crashed = make_runner(
-            geometry, workers=1, checkpoint_path=cp,
+            geometry, checkpoint_path=cp,
             crash_injection=CrashInjection(raise_on=frozenset({1})),
         )
         partial = crashed.run(trials=TRIALS)
@@ -163,15 +175,15 @@ class TestCheckpointResume:
         assert crashed.last_report.partial
 
         resumed = make_runner(
-            geometry, workers=1, checkpoint_path=cp, resume=True
+            geometry, checkpoint_path=cp, resume=True
         ).run(trials=TRIALS)
-        reference = make_runner(geometry, workers=1).run(trials=TRIALS)
+        reference = make_runner(geometry).run(trials=TRIALS)
         assert resumed == reference
 
     def test_resume_after_budget_exhaustion(self, geometry, tmp_path):
         cp = tmp_path / "cp.json"
         budgeted = make_runner(
-            geometry, workers=1, checkpoint_path=cp, time_budget_s=1e-9
+            geometry, checkpoint_path=cp, time_budget_s=1e-9
         )
         partial = budgeted.run(trials=TRIALS)
         assert partial.trials == 0
@@ -179,22 +191,22 @@ class TestCheckpointResume:
         assert budgeted.last_report.partial
 
         resumed = make_runner(
-            geometry, workers=1, checkpoint_path=cp, resume=True
+            geometry, checkpoint_path=cp, resume=True
         ).run(trials=TRIALS)
-        assert resumed == make_runner(geometry, workers=1).run(trials=TRIALS)
+        assert resumed == make_runner(geometry).run(trials=TRIALS)
 
     def test_foreign_checkpoint_rejected(self, geometry, tmp_path):
         cp = tmp_path / "cp.json"
-        make_runner(geometry, workers=1, checkpoint_path=cp).run(trials=TRIALS)
+        make_runner(geometry, checkpoint_path=cp).run(trials=TRIALS)
         other = make_runner(
-            geometry, workers=1, root_seed=43, checkpoint_path=cp, resume=True
+            geometry, root_seed=43, checkpoint_path=cp, resume=True
         )
         with pytest.raises(CheckpointError):
             other.run(trials=TRIALS)
 
     def test_corrupt_checkpoint_rejected(self, geometry, tmp_path):
         cp = tmp_path / "cp.json"
-        make_runner(geometry, workers=1, checkpoint_path=cp).run(trials=TRIALS)
+        make_runner(geometry, checkpoint_path=cp).run(trials=TRIALS)
         payload = json.loads(cp.read_text())
         for corrupt in (
             "{not json",
@@ -204,7 +216,7 @@ class TestCheckpointResume:
             cp.write_text(corrupt)
             with pytest.raises(CheckpointError):
                 make_runner(
-                    geometry, workers=1, checkpoint_path=cp, resume=True
+                    geometry, checkpoint_path=cp, resume=True
                 ).run(trials=TRIALS)
 
     def test_fingerprint_field_drift_rejected(self, geometry, tmp_path):
@@ -212,27 +224,27 @@ class TestCheckpointResume:
         field names are fingerprint keys, so it belongs to another
         campaign."""
         cp = tmp_path / "cp.json"
-        make_runner(geometry, workers=1, checkpoint_path=cp).run(trials=TRIALS)
+        make_runner(geometry, checkpoint_path=cp).run(trials=TRIALS)
         payload = json.loads(cp.read_text())
         work = payload["fingerprint"]["work"]
         del work["engine_config" if WORK == "replay" else "config"]["sampling"]
         cp.write_text(json.dumps(payload))
         with pytest.raises(CheckpointError, match="different campaign"):
             make_runner(
-                geometry, workers=1, checkpoint_path=cp, resume=True
+                geometry, checkpoint_path=cp, resume=True
             ).run(trials=TRIALS)
 
     def resume_edited_shard(self, geometry, tmp_path, edit, **kwargs):
         """Checkpoint a campaign, apply ``edit`` to shard 0, resume."""
         cp = tmp_path / "cp.json"
         make_runner(
-            geometry, workers=1, checkpoint_path=cp, **kwargs
+            geometry, checkpoint_path=cp, **kwargs
         ).run(trials=TRIALS)
         payload = json.loads(cp.read_text())
         edit(payload["shards"]["0"])
         cp.write_text(json.dumps(payload))
         make_runner(
-            geometry, workers=1, checkpoint_path=cp, resume=True, **kwargs
+            geometry, checkpoint_path=cp, resume=True, **kwargs
         ).run(trials=TRIALS)
 
     def test_shard_with_added_key_rejected(self, geometry, tmp_path):
@@ -263,10 +275,10 @@ class TestCheckpointResume:
         reverse."""
         cp = tmp_path / "cp.json"
         make_runner(
-            geometry, workers=1, checkpoint_path=cp, collect_metrics=written
+            geometry, checkpoint_path=cp, collect_metrics=written
         ).run(trials=TRIALS)
         other = make_runner(
-            geometry, workers=1, checkpoint_path=cp, resume=True,
+            geometry, checkpoint_path=cp, resume=True,
             collect_metrics=resumed,
         )
         with pytest.raises(CheckpointError, match="different campaign"):
@@ -280,22 +292,22 @@ class TestCheckpointResume:
         path finishes the other's checkpoint byte-identically."""
         cp = tmp_path / "cp.json"
         make_runner(
-            geometry, workers=1, checkpoint_path=cp, from_scratch=written,
+            geometry, checkpoint_path=cp, from_scratch=written,
             crash_injection=CrashInjection(raise_on=frozenset({1})),
         ).run(trials=TRIALS)
         runner = make_runner(
-            geometry, workers=1, checkpoint_path=cp, resume=True,
+            geometry, checkpoint_path=cp, resume=True,
             from_scratch=resumed,
         )
         resumed_result = runner.run(trials=TRIALS)
         assert runner.last_report.resumed_shards == TRIALS // SHARD - 1
         assert runner.last_report.completed_shards == 1
-        reference = make_runner(geometry, workers=1).run(trials=TRIALS)
+        reference = make_runner(geometry).run(trials=TRIALS)
         assert doc(resumed_result) == doc(reference)
 
     def test_checkpoint_is_valid_json_shard_table(self, geometry, tmp_path):
         cp = tmp_path / "cp.json"
-        make_runner(geometry, workers=1, checkpoint_path=cp).run(trials=TRIALS)
+        make_runner(geometry, checkpoint_path=cp).run(trials=TRIALS)
         payload = json.loads(cp.read_text())
         assert sorted(payload["shards"]) == ["0", "1", "2", "3"]
         shard0 = ReliabilityResult.from_dict(payload["shards"]["0"])
@@ -305,11 +317,11 @@ class TestCheckpointResume:
         """The fingerprint covers the whole FailureRates, not just the
         TSV FIT: a different die-FIT table is a different campaign."""
         cp = tmp_path / "cp.json"
-        make_runner(geometry, workers=1, checkpoint_path=cp).run(trials=TRIALS)
+        make_runner(geometry, checkpoint_path=cp).run(trials=TRIALS)
         die_fit = dict(RATES.die_fit)
         die_fit[FaultKind.BIT] = (0.0, 0.0)
         other = make_runner(
-            geometry, rates=replace(RATES, die_fit=die_fit), workers=1,
+            geometry, rates=replace(RATES, die_fit=die_fit),
             checkpoint_path=cp, resume=True,
         )
         with pytest.raises(CheckpointError):
@@ -317,7 +329,7 @@ class TestCheckpointResume:
 
     def test_concurrent_checkpoint_writes_never_tear(self, geometry, tmp_path):
         cp = tmp_path / "cp.json"
-        runner = make_runner(geometry, workers=1, checkpoint_path=cp)
+        runner = make_runner(geometry, checkpoint_path=cp)
         shard = runner.run(trials=SHARD)
         errors = []
 
@@ -345,8 +357,7 @@ class TestCheckpointResume:
 class TestFaultTolerance:
     def test_worker_exception_yields_accurate_partial(self, geometry):
         runner = make_runner(
-            geometry, workers=2,
-            crash_injection=CrashInjection(raise_on=frozenset({2})),
+            geometry, crash_injection=CrashInjection(raise_on=frozenset({2})),
         )
         result = runner.run(trials=TRIALS)
         report = runner.last_report
@@ -370,6 +381,22 @@ class TestFaultTolerance:
         # Trial count matches exactly the shards that completed.
         assert result.trials == SHARD * report.merged_shards
         assert result.trials < TRIALS
+
+    @pytest.mark.parametrize("workers", [2, 4])
+    def test_broken_pool_fails_only_shards_in_flight(self, geometry, workers):
+        """A dead worker fails the shards in flight, at most two per
+        worker, never the shards that were still to be dispatched."""
+        shard_size = max(1, SHARD // 4)
+        runner = make_runner(
+            geometry, workers=workers, shard_size=shard_size,
+            crash_injection=CrashInjection(exit_on=frozenset({1})),
+        )
+        result = runner.run(trials=TRIALS)
+        report = runner.last_report
+        assert report.pool_broken
+        assert 1 in report.failed_shards
+        assert len(report.failed_shards) <= 2 * workers
+        assert result.trials == shard_size * report.merged_shards
 
 
 @dataclass(frozen=True)
@@ -403,9 +430,63 @@ class TestCampaignErrors:
         )
         with pytest.raises(ConfigurationError, match="rejects"):
             runner.run(trials=40)
-        # The pool cancelled its queued shards before re-raising; only
-        # those already handed to a worker ran.
+        # Only the shards in flight ran: the runner keeps at most two per
+        # worker in flight.
         assert len(list(tmp_path.iterdir())) < 10
+
+
+@dataclass(frozen=True)
+class MarkingWork(ShardWork):
+    """Every shard sleeps, then leaves a marker file as it finishes, so
+    a test can count the shards that ran to the end."""
+
+    result_type: ClassVar[Any] = ReliabilityResult
+    marker_dir: str
+    label: str = "marking"
+
+    def run_shard(self, spec, root_seed, tracer=None):
+        time.sleep(0.05)
+        Path(self.marker_dir, str(spec.index)).touch()
+        return ReliabilityResult(
+            scheme_name=self.label, trials=spec.trials, failures=0,
+            lifetime_hours=1.0,
+        ).to_dict()
+
+
+class TestNoWaste:
+    """Cancel and budget end dispatch, but every shard that finishes is
+    merged: none runs only to be thrown away."""
+
+    def run_marking(self, tmp_path, workers, **kwargs):
+        runner = ParallelLifetimeRunner(
+            MarkingWork(str(tmp_path)), workers=workers, shard_size=1,
+            **kwargs,
+        )
+        result = runner.run(trials=40)
+        report = runner.last_report
+        finished = len(list(tmp_path.iterdir()))
+        assert finished == report.completed_shards == report.merged_shards
+        assert result.trials == report.merged_shards
+        return report
+
+    @pytest.mark.parametrize("workers", [1, 2, 4])
+    def test_cancel_wastes_no_shard(self, tmp_path, workers):
+        polls = []
+
+        def hook():
+            polls.append(True)
+            return len(polls) > 1
+
+        report = self.run_marking(tmp_path, workers, cancel_hook=hook)
+        assert report.cancelled
+        assert report.merged_shards == 1
+
+    @pytest.mark.parametrize("workers", [1, 2, 4])
+    def test_budget_wastes_no_shard(self, tmp_path, workers):
+        # 40 shards of 50 ms take at least 0.5 s on four workers.
+        report = self.run_marking(tmp_path, workers, time_budget_s=0.12)
+        assert report.budget_exhausted
+        assert report.partial
 
 
 class TestInterrupt:
@@ -445,6 +526,66 @@ class TestInterrupt:
             geometry, workers=1, checkpoint_path=cp, resume=True
         ).run(trials=TRIALS)
         assert resumed == make_runner(geometry, workers=1).run(trials=TRIALS)
+
+    def interrupt_waits(self, geometry, tmp_path, monkeypatch, workers,
+                        interrupted_calls):
+        """Run a checkpointed campaign whose ``interrupted_calls`` (by
+        count) of the runner's ``wait`` raise ``KeyboardInterrupt``:
+        check the partial result and checkpoint, then resume it."""
+        real_wait = parallel_mod.wait
+        calls = []
+
+        def interrupting_wait(*args, **kwargs):
+            calls.append(True)
+            if len(calls) in interrupted_calls:
+                raise KeyboardInterrupt
+            return real_wait(*args, **kwargs)
+
+        # More shards than three windows of in-flight shards hold.
+        shard_size = max(1, SHARD // 10)
+        trials = 40 * shard_size
+        cp = tmp_path / "cp.json"
+        monkeypatch.setattr(parallel_mod, "wait", interrupting_wait)
+        runner = make_runner(
+            geometry, workers=workers, shard_size=shard_size,
+            checkpoint_path=cp,
+        )
+        result = runner.run(trials=trials)
+        monkeypatch.setattr(parallel_mod, "wait", real_wait)
+        report = runner.last_report
+        assert report.interrupted
+        assert report.partial
+        assert result.trials == shard_size * report.merged_shards
+        checkpointed = json.loads(cp.read_text())["shards"]
+        assert len(checkpointed) == report.completed_shards
+        assert report.completed_shards == report.merged_shards
+        resumed = make_runner(
+            geometry, workers=workers, shard_size=shard_size,
+            checkpoint_path=cp, resume=True,
+        ).run(trials=trials)
+        assert resumed == make_runner(
+            geometry, shard_size=shard_size
+        ).run(trials=trials)
+
+    @pytest.mark.parametrize("workers", [1, 2, 4])
+    def test_interrupt_drains_shards_in_flight(
+        self, geometry, tmp_path, monkeypatch, workers
+    ):
+        """An interrupt on the runner's side (here: its third wait for a
+        shard) ends dispatch; every shard in flight is still merged and
+        checkpointed."""
+        self.interrupt_waits(geometry, tmp_path, monkeypatch, workers, {3})
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_second_interrupt_ends_the_drain(
+        self, geometry, tmp_path, monkeypatch, workers
+    ):
+        """A second interrupt (the fourth wait, during the drain) ends
+        the run, which still returns the partial merge and writes the
+        checkpoint."""
+        self.interrupt_waits(
+            geometry, tmp_path, monkeypatch, workers, {3, 4}
+        )
 
 
 class TestStoppingResume:
@@ -554,7 +695,7 @@ class TestCancelHook:
             calls.append(True)
             return len(calls) > 1
 
-        runner = make_runner(geometry, workers=1, cancel_hook=hook)
+        runner = make_runner(geometry, cancel_hook=hook)
         partial = runner.run(trials=TRIALS)
         report = runner.last_report
         assert report.cancelled
@@ -563,38 +704,18 @@ class TestCancelHook:
         assert partial.trials == SHARD
         # The completed shard is byte-identical to the same shard of an
         # uncancelled run (cancellation never corrupts merged work).
-        full = make_runner(geometry, workers=1).run(trials=TRIALS)
+        full = make_runner(geometry).run(trials=TRIALS)
         assert partial.trials < full.trials
 
     def test_hook_true_from_start_runs_nothing(self, geometry):
-        runner = make_runner(geometry, workers=1, cancel_hook=lambda: True)
+        runner = make_runner(geometry, cancel_hook=lambda: True)
         result = runner.run(trials=TRIALS)
         assert runner.last_report.cancelled
         assert runner.last_report.merged_shards == 0
         assert result.trials == 0
 
-    def test_pool_honors_cancel_hook(self, geometry):
-        calls = []
-
-        def hook():
-            calls.append(True)
-            return len(calls) > 1
-
-        # The hook is polled once per batch of completed shards.  Small
-        # shards keep work queued when it fires, however fast each shard
-        # runs (with four shards, two workers could drain the queue
-        # between the first and the second poll).
-        runner = make_runner(
-            geometry, workers=2, cancel_hook=hook,
-            shard_size=max(1, SHARD // 10),
-        )
-        partial = runner.run(trials=TRIALS)
-        report = runner.last_report
-        assert report.cancelled
-        assert partial.trials < TRIALS
-
     def test_no_hook_means_no_cancellation(self, geometry):
-        runner = make_runner(geometry, workers=1)
+        runner = make_runner(geometry)
         runner.run(trials=TRIALS)
         assert runner.last_report.cancelled is False
 
@@ -626,5 +747,74 @@ class TestReplayInterrupt(TestInterrupt):
 
 @pytest.mark.usefixtures("replay_campaign")
 class TestReplayCancelHook(TestCancelHook):
+    pass
+
+
+class TestTraceForm:
+    """One ``shard_completed`` event per completed shard at any worker
+    count; an in-process shard also keeps its ``shard`` span."""
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_one_event_per_completed_shard(self, geometry, tmp_path, workers):
+        trace = tmp_path / "trace.jsonl"
+        runner = make_runner(
+            geometry, workers=workers, shard_size=10, trace_path=trace
+        )
+        runner.run(trials=40)
+        records = read_trace(trace)
+        completions = [r for r in records if r.name == "shard_completed"]
+        assert len(completions) == runner.last_report.completed_shards
+        trials = {r.path for r in records if r.name == "trial"}
+        if workers == 1:
+            assert trials == {"campaign/shard/trial"}
+        else:
+            assert trials == set()
+
+
+# ---------------------------------------------------------------------- #
+# The campaign mechanics on process pools of 2 and 4 workers
+# ---------------------------------------------------------------------- #
+@pytest.mark.usefixtures("pooled")
+class TestPooledWorkerCountIndependence(TestWorkerCountIndependence):
+    # Compares fixed worker counts.
+    test_two_workers_match_serial = None
+
+
+@pytest.mark.usefixtures("pooled")
+class TestPooledCheckpointResume(TestCheckpointResume):
+    pass
+
+
+@pytest.mark.usefixtures("pooled")
+class TestPooledFaultTolerance(TestFaultTolerance):
+    # Pool-only tests that fix their own worker counts.
+    test_hard_worker_death_yields_partial_not_hang = None
+    test_broken_pool_fails_only_shards_in_flight = None
+
+
+@pytest.mark.usefixtures("pooled")
+class TestPooledCancelHook(TestCancelHook):
+    pass
+
+
+class TestReplayPooledWorkerCountIndependence(
+    TestPooledWorkerCountIndependence, TestReplayWorkerCountIndependence
+):
+    pass
+
+
+class TestReplayPooledCheckpointResume(
+    TestPooledCheckpointResume, TestReplayCheckpointResume
+):
+    pass
+
+
+class TestReplayPooledFaultTolerance(
+    TestPooledFaultTolerance, TestReplayFaultTolerance
+):
+    pass
+
+
+class TestReplayPooledCancelHook(TestPooledCancelHook, TestReplayCancelHook):
     pass
 
