@@ -15,6 +15,15 @@ trial carries the importance weight ``P(N >= min_faults)``.  Failure
 probability estimates then remain unbiased provided failures require at
 least ``min_faults`` faults (e.g. two for any single-fault-correcting
 scheme).
+
+The injector compiles its tables once, at construction: per rate entry
+the final kind and permanence, the bounds of its placement draws and its
+footprint rule with every geometry constant resolved.  One sampling loop
+(``FaultInjector._sample_records``) draws faults as flat records — the
+``TrialBatch`` row the batch kernel reads and the :class:`FaultSpec`
+fields — so the batch path builds no object for a trial its kernel
+proves survivable.  The ``Poisson`` set-up of :meth:`FaultInjector.
+sample_count` is kept per ``(lifetime, min_faults)`` in a count table.
 """
 
 from __future__ import annotations
@@ -24,7 +33,7 @@ import math
 import random
 from bisect import bisect
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro import contracts
 from repro.errors import ConfigurationError
@@ -100,57 +109,54 @@ def _poisson_tail_log_space(lam: float, min_faults: int) -> float:
 
 
 # ---------------------------------------------------------------------- #
-# Draw-exact sampling primitives
+# The compiled, draw-exact sampler
 # ---------------------------------------------------------------------- #
-# The spec sampler makes exactly the RNG calls that ``random.Random``'s
-# ``choices(weights=...)`` and ``randrange(n)`` make, with their per-call
-# set-up moved to construction, so the RNG stream (and every sampled
-# fault and result) is the one those calls give.  ``tests/test_injector.py``
-# checks the sampler against a reference built on the stdlib calls.
-class _WeightedPick:
-    """``rng.choices(range(n), weights)[0]``, cumulative weights built once.
-
-    ``choices`` accumulates the weights on every call, then bisects one
-    ``random()`` draw scaled by their total; this does the bisection only.
-    """
-
-    __slots__ = ("cum_weights", "total", "last")
-
-    def __init__(self, weights: Sequence[float]) -> None:
-        self.cum_weights = list(itertools.accumulate(weights))
-        self.total = self.cum_weights[-1] + 0.0
-        if not (self.total > 0.0 and math.isfinite(self.total)):
-            raise ConfigurationError(
-                f"sampling weights must have a positive finite total, "
-                f"got {self.total!r}"
-            )
-        self.last = len(self.cum_weights) - 1
-
-    def draw(self, random_float: Callable[[], float]) -> int:
-        return bisect(
-            self.cum_weights, random_float() * self.total, 0, self.last
+# The sampler makes exactly the RNG calls that ``random.Random``'s
+# ``choices(weights=...)``, ``randrange(n)`` and ``uniform(0.0, L)`` make,
+# with their per-call set-up moved to construction, so the RNG stream (and
+# every sampled fault and result) is the one those calls give:
+#
+# * a weighted pick (the rate entry; the thermal bank) is one ``random()``
+#   draw scaled by the weights' total and bisected over their cumulative
+#   sums (:func:`_cumulative`);
+# * a bounded coordinate ``randrange(n)`` is ``getrandbits(n.bit_length())``
+#   redrawn while the value is ``>= n`` (:func:`_bounded`), so a
+#   power-of-two ``n`` rejects about half of its draws, as ``randrange``
+#   does;
+# * an arrival time is ``lifetime * random()`` (see
+#   :meth:`FaultInjector.sample_lifetime`).
+#
+# ``tests/test_injector.py`` checks the sampler against a reference built
+# on the stdlib calls.
+def _cumulative(weights: Sequence[float]) -> Tuple[List[float], float, int]:
+    """``rng.choices(range(n), weights)``'s table, built once: the
+    cumulative weights, their total and the last index.  A draw is
+    ``bisect(cum_weights, random() * total, 0, last)``, the bisection
+    ``choices`` makes after rebuilding this table on every call."""
+    cum_weights = list(itertools.accumulate(weights))
+    total = cum_weights[-1] + 0.0
+    if not (total > 0.0 and math.isfinite(total)):
+        raise ConfigurationError(
+            f"sampling weights must have a positive finite total, "
+            f"got {total!r}"
         )
+    return cum_weights, total, len(cum_weights) - 1
 
 
 def _bounded(n: int) -> Tuple[int, int]:
-    """The ``(bound, bits)`` that :func:`_draw_below` takes for
-    ``randrange(n)``."""
+    """The ``(bound, bits)`` of a ``randrange(n)`` draw."""
     return n, n.bit_length()
 
 
-#: Bounds of an address TSV's stuck-value draw, ``randrange(2)``.
-_STUCK_VALUE_BOUND = _bounded(2)
+#: Bounds of a placement coordinate the fault kind does not draw.
+_NO_DRAW = (0, 0)
 
-
-def _draw_below(
-    getrandbits: Callable[[int], int], bound: int, bits: int
-) -> int:
-    """``rng.randrange(bound)``: ``bound.bit_length()`` random bits,
-    redrawn until the value is below ``bound``."""
-    value = getrandbits(bits)
-    while value >= bound:
-        value = getrandbits(bits)
-    return value
+#: One sampled fault: ``(row, spec)``.  ``row`` holds the fault's
+#: ``TrialBatch`` columns but the epoch, in argument order —
+#: ``(permanent, is_tsv, is_bank_kind, die, bank, row_base, row_mask,
+#: col_base, col_mask)`` — and ``spec`` the :class:`FaultSpec` fields,
+#: ``(kind, permanence, die, bank, a, b)``.
+FaultRecord = Tuple[Tuple[Any, ...], Tuple[Any, ...]]
 
 
 @dataclass(frozen=True)
@@ -166,11 +172,11 @@ class FaultSpec:
 
     A spec captures exactly the information the injector's random draws
     decide — final kind (after the BANK->SUBARRAY transposition and the
-    DTSV/ATSV split), permanence, location coordinates — in a flat,
-    array-friendly record.  ``build`` turns it into a full :class:`Fault`
-    through the ``make_*`` constructors, so the scalar path and the batch
-    trial kernel share one source of truth for both the draw sequence and
-    the footprint shapes.
+    DTSV/ATSV split), permanence, location coordinates — in a flat
+    record.  ``build`` turns it into a full :class:`Fault` through the
+    ``make_*`` constructors.  The sampler emits a spec's fields, not the
+    spec: the batch path builds one only for a trial it re-runs on the
+    scalar path.
 
     Coordinate conventions: ``die`` holds the channel for TSV kinds and
     ``bank`` is -1 (a TSV fault spans every bank of its die).  ``a``/``b``
@@ -198,8 +204,8 @@ class FaultSpec:
     b: int = 0
 
     def __post_init__(self) -> None:
-        # Hot path (one spec per sampled fault): short-circuit so the
-        # common all-in-range case costs two comparisons.
+        # Short-circuit so the common all-in-range case costs two
+        # comparisons.
         if self.die < 0 or self.bank < -1 or (
             self.bank < 0 and not self.kind.is_tsv
         ):
@@ -210,53 +216,6 @@ class FaultSpec:
                 self.bank,
                 self.kind.value,
             )
-
-    def footprint_masks(self, geometry: StackGeometry) -> Tuple[int, int, int, int]:
-        """``(row_base, row_mask, col_base, col_mask)`` of the built fault.
-
-        The canonicalized address+mask pairs :meth:`build`'s footprint
-        would carry, as plain ints — the array-shaped view the batch trial
-        kernels consume without constructing ``Fault`` objects.  Mirrors
-        the ``make_*`` constructors bit-for-bit; the batch-vs-scalar
-        differential tests hold the two in lock-step.
-        """
-        kind = self.kind
-        row_universe = (1 << geometry.row_address_bits) - 1
-        col_universe = (1 << geometry.col_address_bits) - 1
-        if kind is FaultKind.BIT:
-            return self.a, 0, self.b, 0
-        if kind is FaultKind.WORD:
-            word_bits = min(WORD_BITS, geometry.row_bits)
-            return self.a, 0, self.b * word_bits, word_bits - 1
-        if kind is FaultKind.COLUMN:
-            return 0, row_universe, self.a, 0
-        if kind is FaultKind.ROW:
-            return self.a, 0, 0, col_universe
-        if kind is FaultKind.SUBARRAY:
-            return (
-                self.a * geometry.rows_per_subarray,
-                geometry.rows_per_subarray - 1,
-                0,
-                col_universe,
-            )
-        if kind is FaultKind.BANK:
-            return 0, row_universe, 0, col_universe
-        if kind is FaultKind.DATA_TSV:
-            num_dtsv = geometry.data_tsvs_per_channel
-            burst = geometry.line_bits // num_dtsv
-            burst_mask = (burst - 1) * num_dtsv if burst > 1 else 0
-            line_select_mask = col_universe & ~(geometry.line_bits - 1)
-            col_mask = burst_mask | line_select_mask
-            return 0, row_universe, self.a & ~col_mask, col_mask
-        if kind is FaultKind.ADDR_TSV:
-            bit = self.a % geometry.row_address_bits
-            return (
-                (1 - self.b) << bit,
-                row_universe & ~(1 << bit),
-                0,
-                col_universe,
-            )
-        raise ConfigurationError(f"unsupported fault kind: {kind}")
 
     def build(self, geometry: StackGeometry, time_hours: float = 0.0) -> Fault:
         kind = self.kind
@@ -318,24 +277,56 @@ class FaultInjector:
         self.geometry = geometry
         self.rates = rates
         self.rng = make_rng(rng, seed)
+        bank_weights = self._bank_weights()
+        #: Weighted bank pick, or ``None`` for uniform bank placement.
+        self._bank_table = (
+            None if bank_weights is None else _cumulative(bank_weights)
+        )
         self._entries = self._build_entries()
         self._total_rate = sum(e.rate_per_hour for e in self._entries)
-        # The spec sampler's tables: which entry a fault comes from, what
-        # it becomes, and the bounds of its placement draws.
-        self._entry_pick = _WeightedPick(
+        # The compiled tables: which entry a fault comes from, then per
+        # entry what it becomes (``None``: the TSV entry, see
+        # ``_tsv_rule``).
+        self._entry_table = _cumulative(
             [e.rate_per_hour for e in self._entries]
         )
-        self._placements = [self._placement(e) for e in self._entries]
+        row_universe = (1 << geometry.row_address_bits) - 1
+        col_universe = (1 << geometry.col_address_bits) - 1
+        self._rules = [
+            self._compile(entry, row_universe, col_universe)
+            for entry in self._entries
+        ]
         self._die_bound = _bounded(
             geometry.total_dies
             if rates.include_metadata_die
             else geometry.data_dies
         )
         self._bank_bound = _bounded(geometry.banks_per_die)
-        self._channel_bound = _bounded(geometry.channels)
-        self._tsv_bound = _bounded(
-            geometry.data_tsvs_per_channel + geometry.addr_tsvs_per_channel
+        # TSV faults land on a uniformly random TSV of a random channel;
+        # the DTSV/ATSV split is proportional to the TSV populations
+        # (256:24 per channel in the baseline geometry).  A DTSV's
+        # columns are its burst bits in every line of the row (see
+        # ``make_data_tsv_fault``).
+        num_dtsv = geometry.data_tsvs_per_channel
+        burst = geometry.line_bits // num_dtsv
+        dtsv_col_mask = ((burst - 1) * num_dtsv if burst > 1 else 0) | (
+            col_universe & ~(geometry.line_bits - 1)
         )
+        self._tsv_rule = (
+            *_bounded(geometry.channels),
+            *_bounded(num_dtsv + geometry.addr_tsvs_per_channel),
+            num_dtsv,
+            dtsv_col_mask,
+            geometry.row_address_bits,
+            row_universe,
+            col_universe,
+        )
+        #: ``(lifetime_hours, min_faults)`` -> ``(mean, exp(-mean),
+        #: pmf(min_faults), tail mass, stratum weight)``; see
+        #: :meth:`sample_count`.
+        self._count_table: Dict[
+            Tuple[float, int], Tuple[float, float, float, float, float]
+        ] = {}
 
     # ------------------------------------------------------------------ #
     def _build_entries(self) -> List[_RateEntry]:
@@ -366,6 +357,78 @@ class FaultInjector:
         if not entries:
             raise ConfigurationError("all failure rates are zero")
         return entries
+
+    def _bank_weights(self) -> Optional[Sequence[float]]:
+        """Per-bank placement weights of die-local faults; ``None`` places
+        them uniformly.  :class:`ThermalFaultInjector` weights banks by
+        their thermal multipliers."""
+        return None
+
+    def _compile(
+        self, entry: _RateEntry, row_universe: int, col_universe: int
+    ) -> Optional[Tuple[Any, ...]]:
+        """The compiled rule of a DRAM rate entry; ``None`` for the TSV
+        entry, whose faults ``_tsv_rule`` places.
+
+        A rule is ``(kind, permanence, permanent, is_bank_kind, a_bound,
+        a_bits, b_bound, b_bits, row_scale, row_mask, col_scale_a,
+        col_scale_b, col_mask)``: the fault's final kind and permanence
+        (and the two ``TrialBatch`` flags they give), the bounds of its
+        ``a``/``b`` placement draws (see :class:`FaultSpec`; a zero bound
+        draws nothing), drawn after its die and bank, and its footprint
+        rule.  The fault's canonical address+mask footprint — what the
+        ``make_*`` constructors build, as ``RangeMask`` base/mask pairs —
+        is then ``row_base = a * row_scale`` and ``col_base = a *
+        col_scale_a + b * col_scale_b`` under the fixed masks.
+        """
+        geometry, kind = self.geometry, entry.kind
+        if kind.is_tsv:
+            return None
+        rows = _bounded(geometry.rows_per_bank)
+        subarrays = _bounded(geometry.subarrays_per_bank)
+        columns = _bounded(geometry.row_bits)
+        rows_per_subarray = geometry.rows_per_subarray
+        granularity = self.rates.bank_fault_granularity
+        if kind is FaultKind.BANK and granularity == "subarray":
+            # Table I's "single bank" rate: transposed to subarray failures
+            # unless the 'full' ablation is selected (§II-B, Figure 17).
+            kind = FaultKind.SUBARRAY
+        # Placement draws, then (row_scale, row_mask, col_scale_a,
+        # col_scale_b, col_mask).
+        if kind is FaultKind.BIT:
+            draws = (rows, columns)
+            footprint = (1, 0, 0, 1, 0)
+        elif kind is FaultKind.WORD:
+            word_bits = min(WORD_BITS, geometry.row_bits)
+            words_per_row = max(1, geometry.row_bits // WORD_BITS)
+            draws = (rows, _bounded(words_per_row))
+            footprint = (1, 0, 0, word_bits, word_bits - 1)
+        elif kind is FaultKind.COLUMN:
+            draws = (columns, _NO_DRAW)
+            footprint = (0, row_universe, 1, 0, 0)
+        elif kind is FaultKind.ROW:
+            draws = (rows, _NO_DRAW)
+            footprint = (1, 0, 0, 0, col_universe)
+        elif kind is FaultKind.SUBARRAY:
+            draws = (subarrays, _NO_DRAW)
+            footprint = (
+                rows_per_subarray, rows_per_subarray - 1, 0, 0, col_universe
+            )
+        elif kind is FaultKind.BANK:
+            draws = (_NO_DRAW, _NO_DRAW)
+            footprint = (0, row_universe, 0, 0, col_universe)
+        else:
+            raise ConfigurationError(f"unsupported DRAM fault kind: {kind}")
+        permanence = entry.permanence
+        return (
+            kind,
+            permanence,
+            permanence is Permanence.PERMANENT,
+            kind is FaultKind.BANK,
+            *draws[0],
+            *draws[1],
+            *footprint,
+        )
 
     # ------------------------------------------------------------------ #
     @property
@@ -406,19 +469,86 @@ class FaultInjector:
         min_faults: int = 0,
     ) -> Tuple[int, float]:
         """Sample the lifetime fault count ``N`` (optionally conditioned
-        on ``N >= min_faults``); returns ``(count, stratum weight)``."""
+        on ``N >= min_faults``); returns ``(count, stratum weight)``.
+
+        An unconditioned count is Knuth's product of uniforms; a
+        conditioned one walks the pmf up from ``pmf(min_faults)`` until
+        it covers one uniform scaled by the tail mass (inverse CDF over
+        the tail).  Everything but the draws is read from the count
+        table, built on the first call for each ``(lifetime_hours,
+        min_faults)``.
+        """
+        entry = self._count_table.get((lifetime_hours, min_faults))
+        if entry is None:
+            entry = self._count_entry(lifetime_hours, min_faults)
+        lam, threshold, term, tail_mass, weight = entry
+        random_float = self.rng.random
+        if min_faults <= 0:
+            count, product = 0, random_float()
+            while product > threshold:
+                count += 1
+                product *= random_float()
+            return count, weight
+        u = random_float() * tail_mass
+        k = min_faults
+        acc = 0.0
+        while True:
+            acc += term
+            if u <= acc:
+                return k, weight
+            if term < 1e-300:
+                raise ConfigurationError(
+                    f"truncated-Poisson tail mass underflowed at mean "
+                    f"{lam:g}, minimum {min_faults}: the conditioned sampler "
+                    "cannot place the draw without biasing the stratum"
+                )
+            k += 1
+            term *= lam / k
+
+    def _count_entry(
+        self, lifetime_hours: float, min_faults: int
+    ) -> Tuple[float, float, float, float, float]:
+        """Build the count-table entry of one ``(lifetime_hours,
+        min_faults)``.  A configuration no conditioned draw can be placed
+        in raises here, on every call, and is never stored."""
         lam = self.expected_faults(lifetime_hours)
         if min_faults <= 0:
-            return self._sample_poisson(lam), 1.0
-        return (
-            self._sample_truncated_poisson(lam, min_faults),
-            self.prob_at_least(min_faults, lifetime_hours),
-        )
+            entry = (lam, math.exp(-lam), 0.0, 0.0, 1.0)
+        else:
+            if lam <= 0:
+                raise ConfigurationError(
+                    "cannot condition on faults with a zero total rate"
+                )
+            threshold = math.exp(-lam)
+            if threshold == 0.0:
+                raise ConfigurationError(
+                    f"Poisson mean {lam:g} is too large for inverse-CDF "
+                    "conditioning: exp(-mean) underflows, so every "
+                    "conditioned draw would silently return the minimum "
+                    "and bias the stratified estimator"
+                )
+            term, cdf = threshold, 0.0
+            for k in range(min_faults):
+                cdf += term
+                term *= lam / (k + 1)
+            entry = (
+                lam,
+                threshold,
+                term,
+                max(1e-300, 1.0 - cdf),
+                self.prob_at_least(min_faults, lifetime_hours),
+            )
+        self._count_table[(lifetime_hours, min_faults)] = entry
+        return entry
 
     def sample_kinds(self, count: int) -> List[Fault]:
         """``count`` faults with kind/permanence/placement but no arrival
         time yet (the time-independent half of the arrival process)."""
-        return [self._sample_fault() for _ in range(count)]
+        geometry = self.geometry
+        return [
+            FaultSpec(*spec).build(geometry)
+            for _, spec in self._sample_records(count)
+        ]
 
     @staticmethod
     def place_at(faults: List[Fault], times: List[float]) -> List[Fault]:
@@ -452,148 +582,108 @@ class FaultInjector:
         """
         count, weight = self.sample_count(lifetime_hours, min_faults)
         faults = self.sample_kinds(count)
-        times = [self.rng.uniform(0.0, lifetime_hours) for _ in range(count)]
+        random_float = self.rng.random
+        # ``uniform(0.0, L)`` computes ``0.0 + (L - 0.0) * random()``,
+        # which is bitwise ``L * random()``: a count above zero needs a
+        # positive mean, hence ``L > 0``, so the product is never -0.0.
+        # ``BatchTrialKernel.run`` draws its times the same way.
+        times = [lifetime_hours * random_float() for _ in range(count)]
         return self.place_at(faults, times), weight
 
     # ------------------------------------------------------------------ #
-    def _sample_poisson(self, lam: float) -> int:
-        """Knuth's algorithm; lam is a handful of faults at most."""
-        threshold = math.exp(-lam)
-        count, product = 0, self.rng.random()
-        while product > threshold:
-            count += 1
-            product *= self.rng.random()
-        return count
+    def sample_specs(self, count: int) -> List[FaultRecord]:
+        """``count`` fault records (:data:`FaultRecord`) — the same draws
+        :meth:`sample_kinds` consumes, without constructing ``Fault`` or
+        :class:`FaultSpec` objects.  The batch trial kernel samples
+        through this, so its RNG stream stays bitwise-compatible with
+        the scalar path."""
+        return self._sample_records(count)
 
-    def _sample_truncated_poisson(self, lam: float, minimum: int) -> int:
-        """Sample N ~ Poisson(lam) conditioned on N >= minimum."""
-        if lam <= 0:
-            raise ConfigurationError(
-                "cannot condition on faults with a zero total rate"
-            )
-        term = math.exp(-lam)
-        if term == 0.0:
-            raise ConfigurationError(
-                f"Poisson mean {lam:g} is too large for inverse-CDF "
-                "conditioning: exp(-mean) underflows, so every "
-                "conditioned draw would silently return the minimum and "
-                "bias the stratified estimator"
-            )
-        cdf = 0.0
-        for k in range(minimum):
-            cdf += term
-            term *= lam / (k + 1)
-        tail_mass = max(1e-300, 1.0 - cdf)
-        u = self.rng.random() * tail_mass
-        k = minimum
-        # ``term`` is now pmf(minimum).
-        acc = 0.0
-        while True:
-            acc += term
-            if u <= acc:
-                return k
-            if term < 1e-300:
-                raise ConfigurationError(
-                    f"truncated-Poisson tail mass underflowed at mean "
-                    f"{lam:g}, minimum {minimum}: the conditioned sampler "
-                    "cannot place the draw without biasing the stratum"
-                )
-            k += 1
-            term *= lam / k
-
-    # ------------------------------------------------------------------ #
-    def sample_specs(self, count: int) -> List[FaultSpec]:
-        """``count`` fault specs — the same draws :meth:`sample_kinds`
-        consumes, without constructing ``Fault`` objects.  The batch trial
-        kernel samples through this so its RNG stream stays bitwise-
-        compatible with the scalar path."""
-        return [self._sample_spec() for _ in range(count)]
-
-    def _sample_spec(self) -> FaultSpec:
+    def _sample_records(self, count: int) -> List[FaultRecord]:
+        """The one sampling loop: ``count`` faults drawn from the compiled
+        tables, each as its ``TrialBatch`` row and :class:`FaultSpec`
+        fields.  The bounds keep every coordinate in range, so no draw is
+        checked again."""
         rng = self.rng
-        placement = self._placements[self._entry_pick.draw(rng.random)]
-        if placement is None:
-            return self._sample_tsv_spec()
-        kind, permanence, coordinates = placement
+        random_float = rng.random
         getrandbits = rng.getrandbits
-        die = _draw_below(getrandbits, *self._die_bound)
-        bank = self._sample_bank()
-        return FaultSpec(
-            kind,
-            permanence,
-            die,
-            bank,
-            *[_draw_below(getrandbits, *bound) for bound in coordinates],
-        )
-
-    def _sample_fault(self) -> Fault:
-        return self._sample_spec().build(self.geometry)
-
-    def _sample_bank(self) -> int:
-        """Bank placement for a die-local fault.
-
-        Uniform here; :class:`ThermalFaultInjector` reweights it by the
-        per-bank thermal multipliers.
-        """
-        return _draw_below(self.rng.getrandbits, *self._bank_bound)
-
-    def _placement(
-        self, entry: _RateEntry
-    ) -> Optional[Tuple[FaultKind, Permanence, Tuple[Tuple[int, int], ...]]]:
-        """What a fault drawn from ``entry`` becomes: its kind, permanence
-        and the bounds of its ``a``/``b`` placement draws (see
-        :class:`FaultSpec`), drawn after its die and bank.  ``None`` for a
-        TSV entry, whose faults :meth:`_sample_tsv_spec` places."""
-        geometry, kind = self.geometry, entry.kind
-        if kind.is_tsv:
-            return None
-        rows = _bounded(geometry.rows_per_bank)
-        subarrays = _bounded(geometry.subarrays_per_bank)
-        if kind is FaultKind.BIT:
-            coordinates: Tuple[Tuple[int, int], ...] = (
-                rows, _bounded(geometry.row_bits)
-            )
-        elif kind is FaultKind.WORD:
-            words_per_row = max(1, geometry.row_bits // WORD_BITS)
-            coordinates = (rows, _bounded(words_per_row))
-        elif kind is FaultKind.COLUMN:
-            coordinates = (_bounded(geometry.row_bits),)
-        elif kind is FaultKind.ROW:
-            coordinates = (rows,)
-        elif kind is FaultKind.SUBARRAY:
-            coordinates = (subarrays,)
-        elif kind is FaultKind.BANK:
-            # Table I's "single bank" rate: transposed to subarray failures
-            # unless the 'full' ablation is selected (§II-B, Figure 17).
-            if self.rates.bank_fault_granularity == "subarray":
-                return FaultKind.SUBARRAY, entry.permanence, (subarrays,)
-            coordinates = ()
-        else:
-            raise ConfigurationError(f"unsupported DRAM fault kind: {kind}")
-        return kind, entry.permanence, coordinates
-
-    def _sample_tsv_spec(self) -> FaultSpec:
-        """TSV faults land on a uniformly random TSV of a random channel.
-
-        The DTSV/ATSV split is proportional to the TSV populations
-        (256:24 per channel in the baseline geometry).
-        """
-        getrandbits = self.rng.getrandbits
-        channel = _draw_below(getrandbits, *self._channel_bound)
-        num_dtsv = self.geometry.data_tsvs_per_channel
-        pick = _draw_below(getrandbits, *self._tsv_bound)
-        if pick < num_dtsv:
-            return FaultSpec(
-                FaultKind.DATA_TSV, Permanence.PERMANENT, channel, -1, pick
-            )
-        return FaultSpec(
-            FaultKind.ADDR_TSV,
-            Permanence.PERMANENT,
-            channel,
-            -1,
-            pick - num_dtsv,
-            _draw_below(getrandbits, *_STUCK_VALUE_BOUND),
-        )
+        entry_weights, entry_total, entry_last = self._entry_table
+        rules = self._rules
+        die_bound, die_bits = self._die_bound
+        bank_bound, bank_bits = self._bank_bound
+        bank_table = self._bank_table
+        records: List[FaultRecord] = []
+        append = records.append
+        for _ in range(count):
+            rule = rules[
+                bisect(entry_weights, random_float() * entry_total, 0, entry_last)
+            ]
+            if rule is None:
+                (
+                    channel_bound, channel_bits, tsv_bound, tsv_bits,
+                    num_dtsv, dtsv_col_mask, row_address_bits,
+                    row_universe, col_universe,
+                ) = self._tsv_rule
+                channel = getrandbits(channel_bits)
+                while channel >= channel_bound:
+                    channel = getrandbits(channel_bits)
+                pick = getrandbits(tsv_bits)
+                while pick >= tsv_bound:
+                    pick = getrandbits(tsv_bits)
+                if pick < num_dtsv:
+                    append((
+                        (True, True, False, channel, -1, 0, row_universe,
+                         pick & ~dtsv_col_mask, dtsv_col_mask),
+                        (FaultKind.DATA_TSV, Permanence.PERMANENT, channel, -1,
+                         pick, 0),
+                    ))
+                    continue
+                index = pick - num_dtsv
+                stuck = getrandbits(2)  # randrange(2)
+                while stuck >= 2:
+                    stuck = getrandbits(2)
+                # A stuck ATSV makes the rows whose address bit differs
+                # from the stuck value unreachable (``make_addr_tsv_fault``).
+                bit = index % row_address_bits
+                append((
+                    (True, True, False, channel, -1, (1 - stuck) << bit,
+                     row_universe & ~(1 << bit), 0, col_universe),
+                    (FaultKind.ADDR_TSV, Permanence.PERMANENT, channel, -1,
+                     index, stuck),
+                ))
+                continue
+            (
+                kind, permanence, permanent, is_bank_kind,
+                a_bound, a_bits, b_bound, b_bits,
+                row_scale, row_mask, col_scale_a, col_scale_b, col_mask,
+            ) = rule
+            die = getrandbits(die_bits)
+            while die >= die_bound:
+                die = getrandbits(die_bits)
+            if bank_table is None:
+                bank = getrandbits(bank_bits)
+                while bank >= bank_bound:
+                    bank = getrandbits(bank_bits)
+            else:
+                bank_weights, bank_total, bank_last = bank_table
+                bank = bisect(
+                    bank_weights, random_float() * bank_total, 0, bank_last
+                )
+            a = b = 0
+            if a_bound:
+                a = getrandbits(a_bits)
+                while a >= a_bound:
+                    a = getrandbits(a_bits)
+                if b_bound:
+                    b = getrandbits(b_bits)
+                    while b >= b_bound:
+                        b = getrandbits(b_bits)
+            append((
+                (permanent, False, is_bank_kind, die, bank, a * row_scale,
+                 row_mask, a * col_scale_a + b * col_scale_b, col_mask),
+                (kind, permanence, die, bank, a, b),
+            ))
+        return records
 
 
 class ThermalFaultInjector(FaultInjector):
@@ -629,7 +719,6 @@ class ThermalFaultInjector(FaultInjector):
             raise ConfigurationError("thermal multipliers must be positive")
         self.multipliers = plan
         self._mean_multiplier = math.fsum(plan) / len(plan)
-        self._bank_pick = _WeightedPick(plan)
         super().__init__(geometry, rates, rng, seed)
 
     def _build_entries(self) -> List[_RateEntry]:
@@ -647,5 +736,5 @@ class ThermalFaultInjector(FaultInjector):
                 )
         return entries
 
-    def _sample_bank(self) -> int:
-        return self._bank_pick.draw(self.rng.random)
+    def _bank_weights(self) -> Optional[Sequence[float]]:
+        return self.multipliers

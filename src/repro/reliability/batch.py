@@ -4,24 +4,28 @@
 :func:`make_batch_runner` accepts through :class:`BatchTrialKernel`:
 trials are sampled in chunks (consuming the injector's RNG stream
 draw-for-draw like the scalar loop, so results stay bitwise-identical),
-flattened into :class:`repro.ecc.batch_kernels.TrialBatch` columns, and
-screened by the scheme's array-shaped kernel.  Trials the kernel *proves*
-survive are done — no Python fault objects, no model machinery.  That
-holds for fault-dense trials too: the 3DP kernel indexes only the pairs
-whose column blocks can meet and peels to a fixed point in arrays, so a
-bit/word-FIT×1000 stress trial of about 150 live faults is screened like
-a paper-rate one.  The rest (a small minority on Citadel-class configs:
-genuine failures, TSV-Swap overflows, peels the kernel cannot finish,
-trials whose indexed pairs alone exceed the chunk budget) are
-materialised into ``Fault`` objects and re-run through
-``LifetimeSimulator._simulate``, the exact scalar path.
+and each fault's sampled record already carries its
+:class:`repro.ecc.batch_kernels.TrialBatch` row, which the chunk copies
+as it is before the scheme's array-shaped kernel screens it.  Trials the
+kernel *proves* survive are done — no ``FaultSpec`` or ``Fault``
+objects, no model machinery.  That holds for fault-dense trials too: the
+3DP kernel indexes only the pairs whose column blocks can meet and peels
+to a fixed point in arrays, so a bit/word-FIT×1000 stress trial of about
+150 live faults is screened like a paper-rate one.  The rest (a small
+minority on Citadel-class configs: genuine failures, TSV-Swap overflows,
+peels the kernel cannot finish, trials whose indexed pairs alone exceed
+the chunk budget) are materialised into ``Fault`` objects from their
+records' spec fields and re-run through ``LifetimeSimulator._simulate``,
+the exact scalar path.
 
 Compatibility rules this module must uphold (and the batch differential
 tests enforce):
 
-* **RNG**: a trial consumes ``sample_count`` -> per-fault spec draws ->
-  per-fault ``uniform`` times, in that order — exactly the scalar
-  ``sample_lifetime`` sequence.  Chunking never reorders or skips draws,
+* **RNG**: a trial consumes ``sample_count`` -> ``sample_specs`` (the
+  per-fault placement draws) -> per-fault arrival times, in that order —
+  exactly the scalar ``sample_lifetime`` sequence.  Each call is made
+  once per trial, so a traced run counts the same sampling calls and
+  faults on either path.  Chunking never reorders or skips draws,
   and evaluating a chunk draws nothing, so chunk boundaries are free.
 * **Weights**: every trial's sampled stratum weight is checked bitwise
   against the engine-side tail probability, mirroring the naive loop's
@@ -47,8 +51,7 @@ from repro.ecc.batch_kernels import (
     candidate_pair_count,
     np,
 )
-from repro.faults.injector import FaultSpec
-from repro.faults.types import FaultKind, Permanence
+from repro.faults.injector import FaultRecord, FaultSpec
 from repro.reliability.results import ReliabilityResult
 
 if TYPE_CHECKING:  # pragma: no cover - annotation-only import
@@ -70,8 +73,15 @@ CHUNK_TRIALS = 4096
 #: 3000 pairs per full chunk), so there the trial cap binds first.
 CHUNK_PAIRS = 1 << 13
 
-#: Columns of one fault row, in ``TrialBatch`` argument order.
+#: Columns of one fault row, in ``TrialBatch`` argument order: a sampled
+#: record's row (:data:`~repro.faults.injector.FaultRecord`), then the
+#: scrub epoch.
 _N_COLUMNS = 10
+
+#: Positions of ``is_tsv``, ``col_base`` and ``col_mask`` in a row.
+_IS_TSV = 1
+_COL_BASE = 7
+_COL_MASK = 8
 
 
 def make_batch_runner(
@@ -121,13 +131,12 @@ class BatchTrialKernel:
         sim = self.sim
         config = sim.config
         injector = sim.injector
-        geometry = sim.geometry
         lifetime = config.lifetime_hours
         interval = config.scrub_interval_hours
         standby = config.tsv_swap_standby
-        rng_uniform = injector.rng.uniform
-        permanent_enum = Permanence.PERMANENT
-        bank_kind = FaultKind.BANK
+        sample_count = injector.sample_count
+        sample_specs = injector.sample_specs
+        random_float = injector.rng.random
         block_bits = self.kernel.col_block_bits
         expected_weight = (
             injector.prob_at_least(strata_min, lifetime)
@@ -135,21 +144,23 @@ class BatchTrialKernel:
             else 1.0
         )
         failure_times: List[float] = []
-        # The open chunk.  ``sampled`` holds, per trial, (specs in draw
-        # order, times sorted ascending) for the kernel to screen — spec
-        # ``i`` pairs with the ``i``-th smallest time, matching
-        # ``FaultInjector.place_at`` — or ``None`` for a trial already
-        # simulated, whose failure time (``None``: survived) is in
-        # ``decided``.  ``counts`` holds live faults per trial and
-        # ``rows`` the ``TrialBatch`` columns of every live fault, flat,
-        # ``_N_COLUMNS`` values per fault.
-        sampled: List[Optional[Tuple[List[FaultSpec], List[float]]]] = []
+        # The open chunk.  ``sampled`` holds, per trial, (the records'
+        # spec fields in draw order, times sorted ascending) for the
+        # kernel to screen — spec ``i`` pairs with the ``i``-th smallest
+        # time, matching ``FaultInjector.place_at`` — or ``None`` for a
+        # trial already simulated, whose failure time (``None``:
+        # survived) is in ``decided``.  ``counts`` holds live faults per
+        # trial and ``rows`` the ``TrialBatch`` columns of every live
+        # fault, flat, ``_N_COLUMNS`` values per fault.  Holding spec
+        # fields, not whole records, keeps a chunk no larger than its
+        # ``FaultSpec`` objects were.
+        sampled: List[Optional[Tuple[List[tuple], List[float]]]] = []
         decided: Dict[int, Optional[float]] = {}
         counts: List[int] = []
         rows: List[int] = []
         chunk_pairs = 0
         for _ in range(trials):
-            count, sampled_weight = injector.sample_count(
+            count, sampled_weight = sample_count(
                 lifetime, min_faults=strata_min
             )
             if sampled_weight != expected_weight:  # reprolint: disable=REPRO003
@@ -165,32 +176,35 @@ class BatchTrialKernel:
                     sampled_weight,
                     expected_weight,
                 )
-            specs = injector.sample_specs(count)
-            times = [rng_uniform(0.0, lifetime) for _ in range(count)]
+            records = sample_specs(count)
+            # Bitwise ``uniform(0.0, lifetime)``, as in
+            # ``FaultInjector.sample_lifetime``.
+            times = [lifetime * random_float() for _ in range(count)]
             times.sort()
-            spec_is_tsv = [spec.kind.is_tsv for spec in specs]
             # TSV-Swap absorbs every TSV fault unless a channel's pool
             # overflows; then partial swaps and post-swap DDS behaviour
-            # need the scalar controller.
-            drop_tsv = standby is not None and True in spec_is_tsv
-            scalar = drop_tsv and self._tsv_overflows(
-                specs, spec_is_tsv, standby
+            # need the scalar controller.  A channel never holds more
+            # distinct faulty TSVs than the trial has TSV faults, so only
+            # a trial with more than ``standby`` of them can overflow.
+            live = [
+                (row, time_hours)
+                for (row, _), time_hours in zip(records, times)
+                if standby is None or not row[_IS_TSV]
+            ]
+            scalar = (
+                standby is not None
+                and count - len(live) > standby
+                and self._tsv_overflows(records, standby)
             )
             pairs = 0
             if not scalar:
-                live = [
-                    (spec, time_hours, tsv)
-                    for spec, time_hours, tsv in zip(specs, times, spec_is_tsv)
-                    if not (drop_tsv and tsv)
-                ]
-                masks = [spec.footprint_masks(geometry) for spec, _, _ in live]
                 # k(k-1)/2 bounds the pairs the kernel indexes; count them
                 # exactly only when that bound would not fit the chunk.
                 pairs = len(live) * (len(live) - 1) // 2
                 if chunk_pairs + pairs > CHUNK_PAIRS:
                     pairs = candidate_pair_count(
-                        [col_base for _, _, col_base, _ in masks],
-                        [col_mask for _, _, _, col_mask in masks],
+                        [row[_COL_BASE] for row, _ in live],
+                        [row[_COL_MASK] for row, _ in live],
                         block_bits,
                     )
                     if pairs > CHUNK_PAIRS:
@@ -203,6 +217,7 @@ class BatchTrialKernel:
                 self._evaluate(sampled, decided, counts, rows, failure_times)
                 sampled, decided, counts, rows = [], {}, [], []
                 chunk_pairs = 0
+            specs = [spec for _, spec in records]
             if scalar:
                 # Simulating draws nothing, so the trial can run now
                 # instead of holding its faults until the chunk closes.
@@ -213,21 +228,9 @@ class BatchTrialKernel:
             sampled.append((specs, times))
             counts.append(len(live))
             chunk_pairs += pairs
-            for (spec, time_hours, tsv), (
-                row_base, row_mask, col_base, col_mask
-            ) in zip(live, masks):
-                rows.extend((
-                    spec.permanence is permanent_enum,
-                    tsv,
-                    spec.kind is bank_kind,
-                    spec.die,
-                    spec.bank,
-                    row_base,
-                    row_mask,
-                    col_base,
-                    col_mask,
-                    int(time_hours // interval),
-                ))
+            for row, time_hours in live:
+                rows.extend(row)
+                rows.append(int(time_hours // interval))
         self._evaluate(sampled, decided, counts, rows, failure_times)
         return ReliabilityResult(
             scheme_name=label if label is not None else sim.scheme_label(),
@@ -245,7 +248,7 @@ class BatchTrialKernel:
     # ------------------------------------------------------------------ #
     def _evaluate(
         self,
-        sampled: List[Optional[Tuple[List[FaultSpec], List[float]]]],
+        sampled: List[Optional[Tuple[List[tuple], List[float]]]],
         decided: Dict[int, Optional[float]],
         counts: List[int],
         rows: List[int],
@@ -271,22 +274,21 @@ class BatchTrialKernel:
                 failure_times.append(failed_at)
 
     def _simulate(
-        self, specs: List[FaultSpec], times: List[float]
+        self, specs: List[tuple], times: List[float]
     ) -> Optional[float]:
-        """Failure time of one trial on the exact scalar path, or None."""
+        """Failure time of one trial, from its faults' spec fields, on the
+        exact scalar path, or None."""
         self.fallback_trials += 1
         geometry = self.sim.geometry
         faults = [
-            spec.build(geometry, time_hours)
+            FaultSpec(*spec).build(geometry, time_hours)
             for spec, time_hours in zip(specs, times)
         ]
         outcome = self.sim._simulate(faults, None, None, None)
         return None if outcome is None else outcome[0]
 
     @staticmethod
-    def _tsv_overflows(
-        specs: List[FaultSpec], spec_is_tsv: List[bool], standby: int
-    ) -> bool:
+    def _tsv_overflows(records: List[FaultRecord], standby: int) -> bool:
         """Does some channel's stand-by pool overflow?
 
         TSV-Swap absorbs each *distinct* faulty TSV of a channel at the
@@ -295,10 +297,8 @@ class BatchTrialKernel:
         entirely iff every channel's distinct count fits its pool.  On
         overflow the repair order matters — scalar fallback.
         """
-        per_channel: dict = {}
-        for spec, tsv in zip(specs, spec_is_tsv):
-            if tsv:
-                per_channel.setdefault(spec.die, set()).add(
-                    (spec.kind, spec.a)
-                )
+        per_channel: Dict[int, set] = {}
+        for _, (kind, _, channel, _, index, _) in records:
+            if kind.is_tsv:
+                per_channel.setdefault(channel, set()).add((kind, index))
         return any(len(ids) > standby for ids in per_channel.values())

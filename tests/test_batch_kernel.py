@@ -18,6 +18,7 @@ both halves of that claim against the scalar reference loop
 * the pair index against a brute-force reference, and its per-trial
   count against the engine's;
 * a fault-dense stress campaign that the kernel must settle;
+* the TSV-Swap stand-by pool boundary of the overflow check;
 * the dispatch contract — silent scalar fallback for observability runs,
   the from-scratch oracle, non-naive sampling, kernel-less models and a
   missing numpy — and the share of a Fig. 18 symbol-code campaign the
@@ -46,10 +47,13 @@ from repro.reliability.batch import BatchTrialKernel, make_batch_runner
 from repro.reliability.montecarlo import EngineConfig, LifetimeSimulator
 from repro.schemes import SCHEMES
 from repro.stack.geometry import LIFETIME_HOURS, StackGeometry
+from test_injector import reference_masks, reference_row
 
 GEOM = StackGeometry()
 #: TSV faults on so TSV-Swap absorption and the TSV kernel rows are hit.
 RATES = FailureRates.paper_baseline(tsv_device_fit=1430.0)
+#: TSV faults in most trials, several per trial.
+HIGH_TSV_RATES = FailureRates.paper_baseline(tsv_device_fit=20000.0)
 #: A hot/cold bank-position profile for the thermal FIT feedback.
 THERMAL = tuple(1.0 + 0.5 * (bank % 3) for bank in range(GEOM.banks_per_die))
 
@@ -87,10 +91,10 @@ def stress_sim(rates, seed):
     )
 
 
-def run_once(scheme, seed, batch, trials=300, **config_kwargs):
+def run_once(scheme, seed, batch, trials=300, rates=RATES, **config_kwargs):
     """``batch``: the default ``run``; otherwise the scalar reference."""
     config = EngineConfig(**config_kwargs)
-    sim = LifetimeSimulator(GEOM, RATES, SCHEMES[scheme](GEOM), config, seed=seed)
+    sim = LifetimeSimulator(GEOM, rates, SCHEMES[scheme](GEOM), config, seed=seed)
     if batch:
         return sim.run(trials)
     return sim._run_scalar(trials, sim.default_min_faults(), None)
@@ -112,13 +116,19 @@ class TestBatchMatchesScalar:
             assert doc(scalar) == doc(batch), (scheme, seed)
 
     def test_identical_with_mitigations(self, scheme):
-        scalar = run_once(
-            scheme, 31, batch=False, tsv_swap_standby=4, use_dds=True
-        )
-        batch = run_once(
-            scheme, 31, batch=True, tsv_swap_standby=4, use_dds=True
-        )
-        assert doc(scalar) == doc(batch), scheme
+        # At TSV FIT 20000 and one stand-by TSV per channel many trials
+        # overflow a pool, so the overflow check and the gate in front
+        # of it decide trials too.
+        for rates, standby in ((RATES, 4), (HIGH_TSV_RATES, 1)):
+            scalar = run_once(
+                scheme, 31, batch=False, rates=rates,
+                tsv_swap_standby=standby, use_dds=True,
+            )
+            batch = run_once(
+                scheme, 31, batch=True, rates=rates,
+                tsv_swap_standby=standby, use_dds=True,
+            )
+            assert doc(scalar) == doc(batch), (scheme, standby)
 
     def test_identical_with_thermal_bank_fit(self, scheme):
         """``ThermalFaultInjector`` overrides bank placement; the batch
@@ -225,6 +235,51 @@ class TestStressRates:
         scalar = stress_sim(rates, seed=8)._run_scalar(trials, 2, None)
         assert doc(result) == doc(scalar)
         assert doc(stress_sim(rates, seed=8).run(trials, 2)) == doc(scalar)
+
+
+def tsv_record(kind, channel, index):
+    """A sampled record of the TSV fault ``(kind, channel, index)``."""
+    spec = FaultSpec(kind, Permanence.PERMANENT, channel, -1, index, 0)
+    fields = (spec.kind, spec.permanence, spec.die, spec.bank, spec.a, spec.b)
+    return reference_row(spec, GEOM), fields
+
+
+class TestTsvOverflow:
+    """The stand-by pool boundary of ``BatchTrialKernel._tsv_overflows``.
+    The engine asks only when a trial has more than ``standby`` TSV
+    faults, since no channel can hold more distinct faulty TSVs than
+    that."""
+
+    STANDBY = 4
+
+    def overflows(self, records):
+        return BatchTrialKernel._tsv_overflows(records, self.STANDBY)
+
+    def dtsvs(self, channel, count):
+        return [
+            tsv_record(FaultKind.DATA_TSV, channel, index)
+            for index in range(count)
+        ]
+
+    def test_standby_distinct_tsvs_fit(self):
+        assert not self.overflows(self.dtsvs(3, self.STANDBY))
+
+    def test_one_more_overflows(self):
+        assert self.overflows(self.dtsvs(3, self.STANDBY + 1))
+
+    def test_repeats_of_one_tsv_cost_nothing(self):
+        records = self.dtsvs(3, self.STANDBY) + self.dtsvs(3, 1) * 3
+        assert not self.overflows(records)
+
+    def test_data_and_address_tsvs_with_one_index_are_distinct(self):
+        records = self.dtsvs(3, self.STANDBY)
+        records.append(tsv_record(FaultKind.ADDR_TSV, 3, 0))
+        assert self.overflows(records)
+
+    def test_other_channels_do_not_count(self):
+        records = self.dtsvs(3, self.STANDBY) + self.dtsvs(5, self.STANDBY)
+        records.append(tsv_record(FaultKind.ADDR_TSV, 6, 0))
+        assert not self.overflows(records)
 
 
 class TestWorkerByteIdentity:
@@ -406,7 +461,7 @@ def build_trial_batch(trials, interval):
     }
     for specs, times in trials:
         for spec, t in zip(specs, times):
-            rb, rm, cb, cm = spec.footprint_masks(GEOM)
+            rb, rm, cb, cm = reference_masks(spec, GEOM)
             columns["permanent"].append(
                 spec.permanence is Permanence.PERMANENT
             )
@@ -578,7 +633,7 @@ class TestPairIndex:
         interval = EngineConfig().scrub_interval_hours
         batch = build_trial_batch(trials, interval)
         masks = [
-            spec.footprint_masks(GEOM) for specs, _ in trials for spec in specs
+            reference_masks(spec, GEOM) for specs, _ in trials for spec in specs
         ]
         for width in PAIR_WIDTHS:
             shift = width.bit_length() - 1

@@ -1,5 +1,7 @@
 """Tests for the Poisson fault injector: arrival statistics, stratified
-sampling weights, and fault placement."""
+sampling weights, the count table, fault placement, and the compiled
+sampler's draws and kernel rows against stdlib and footprint
+references."""
 
 import math
 import random
@@ -255,6 +257,88 @@ class TestTruncatedSamplerGuards:
         assert weight == inj.prob_at_least(2, hours)
 
 
+def reference_count(rng, lam, min_faults):
+    """``sample_count``'s count draw with its set-up redone on every call:
+    Knuth's product of uniforms when unconditioned, else the inverse CDF
+    over the tail of a Poisson conditioned on ``N >= min_faults``."""
+    if min_faults <= 0:
+        threshold = math.exp(-lam)
+        count, product = 0, rng.random()
+        while product > threshold:
+            count += 1
+            product *= rng.random()
+        return count
+    term = math.exp(-lam)
+    cdf = 0.0
+    for k in range(min_faults):
+        cdf += term
+        term *= lam / (k + 1)
+    tail_mass = max(1e-300, 1.0 - cdf)
+    u = rng.random() * tail_mass
+    k = min_faults
+    acc = 0.0
+    while True:
+        acc += term
+        if u <= acc:
+            return k
+        k += 1
+        term *= lam / k
+
+
+def reference_weight(lam, min_faults):
+    """``P(N >= min_faults)`` by the direct CDF sum (means below ~745)."""
+    if min_faults <= 0:
+        return 1.0
+    term = math.exp(-lam)
+    cdf = 0.0
+    for k in range(min_faults):
+        cdf += term
+        term *= lam / (k + 1)
+    return max(0.0, 1.0 - cdf)
+
+
+class TestCountTable:
+    """``sample_count`` keeps its Poisson set-up per ``(lifetime,
+    min_faults)``; the draws, weights and RNG stream are those of the
+    set-up rebuilt on every call."""
+
+    #: ``(lifetime_hours, min_faults)`` keys, one unconditioned.
+    KEYS = (
+        (LIFETIME_HOURS, 0),
+        (LIFETIME_HOURS, 2),
+        (1000.0, 1),
+        (20 * LIFETIME_HOURS, 3),
+        (LIFETIME_HOURS, 1),
+    )
+
+    def test_interleaved_keys_match_uncached_reference(self, geom):
+        for seed in range(5):
+            inj = make_injector(geom, seed=seed, tsv_device_fit=1430.0)
+            reference_rng = random.Random(seed)
+            order = random.Random(100 + seed)
+            for _ in range(2000):
+                hours, min_faults = order.choice(self.KEYS)
+                lam = inj.total_rate_per_hour * hours
+                expected = (
+                    reference_count(reference_rng, lam, min_faults),
+                    reference_weight(lam, min_faults),
+                )
+                assert inj.sample_count(hours, min_faults) == expected
+            assert inj.rng.getstate() == reference_rng.getstate(), seed
+
+    def test_failing_configurations_raise_on_every_call(self, geom):
+        inj = make_injector(geom, seed=13)
+        underflow_hours = 800.0 / inj.total_rate_per_hour
+        for _ in range(2):
+            with pytest.raises(ConfigurationError, match="too large"):
+                inj.sample_count(underflow_hours, min_faults=2)
+            with pytest.raises(ConfigurationError, match="zero total rate"):
+                inj.sample_count(0.0, min_faults=2)
+        # Neither configuration drew anything.
+        assert inj.rng.getstate() == random.Random(13).getstate()
+        assert inj.sample_count(LIFETIME_HOURS, min_faults=2)[0] >= 2
+
+
 class TestPlaceAtGuard:
     def test_mismatched_lengths_rejected(self, geom):
         inj = make_injector(geom, seed=17)
@@ -324,6 +408,62 @@ def reference_spec(inj, rng):
     return FaultSpec(kind, perm, die, bank, *coordinates)
 
 
+def reference_masks(spec, geometry):
+    """``(row_base, row_mask, col_base, col_mask)`` of ``spec.build()``'s
+    footprint: the canonical address+mask pairs of the ``make_*``
+    constructors, as plain ints.  The sampler's compiled footprint rules
+    must give these masks for every record, and the batch kernel tests
+    build their ``TrialBatch`` rows from them."""
+    kind = spec.kind
+    row_universe = (1 << geometry.row_address_bits) - 1
+    col_universe = (1 << geometry.col_address_bits) - 1
+    if kind is FaultKind.BIT:
+        return spec.a, 0, spec.b, 0
+    if kind is FaultKind.WORD:
+        word_bits = min(WORD_BITS, geometry.row_bits)
+        return spec.a, 0, spec.b * word_bits, word_bits - 1
+    if kind is FaultKind.COLUMN:
+        return 0, row_universe, spec.a, 0
+    if kind is FaultKind.ROW:
+        return spec.a, 0, 0, col_universe
+    if kind is FaultKind.SUBARRAY:
+        return (
+            spec.a * geometry.rows_per_subarray,
+            geometry.rows_per_subarray - 1,
+            0,
+            col_universe,
+        )
+    if kind is FaultKind.BANK:
+        return 0, row_universe, 0, col_universe
+    if kind is FaultKind.DATA_TSV:
+        num_dtsv = geometry.data_tsvs_per_channel
+        burst = geometry.line_bits // num_dtsv
+        burst_mask = (burst - 1) * num_dtsv if burst > 1 else 0
+        line_select_mask = col_universe & ~(geometry.line_bits - 1)
+        col_mask = burst_mask | line_select_mask
+        return 0, row_universe, spec.a & ~col_mask, col_mask
+    assert kind is FaultKind.ADDR_TSV
+    bit = spec.a % geometry.row_address_bits
+    return (
+        (1 - spec.b) << bit,
+        row_universe & ~(1 << bit),
+        0,
+        col_universe,
+    )
+
+
+def reference_row(spec, geometry):
+    """The ``TrialBatch`` columns of ``spec`` but the epoch."""
+    return (
+        spec.permanence is Permanence.PERMANENT,
+        spec.kind.is_tsv,
+        spec.kind is FaultKind.BANK,
+        spec.die,
+        spec.bank,
+        *reference_masks(spec, geometry),
+    )
+
+
 #: Name -> injector factory ``(geometry, rng) -> FaultInjector``.
 SAMPLER_CONFIGS = {
     "paper": lambda g, rng: FaultInjector(
@@ -350,6 +490,30 @@ SAMPLER_CONFIGS = {
 }
 
 
+#: Geometries for the compiled footprint rules: the baseline, the small
+#: functional one, and one whose DTSVs carry one bit per line
+#: (``line_bits // data_tsvs_per_channel == 1``: no burst mask).
+ROW_GEOMETRIES = {
+    "default": StackGeometry(),
+    "small": StackGeometry.small(),
+    "one-bit-burst": StackGeometry.small(data_tsvs_per_channel=512),
+}
+
+
+def sampleable_kinds(inj):
+    """Every kind the injector's rates can produce.  Table I has no
+    subarray rate: subarray faults are transposed bank faults, which the
+    'full' ablation keeps whole."""
+    full = inj.rates.bank_fault_granularity == "full"
+    kinds = {
+        FaultKind.BIT, FaultKind.WORD, FaultKind.COLUMN, FaultKind.ROW,
+        FaultKind.BANK if full else FaultKind.SUBARRAY,
+    }
+    if inj.rates.tsv_device_fit > 0:
+        kinds |= {FaultKind.DATA_TSV, FaultKind.ADDR_TSV}
+    return kinds
+
+
 class TestDrawExactSampling:
     """``sample_specs`` (and ``sample_kinds``, built on the same sampler)
     is a faster form of :func:`reference_spec`, never a different one."""
@@ -360,7 +524,7 @@ class TestDrawExactSampling:
         for seed in range(20):
             inj = SAMPLER_CONFIGS[config](geom, random.Random(seed))
             reference_rng = random.Random(seed)
-            specs = inj.sample_specs(300)
+            specs = [FaultSpec(*spec) for _, spec in inj.sample_specs(300)]
             expected = [reference_spec(inj, reference_rng) for _ in range(300)]
             assert specs == expected, (config, seed)
             assert inj.rng.getstate() == reference_rng.getstate(), (
@@ -368,16 +532,33 @@ class TestDrawExactSampling:
             )
             kinds.update(spec.kind for spec in specs)
         # Every kind the rates can produce was compared, rare ones too.
-        # Table I has no subarray rate: subarray faults are transposed
-        # bank faults, which the 'full' ablation keeps whole.
-        full = inj.rates.bank_fault_granularity == "full"
-        expected_kinds = {
-            FaultKind.BIT, FaultKind.WORD, FaultKind.COLUMN, FaultKind.ROW,
-            FaultKind.BANK if full else FaultKind.SUBARRAY,
-        }
-        if inj.rates.tsv_device_fit > 0:
-            expected_kinds |= {FaultKind.DATA_TSV, FaultKind.ADDR_TSV}
-        assert kinds == expected_kinds
+        assert kinds == sampleable_kinds(inj)
+
+    @pytest.mark.parametrize("geometry_name", sorted(ROW_GEOMETRIES))
+    @pytest.mark.parametrize("config", sorted(SAMPLER_CONFIGS))
+    def test_rows_match_reference_footprints(self, config, geometry_name):
+        """Each record's row is its spec's flags and reference masks, and
+        those are the canonical footprint of the fault the spec builds."""
+        geometry = ROW_GEOMETRIES[geometry_name]
+        kinds = set()
+        for seed in range(20):
+            inj = SAMPLER_CONFIGS[config](geometry, random.Random(seed))
+            reference_rng = random.Random(seed)
+            for row, fields in inj.sample_specs(300):
+                spec = FaultSpec(*fields)
+                where = (config, geometry_name, seed, spec)
+                assert spec == reference_spec(inj, reference_rng), where
+                assert row == reference_row(spec, geometry), where
+                footprint = spec.build(geometry).footprint
+                assert row[5:] == (
+                    footprint.rows.base, footprint.rows.mask,
+                    footprint.cols.base, footprint.cols.mask,
+                ), where
+                kinds.add(spec.kind)
+            assert inj.rng.getstate() == reference_rng.getstate(), (
+                config, geometry_name, seed
+            )
+        assert kinds == sampleable_kinds(inj)
 
     def test_nonfinite_rates_rejected(self, geom):
         rates = FailureRates.paper_baseline(tsv_device_fit=math.inf)

@@ -224,8 +224,9 @@ class TestThermalFeedback:
         )
         injector = ThermalFaultInjector(geom, rates, multipliers=hot, seed=9)
         counts = [0] * geom.banks_per_die
-        for _ in range(2000):
-            counts[injector._sample_bank()] += 1
+        for _, (kind, _, _, bank, _, _) in injector.sample_specs(2000):
+            if not kind.is_tsv:
+                counts[bank] += 1
         assert counts[0] > 2 * max(counts[1:])
 
     def test_thermal_injector_scales_total_rate(self, geom):
