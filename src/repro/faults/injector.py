@@ -22,8 +22,12 @@ footprint rule with every geometry constant resolved.  One sampling loop
 (``FaultInjector._sample_records``) draws faults as flat records — the
 ``TrialBatch`` row the batch kernel reads and the :class:`FaultSpec`
 fields — so the batch path builds no object for a trial its kernel
-proves survivable.  The ``Poisson`` set-up of :meth:`FaultInjector.
-sample_count` is kept per ``(lifetime, min_faults)`` in a count table.
+proves survivable.  :meth:`FaultInjector.place_at` is the one place a
+sampled trial's faults are built, each once, from its spec fields at its
+sorted arrival time: for :meth:`FaultInjector.sample_lifetime`, the
+stratified and importance samplers and the batch kernel's fallback
+trials.  The ``Poisson`` set-up of :meth:`FaultInjector.sample_count`
+is kept per ``(lifetime, min_faults)`` in a count table.
 """
 
 from __future__ import annotations
@@ -175,8 +179,8 @@ class FaultSpec:
     DTSV/ATSV split), permanence, location coordinates — in a flat
     record.  ``build`` turns it into a full :class:`Fault` through the
     ``make_*`` constructors.  The sampler emits a spec's fields, not the
-    spec: the batch path builds one only for a trial it re-runs on the
-    scalar path.
+    spec: :meth:`FaultInjector.place_at` builds one only for a trial the
+    scalar path runs.
 
     Coordinate conventions: ``die`` holds the channel for TSV kinds and
     ``bank`` is -1 (a TSV fault spans every bank of its die).  ``a``/``b``
@@ -541,33 +545,36 @@ class FaultInjector:
         self._count_table[(lifetime_hours, min_faults)] = entry
         return entry
 
-    def sample_kinds(self, count: int) -> List[Fault]:
-        """``count`` faults with kind/permanence/placement but no arrival
-        time yet (the time-independent half of the arrival process)."""
-        geometry = self.geometry
-        return [
-            FaultSpec(*spec).build(geometry)
-            for _, spec in self._sample_records(count)
-        ]
+    def sample_kinds(self, count: int) -> List[Tuple[Any, ...]]:
+        """``count`` faults' :class:`FaultSpec` fields: kind, permanence
+        and placement but no arrival time yet (the time-independent half
+        of the arrival process).  :meth:`place_at` builds the faults."""
+        return [spec for _, spec in self._sample_records(count)]
 
-    @staticmethod
-    def place_at(faults: List[Fault], times: List[float]) -> List[Fault]:
-        """Attach arrival times (sorted) to sampled faults.
+    def place_at(
+        self, specs: Sequence[Tuple[Any, ...]], times: List[float]
+    ) -> List[Fault]:
+        """Build sampled faults, each once, at their sorted arrival times.
 
         Kinds are exchangeable and independent of times, so zipping the
         kind draws onto the *sorted* times in order preserves the joint
         arrival distribution — and lets alternative time proposals
         (``repro.reliability.sampling``) reuse the kind sampler as-is.
+        Every sampled trial's faults are built here: ``sample_lifetime``,
+        the samplers and the batch kernel's fallback trials.
         """
         contracts.require(
-            len(faults) == len(times),
+            len(specs) == len(times),
             "place_at needs one arrival time per fault: "
             "%d faults vs %d times",
-            len(faults),
+            len(specs),
             len(times),
         )
-        ordered = sorted(times)
-        return [fault.at_time(t) for fault, t in zip(faults, ordered)]
+        geometry = self.geometry
+        return [
+            FaultSpec(*spec).build(geometry, t)
+            for spec, t in zip(specs, sorted(times))
+        ]
 
     def sample_lifetime(
         self,
@@ -581,14 +588,14 @@ class FaultInjector:
         sample was drawn from (1.0 for unconditioned sampling).
         """
         count, weight = self.sample_count(lifetime_hours, min_faults)
-        faults = self.sample_kinds(count)
+        specs = self.sample_kinds(count)
         random_float = self.rng.random
         # ``uniform(0.0, L)`` computes ``0.0 + (L - 0.0) * random()``,
         # which is bitwise ``L * random()``: a count above zero needs a
         # positive mean, hence ``L > 0``, so the product is never -0.0.
         # ``BatchTrialKernel.run`` draws its times the same way.
         times = [lifetime_hours * random_float() for _ in range(count)]
-        return self.place_at(faults, times), weight
+        return self.place_at(specs, times), weight
 
     # ------------------------------------------------------------------ #
     def sample_specs(self, count: int) -> List[FaultRecord]:
@@ -596,7 +603,8 @@ class FaultInjector:
         :meth:`sample_kinds` consumes, without constructing ``Fault`` or
         :class:`FaultSpec` objects.  The batch trial kernel samples
         through this, so its RNG stream stays bitwise-compatible with
-        the scalar path."""
+        the scalar path; ``sample_kinds`` calls the private loop instead,
+        so a traced scalar trial counts its faults once."""
         return self._sample_records(count)
 
     def _sample_records(self, count: int) -> List[FaultRecord]:

@@ -15,8 +15,8 @@ to a fixed point in arrays, so a bit/word-FIT×1000 stress trial of about
 minority on Citadel-class configs: genuine failures, TSV-Swap overflows,
 peels the kernel cannot finish, trials whose indexed pairs alone exceed
 the chunk budget) are materialised into ``Fault`` objects from their
-records' spec fields and re-run through ``LifetimeSimulator._simulate``,
-the exact scalar path.
+records' spec fields by ``FaultInjector.place_at`` and re-run through
+``LifetimeSimulator._simulate``, the exact scalar path.
 
 Compatibility rules this module must uphold (and the batch differential
 tests enforce):
@@ -28,8 +28,8 @@ tests enforce):
   faults on either path.  Chunking never reorders or skips draws,
   and evaluating a chunk draws nothing, so chunk boundaries are free.
 * **Weights**: every trial's sampled stratum weight is checked bitwise
-  against the engine-side tail probability, mirroring the naive loop's
-  contract.
+  against the engine-side tail probability, mirroring the naive plan's
+  contract in the scalar loop.
 * **Results**: ``ReliabilityResult`` fields (failure counts, times in
   trial order, weights) are byte-identical to the scalar path's.
 
@@ -51,7 +51,7 @@ from repro.ecc.batch_kernels import (
     candidate_pair_count,
     np,
 )
-from repro.faults.injector import FaultRecord, FaultSpec
+from repro.faults.injector import FaultRecord
 from repro.reliability.results import ReliabilityResult
 
 if TYPE_CHECKING:  # pragma: no cover - annotation-only import
@@ -138,11 +138,7 @@ class BatchTrialKernel:
         sample_specs = injector.sample_specs
         random_float = injector.rng.random
         block_bits = self.kernel.col_block_bits
-        expected_weight = (
-            injector.prob_at_least(strata_min, lifetime)
-            if strata_min > 0
-            else 1.0
-        )
+        expected_weight = injector.prob_at_least(strata_min, lifetime)
         failure_times: List[float] = []
         # The open chunk.  ``sampled`` holds, per trial, (the records'
         # spec fields in draw order, times sorted ascending) for the
@@ -164,7 +160,7 @@ class BatchTrialKernel:
                 lifetime, min_faults=strata_min
             )
             if sampled_weight != expected_weight:  # reprolint: disable=REPRO003
-                # Same contract (and message) as the naive loop; the
+                # Same contract (and message) as the naive plan's; the
                 # equality fast path keeps the check off the hot path.
                 contracts.require(
                     math.isclose(
@@ -279,12 +275,10 @@ class BatchTrialKernel:
         """Failure time of one trial, from its faults' spec fields, on the
         exact scalar path, or None."""
         self.fallback_trials += 1
-        geometry = self.sim.geometry
-        faults = [
-            FaultSpec(*spec).build(geometry, time_hours)
-            for spec, time_hours in zip(specs, times)
-        ]
-        outcome = self.sim._simulate(faults, None, None, None)
+        sim = self.sim
+        outcome = sim._simulate(
+            sim.injector.place_at(specs, times), None, None, None
+        )
         return None if outcome is None else outcome[0]
 
     @staticmethod

@@ -19,6 +19,13 @@ Rare-failure acceleration: when the scheme cannot fail with fewer than
 ``k`` faults per lifetime and weighted by ``P(N >= k)``
 (:meth:`FaultInjector.sample_lifetime`), keeping the estimator unbiased
 while spending no time on empty lifetimes.
+
+Every run draws its trials from a sampling plan of
+:mod:`repro.reliability.sampling`; naive sampling is the plan with that
+one ``N >= k`` stratum.  :meth:`LifetimeSimulator._run_scalar` is the
+one trial loop for every plan.  Naive runs whose model has an array
+kernel go through :mod:`repro.reliability.batch` instead, with
+byte-identical results.
 """
 
 from __future__ import annotations
@@ -45,7 +52,6 @@ from repro.reliability.results import (
 from repro.reliability.sampling import (
     SAMPLING_METHODS,
     StratumDef,
-    TrialSampler,
     make_sampler,
 )
 from repro.rng import make_rng
@@ -85,10 +91,12 @@ class EngineConfig:
     #: on or off and shard metrics merge deterministically.
     collect_metrics: bool = False
     #: Sampling plan over the fault-arrival process: ``"naive"`` is the
-    #: legacy single-stratum path (byte-identical to prior releases),
-    #: ``"stratified"`` partitions by exact fault count, ``"importance"``
-    #: adds the epoch-clustered time proposal with exact likelihood-ratio
-    #: reweighting (see :mod:`repro.reliability.sampling`).
+    #: one-stratum plan (its results keep the naive format, byte-identical
+    #: to prior releases, and run on the batch kernel when the model has
+    #: one), ``"stratified"`` partitions by exact fault count,
+    #: ``"importance"`` adds the epoch-clustered time proposal with exact
+    #: likelihood-ratio reweighting.  One scalar loop runs them all (see
+    #: :mod:`repro.reliability.sampling`).
     sampling: str = "naive"
     #: When set, campaigns stop once the anytime-valid confidence
     #: sequence over the failure probability is narrower than this
@@ -191,14 +199,12 @@ class LifetimeSimulator:
     ) -> ReliabilityResult:
         """Run ``trials`` lifetimes and aggregate the failure statistics.
 
-        Naive-sampling runs go through the batch trial kernel whenever
+        Runs go through the batch trial kernel whenever
         :func:`~repro.reliability.batch.make_batch_runner` accepts this
-        simulator, and through :meth:`_run_scalar` otherwise; both give
-        byte-identical results.
+        simulator (naive sampling only), and through :meth:`_run_scalar`
+        otherwise; both give byte-identical results.
         """
         strata_min = self.default_min_faults() if min_faults is None else min_faults
-        if self.config.sampling != "naive":
-            return self._run_sampled(trials, strata_min, label)
         batch_runner = make_batch_runner(self)
         if batch_runner is not None:
             return batch_runner.run(trials, strata_min, label)
@@ -210,53 +216,100 @@ class LifetimeSimulator:
         strata_min: int,
         label: Optional[str],
     ) -> ReliabilityResult:
-        """The naive trial loop, one ``sample_lifetime`` + ``_simulate``
-        per trial: the reference the batch path is tested against, and
-        the path for kernel-less models and observability runs."""
-        stats = SparingStats() if self.config.collect_sparing_stats else None
-        metrics = MetricsRegistry() if self.config.collect_metrics else None
+        """The one scalar trial loop, for every sampling plan: one
+        ``sampler.sample`` + ``_simulate`` per trial.  The reference the
+        batch path is tested against, and the path for stratified and
+        importance plans, kernel-less models and observability runs.
+
+        The naive plan (:attr:`TrialSampler.naive`) keeps the naive
+        result format: ``stratum_weight`` is its one stratum's tail mass
+        and no ``strata`` are reported.  Every other plan's result
+        carries ``stratum_weight = 1.0`` plus per-stratum
+        :class:`StratumStats`; the strata-aware estimators on
+        :class:`ReliabilityResult` reweight each failure by its exact
+        likelihood ratio, keeping the failure probability unbiased.
+        """
+        config = self.config
+        sampler = make_sampler(
+            config.sampling,
+            self.injector,
+            lifetime_hours=config.lifetime_hours,
+            scrub_interval_hours=config.scrub_interval_hours,
+            min_faults=strata_min,
+        )
+        naive = sampler.naive
+        for stratum in sampler.strata:
+            expected = self._expected_stratum_weight(stratum)
+            contracts.require(
+                math.isclose(
+                    stratum.weight, expected, rel_tol=0.0, abs_tol=0.0
+                ),
+                "stratum %s: plan weight %r disagrees bitwise with the "
+                "engine's tail probability %r",
+                stratum.key,
+                stratum.weight,
+                expected,
+            )
+        counts = sampler.allocate(trials)
+        stats = SparingStats() if config.collect_sparing_stats else None
+        metrics = MetricsRegistry() if config.collect_metrics else None
         failures = 0
-        # The injector reports each trial's stratum weight; this is the
-        # engine-side formula it must agree with (contract below), so a
-        # drive-by change to either cannot silently bias the estimator.
-        expected_weight = self.injector.prob_at_least(
-            strata_min, self.config.lifetime_hours
-        ) if strata_min > 0 else 1.0
-        weight = expected_weight
         failure_times: List[float] = []
         modes: Counter[str] = Counter()
+        tallies: List[StratumStats] = []
         previous_model_metrics = self.model.metrics
         if metrics is not None:
             self.model.metrics = metrics
+        index = 0
         try:
-            for index in range(trials):
-                tracer = self.tracer
-                if tracer is not None and tracer.should_sample(index):
-                    with tracer.span("trial", index=index):
-                        outcome, sampled_weight = self._run_trial(
-                            strata_min, stats, metrics, tracer
-                        )
-                else:
-                    outcome, sampled_weight = self._run_trial(
-                        strata_min, stats, metrics, None
+            for stratum, quota in zip(sampler.strata, counts):
+                span = {} if naive else {"stratum": stratum.key}
+                stratum_failures = 0
+                ratios: List[float] = []
+                for _ in range(quota):
+                    tracer = self.tracer
+                    if tracer is not None and tracer.should_sample(index):
+                        with tracer.span("trial", index=index, **span):
+                            faults, ratio = sampler.sample(stratum)
+                            outcome = self._simulate(
+                                faults, stats, metrics, tracer
+                            )
+                    else:
+                        faults, ratio = sampler.sample(stratum)
+                        outcome = self._simulate(faults, stats, metrics, None)
+                    contracts.require(
+                        0.0 < ratio <= stratum.bound,
+                        "stratum %s: likelihood ratio %r outside (0, %r]",
+                        stratum.key,
+                        ratio,
+                        stratum.bound,
                     )
-                contracts.require(
-                    math.isclose(
-                        sampled_weight, expected_weight,
-                        rel_tol=0.0, abs_tol=0.0,
-                    ),
-                    "stratum weight sampled by the injector (%r) disagrees "
-                    "with the engine's tail probability (%r)",
-                    sampled_weight,
-                    expected_weight,
+                    index += 1
+                    if outcome is not None:
+                        failed_at, mode = outcome
+                        failures += 1
+                        stratum_failures += 1
+                        ratios.append(ratio)
+                        failure_times.append(failed_at)
+                        if mode is not None:
+                            modes[mode] += 1
+                if naive:
+                    continue
+                tallies.append(
+                    StratumStats(
+                        key=stratum.key,
+                        weight=stratum.weight,
+                        bound=stratum.bound,
+                        trials=quota,
+                        failures=stratum_failures,
+                        failure_weights=sorted(ratios),
+                    )
                 )
-                weight = sampled_weight
-                if outcome is not None:
-                    failed_at, mode = outcome
-                    failures += 1
-                    failure_times.append(failed_at)
-                    if mode is not None:
-                        modes[mode] += 1
+                if metrics is not None:
+                    metrics.inc(f"sampling/trials/{stratum.key}", quota)
+                    metrics.inc(
+                        f"sampling/failures/{stratum.key}", stratum_failures
+                    )
         finally:
             self.model.metrics = previous_model_metrics
         if metrics is not None:
@@ -268,13 +321,14 @@ class LifetimeSimulator:
             scheme_name=label if label is not None else self._label(),
             trials=trials,
             failures=failures,
-            stratum_weight=weight,
-            lifetime_hours=self.config.lifetime_hours,
+            stratum_weight=sampler.strata[0].weight if naive else 1.0,
+            lifetime_hours=config.lifetime_hours,
             min_faults=strata_min,
             sparing=stats,
             failure_times_hours=failure_times,
             failure_modes=modes,
             metrics=metrics,
+            strata=tallies,
         )
 
     def scheme_label(self) -> str:
@@ -290,20 +344,6 @@ class LifetimeSimulator:
         return " + ".join(parts)
 
     # ------------------------------------------------------------------ #
-    def _run_trial(
-        self,
-        min_faults: int,
-        stats: Optional[SparingStats],
-        metrics: Optional[MetricsRegistry] = None,
-        tracer: Optional[TraceWriter] = None,
-    ) -> Tuple[Optional[Tuple[float, Optional[str]]], float]:
-        """One lifetime; returns ((failure time, failure mode) or None,
-        stratum weight of the sampled trial)."""
-        faults, weight = self.injector.sample_lifetime(
-            self.config.lifetime_hours, min_faults=min_faults
-        )
-        return self._simulate(faults, stats, metrics, tracer), weight
-
     def simulate_history(self, faults: List[Fault], recorder=None):
         """Run one sampled fault history through the mitigation stack.
 
@@ -326,9 +366,10 @@ class LifetimeSimulator:
         recorder=None,
     ) -> Optional[Tuple[float, Optional[str]]]:
         """Simulate one sampled fault history through the mitigation stack;
-        returns (failure time, failure mode) or None.  Shared by the naive
-        path and every :mod:`repro.reliability.sampling` plan — samplers
-        only change *which* histories are fed in, never the simulation."""
+        returns (failure time, failure mode) or None.  Shared by every
+        :mod:`repro.reliability.sampling` plan and the batch kernel's
+        fallback trials — samplers only change *which* histories are fed
+        in, never the simulation."""
         config = self.config
         if metrics is not None:
             metrics.inc("engine/faults_sampled", len(faults))
@@ -418,8 +459,8 @@ class LifetimeSimulator:
     def _expected_stratum_weight(self, stratum: StratumDef) -> float:
         """Engine-side recomputation of a stratum's probability mass.
 
-        Mirrors the naive path's weight contract: the sampler's declared
-        masses must agree *bitwise* with the engine's own Poisson-tail
+        The weight contract of every plan: the sampler's declared masses
+        must agree *bitwise* with the engine's own Poisson-tail
         arithmetic, so a drive-by change to either side cannot silently
         bias the estimator.
         """
@@ -429,125 +470,6 @@ class LifetimeSimulator:
                 stratum.exact_count, lifetime
             ) - self.injector.prob_at_least(stratum.exact_count + 1, lifetime)
         return self.injector.prob_at_least(stratum.min_count, lifetime)
-
-    def _run_sampled(
-        self,
-        trials: int,
-        strata_min: int,
-        label: Optional[str],
-    ) -> ReliabilityResult:
-        """Run ``trials`` lifetimes under a stratified/importance plan.
-
-        The result carries ``stratum_weight = 1.0`` plus per-stratum
-        :class:`StratumStats`; the strata-aware estimators on
-        :class:`ReliabilityResult` reweight each failure by its exact
-        likelihood ratio, keeping the failure probability unbiased.
-        """
-        config = self.config
-        sampler = make_sampler(
-            config.sampling,
-            self.injector,
-            lifetime_hours=config.lifetime_hours,
-            scrub_interval_hours=config.scrub_interval_hours,
-            min_faults=strata_min,
-        )
-        contracts.require(
-            sampler is not None,
-            "run() must dispatch sampling=%r to the naive path",
-            config.sampling,
-        )
-        assert sampler is not None  # for the type checker
-        for stratum in sampler.strata:
-            expected = self._expected_stratum_weight(stratum)
-            contracts.require(
-                math.isclose(
-                    stratum.weight, expected, rel_tol=0.0, abs_tol=0.0
-                ),
-                "stratum %s: plan weight %r disagrees bitwise with the "
-                "engine's tail probability %r",
-                stratum.key,
-                stratum.weight,
-                expected,
-            )
-        counts = sampler.allocate(trials)
-        stats = SparingStats() if config.collect_sparing_stats else None
-        metrics = MetricsRegistry() if config.collect_metrics else None
-        failures = 0
-        failure_times: List[float] = []
-        modes: Counter[str] = Counter()
-        tallies: List[StratumStats] = []
-        previous_model_metrics = self.model.metrics
-        if metrics is not None:
-            self.model.metrics = metrics
-        index = 0
-        try:
-            for stratum, quota in zip(sampler.strata, counts):
-                stratum_failures = 0
-                ratios: List[float] = []
-                for _ in range(quota):
-                    tracer = self.tracer
-                    if tracer is not None and tracer.should_sample(index):
-                        with tracer.span(
-                            "trial", index=index, stratum=stratum.key
-                        ):
-                            faults, ratio = sampler.sample(stratum)
-                            outcome = self._simulate(
-                                faults, stats, metrics, tracer
-                            )
-                    else:
-                        faults, ratio = sampler.sample(stratum)
-                        outcome = self._simulate(faults, stats, metrics, None)
-                    contracts.require(
-                        0.0 < ratio <= stratum.bound,
-                        "stratum %s: likelihood ratio %r outside (0, %r]",
-                        stratum.key,
-                        ratio,
-                        stratum.bound,
-                    )
-                    index += 1
-                    if outcome is not None:
-                        failed_at, mode = outcome
-                        failures += 1
-                        stratum_failures += 1
-                        ratios.append(ratio)
-                        failure_times.append(failed_at)
-                        if mode is not None:
-                            modes[mode] += 1
-                tallies.append(
-                    StratumStats(
-                        key=stratum.key,
-                        weight=stratum.weight,
-                        bound=stratum.bound,
-                        trials=quota,
-                        failures=stratum_failures,
-                        failure_weights=sorted(ratios),
-                    )
-                )
-                if metrics is not None:
-                    metrics.inc(f"sampling/trials/{stratum.key}", quota)
-                    metrics.inc(
-                        f"sampling/failures/{stratum.key}", stratum_failures
-                    )
-        finally:
-            self.model.metrics = previous_model_metrics
-        if metrics is not None:
-            metrics.inc("engine/trials", trials)
-            metrics.inc("engine/failures", failures)
-            self.last_run_metrics = metrics
-            metrics = metrics.deterministic_snapshot()
-        return ReliabilityResult(
-            scheme_name=label if label is not None else self._label(),
-            trials=trials,
-            failures=failures,
-            stratum_weight=1.0,
-            lifetime_hours=config.lifetime_hours,
-            min_faults=strata_min,
-            sparing=stats,
-            failure_times_hours=failure_times,
-            failure_modes=modes,
-            metrics=metrics,
-            strata=tallies,
-        )
 
     @staticmethod
     def _scrub_epoch_at(

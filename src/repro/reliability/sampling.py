@@ -1,7 +1,13 @@
-"""Stratified and importance sampling over the fault-arrival process.
+"""Sampling plans over the fault-arrival process: naive, stratified and
+importance.
 
-The naive engine path conditions every trial on ``N >= min_faults`` and
+Every plan is a :class:`TrialSampler`, a list of strata each sampled
+with a likelihood ratio, and ``LifetimeSimulator._run_scalar`` is the one
+trial loop that runs them all.  The naive plan (``method="naive"``,
+:class:`NaiveSampler`) is one stratum: it conditions every trial on
+``N >= min_faults`` through ``FaultInjector.sample_lifetime`` and
 weights the whole campaign by the single stratum mass ``P(N >= m)``.
+Its results keep the naive format (see :attr:`TrialSampler.naive`).
 That removes empty lifetimes but nothing else: for Citadel-class schemes
 (3DP + DDS + TSV-Swap) almost every conditioned trial still survives,
 because the dominant failure mode needs two faults *colliding within one
@@ -18,7 +24,7 @@ estimator is the weighted sum of per-stratum failure frequencies.
 
 **Importance** (``method="importance"``) keeps the count conditioning
 ``N >= m`` (same weight, same bitwise ``prob_at_least`` contract as the
-naive path) but replaces the *time* proposal with an epoch-clustered
+naive plan) but replaces the *time* proposal with an epoch-clustered
 mixture: with probability ``rho`` a uniformly random full scrub epoch
 ``e`` receives two of the ``n`` arrival times (uniform within that
 epoch) while the rest stay uniform over the lifetime; with probability
@@ -140,6 +146,13 @@ class StratumDef:
 class TrialSampler:
     """Base class: a stratified plan over the fault-arrival process."""
 
+    #: ``True`` for the one-stratum naive plan, whose results keep the
+    #: naive format: ``stratum_weight`` is the stratum's weight, no
+    #: ``strata`` tallies, no ``sampling/*`` counters, and ``trial``
+    #: spans carry only their ``index``.  Every other plan reports
+    #: ``stratum_weight = 1.0`` plus per-stratum tallies.
+    naive = False
+
     def __init__(
         self,
         injector: FaultInjector,
@@ -156,7 +169,8 @@ class TrialSampler:
         # N = 0 lifetimes cannot fail (no arrivals), so every plan may
         # condition on at least one fault without biasing the estimator;
         # schemes that need k faults to fail raise the floor further.
-        self.min_faults = max(1, min_faults)
+        # The naive plan keeps 0 as an unconditioned draw.
+        self.min_faults = min_faults if self.naive else max(1, min_faults)
         self.strata: List[StratumDef] = self._build_strata()
 
     # ------------------------------------------------------------------ #
@@ -206,6 +220,39 @@ class TrialSampler:
             self.injector.rng.uniform(0.0, self.lifetime_hours)
             for _ in range(count)
         ]
+
+
+class NaiveSampler(TrialSampler):
+    """The naive plan: one stratum ``N >= m`` drawn by
+    ``FaultInjector.sample_lifetime``, every likelihood ratio 1."""
+
+    naive = True
+
+    def _build_strata(self) -> List[StratumDef]:
+        return [
+            StratumDef(
+                key=f"n>={self.min_faults}",
+                weight=self.injector.prob_at_least(
+                    self.min_faults, self.lifetime_hours
+                ),
+                bound=1.0,
+                min_count=self.min_faults,
+            )
+        ]
+
+    def sample(self, stratum: StratumDef) -> Tuple[List[Fault], float]:
+        # Looked up per call: tests substitute the injector's method.
+        faults, weight = self.injector.sample_lifetime(
+            self.lifetime_hours, min_faults=stratum.min_count
+        )
+        contracts.require(
+            math.isclose(weight, stratum.weight, rel_tol=0.0, abs_tol=0.0),
+            "stratum weight sampled by the injector (%r) disagrees "
+            "with the engine's tail probability (%r)",
+            weight,
+            stratum.weight,
+        )
+        return faults, 1.0
 
 
 class StratifiedSampler(TrialSampler):
@@ -265,10 +312,10 @@ class StratifiedSampler(TrialSampler):
                 weight,
                 stratum.weight,
             )
-        faults = injector.sample_kinds(count)
+        specs = injector.sample_kinds(count)
         times = self._uniform_times(count)
         # Exact conditional sampling: the likelihood ratio is identically 1.
-        return injector.place_at(faults, times), 1.0
+        return injector.place_at(specs, times), 1.0
 
 
 class ImportanceSampler(TrialSampler):
@@ -328,11 +375,11 @@ class ImportanceSampler(TrialSampler):
             weight,
             stratum.weight,
         )
-        faults = injector.sample_kinds(count)
+        specs = injector.sample_kinds(count)
         if count < 2 or self.epochs < 1 or self.mixture_weight <= 0.0:
             # Degenerate proposal is exactly uniform; no mixture draw, so
             # the branch is a deterministic function of the count.
-            return injector.place_at(faults, self._uniform_times(count)), 1.0
+            return injector.place_at(specs, self._uniform_times(count)), 1.0
         if rng.random() < self.mixture_weight:
             epoch = rng.randrange(self.epochs)
             lo = epoch * self.epoch_hours
@@ -344,7 +391,7 @@ class ImportanceSampler(TrialSampler):
         ratio = clustered_likelihood_ratio(
             times, self.lifetime_hours, self.epoch_hours, self.mixture_weight
         )
-        return injector.place_at(faults, times), ratio
+        return injector.place_at(specs, times), ratio
 
 
 def make_sampler(
@@ -354,10 +401,10 @@ def make_sampler(
     lifetime_hours: float,
     scrub_interval_hours: float,
     min_faults: int,
-) -> Optional[TrialSampler]:
-    """The sampling plan for ``method`` (``None`` for the naive path)."""
+) -> TrialSampler:
+    """The sampling plan for ``method``."""
     if method == "naive":
-        return None
+        return NaiveSampler(injector, lifetime_hours, min_faults)
     if method == "stratified":
         return StratifiedSampler(injector, lifetime_hours, min_faults)
     if method == "importance":

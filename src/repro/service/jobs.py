@@ -148,6 +148,19 @@ class CampaignSpec:
                 raise SpecError(
                     f"thermal must be a boolean, got {self.thermal!r}"
                 )
+            # Replay shards draw every lifetime naively and run every
+            # trial: a spec that asks otherwise would be filed apart from
+            # the identical computation.
+            for name, ignored in (
+                ("sampling", self.sampling != "naive"),
+                ("target_ci_width", self.target_ci_width is not None),
+                ("modes", self.modes),
+            ):
+                if ignored:
+                    raise SpecError(
+                        f"{name} is not supported for replay campaigns, "
+                        f"got {getattr(self, name)!r}"
+                    )
         else:
             # Replay-only knobs are meaningless for reliability
             # campaigns; pin them to the defaults so they can never

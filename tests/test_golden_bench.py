@@ -2,10 +2,12 @@
 
 ``tests/golden/*.json`` pins the exact sharded Monte-Carlo outputs of
 the Figure 14 and Figure 18 experiments at reduced trial counts, under
-fixed root seeds and a fixed shard plan.  A refactor of the trial loop,
-fault sampling, striping, or shard/merge machinery that shifts any
-number — failure counts, failure times, stratum weights — fails these
-tests, so paper figures cannot drift silently.
+fixed root seeds and a fixed shard plan, and the whole result documents
+of the stratified, importance and naive sampling plans with engine
+metrics on.  A refactor of the trial loop, fault sampling, striping, or
+shard/merge machinery that shifts any number — failure counts, failure
+times, stratum weights, per-stratum failure weights, metrics — fails
+these tests, so paper figures cannot drift silently.
 
 Legitimately intended changes are re-pinned with::
 
@@ -19,6 +21,7 @@ import pytest
 
 from repro.reliability.experiments import fig14_experiment, fig18_experiment
 from repro.reliability.results import ReliabilityResult
+from tools.regen_goldens import sampling_documents
 
 GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
 
@@ -103,11 +106,29 @@ class TestGoldenFigures:
         )
         assert_matches_golden(results, golden["results"])
 
+    def test_sampling_small_matches_golden(self, geometry):
+        """Whole documents, not ``ReliabilityResult ==`` (which ignores
+        metrics): strata, failure weights and the ``sampling/*`` and
+        ``engine/*`` counters are pinned too."""
+        golden = load("sampling_small.json")
+        documents = sampling_documents(
+            geometry, golden["trials"], golden["shard_size"], golden["seed"]
+        )
+        assert sorted(documents) == sorted(golden["results"])
+        for key, document in documents.items():
+            assert document == golden["results"][key], (
+                f"{key}: sampled result document drifted from the golden "
+                f"fixture; if this change is intended, regenerate with "
+                f"tools/regen_goldens.py"
+            )
+
     def test_goldens_have_resolving_power(self):
         """A fixture with zero failures everywhere could not detect a
         biased refactor; require every pinned experiment to have at
         least one failing scheme and sane counts."""
-        for name in ("fig14_small.json", "fig18_small.json"):
+        for name in (
+            "fig14_small.json", "fig18_small.json", "sampling_small.json"
+        ):
             golden = load(name)
             total_failures = 0
             for key, payload in golden["results"].items():

@@ -5,6 +5,7 @@ references."""
 
 import math
 import random
+from dataclasses import replace
 from decimal import Decimal, localcontext
 
 import pytest
@@ -342,15 +343,25 @@ class TestCountTable:
 class TestPlaceAtGuard:
     def test_mismatched_lengths_rejected(self, geom):
         inj = make_injector(geom, seed=17)
-        faults = inj.sample_kinds(3)
+        specs = inj.sample_kinds(3)
         with pytest.raises(ContractViolation):
-            FaultInjector.place_at(faults, [1.0, 2.0])
+            inj.place_at(specs, [1.0, 2.0])
 
     def test_matched_lengths_accepted(self, geom):
         inj = make_injector(geom, seed=17)
-        faults = inj.sample_kinds(2)
-        placed = FaultInjector.place_at(faults, [5.0, 1.0])
+        specs = inj.sample_kinds(2)
+        placed = inj.place_at(specs, [5.0, 1.0])
         assert [f.time_hours for f in placed] == [1.0, 5.0]
+        # Spec ``i`` arrives at the ``i``-th smallest time, and each
+        # fault takes one uid, in spec order.
+        built = [
+            FaultSpec(*spec).build(geom, t)
+            for spec, t in zip(specs, [1.0, 5.0])
+        ]
+        assert [replace(f, uid=0) for f in placed] == [
+            replace(f, uid=0) for f in built
+        ]
+        assert placed[1].uid == placed[0].uid + 1
 
 
 # ---------------------------------------------------------------------- #

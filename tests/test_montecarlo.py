@@ -187,8 +187,10 @@ class TestSampledWeight:
     probability so the two formulas cannot drift apart unnoticed.
 
     The default (batch) path samples each trial's count through
-    ``sample_count``; the scalar reference loop draws whole lifetimes
-    through ``sample_lifetime``.  Both carry the contract."""
+    ``sample_count``; the scalar loop's naive plan draws whole lifetimes
+    through ``sample_lifetime``, and its stratified tail and importance
+    strata draw counts through ``sample_count``.  All carry the
+    contract."""
 
     @staticmethod
     def _spy(sim, method, scale=1.0):
@@ -240,6 +242,84 @@ class TestSampledWeight:
             pytest.skip("contracts disabled in this environment")
         with pytest.raises(ContractViolation):
             sim._run_scalar(2, 2, None)
+
+    @pytest.mark.parametrize("sampling", ["stratified", "importance"])
+    def test_disagreeing_weight_violates_contract_sampled_plans(
+        self, geom, sampling
+    ):
+        """The stratified tail stratum and the importance stratum draw
+        their counts through ``sample_count``; a weight that disagrees
+        with the plan's is a contract violation on both."""
+        from repro import contracts
+        from repro.errors import ContractViolation
+
+        sim = simulator(geom, make_3dp(geom), sampling=sampling)
+        self._spy(sim, "sample_count", scale=0.5)
+        if not contracts.enabled():
+            pytest.skip("contracts disabled in this environment")
+        # Eight trials give every stratified stratum, the tail included,
+        # at least one trial.
+        with pytest.raises(ContractViolation):
+            sim.run(trials=8, min_faults=2)
+
+
+class TestTrialSpans:
+    """A traced ``trial`` span carries the trial's ``index``; a plan that
+    is not naive adds its ``stratum`` key, trials running through the
+    plan's strata in order."""
+
+    TRIALS = 12
+
+    def _spans(self, geom, tmp_path, sampling):
+        from repro.telemetry.tracing import TraceWriter, read_trace
+
+        path = tmp_path / f"{sampling}.jsonl"
+        with TraceWriter(path, sample_every=1) as tracer:
+            sim = LifetimeSimulator(
+                geom,
+                FailureRates.paper_baseline(tsv_device_fit=1430.0),
+                make_3dp(geom),
+                EngineConfig(tsv_swap_standby=4, sampling=sampling),
+                rng=random.Random(3),
+                tracer=tracer,
+            )
+            sim.run(trials=self.TRIALS)
+        spans = [
+            record.attrs
+            for record in read_trace(path)
+            if record.kind == "begin" and record.name == "trial"
+        ]
+        return sim, spans
+
+    def test_naive_spans_carry_only_the_index(self, geom, tmp_path):
+        _, spans = self._spans(geom, tmp_path, "naive")
+        assert spans == [{"index": i} for i in range(self.TRIALS)]
+
+    def test_stratified_spans_carry_the_plan_keys_in_order(
+        self, geom, tmp_path
+    ):
+        from repro.reliability.sampling import make_sampler
+
+        sim, spans = self._spans(geom, tmp_path, "stratified")
+        config = sim.config
+        sampler = make_sampler(
+            "stratified",
+            sim.injector,
+            lifetime_hours=config.lifetime_hours,
+            scrub_interval_hours=config.scrub_interval_hours,
+            min_faults=sim.default_min_faults(),
+        )
+        keys = [
+            stratum.key
+            for stratum, quota in zip(
+                sampler.strata, sampler.allocate(self.TRIALS)
+            )
+            for _ in range(quota)
+        ]
+        assert len(sampler.strata) > 1
+        assert spans == [
+            {"index": i, "stratum": key} for i, key in enumerate(keys)
+        ]
 
 
 class TestScrubEpochBoundaries:

@@ -511,6 +511,16 @@ class TestReplaySpec:
             CampaignSpec(mode="replay", requests=0)
         with pytest.raises(SpecError):
             CampaignSpec(mode="replay", thermal="yes")
+        # Replay draws every lifetime naively and has no stopping rule,
+        # so settings it would ignore are rejected by name.
+        for field, value in (
+            ("sampling", "importance"),
+            ("sampling", "stratified"),
+            ("target_ci_width", 0.5),
+            ("modes", True),
+        ):
+            with pytest.raises(SpecError, match=field):
+                CampaignSpec(mode="replay", **{field: value})
 
     def test_store_round_trips_replay_results(self, geom, tmp_path):
         from repro.service.jobs import CampaignSpec

@@ -207,14 +207,24 @@ class TestStratumAlgebra:
         else:
             raise AssertionError("unknown method accepted")
 
-    def test_naive_method_returns_none(self, geometry):
-        assert make_sampler(
+    def test_naive_method_is_one_stratum(self, geometry):
+        """Naive sampling is the one-stratum plan ``N >= m``, weighted by
+        the injector's tail mass bitwise, that takes every trial."""
+        injector = make_injector(geometry)
+        sampler = make_sampler(
             "naive",
-            make_injector(geometry),
+            injector,
             lifetime_hours=LIFETIME_HOURS,
             scrub_interval_hours=SCRUB_INTERVAL_HOURS,
             min_faults=2,
-        ) is None
+        )
+        assert sampler.naive
+        (stratum,) = sampler.strata
+        assert stratum.exact_count is None and stratum.min_count == 2
+        assert stratum.weight == injector.prob_at_least(2, LIFETIME_HOURS)
+        assert stratum.bound == 1.0
+        for trials in (0, 1, 7, 500):
+            assert sampler.allocate(trials) == [trials]
 
 
 # ---------------------------------------------------------------------- #

@@ -47,9 +47,12 @@ def run_parallel(geometry, workers, trials=600, **cfg):
 
 
 class TestMetricsNeverChangeResults:
-    def test_telemetry_on_equals_telemetry_off(self, geometry):
-        off = run_parallel(geometry, workers=1)
-        on = run_parallel(geometry, workers=1, collect_metrics=True)
+    @pytest.mark.parametrize("sampling", ["naive", "stratified", "importance"])
+    def test_telemetry_on_equals_telemetry_off(self, geometry, sampling):
+        off = run_parallel(geometry, workers=1, sampling=sampling)
+        on = run_parallel(
+            geometry, workers=1, collect_metrics=True, sampling=sampling
+        )
         assert off == on  # dataclass equality excludes the metrics sidecar
         assert off.metrics is None
         assert on.metrics is not None

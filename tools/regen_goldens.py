@@ -4,10 +4,12 @@
 Usage: PYTHONPATH=src python tools/regen_goldens.py
 
 The fixtures pin the exact sharded-campaign outputs of the Figure 14 and
-Figure 18 experiments at reduced trial counts (see
-``tests/test_golden_bench.py``).  Regenerate them ONLY when a change to
-the trial loop, fault sampling, or shard plan is *intended* to shift
-paper numbers — and say so in the commit message.
+Figure 18 experiments at reduced trial counts, and the whole result
+documents (strata, failure weights and engine metrics included) of the
+stratified, importance and naive sampling plans on the scalar trial
+loop (see ``tests/test_golden_bench.py``).  Regenerate them ONLY when a
+change to the trial loop, fault sampling, or shard plan is *intended* to
+shift paper numbers — and say so in the commit message.
 """
 
 from __future__ import annotations
@@ -15,8 +17,16 @@ from __future__ import annotations
 import json
 import sys
 from pathlib import Path
+from typing import Any, Dict
 
-from repro.reliability.experiments import fig14_experiment, fig18_experiment
+from repro.core.parity3dp import make_3dp
+from repro.faults.rates import TSV_FIT_HIGH, FailureRates
+from repro.reliability.experiments import (
+    fig14_experiment,
+    fig18_experiment,
+    run_campaign,
+)
+from repro.reliability.results import ReliabilityResult
 from repro.stack.geometry import StackGeometry
 
 GOLDEN_DIR = Path(__file__).resolve().parent.parent / "tests" / "golden"
@@ -28,6 +38,46 @@ FIG18_SYMBOL_TRIALS = 2000
 FIG18_CITADEL_TRIALS = 6000
 SHARD_SIZE = 500
 
+#: The sampling golden: one root seed and trial budget for every leg.
+SAMPLING_TRIALS = 2000
+SAMPLING_SEED = 7
+
+#: Sampling-golden legs: key -> (sampling plan, DDS on).  Every leg is
+#: 3DP + TSV-Swap (4 stand-bys) at the high TSV FIT; with DDS it is
+#: Citadel.  Engine metrics are on, so the naive leg runs on the scalar
+#: loop too.
+SAMPLING_LEGS = {
+    "3dp_stratified": ("stratified", False),
+    "3dp_importance": ("importance", False),
+    "citadel_importance": ("importance", True),
+    "3dp_naive": ("naive", False),
+}
+
+
+def document(result: ReliabilityResult) -> Dict[str, Any]:
+    """A result's document without its run manifest, which records how
+    the campaign was described, not what it computed."""
+    data = result.to_dict()
+    data.pop("manifest", None)
+    return data
+
+
+def sampling_documents(
+    geometry: StackGeometry, trials: int, shard_size: int, seed: int
+) -> Dict[str, Dict[str, Any]]:
+    """Each sampling leg's result document."""
+    rates = FailureRates.paper_baseline(tsv_device_fit=TSV_FIT_HIGH)
+    return {
+        key: document(
+            run_campaign(
+                geometry, rates, make_3dp(geometry), trials, seed,
+                shard_size=shard_size, tsv_swap_standby=4, use_dds=dds,
+                sampling=sampling, collect_metrics=True,
+            )
+        )
+        for key, (sampling, dds) in SAMPLING_LEGS.items()
+    }
+
 
 def main() -> int:
     geometry = StackGeometry()
@@ -36,7 +86,7 @@ def main() -> int:
             "trials": FIG14_TRIALS,
             "shard_size": SHARD_SIZE,
             "results": {
-                key: result.to_dict()
+                key: document(result)
                 for key, result in fig14_experiment(
                     geometry, FIG14_TRIALS, shard_size=SHARD_SIZE
                 ).items()
@@ -47,7 +97,7 @@ def main() -> int:
             "citadel_trials": FIG18_CITADEL_TRIALS,
             "shard_size": SHARD_SIZE,
             "results": {
-                key: result.to_dict()
+                key: document(result)
                 for key, result in fig18_experiment(
                     geometry,
                     FIG18_SYMBOL_TRIALS,
@@ -55,6 +105,14 @@ def main() -> int:
                     shard_size=SHARD_SIZE,
                 ).items()
             },
+        },
+        "sampling_small.json": {
+            "trials": SAMPLING_TRIALS,
+            "shard_size": SHARD_SIZE,
+            "seed": SAMPLING_SEED,
+            "results": sampling_documents(
+                geometry, SAMPLING_TRIALS, SHARD_SIZE, SAMPLING_SEED
+            ),
         },
     }
     GOLDEN_DIR.mkdir(parents=True, exist_ok=True)
