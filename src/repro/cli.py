@@ -778,7 +778,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
 def cmd_submit(args: argparse.Namespace) -> int:
     from repro.service.client import ServiceClient, parse_result
 
-    client = ServiceClient(args.url, timeout_s=args.timeout)
     spec = _spec_from_args(
         args,
         scale=args.scale,
@@ -787,23 +786,24 @@ def cmd_submit(args: argparse.Namespace) -> int:
         sampling=args.sampling,
         target_ci_width=args.target_ci_width,
     )
-    job = client.submit(
-        spec, priority=args.priority, workers=args.workers
-    )
-    if not args.wait:
-        if args.json:
-            out(json.dumps({"job": job}, indent=1, sort_keys=True))
-        else:
-            out(
-                f"job {job['id']} state={job['state']} "
-                f"cache_hit={str(job['cache_hit']).lower()}"
-            )
-        return 0
-    err(f"submitted job {job['id']}; waiting ...")
-    client.wait(
-        job["id"], timeout_s=args.wait_timeout, poll_interval_s=args.poll
-    )
-    document = client.result_document(job["id"])
+    with ServiceClient(args.url, timeout_s=args.timeout) as client:
+        job = client.submit(
+            spec, priority=args.priority, workers=args.workers
+        )
+        if not args.wait:
+            if args.json:
+                out(json.dumps({"job": job}, indent=1, sort_keys=True))
+            else:
+                out(
+                    f"job {job['id']} state={job['state']} "
+                    f"cache_hit={str(job['cache_hit']).lower()}"
+                )
+            return 0
+        err(f"submitted job {job['id']}; waiting ...")
+        client.wait(
+            job["id"], timeout_s=args.wait_timeout, poll_interval_s=args.poll
+        )
+        document = client.result_document(job["id"])
     if args.json:
         out(json.dumps(document, indent=1, sort_keys=True))
         return 0
@@ -819,59 +819,59 @@ def cmd_submit(args: argparse.Namespace) -> int:
 def cmd_status(args: argparse.Namespace) -> int:
     from repro.service.client import ServiceClient
 
-    client = ServiceClient(args.url, timeout_s=args.timeout)
-    if args.job is not None:
-        job = client.job(args.job)
-        document = {"job": job}
-        manifest_doc: Optional[Dict[str, Any]] = None
-        if job.get("state") == "done":
-            try:
-                result_doc = client.result_document(args.job)
-                manifest_doc = result_doc["result"].get("manifest")
-            except ReproError:
-                manifest_doc = None  # evicted/raced result: job line only
-        if manifest_doc is not None:
-            document["manifest"] = manifest_doc
+    with ServiceClient(args.url, timeout_s=args.timeout) as client:
+        if args.job is not None:
+            job = client.job(args.job)
+            document = {"job": job}
+            manifest_doc: Optional[Dict[str, Any]] = None
+            if job.get("state") == "done":
+                try:
+                    result_doc = client.result_document(args.job)
+                    manifest_doc = result_doc["result"].get("manifest")
+                except ReproError:
+                    manifest_doc = None  # evicted/raced result: job line only
+            if manifest_doc is not None:
+                document["manifest"] = manifest_doc
+            if args.json:
+                out(json.dumps(document, indent=1, sort_keys=True))
+            else:
+                out(
+                    f"job {job['id']} state={job['state']} "
+                    f"attempts={job['attempts']} "
+                    f"cache_hit={str(job['cache_hit']).lower()}"
+                    + (f" error={job['error']}" if job.get("error") else "")
+                )
+                if manifest_doc is not None:
+                    from repro.telemetry.manifest import RunManifest
+
+                    out("provenance:")
+                    for line in RunManifest.from_dict(manifest_doc).describe():
+                        out(f"  {line}")
+            return 0
+        document = {"health": client.healthz()}
+        if args.metrics:
+            document["metrics"] = client.metrics()
         if args.json:
             out(json.dumps(document, indent=1, sort_keys=True))
-        else:
-            out(
-                f"job {job['id']} state={job['state']} "
-                f"attempts={job['attempts']} "
-                f"cache_hit={str(job['cache_hit']).lower()}"
-                + (f" error={job['error']}" if job.get("error") else "")
-            )
-            if manifest_doc is not None:
-                from repro.telemetry.manifest import RunManifest
-
-                out("provenance:")
-                for line in RunManifest.from_dict(manifest_doc).describe():
-                    out(f"  {line}")
+            return 0
+        health = document["health"]
+        out(f"status: {health['status']}")
+        if "ready" in health:
+            out(f"ready: {str(health['ready']).lower()}")
+        out(f"queue depth: {health['queue_depth']}")
+        out(f"store entries: {health['store_entries']}")
+        for state, count in sorted(health["jobs"].items()):
+            out(f"  {state:<10} {count}")
+        if args.metrics:
+            out(MetricsRegistry.from_dict(document["metrics"]).render())
         return 0
-    document = {"health": client.healthz()}
-    if args.metrics:
-        document["metrics"] = client.metrics()
-    if args.json:
-        out(json.dumps(document, indent=1, sort_keys=True))
-        return 0
-    health = document["health"]
-    out(f"status: {health['status']}")
-    if "ready" in health:
-        out(f"ready: {str(health['ready']).lower()}")
-    out(f"queue depth: {health['queue_depth']}")
-    out(f"store entries: {health['store_entries']}")
-    for state, count in sorted(health["jobs"].items()):
-        out(f"  {state:<10} {count}")
-    if args.metrics:
-        out(MetricsRegistry.from_dict(document["metrics"]).render())
-    return 0
 
 
 def cmd_fetch(args: argparse.Namespace) -> int:
     from repro.service.client import ServiceClient, parse_result
 
-    client = ServiceClient(args.url, timeout_s=args.timeout)
-    document = client.result_document(args.job)
+    with ServiceClient(args.url, timeout_s=args.timeout) as client:
+        document = client.result_document(args.job)
     if args.json:
         out(json.dumps(document, indent=1, sort_keys=True))
         return 0
@@ -1068,18 +1068,18 @@ def cmd_top(args: argparse.Namespace) -> int:
     from repro.service.client import ServiceClient
     from repro.telemetry.top import run_top
 
-    client = ServiceClient(args.url, timeout_s=args.timeout)
     iterations = 1 if args.once else args.iterations
     clear = not args.no_clear and iterations != 1
-    try:
-        run_top(
-            client,
-            iterations=iterations,
-            interval_s=args.interval,
-            clear=clear,
-        )
-    except KeyboardInterrupt:
-        err("repro top: stopped")
+    with ServiceClient(args.url, timeout_s=args.timeout) as client:
+        try:
+            run_top(
+                client,
+                iterations=iterations,
+                interval_s=args.interval,
+                clear=clear,
+            )
+        except KeyboardInterrupt:
+            err("repro top: stopped")
     return 0
 
 

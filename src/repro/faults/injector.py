@@ -35,7 +35,7 @@ from __future__ import annotations
 import itertools
 import math
 import random
-from bisect import bisect
+from bisect import bisect, bisect_left
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
@@ -325,11 +325,11 @@ class FaultInjector:
             row_universe,
             col_universe,
         )
-        #: ``(lifetime_hours, min_faults)`` -> ``(mean, exp(-mean),
-        #: pmf(min_faults), tail mass, stratum weight)``; see
+        #: ``(lifetime_hours, min_faults)`` -> ``(mean, exp(-mean), tail
+        #: mass, partial sums of the tail pmf, stratum weight)``; see
         #: :meth:`sample_count`.
         self._count_table: Dict[
-            Tuple[float, int], Tuple[float, float, float, float, float]
+            Tuple[float, int], Tuple[float, float, float, List[float], float]
         ] = {}
 
     # ------------------------------------------------------------------ #
@@ -476,16 +476,16 @@ class FaultInjector:
         on ``N >= min_faults``); returns ``(count, stratum weight)``.
 
         An unconditioned count is Knuth's product of uniforms; a
-        conditioned one walks the pmf up from ``pmf(min_faults)`` until
-        it covers one uniform scaled by the tail mass (inverse CDF over
-        the tail).  Everything but the draws is read from the count
-        table, built on the first call for each ``(lifetime_hours,
-        min_faults)``.
+        conditioned one is the first ``k`` whose partial sum
+        ``pmf(min_faults) + ... + pmf(k)`` covers one uniform scaled by
+        the tail mass (inverse CDF over the tail), found by bisection.
+        Everything but the draws is read from the count table, built on
+        the first call for each ``(lifetime_hours, min_faults)``.
         """
         entry = self._count_table.get((lifetime_hours, min_faults))
         if entry is None:
             entry = self._count_entry(lifetime_hours, min_faults)
-        lam, threshold, term, tail_mass, weight = entry
+        lam, threshold, tail_mass, sums, weight = entry
         random_float = self.rng.random
         if min_faults <= 0:
             count, product = 0, random_float()
@@ -493,31 +493,27 @@ class FaultInjector:
                 count += 1
                 product *= random_float()
             return count, weight
-        u = random_float() * tail_mass
-        k = min_faults
-        acc = 0.0
-        while True:
-            acc += term
-            if u <= acc:
-                return k, weight
-            if term < 1e-300:
-                raise ConfigurationError(
-                    f"truncated-Poisson tail mass underflowed at mean "
-                    f"{lam:g}, minimum {min_faults}: the conditioned sampler "
-                    "cannot place the draw without biasing the stratum"
-                )
-            k += 1
-            term *= lam / k
+        index = bisect_left(sums, random_float() * tail_mass)
+        if index == len(sums):
+            raise ConfigurationError(
+                f"truncated-Poisson tail mass underflowed at mean "
+                f"{lam:g}, minimum {min_faults}: the conditioned sampler "
+                "cannot place the draw without biasing the stratum"
+            )
+        return min_faults + index, weight
 
     def _count_entry(
         self, lifetime_hours: float, min_faults: int
-    ) -> Tuple[float, float, float, float, float]:
+    ) -> Tuple[float, float, float, List[float], float]:
         """Build the count-table entry of one ``(lifetime_hours,
         min_faults)``.  A configuration no conditioned draw can be placed
-        in raises here, on every call, and is never stored."""
+        in raises here, on every call, and is never stored.  The partial
+        sums of the tail pmf run up to and including the first term
+        below ``1e-300``: a draw past the last sum cannot be placed."""
         lam = self.expected_faults(lifetime_hours)
+        entry: Tuple[float, float, float, List[float], float]
         if min_faults <= 0:
-            entry = (lam, math.exp(-lam), 0.0, 0.0, 1.0)
+            entry = (lam, math.exp(-lam), 0.0, [], 1.0)
         else:
             if lam <= 0:
                 raise ConfigurationError(
@@ -535,11 +531,20 @@ class FaultInjector:
             for k in range(min_faults):
                 cdf += term
                 term *= lam / (k + 1)
+            sums: List[float] = []
+            acc, k = 0.0, min_faults
+            while True:
+                acc += term
+                sums.append(acc)
+                if term < 1e-300:
+                    break
+                k += 1
+                term *= lam / k
             entry = (
                 lam,
                 threshold,
-                term,
                 max(1e-300, 1.0 - cdf),
+                sums,
                 self.prob_at_least(min_faults, lifetime_hours),
             )
         self._count_table[(lifetime_hours, min_faults)] = entry

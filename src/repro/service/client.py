@@ -1,20 +1,23 @@
 """Stdlib HTTP client for the campaign service.
 
-:class:`ServiceClient` wraps ``urllib.request`` and re-raises the
-service's error contract as the same :class:`ReproError` subclasses the
-in-process API uses — a caller cannot tell (except by latency) whether
-the scheduler is local or behind HTTP.  Connection-level failures
-(refused, timeout, malformed response) surface as
-:class:`ServiceUnavailableError`.
+:class:`ServiceClient` keeps its ``http.client`` connections alive
+between requests and re-raises the service's error contract as the same
+:class:`ReproError` subclasses the in-process API uses — a caller cannot
+tell (except by latency) whether the scheduler is local or behind HTTP.
+Connection-level failures (refused, reset, timeout, malformed response)
+surface as :class:`ServiceUnavailableError`.  The client connects
+directly (proxy variables are ignored); close it, or use it as a context
+manager, to close its idle connections.
 """
 
 from __future__ import annotations
 
+import http.client
 import json
+import threading
 import time
-import urllib.error
-import urllib.request
-from typing import Any, Dict, List, Mapping, Optional, Union
+from typing import Any, Dict, List, Mapping, Optional, Tuple, Type, Union
+from urllib.parse import urlsplit
 
 from repro import contracts
 from repro.errors import (
@@ -57,6 +60,18 @@ def parse_result(
     return ReliabilityResult.from_dict(document["result"])
 
 
+#: URL scheme -> connection class.
+_CONNECTIONS: Dict[str, Type[http.client.HTTPConnection]] = {
+    "http": http.client.HTTPConnection,
+    "https": http.client.HTTPSConnection,
+}
+
+#: How a reused connection fails when the server closed it while idle:
+#: before any status line arrives (``RemoteDisconnected`` is a
+#: ``ConnectionResetError``), so the request was never answered.
+_STALE = (ConnectionResetError, BrokenPipeError)
+
+
 class ServiceClient:
     """Typed client for one campaign-service endpoint."""
 
@@ -68,37 +83,79 @@ class ServiceClient:
         )
         self.base_url = base_url.rstrip("/")
         self.timeout_s = timeout_s
+        self._url = urlsplit(self.base_url)
+        self._lock = threading.Lock()
+        self._idle: List[http.client.HTTPConnection] = []
+
+    def close(self) -> None:
+        """Close every idle connection; a later request opens a new one."""
+        with self._lock:
+            idle, self._idle = self._idle, []
+        for connection in idle:
+            connection.close()
+
+    def __enter__(self) -> "ServiceClient":
+        return self
+
+    def __exit__(self, *exc_info: Any) -> None:
+        self.close()
 
     # ------------------------------------------------------------------ #
-    def _request(
+    def _connect(self) -> http.client.HTTPConnection:
+        factory = _CONNECTIONS.get(self._url.scheme)
+        if factory is None:
+            raise http.client.InvalidURL(
+                f"unsupported URL scheme {self._url.scheme!r}"
+            )
+        return factory(self._url.netloc, timeout=self.timeout_s)
+
+    def _exchange(
         self,
         method: str,
         path: str,
-        payload: Optional[Dict[str, Any]] = None,
-    ) -> Dict[str, Any]:
-        url = f"{self.base_url}{path}"
-        data = (
-            json.dumps(payload).encode("utf-8") if payload is not None else None
-        )
-        request = urllib.request.Request(
-            url,
-            data=data,
-            method=method,
-            headers={"Content-Type": "application/json"},
-        )
+        body: Optional[bytes] = None,
+        headers: Optional[Dict[str, str]] = None,
+    ) -> Tuple[int, bytes]:
+        """One request/response on a kept-alive connection; returns the
+        status and the whole body.  The lock guards only the idle list,
+        so concurrent callers each run on their own connection.  A
+        request that fails on a reused connection before any status line
+        arrives was never answered, and is sent once more on a fresh
+        connection; one on a fresh connection is never retried."""
+        with self._lock:
+            connection = self._idle.pop() if self._idle else None
+        reused = connection is not None
+        target = self._url.path + path
         try:
-            with urllib.request.urlopen(
-                request, timeout=self.timeout_s
-            ) as response:
-                body = response.read()
-        except urllib.error.HTTPError as exc:
-            raise self._decode_error(exc) from exc
-        except (urllib.error.URLError, TimeoutError, OSError) as exc:
+            if connection is None:
+                connection = self._connect()
+            try:
+                connection.request(method, target, body, headers or {})
+                response = connection.getresponse()
+            except _STALE:
+                if not reused:
+                    raise
+                connection.close()
+                connection.request(method, target, body, headers or {})
+                response = connection.getresponse()
+            data = response.read()
+        except (OSError, http.client.HTTPException) as exc:
+            if connection is not None:
+                connection.close()
             raise ServiceUnavailableError(
                 f"cannot reach campaign service at {self.base_url}: {exc}"
             ) from exc
+        if response.will_close:
+            connection.close()
+        else:
+            with self._lock:
+                self._idle.append(connection)
+        return response.status, data
+
+    def _document(self, path: str, data: bytes) -> Dict[str, Any]:
+        url = f"{self.base_url}{path}"
         try:
-            document = json.loads(body.decode("utf-8"))
+            document = json.loads(data.decode("utf-8"))
         except (UnicodeDecodeError, json.JSONDecodeError) as exc:
             raise ServiceUnavailableError(
                 f"malformed response from {url}: {exc}"
@@ -109,15 +166,30 @@ class ServiceClient:
             )
         return document
 
+    def _request(
+        self,
+        method: str,
+        path: str,
+        payload: Optional[Dict[str, Any]] = None,
+    ) -> Dict[str, Any]:
+        body = (
+            json.dumps(payload).encode("utf-8") if payload is not None else None
+        )
+        status, data = self._exchange(
+            method, path, body, {"Content-Type": "application/json"}
+        )
+        if status >= 400:
+            raise self._decode_error(status, data)
+        return self._document(path, data)
+
     @staticmethod
-    def _decode_error(exc: urllib.error.HTTPError) -> ServiceError:
+    def _decode_error(status: int, body: bytes) -> ServiceError:
         try:
-            document = json.loads(exc.read().decode("utf-8"))
-            info = document["error"]
+            info = json.loads(body.decode("utf-8"))["error"]
             cls = _ERROR_CLASSES.get(str(info["type"]), ServiceError)
             return cls(str(info["message"]))
         except Exception:  # non-JSON error page: keep the status line
-            return ServiceError(f"service returned HTTP {exc.code}")
+            return ServiceError(f"service returned HTTP {status}")
 
     # ------------------------------------------------------------------ #
     def submit(
@@ -168,53 +240,22 @@ class ServiceClient:
         after SIGTERM) — that is an *answer*, not an error, so the body
         is returned either way.
         """
-        url = f"{self.base_url}/readyz"
-        request = urllib.request.Request(url, method="GET")
-        try:
-            with urllib.request.urlopen(
-                request, timeout=self.timeout_s
-            ) as response:
-                body = response.read()
-        except urllib.error.HTTPError as exc:
-            body = exc.read()
-        except (urllib.error.URLError, TimeoutError, OSError) as exc:
-            raise ServiceUnavailableError(
-                f"cannot reach campaign service at {self.base_url}: {exc}"
-            ) from exc
-        try:
-            document = json.loads(body.decode("utf-8"))
-        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-            raise ServiceUnavailableError(
-                f"malformed response from {url}: {exc}"
-            ) from exc
-        if not isinstance(document, dict):
-            raise ServiceUnavailableError(
-                f"unexpected response shape from {url}"
-            )
-        return document
+        _, data = self._exchange("GET", "/readyz")
+        return self._document("/readyz", data)
 
     def metrics(self) -> Dict[str, Any]:
         return self._request("GET", "/metrics")
 
     def metrics_openmetrics(self) -> str:
         """Scrape ``/metrics`` as OpenMetrics text (content-negotiated)."""
-        url = f"{self.base_url}/metrics"
-        request = urllib.request.Request(
-            url,
-            method="GET",
+        status, data = self._exchange(
+            "GET",
+            "/metrics",
             headers={"Accept": "application/openmetrics-text"},
         )
-        try:
-            with urllib.request.urlopen(
-                request, timeout=self.timeout_s
-            ) as response:
-                return response.read().decode("utf-8")
-        except urllib.error.HTTPError as exc:
-            raise self._decode_error(exc) from exc
-        except (urllib.error.URLError, TimeoutError, OSError) as exc:
-            raise ServiceUnavailableError(
-                f"cannot reach campaign service at {self.base_url}: {exc}"
-            ) from exc
+        if status >= 400:
+            raise self._decode_error(status, data)
+        return data.decode("utf-8")
 
     # ------------------------------------------------------------------ #
     def wait(

@@ -23,8 +23,18 @@ Endpoints (all JSON unless negotiated otherwise):
 
 Every request is measured into the scheduler's registry: per-endpoint
 ``http/requests/*`` / ``http/errors/*`` counters and an
-``http/latency_seconds/*`` histogram — all volatile (wall-clock shaped),
+``http/latency_seconds/*`` histogram, plus an ``http/connections``
+counter of accepted connections — all volatile (wall-clock shaped),
 so scraping the service never perturbs a deterministic artifact.
+
+Transport: HTTP/1.1 with keep-alive, one thread per connection, Nagle
+off (a response is sent as headers then body, and Nagle would hold the
+body for the client's delayed ACK).  The declared request body is read
+before routing, whatever the answer, so the next request on the
+connection starts in step; a body the handler will not read (over
+:data:`MAX_BODY_BYTES`, or not length-delimited) is answered with
+``Connection: close``.  :meth:`ServiceHTTPServer.server_close` ends
+every open connection, so a closed server answers nothing.
 
 Error contract: every failure maps a :class:`ReproError` subclass onto
 ``{"error": {"type": <class name>, "message": <one line>}}`` with a
@@ -36,8 +46,10 @@ from __future__ import annotations
 
 import json
 import re
+import socket
+import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-from typing import Any, Dict, Optional, Tuple
+from typing import Any, Dict, Set, Tuple
 from urllib.parse import parse_qs, urlparse
 
 from repro.errors import (
@@ -117,10 +129,35 @@ class ServiceHTTPServer(ThreadingHTTPServer):
         super().__init__(address, ServiceRequestHandler)
         self.scheduler = scheduler
         self.quiet = quiet
+        self._lock = threading.Lock()
+        self._connections: Set[socket.socket] = set()
 
     @property
     def port(self) -> int:
         return int(self.server_address[1])
+
+    def process_request(self, request: Any, client_address: Any) -> None:
+        with self._lock:
+            self._connections.add(request)
+        self.scheduler.metrics.inc("http/connections", volatile=True)
+        super().process_request(request, client_address)
+
+    def shutdown_request(self, request: Any) -> None:
+        with self._lock:
+            self._connections.discard(request)
+        super().shutdown_request(request)
+
+    def server_close(self) -> None:
+        """Stop listening and end every open connection: a kept-alive
+        client must not keep being answered by a closed server."""
+        super().server_close()
+        with self._lock:
+            connections, self._connections = self._connections, set()
+        for connection in connections:
+            try:
+                connection.shutdown(socket.SHUT_RDWR)
+            except OSError:  # already closed by its handler
+                pass
 
 
 class ServiceRequestHandler(BaseHTTPRequestHandler):
@@ -128,19 +165,26 @@ class ServiceRequestHandler(BaseHTTPRequestHandler):
 
     server: ServiceHTTPServer  # narrowed type
     protocol_version = "HTTP/1.1"
+    disable_nagle_algorithm = True
+    _body = b""
 
     # ------------------------------------------------------------------ #
     def log_message(self, format: str, *args: Any) -> None:
         if not self.server.quiet:
             err(f"service: {self.address_string()} {format % args}")
 
-    def _send_json(self, status: int, payload: Dict[str, Any]) -> None:
-        body = json.dumps(payload, indent=1, sort_keys=True).encode("utf-8")
+    def _send(self, status: int, body: bytes, content_type: str) -> None:
         self.send_response(status)
-        self.send_header("Content-Type", "application/json")
+        self.send_header("Content-Type", content_type)
         self.send_header("Content-Length", str(len(body)))
+        if self.close_connection:
+            self.send_header("Connection", "close")
         self.end_headers()
         self.wfile.write(body)
+
+    def _send_json(self, status: int, payload: Dict[str, Any]) -> None:
+        body = json.dumps(payload, indent=1, sort_keys=True).encode("utf-8")
+        self._send(status, body, "application/json")
 
     def _send_text(
         self,
@@ -148,22 +192,38 @@ class ServiceRequestHandler(BaseHTTPRequestHandler):
         text: str,
         content_type: str = "text/plain; charset=utf-8",
     ) -> None:
-        body = text.encode("utf-8")
-        self.send_response(status)
-        self.send_header("Content-Type", content_type)
-        self.send_header("Content-Length", str(len(body)))
-        self.end_headers()
-        self.wfile.write(body)
+        self._send(status, text.encode("utf-8"), content_type)
+
+    def _content_length(self) -> int:
+        """The declared body length; -1 when it is not a number."""
+        try:
+            return int(self.headers.get("Content-Length", 0) or 0)
+        except ValueError:
+            return -1
+
+    def _consume_body(self) -> None:
+        """Read the declared body before routing, so the next request on
+        this connection starts where this one ends.  A body that is not
+        read (over the limit, or not length-delimited) ends the
+        connection after this answer."""
+        length = self._content_length()
+        if (
+            0 <= length <= MAX_BODY_BYTES
+            and "Transfer-Encoding" not in self.headers
+        ):
+            self._body = self.rfile.read(length)
+        else:
+            self._body = b""
+            self.close_connection = True
 
     def _read_body(self) -> Dict[str, Any]:
-        length = int(self.headers.get("Content-Length", 0) or 0)
-        if length <= 0:
-            raise SpecError("request body required")
+        length = self._content_length()
         if length > MAX_BODY_BYTES:
             raise SpecError(f"request body too large ({length} bytes)")
-        raw = self.rfile.read(length)
+        if not self._body:
+            raise SpecError("request body required")
         try:
-            document = json.loads(raw.decode("utf-8"))
+            document = json.loads(self._body.decode("utf-8"))
         except (UnicodeDecodeError, json.JSONDecodeError) as exc:
             raise SpecError(f"request body is not valid JSON: {exc}") from exc
         if not isinstance(document, dict):
@@ -207,12 +267,13 @@ class ServiceRequestHandler(BaseHTTPRequestHandler):
         registry.inc(f"http/requests/{label}", volatile=True)
         started = monotonic_s()
         try:
+            self._consume_body()
             self._route(method)
         except ReproError as exc:
             registry.inc(f"http/errors/{label}", volatile=True)
             self._send_json(error_status(exc), error_payload(exc))
         except (BrokenPipeError, ConnectionResetError):  # client went away
-            pass
+            self.close_connection = True
         finally:
             registry.observe(
                 f"http/latency_seconds/{label}",

@@ -261,7 +261,9 @@ class TestTruncatedSamplerGuards:
 def reference_count(rng, lam, min_faults):
     """``sample_count``'s count draw with its set-up redone on every call:
     Knuth's product of uniforms when unconditioned, else the inverse CDF
-    over the tail of a Poisson conditioned on ``N >= min_faults``."""
+    over the tail of a Poisson conditioned on ``N >= min_faults``, walked
+    term by term and refused once a term below ``1e-300`` cannot cover
+    the draw."""
     if min_faults <= 0:
         threshold = math.exp(-lam)
         count, product = 0, rng.random()
@@ -282,6 +284,8 @@ def reference_count(rng, lam, min_faults):
         acc += term
         if u <= acc:
             return k
+        if term < 1e-300:
+            raise ConfigurationError("truncated-Poisson tail mass underflowed")
         k += 1
         term *= lam / k
 
@@ -326,6 +330,35 @@ class TestCountTable:
                 )
                 assert inj.sample_count(hours, min_faults) == expected
             assert inj.rng.getstate() == reference_rng.getstate(), seed
+
+    #: ``(Poisson mean, min_faults)``: the hot-path stress rate, and a
+    #: mean near ``exp(-mean)`` underflow where ``pmf(1)`` is already
+    #: below ``1e-300`` (so ``min_faults=1`` refuses almost every draw).
+    DENSE_KEYS = ((150.0, 2), (700.0, 2), (700.0, 1))
+
+    def test_dense_and_near_underflow_means_match_reference(self, geom):
+        outcomes = {"count": 0, "raise": 0}
+        for seed in range(3):
+            inj = make_injector(geom, seed=seed, tsv_device_fit=1430.0)
+            reference_rng = random.Random(seed)
+            order = random.Random(200 + seed)
+            for _ in range(300):
+                mean, min_faults = order.choice(self.DENSE_KEYS)
+                hours = mean / inj.total_rate_per_hour
+                lam = inj.total_rate_per_hour * hours
+                try:
+                    expected = reference_count(reference_rng, lam, min_faults)
+                except ConfigurationError:
+                    outcomes["raise"] += 1
+                    with pytest.raises(ConfigurationError, match="underflow"):
+                        inj.sample_count(hours, min_faults)
+                    continue
+                outcomes["count"] += 1
+                assert inj.sample_count(hours, min_faults) == (
+                    expected, reference_weight(lam, min_faults)
+                )
+            assert inj.rng.getstate() == reference_rng.getstate(), seed
+        assert outcomes["count"] > 0 and outcomes["raise"] > 0
 
     def test_failing_configurations_raise_on_every_call(self, geom):
         inj = make_injector(geom, seed=13)

@@ -100,6 +100,12 @@ class TestCLISurface:
             def __init__(self, *args, **kwargs):
                 pass
 
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc_info):
+                return None
+
             def __getattr__(self, name):
                 def raiser(*args, **kwargs):
                     raise cls(message)

@@ -9,8 +9,15 @@ end-to-end class runs a real (small) Monte-Carlo campaign and compares
 against a direct :class:`ParallelLifetimeRunner` run.
 """
 
+import contextlib
+import http.client
 import json
+import socket
+import statistics
+import sys
 import threading
+import time
+from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import pytest
 
@@ -34,7 +41,7 @@ from repro.reliability.results import ReliabilityResult
 from repro.cli import main
 from repro.replay import ReplayResult
 from repro.service.client import ServiceClient
-from repro.service.http import make_server
+from repro.service.http import MAX_BODY_BYTES, make_server
 from repro.service.jobs import CampaignSpec
 from repro.service.scheduler import CampaignScheduler
 from repro.schemes import SCHEMES
@@ -60,24 +67,34 @@ def stub_executor(spec, workers, cancel_event):
     return result, CampaignReport(planned_shards=1, merged_shards=1)
 
 
+@contextlib.contextmanager
+def serving(store_dir, port=0):
+    """(scheduler, server, url) of a stub-executor service on a loopback
+    port, shut down and closed on exit."""
+    scheduler = CampaignScheduler(
+        ResultStore(store_dir),
+        slots=2,
+        retry_backoff_s=0.0,
+        executor=stub_executor,
+    ).start()
+    server = make_server(scheduler, port=port, quiet=True)
+    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread.start()
+    try:
+        yield scheduler, server, f"http://127.0.0.1:{server.port}"
+    finally:
+        server.shutdown()
+        server.server_close()
+        scheduler.shutdown()
+        thread.join(timeout=WAIT_S)
+
+
 @pytest.fixture
 def service(tmp_path):
     """(client, scheduler, server) against a stub-executor scheduler."""
-    store = ResultStore(tmp_path / "store")
-    scheduler = CampaignScheduler(
-        store, slots=2, retry_backoff_s=0.0, executor=stub_executor
-    ).start()
-    server = make_server(scheduler, quiet=True)
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
-    thread.start()
-    client = ServiceClient(
-        f"http://127.0.0.1:{server.port}", timeout_s=WAIT_S
-    )
-    yield client, scheduler, server
-    server.shutdown()
-    server.server_close()
-    scheduler.shutdown()
-    thread.join(timeout=WAIT_S)
+    with serving(tmp_path / "store") as (scheduler, server, url):
+        with ServiceClient(url, timeout_s=WAIT_S) as client:
+            yield client, scheduler, server
 
 
 class TestEndpoints:
@@ -191,6 +208,7 @@ class TestObservabilityEndpoints:
         assert families["repro_service_jobs_submitted"]["type"] == "counter"
         samples = families["repro_service_jobs_submitted"]["samples"]
         assert samples[0][2] == 1
+        assert families["repro_http_connections"]["type"] == "counter"
 
     def test_openmetrics_via_query_format(self, service):
         import urllib.request
@@ -308,6 +326,7 @@ class TestErrorContract:
                 client.result(job["id"])
         finally:
             gate.set()
+            client.close()
             server.shutdown()
             server.server_close()
             scheduler.shutdown()
@@ -338,15 +357,269 @@ class TestErrorContract:
             with pytest.raises(JobFailedError):
                 client.result(job["id"])
         finally:
+            client.close()
             server.shutdown()
             server.server_close()
             scheduler.shutdown()
+            thread.join(timeout=WAIT_S)
+
+    @pytest.mark.parametrize(
+        "status,body,error,message",
+        [
+            (502, b"<html>bad gateway</html>", ServiceError,
+             "service returned HTTP 502"),
+            (200, b"not json", ServiceUnavailableError,
+             "malformed response from"),
+            (200, b"[1, 2]", ServiceUnavailableError,
+             "unexpected response shape from"),
+        ],
+    )
+    def test_undecodable_answers(self, status, body, error, message):
+        """An answer that is not the service's JSON keeps its error class
+        and message, whatever sent it (a proxy page, a truncated body)."""
+
+        class Canned(BaseHTTPRequestHandler):
+            protocol_version = "HTTP/1.1"
+
+            def do_GET(self):
+                self.send_response(status)
+                self.send_header("Content-Length", str(len(body)))
+                self.end_headers()
+                self.wfile.write(body)
+
+            def log_message(self, *args):
+                pass
+
+        server = ThreadingHTTPServer(("127.0.0.1", 0), Canned)
+        thread = threading.Thread(target=server.serve_forever, daemon=True)
+        thread.start()
+        try:
+            url = f"http://127.0.0.1:{server.server_address[1]}"
+            with ServiceClient(url, timeout_s=WAIT_S) as client:
+                with pytest.raises(error, match=message) as caught:
+                    client.healthz()
+                assert type(caught.value) is error
+        finally:
+            server.shutdown()
+            server.server_close()
             thread.join(timeout=WAIT_S)
 
     def test_unreachable_service_raises_unavailable(self):
         client = ServiceClient("http://127.0.0.1:1", timeout_s=0.5)
         with pytest.raises(ServiceUnavailableError, match="cannot reach"):
             client.healthz()
+
+
+def exchange(connection, method, path, body=None, headers=None):
+    """(status, will_close, JSON document) of one raw request."""
+    connection.request(method, path, body, headers or {})
+    response = connection.getresponse()
+    document = json.loads(response.read().decode("utf-8"))
+    return response.status, response.will_close, document
+
+
+class TestTransport:
+    """Keep-alive transport: one connection per client, no delayed-ACK
+    stall, the request body read whatever the answer, one retry on a
+    connection the server closed, and a closed server answers nothing."""
+
+    def test_sequential_calls_reuse_one_connection(self, service):
+        client, scheduler, _ = service
+        for seed in range(5):
+            job = client.submit(make_spec(seed=seed))
+            client.wait(job["id"], timeout_s=WAIT_S, poll_interval_s=0.001)
+            client.result_document(job["id"])
+            client.healthz()
+        assert scheduler.metrics.counter("http/connections") == 1
+        assert client.metrics()["counters"]["http/connections"] == 1
+
+    def test_kept_alive_requests_are_not_held_back(self, service):
+        """Headers and body go out in two sends; with Nagle on, the body
+        waits for the client's delayed ACK (about 40 ms on Linux)."""
+        _, _, server = service
+        connection = http.client.HTTPConnection(
+            "127.0.0.1", server.port, timeout=WAIT_S
+        )
+        seconds = []
+        try:
+            for _ in range(11):
+                started = time.perf_counter()
+                assert exchange(connection, "GET", "/healthz")[0] == 200
+                seconds.append(time.perf_counter() - started)
+        finally:
+            connection.close()
+        assert statistics.median(seconds) < 0.020
+
+    @pytest.mark.parametrize("path", ["/bogus", "/jobs/abc"])
+    def test_unrouted_body_is_read(self, service, path):
+        _, scheduler, server = service
+        connection = http.client.HTTPConnection(
+            "127.0.0.1", server.port, timeout=WAIT_S
+        )
+        try:
+            body = json.dumps({"spec": make_spec().canonical_dict()})
+            status, will_close, document = exchange(
+                connection, "POST", path, body,
+                {"Content-Type": "application/json"},
+            )
+            assert (status, will_close) == (404, False)
+            assert document["error"]["type"] == "JobNotFoundError"
+            status, _, document = exchange(connection, "GET", "/healthz")
+            assert (status, document["status"]) == (200, "ok")
+        finally:
+            connection.close()
+        assert scheduler.metrics.counter("http/connections") == 1
+
+    @pytest.mark.parametrize(
+        "headers,body,message",
+        [
+            ({"Content-Length": str(MAX_BODY_BYTES + 1)}, b"x" * 4096,
+             "request body too large"),
+            ({"Transfer-Encoding": "chunked"}, b"3\r\n{}x\r\n0\r\n\r\n",
+             "request body required"),
+            ({"Content-Length": "abc"}, b"{}", "request body required"),
+        ],
+        ids=["over-limit", "chunked", "unparsable-length"],
+    )
+    def test_unread_body_closes_the_connection(
+        self, service, headers, body, message
+    ):
+        """A body the server does not read is answered with
+        ``Connection: close``; the next request comes on a fresh
+        connection and is answered in full."""
+        _, scheduler, server = service
+        connection = http.client.HTTPConnection(
+            "127.0.0.1", server.port, timeout=WAIT_S
+        )
+        try:
+            connection.putrequest("POST", "/jobs")
+            for name, value in headers.items():
+                connection.putheader(name, value)
+            connection.endheaders(body)
+            response = connection.getresponse()
+            document = json.loads(response.read().decode("utf-8"))
+            assert (response.status, response.will_close) == (400, True)
+            assert document["error"]["message"].startswith(message)
+            status, _, document = exchange(connection, "GET", "/healthz")
+            assert (status, document["status"]) == (200, "ok")
+        finally:
+            connection.close()
+        assert scheduler.metrics.counter("http/connections") == 2
+
+    def test_threads_share_one_client(self, service):
+        """Concurrent callers each run on their own connection: nothing
+        is serialized, crossed or lost, and connections are reused."""
+        client, scheduler, _ = service
+        threads_n, per_thread = 8, 25
+        submitted = [[] for _ in range(threads_n)]
+        errors = []
+
+        def submit_all(index):
+            try:
+                for i in range(per_thread):
+                    spec = make_spec(seed=1000 + index * per_thread + i)
+                    submitted[index].append((spec, client.submit(spec)))
+            except Exception as exc:  # surfaced by the assertion below
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [
+                threading.Thread(target=submit_all, args=(index,))
+                for index in range(threads_n)
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+        pairs = [pair for batch in submitted for pair in batch]
+        assert len({job["id"] for _, job in pairs}) == threads_n * per_thread
+        assert all(job["spec_hash"] == spec.spec_hash() for spec, job in pairs)
+        assert scheduler.metrics.counter("http/requests/submit") == 200
+        assert scheduler.metrics.counter("http/connections") <= threads_n
+
+    def test_closed_server_ends_kept_alive_connections(self, tmp_path):
+        with serving(tmp_path / "store") as (_, server, url):
+            connection = http.client.HTTPConnection(
+                "127.0.0.1", server.port, timeout=WAIT_S
+            )
+            client = ServiceClient(url, timeout_s=WAIT_S)
+            assert exchange(connection, "GET", "/healthz")[0] == 200
+            assert client.healthz()["status"] == "ok"
+        try:
+            with pytest.raises((http.client.HTTPException, OSError)):
+                exchange(connection, "GET", "/healthz")
+            with pytest.raises(ServiceUnavailableError, match="cannot reach"):
+                client.healthz()
+        finally:
+            connection.close()
+            client.close()
+
+    def test_restart_on_the_same_port_is_retried_once(self, tmp_path):
+        with serving(tmp_path / "a") as (_, server, url):
+            port = server.port
+            client = ServiceClient(url, timeout_s=WAIT_S)
+            assert client.healthz()["status"] == "ok"
+        try:
+            with serving(tmp_path / "b", port=port) as (scheduler, _, _):
+                assert client.healthz()["status"] == "ok"
+                assert scheduler.metrics.counter("http/connections") == 1
+            with pytest.raises(ServiceUnavailableError, match="cannot reach"):
+                client.healthz()
+        finally:
+            client.close()
+
+    def test_fresh_connection_is_never_retried(self):
+        """A server that drops every connection unanswered: the request
+        goes out once, on one connection, and fails as unreachable."""
+        listener = socket.create_server(("127.0.0.1", 0))
+        listener.settimeout(0.05)
+        stop = threading.Event()
+        accepted = []
+
+        def drop_all():
+            while not stop.is_set():
+                try:
+                    connection, _ = listener.accept()
+                except socket.timeout:
+                    continue
+                accepted.append(connection)
+                connection.close()
+
+        thread = threading.Thread(target=drop_all, daemon=True)
+        thread.start()
+        url = f"http://127.0.0.1:{listener.getsockname()[1]}"
+        try:
+            with ServiceClient(url, timeout_s=WAIT_S) as client:
+                with pytest.raises(ServiceUnavailableError, match="reach"):
+                    client.healthz()
+        finally:
+            stop.set()
+            thread.join(timeout=WAIT_S)
+            listener.close()
+        assert len(accepted) == 1
+
+    def test_base_url_forms(self, service):
+        _, _, server = service
+        with ServiceClient(f"http://127.0.0.1:{server.port}/") as client:
+            assert client.healthz()["status"] == "ok"
+        # A path prefix is prepended to every request path.
+        prefixed = f"http://127.0.0.1:{server.port}/api/"
+        with ServiceClient(prefixed) as client:
+            with pytest.raises(JobNotFoundError, match="GET /api/healthz"):
+                client.healthz()
+        # Default ports (connections are built, not opened).
+        assert ServiceClient("http://127.0.0.1")._connect().port == 80
+        secure = ServiceClient("https://127.0.0.1/api")._connect()
+        assert isinstance(secure, http.client.HTTPSConnection)
+        assert secure.port == 443
+        with pytest.raises(ServiceUnavailableError, match="cannot reach"):
+            ServiceClient("ftp://127.0.0.1:1").healthz()
 
 
 class TestEndToEnd:
@@ -392,6 +665,7 @@ class TestEndToEnd:
             # The wip checkpoint was cleaned up on completion.
             assert list((tmp_path / "store" / "wip").glob("*.json")) == []
         finally:
+            client.close()
             server.shutdown()
             server.server_close()
             scheduler.shutdown()
@@ -421,9 +695,9 @@ class TestReplayFetch:
         thread.start()
         url = f"http://127.0.0.1:{server.port}"
         try:
-            client = ServiceClient(url, timeout_s=60.0)
-            job = client.submit(CampaignSpec(**self.SPEC))
-            client.wait(job["id"], timeout_s=60.0)
+            with ServiceClient(url, timeout_s=60.0) as client:
+                job = client.submit(CampaignSpec(**self.SPEC))
+                client.wait(job["id"], timeout_s=60.0)
             yield url, job["id"]
         finally:
             server.shutdown()
@@ -433,7 +707,8 @@ class TestReplayFetch:
 
     def test_client_result_parses_by_mode(self, replay_job):
         url, job_id = replay_job
-        result = ServiceClient(url, timeout_s=WAIT_S).result(job_id)
+        with ServiceClient(url, timeout_s=WAIT_S) as client:
+            result = client.result(job_id)
         assert isinstance(result, ReplayResult)
         assert result.trials == 2
 

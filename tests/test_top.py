@@ -54,6 +54,7 @@ def service(tmp_path):
         f"http://127.0.0.1:{server.port}", timeout_s=WAIT_S
     )
     yield client, scheduler, server
+    client.close()
     server.shutdown()
     server.server_close()
     scheduler.shutdown()
