@@ -129,7 +129,8 @@ def test_incremental_hotpath_speedup(benchmark, geometry):
     report.add("speedup", SPEEDUP_TARGET, speedup, unit="x",
                note="serial, identical results at 1 and 4 workers")
     report.add("incremental observes (20-trial probe)", None, float(hits))
-    report.add("peel-cache reuses (20-trial probe)", None, float(reuse))
+    report.add("components untouched by arrivals (20-trial probe)", None,
+               float(reuse))
     emit(report, "engine_hotpath", fast.metrics)
 
     # Timing sidecar for tools/bench_report.py; lives next to (not in)

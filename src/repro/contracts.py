@@ -108,12 +108,6 @@ def invariant(condition: bool, message: str, *args: object) -> None:
         _fail("invariant violated", message, args)
 
 
-def check_index(value: int, limit: int, what: str) -> None:
-    """Shared helper: ``0 <= value < limit`` (cheap, used by dataclasses)."""
-    if _enabled and not 0 <= value < limit:
-        _fail("precondition failed", "%s %d out of range [0, %d)", (what, value, limit))
-
-
 def check_non_negative(value: Optional[float], what: str) -> None:
     """Shared helper: ``value is None or value >= 0``."""
     if _enabled and value is not None and value < 0:

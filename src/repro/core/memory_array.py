@@ -56,12 +56,6 @@ class FaultyMemoryArray:
         return [f for f in self._faults if not self.suppression(f)]
 
     # ------------------------------------------------------------------ #
-    def write_row(self, die: int, bank: int, row: int, data: np.ndarray) -> None:
-        self.cells[die, bank, row] = data
-
-    def true_row(self, die: int, bank: int, row: int) -> np.ndarray:
-        return self.cells[die, bank, row]
-
     def read_row(self, die: int, bank: int, row: int) -> np.ndarray:
         """Read a row through the fault-corrupted path."""
         g = self.geometry

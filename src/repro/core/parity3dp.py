@@ -45,11 +45,12 @@ same way alone as inside the full set.  The incremental kernel
 (``begin_trial``/``observe``/``rebuild``) therefore keeps the live set
 as peeled components — members, survivors, peel events — and an arrival
 only merges and re-peels the components it aliases with; untouched
-components keep their cached outcome.  A per-trial peel cache keyed on
-the component's membership signature (frozen set of fault uids) lets
-post-scrub rebuilds reuse outcomes for re-formed components.  Both paths
-report identical verdicts and identical ``parity/*`` counters; reuse is
-surfaced via the volatile ``parity/peel_reuse`` counter.
+components keep their cached outcome.  A post-scrub ``rebuild`` has one
+rule: a component that lost no member is kept as it is, and every other
+live fault is absorbed like an arrival.  Both paths report identical
+verdicts and identical ``parity/*`` counters; the components an arrival
+leaves untouched are counted by the volatile ``parity/peel_reuse``
+counter.
 
 An arrival finds the components it aliases with through a column-block
 index rather than by testing every live fault.  Every dimension's group
@@ -70,10 +71,11 @@ import itertools
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
 
+import numpy as np
+
 from repro import contracts
 from repro.ecc import batch_kernels
 from repro.ecc.base import CorrectionModel
-from repro.ecc.batch_kernels import np
 from repro.errors import ConfigurationError
 from repro.faults.types import Fault
 from repro.stack.geometry import StackGeometry
@@ -254,9 +256,6 @@ class ParityND(CorrectionModel):
                 return dim
         return None
 
-    def _peelable(self, fault: Fault, others: Sequence[Fault]) -> bool:
-        return self._peel_dimension(fault, others) is not None
-
     # ------------------------------------------------------------------ #
     def _self_alias(self, fault: Fault, dim: int) -> bool:
         fp = fault.footprint
@@ -314,13 +313,6 @@ class ParityND(CorrectionModel):
     # Incremental peeling kernel
     # ------------------------------------------------------------------ #
     def begin_trial(self) -> None:
-        self._peel_cache: Dict[
-            FrozenSet[int], Tuple[Tuple[Fault, ...], Dict[str, int]]
-        ] = {}
-        self._clear_components()
-
-    def _clear_components(self) -> None:
-        """Empty the live component structure and its index."""
         #: Live components, in insertion order (keys of an ordered dict).
         self._inc_components: Dict[_PeeledComponent, None] = {}
         #: Components that have survivors: the verdict is ``> 0``.
@@ -350,39 +342,26 @@ class ParityND(CorrectionModel):
     def rebuild(self, live: Sequence[Fault]) -> None:
         """Resynchronise the component structure after scrub/DDS edits.
 
-        Removals only ever *split* existing components (the alias graph
-        loses edges), so each old component is re-partitioned in
-        isolation; fully intact components — and split parts whose
-        membership signature is in the peel cache — reuse their peel
-        outcome.  The surviving components are then re-indexed.  DDS
-        re-exposure can also *add* back faults observed earlier in the
-        trial; those merge in exactly like arrivals.
+        A component that lost none of its members keeps its members,
+        survivors and peel events.  Every other live peeling fault (the
+        rest of a component that lost a member, or a fault DDS
+        re-exposed) is absorbed exactly like an arrival.  Components are
+        maximal connected sets of the alias graph, so faults of two old
+        components never alias: the re-absorbed faults merge only among
+        themselves and with the partners of re-exposed faults.
         """
         data = [f for f in live if self._is_peeling_fault(f)]
         kept = {f.uid for f in data}
         previous = self._inc_components
-        self._clear_components()
-        reused = 0
+        self.begin_trial()
         for comp in previous:
             if all(m.uid in kept for m in comp.members):
                 self._add_component(comp)
-                reused += 1
-                continue
-            remaining = [m for m in comp.members if m.uid in kept]
-            for part in self._split_members(remaining):
-                part_comp, cache_hit = self._component_from(part)
-                self._add_component(part_comp)
-                if cache_hit:
-                    reused += 1
-        for comp in self._inc_components:
-            for member in comp.members:
-                self._index(member)
+                for member in comp.members:
+                    self._index(member)
         for fault in data:
             if fault.uid not in self._component_of:
-                self._absorb(fault)  # DDS re-exposed an earlier arrival
-        metrics = self.metrics
-        if metrics is not None and reused:
-            metrics.inc("parity/peel_reuse", reused, volatile=True)
+                self._absorb(fault)
 
     # ------------------------------------------------------------------ #
     def _absorb(self, fault: Fault) -> int:
@@ -411,8 +390,7 @@ class ParityND(CorrectionModel):
             if comp.survivors:
                 self._inc_failing -= 1
             members.extend(comp.members)
-        merged, _ = self._component_from(members)
-        self._add_component(merged)
+        self._add_component(self._component_from(members))
         self._index(fault)
         return len(self._inc_components) - 1
 
@@ -430,48 +408,13 @@ class ParityND(CorrectionModel):
         else:
             self._col_blocks.setdefault(block, []).append(fault)
 
-    def _component_from(
-        self, members: Sequence[Fault]
-    ) -> Tuple[_PeeledComponent, bool]:
-        """Build (or fetch from the peel cache) a peeled component."""
+    def _component_from(self, members: Sequence[Fault]) -> _PeeledComponent:
+        """Peel ``members`` into a component, ordered by uid."""
         ordered = sorted(members, key=lambda f: f.uid)
-        signature = frozenset(f.uid for f in ordered)
-        cached = self._peel_cache.get(signature)
-        if cached is not None:
-            survivors, events = cached
-            cache_hit = True
-        else:
-            peeled, peel_events = self._peel(list(ordered))
-            survivors = tuple(peeled)
-            events = peel_events
-            self._peel_cache[signature] = (survivors, events)
-            cache_hit = False
-        component = _PeeledComponent(
-            members=tuple(ordered), survivors=survivors, events=events
+        survivors, events = self._peel(list(ordered))
+        return _PeeledComponent(
+            members=tuple(ordered), survivors=tuple(survivors), events=events
         )
-        return component, cache_hit
-
-    def _split_members(
-        self, members: Sequence[Fault]
-    ) -> List[List[Fault]]:
-        """Connected components of the alias graph restricted to ``members``."""
-        remaining = list(members)
-        parts: List[List[Fault]] = []
-        while remaining:
-            part = [remaining.pop()]
-            frontier = [part[0]]
-            while frontier:
-                current = frontier.pop()
-                still_out: List[Fault] = []
-                for other in remaining:
-                    if self._alias_any(current, other):
-                        part.append(other)
-                        frontier.append(other)
-                    else:
-                        still_out.append(other)
-                remaining = still_out
-            parts.append(sorted(part, key=lambda f: f.uid))
-        return parts
 
     def _emit_counters(self, metrics: MetricsRegistry) -> None:
         """Re-emit the standing ``parity/*`` counters.

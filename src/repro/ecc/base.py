@@ -23,7 +23,7 @@ that fallback: the oracle the fast paths are tested against.
 from __future__ import annotations
 
 import abc
-from typing import TYPE_CHECKING, Iterable, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple
 
 if TYPE_CHECKING:  # pragma: no cover - annotation-only import
     from repro.ecc.batch_kernels import BatchCorrectionKernel
@@ -194,16 +194,3 @@ def bits_in_one_line(geometry: StackGeometry, cols: RangeMask) -> int:
     line_low_bits = geometry.line_bits - 1
     within_line_mask = cols.mask & line_low_bits
     return 1 << bin(within_line_mask).count("1")
-
-
-def bank_instances(fault: Fault) -> List[Tuple[int, int]]:
-    """All (die, bank) pairs touched by a fault."""
-    return [
-        (die, bank)
-        for die in sorted(fault.footprint.dies)
-        for bank in sorted(fault.footprint.banks)
-    ]
-
-
-def faults_in_die(faults: Iterable[Fault], die: int) -> List[Fault]:
-    return [f for f in faults if die in f.footprint.dies]

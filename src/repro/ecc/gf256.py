@@ -73,12 +73,6 @@ def gf_exp(power: int) -> int:
     return _EXP[power % 255]
 
 
-def gf_log(a: int) -> int:
-    if a == 0:
-        raise ValueError("log of zero is undefined")
-    return _LOG[a]
-
-
 # ---------------------------------------------------------------------- #
 # Polynomials over GF(256): coefficient lists, lowest degree first.
 # ---------------------------------------------------------------------- #
@@ -113,10 +107,6 @@ def poly_eval(p: List[int], x: int) -> int:
     for coeff in reversed(p):
         result = gf_mul(result, x) ^ coeff
     return result
-
-
-def poly_scale(p: List[int], s: int) -> List[int]:
-    return [gf_mul(c, s) for c in p]
 
 
 def poly_deriv(p: List[int]) -> List[int]:

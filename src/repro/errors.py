@@ -26,10 +26,6 @@ class UncorrectableError(ReproError):
     """The functional datapath detected an error it could not correct."""
 
 
-class SimulationError(ReproError):
-    """A simulator reached an inconsistent internal state."""
-
-
 class MergeError(ReproError):
     """Two :class:`~repro.reliability.results.ReliabilityResult` shards with
     incompatible metadata (scheme, stratum weight, lifetime, min-fault

@@ -161,9 +161,6 @@ class PerfResult:
         total = self.row_hits + self.row_misses
         return self.row_hits / total if total else 0.0
 
-    def normalized_time(self, baseline: "PerfResult") -> float:
-        return self.exec_cycles / baseline.exec_cycles
-
 
 class SystemSimulator:
     """Event-ordered FCFS simulation of the full memory system.

@@ -44,12 +44,13 @@ import math
 from collections import Counter
 from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
+import numpy as np
+
 from repro import contracts
 from repro.ecc.batch_kernels import (
     BatchCorrectionKernel,
     TrialBatch,
     candidate_pair_count,
-    np,
 )
 from repro.faults.injector import FaultRecord
 from repro.reliability.results import ReliabilityResult
@@ -83,25 +84,29 @@ _IS_TSV = 1
 _COL_BASE = 7
 _COL_MASK = 8
 
+#: A failing trial's (failure time, failure mode or None), as
+#: ``LifetimeSimulator._simulate`` returns it.
+Outcome = Tuple[float, Optional[str]]
+
 
 def make_batch_runner(
     sim: "LifetimeSimulator",
 ) -> Optional["BatchTrialKernel"]:
     """The batch runner for ``sim``, or ``None`` to use the scalar loop.
 
-    ``None`` — the results are identical either way — when numpy is
-    missing, the model has no array-shaped kernel (the from-scratch
-    oracle :class:`~repro.ecc.base.FromScratch` never has one), the run
-    needs per-trial observability (metrics, sparing stats, failure modes,
-    tracing), or it asks for a non-naive sampling plan.
+    ``None`` — the results are identical either way — when the model has
+    no array-shaped kernel (the from-scratch oracle
+    :class:`~repro.ecc.base.FromScratch` never has one), the run needs
+    per-trial observability (metrics, sparing stats, tracing), or it
+    asks for a non-naive sampling plan.  Failure modes need no refusal:
+    the kernel only proves survival, and every failing trial re-runs on
+    the scalar path, which names its mode.
     """
     config = sim.config
     if (
-        np is None
-        or config.sampling != "naive"
+        config.sampling != "naive"
         or config.collect_metrics
         or config.collect_sparing_stats
-        or config.collect_failure_modes
         or sim.tracer is not None
     ):
         return None
@@ -123,6 +128,9 @@ class BatchTrialKernel:
         self.fast_trials = 0
         #: Trials re-run through the exact scalar simulator.
         self.fallback_trials = 0
+        #: Failure modes of the failing trials, in trial order; named only
+        #: when the run collects them (every failure is a fallback trial).
+        self.failure_modes: Counter[str] = Counter()
 
     # ------------------------------------------------------------------ #
     def run(
@@ -144,14 +152,14 @@ class BatchTrialKernel:
         # spec fields in draw order, times sorted ascending) for the
         # kernel to screen — spec ``i`` pairs with the ``i``-th smallest
         # time, matching ``FaultInjector.place_at`` — or ``None`` for a
-        # trial already simulated, whose failure time (``None``:
-        # survived) is in ``decided``.  ``counts`` holds live faults per
-        # trial and ``rows`` the ``TrialBatch`` columns of every live
-        # fault, flat, ``_N_COLUMNS`` values per fault.  Holding spec
-        # fields, not whole records, keeps a chunk no larger than its
-        # ``FaultSpec`` objects were.
+        # trial already simulated, whose outcome (``None``: survived) is
+        # in ``decided``.  ``counts`` holds live faults per trial and
+        # ``rows`` the ``TrialBatch`` columns of every live fault, flat,
+        # ``_N_COLUMNS`` values per fault.  Holding spec fields, not
+        # whole records, keeps a chunk no larger than its ``FaultSpec``
+        # objects were.
         sampled: List[Optional[Tuple[List[tuple], List[float]]]] = []
-        decided: Dict[int, Optional[float]] = {}
+        decided: Dict[int, Optional[Outcome]] = {}
         counts: List[int] = []
         rows: List[int] = []
         chunk_pairs = 0
@@ -237,7 +245,7 @@ class BatchTrialKernel:
             min_faults=strata_min,
             sparing=None,
             failure_times_hours=failure_times,
-            failure_modes=Counter(),
+            failure_modes=Counter(self.failure_modes),
             metrics=None,
         )
 
@@ -245,14 +253,14 @@ class BatchTrialKernel:
     def _evaluate(
         self,
         sampled: List[Optional[Tuple[List[tuple], List[float]]]],
-        decided: Dict[int, Optional[float]],
+        decided: Dict[int, Optional[Outcome]],
         counts: List[int],
         rows: List[int],
         failure_times: List[float],
     ) -> None:
         """Screen one chunk with the kernel, re-run every trial it does
         not prove survivable on the scalar path, and record the chunk's
-        failure times in trial order."""
+        failure times and modes in trial order."""
         if len(decided) < len(sampled):
             columns = np.array(rows, dtype=np.int64).reshape(-1, _N_COLUMNS).T
             survives = self.kernel.survives(
@@ -260,26 +268,28 @@ class BatchTrialKernel:
             ).tolist()
         for index, trial in enumerate(sampled):
             if trial is None:
-                failed_at = decided[index]
+                outcome = decided[index]
             elif survives[index]:
                 self.fast_trials += 1
                 continue
             else:
-                failed_at = self._simulate(*trial)
-            if failed_at is not None:
+                outcome = self._simulate(*trial)
+            if outcome is not None:
+                failed_at, mode = outcome
                 failure_times.append(failed_at)
+                if mode is not None:
+                    self.failure_modes[mode] += 1
 
     def _simulate(
         self, specs: List[tuple], times: List[float]
-    ) -> Optional[float]:
-        """Failure time of one trial, from its faults' spec fields, on the
-        exact scalar path, or None."""
+    ) -> Optional[Outcome]:
+        """(failure time, failure mode) of one trial, from its faults'
+        spec fields, on the exact scalar path, or None."""
         self.fallback_trials += 1
         sim = self.sim
-        outcome = sim._simulate(
+        return sim._simulate(
             sim.injector.place_at(specs, times), None, None, None
         )
-        return None if outcome is None else outcome[0]
 
     @staticmethod
     def _tsv_overflows(records: List[FaultRecord], standby: int) -> bool:

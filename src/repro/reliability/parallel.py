@@ -18,9 +18,8 @@ is the one way to describe a campaign to it: lifetime reliability
 robustness features:
 
 * **Checkpointing** — completed shards are appended to a JSON checkpoint
-  (unique temp file + atomic rename) every ``checkpoint_every``
-  completions; a killed campaign resumes with ``resume=True`` and re-runs
-  only missing shards.
+  (unique temp file + atomic rename) after every completion; a killed
+  campaign resumes with ``resume=True`` and re-runs only missing shards.
   A fingerprint of the shard plan and the whole work guards against
   resuming someone else's checkpoint, and every resumed shard must
   survive a ``from_dict``/``to_dict`` round trip unchanged
@@ -422,7 +421,6 @@ class ParallelLifetimeRunner:
         workers: int = 1,
         shard_size: int = DEFAULT_SHARD_SIZE,
         checkpoint_path: Optional[Union[str, Path]] = None,
-        checkpoint_every: int = 1,
         resume: bool = False,
         time_budget_s: Optional[float] = None,
         crash_injection: Optional[CrashInjection] = None,
@@ -438,11 +436,6 @@ class ParallelLifetimeRunner:
             shard_size > 0, "shard_size must be positive, got %r", shard_size
         )
         contracts.require(
-            checkpoint_every >= 1,
-            "checkpoint_every must be >= 1, got %r",
-            checkpoint_every,
-        )
-        contracts.require(
             time_budget_s is None or time_budget_s > 0,
             "time_budget_s must be positive, got %r",
             time_budget_s,
@@ -454,7 +447,6 @@ class ParallelLifetimeRunner:
         self.checkpoint_path = (
             Path(checkpoint_path) if checkpoint_path is not None else None
         )
-        self.checkpoint_every = checkpoint_every
         self.resume = resume
         self.time_budget_s = time_budget_s
         self.crash_injection = (
@@ -699,8 +691,7 @@ class ParallelLifetimeRunner:
                 trials=spec.trials,
                 seconds=seconds,
             )
-        if report.completed_shards % self.checkpoint_every == 0:
-            self._write_checkpoint(completed, fingerprint)
+        self._write_checkpoint(completed, fingerprint)
 
     def _stop_index(
         self,

@@ -22,7 +22,6 @@ from __future__ import annotations
 
 from typing import List, Sequence, Tuple
 
-from repro.perf.power import PowerParams
 from repro.stack.geometry import StackGeometry
 
 #: Temperature rise (deg C) assigned to the most active bank position.
@@ -42,18 +41,6 @@ def bank_position_activity(
         for bank, count in enumerate(channel_counts):
             per_position[bank % geometry.banks_per_die] += count
     return per_position
-
-
-def activity_energy_nj(
-    bank_activations: Sequence[Sequence[int]],
-    geometry: StackGeometry,
-    params: PowerParams = PowerParams(),
-) -> List[float]:
-    """Activation energy attributed to each bank position (nJ)."""
-    return [
-        count * params.e_act_nj
-        for count in bank_position_activity(bank_activations, geometry)
-    ]
 
 
 def thermal_bank_multipliers(

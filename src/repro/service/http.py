@@ -4,7 +4,9 @@ Endpoints (all JSON unless negotiated otherwise):
 
 * ``POST /jobs`` — submit ``{"spec": {...}, "priority"?, "workers"?,
   "max_retries"?}``; responds ``202`` with the job document (``200``
-  when the submission was an instant cache hit).
+  when the submission was an instant cache hit).  The three options are
+  JSON integers (``workers >= 1``, ``max_retries >= 0`` or null);
+  anything else answers 400.
 * ``GET /jobs`` — every known job, newest last.
 * ``GET /jobs/{id}`` — one job's lifecycle document.
 * ``GET /jobs/{id}/result`` — ``{"job": ..., "result": ...}`` where
@@ -29,12 +31,14 @@ so scraping the service never perturbs a deterministic artifact.
 
 Transport: HTTP/1.1 with keep-alive, one thread per connection, Nagle
 off (a response is sent as headers then body, and Nagle would hold the
-body for the client's delayed ACK).  The declared request body is read
-before routing, whatever the answer, so the next request on the
-connection starts in step; a body the handler will not read (over
-:data:`MAX_BODY_BYTES`, or not length-delimited) is answered with
-``Connection: close``.  :meth:`ServiceHTTPServer.server_close` ends
-every open connection, so a closed server answers nothing.
+body for the client's delayed ACK).  A connection idle for
+:data:`IDLE_TIMEOUT_S` is closed, which ends its thread; a client's next
+request on it is retried once on a fresh connection.  The declared
+request body is read before routing, whatever the answer, so the next
+request on the connection starts in step; a body the handler will not
+read (over :data:`MAX_BODY_BYTES`, or not length-delimited) is answered
+with ``Connection: close``.  :meth:`ServiceHTTPServer.server_close`
+ends every open connection, so a closed server answers nothing.
 
 Error contract: every failure maps a :class:`ReproError` subclass onto
 ``{"error": {"type": <class name>, "message": <one line>}}`` with a
@@ -49,7 +53,7 @@ import re
 import socket
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-from typing import Any, Dict, Set, Tuple
+from typing import Any, Dict, Optional, Set, Tuple
 from urllib.parse import parse_qs, urlparse
 
 from repro.errors import (
@@ -81,6 +85,10 @@ ERROR_STATUS: Dict[type, int] = {
 #: Largest request body accepted, in bytes (a spec is tiny).
 MAX_BODY_BYTES = 1 << 20
 
+#: Seconds a kept-alive connection may sit idle before the server closes
+#: it and frees its thread (a client reconnects on its next request).
+IDLE_TIMEOUT_S = 60.0
+
 #: Bucket edges (seconds) of the per-endpoint request-latency histograms.
 LATENCY_EDGES = (0.001, 0.003, 0.01, 0.03, 0.1, 0.3, 1.0, 3.0)
 
@@ -101,6 +109,26 @@ def endpoint_label(method: str, path: str) -> str:
             return "result"
         return "cancel" if method == "DELETE" else "job"
     return "other"
+
+
+def submit_option(
+    document: Dict[str, Any],
+    name: str,
+    default: int,
+    minimum: Optional[int] = None,
+) -> int:
+    """``document[name]`` of a ``POST /jobs`` body: a JSON integer (not
+    a boolean) of at least ``minimum``, or ``default`` when the key is
+    absent.  Anything else is a :class:`SpecError` naming the field."""
+    value = document.get(name, default)
+    if (
+        isinstance(value, bool)
+        or not isinstance(value, int)
+        or (minimum is not None and value < minimum)
+    ):
+        wanted = "an integer" if minimum is None else f"an integer >= {minimum}"
+        raise SpecError(f"{name} must be {wanted}, got {value!r}")
+    return value
 
 
 def error_payload(exc: ReproError) -> Dict[str, Any]:
@@ -166,6 +194,7 @@ class ServiceRequestHandler(BaseHTTPRequestHandler):
     server: ServiceHTTPServer  # narrowed type
     protocol_version = "HTTP/1.1"
     disable_nagle_algorithm = True
+    timeout = IDLE_TIMEOUT_S
     _body = b""
 
     # ------------------------------------------------------------------ #
@@ -319,12 +348,14 @@ class ServiceRequestHandler(BaseHTTPRequestHandler):
                 spec = CampaignSpec.from_dict(spec_doc)
                 job = scheduler.submit(
                     spec,
-                    priority=int(document.get("priority", 0)),
-                    workers=int(document.get("workers", 1)),
+                    priority=submit_option(document, "priority", 0),
+                    workers=submit_option(document, "workers", 1, minimum=1),
                     max_retries=(
-                        int(document["max_retries"])
-                        if document.get("max_retries") is not None
-                        else None
+                        None
+                        if document.get("max_retries") is None
+                        else submit_option(
+                            document, "max_retries", 0, minimum=0
+                        )
                     ),
                 )
                 status = 200 if job.cache_hit else 202

@@ -3,7 +3,8 @@
 A :class:`CampaignSpec` is the validated, *canonical* description of one
 campaign — the knobs ``repro reliability`` and ``repro replay`` expose
 (scheme, trials, TSV FIT, mitigations, seed, shard size, ...) plus a
-``scale`` divisor for smoke-sized runs and optional geometry overrides.
+``scale`` divisor for smoke-sized runs (folded into ``trials``) and
+optional geometry overrides.
 :meth:`CampaignSpec.work` turns it into what the runner executes; the
 service and the CLI both run that.
 Canonicalization matters because the result store is content-addressed:
@@ -91,7 +92,10 @@ class CampaignSpec:
     trials: int = 20000
     #: Trial divisor for smoke-sized runs: the campaign executes
     #: ``max(1, trials // scale)`` trials (the same convention as the
-    #: benchmark suite's ``REPRO_BENCH_SCALE``).
+    #: benchmark suite's ``REPRO_BENCH_SCALE``).  Validation folds it
+    #: into ``trials`` and leaves ``scale`` at 1, so a scaled spec and
+    #: the unscaled spec of the same trial count share one content
+    #: address.
     scale: int = 1
     tsv_fit: float = 0.0
     tsv_swap: Optional[int] = None
@@ -178,6 +182,8 @@ class CampaignSpec:
             raise SpecError(f"trials must be a positive int, got {self.trials!r}")
         if not isinstance(self.scale, int) or self.scale < 1:
             raise SpecError(f"scale must be a positive int, got {self.scale!r}")
+        object.__setattr__(self, "trials", max(1, self.trials // self.scale))
+        object.__setattr__(self, "scale", 1)
         if self.tsv_fit < 0:
             raise SpecError(f"tsv_fit must be >= 0, got {self.tsv_fit!r}")
         if self.tsv_swap is not None and (
@@ -249,7 +255,9 @@ class CampaignSpec:
     # ------------------------------------------------------------------ #
     @property
     def effective_trials(self) -> int:
-        return max(1, self.trials // self.scale)
+        """The trials the campaign runs: ``trials``, with ``scale``
+        already folded in."""
+        return self.trials
 
     def canonical_dict(self) -> Dict[str, Any]:
         """The canonical JSON-able form; key order is fixed by sorting.

@@ -75,14 +75,3 @@ def standby_dtsv_indices(geometry: StackGeometry, count: int = 4) -> List[int]:
         )
     stride = num // count
     return [i * stride for i in range(count)]
-
-
-def replicated_bits_per_line(geometry: StackGeometry, count: int = 4) -> int:
-    """Metadata bits consumed by replicating the stand-by TSVs' payload.
-
-    Each DTSV bursts ``line_bits / data_tsvs_per_channel`` bits per line
-    (2 for the baseline geometry), so 4 stand-by TSVs cost 8 metadata bits
-    — the "Swap Data" field of Figure 6.
-    """
-    burst = geometry.line_bits // geometry.data_tsvs_per_channel
-    return count * burst

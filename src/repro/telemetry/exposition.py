@@ -90,12 +90,6 @@ def format_value(value: float) -> str:
     return repr(value)
 
 
-def _escape_label_value(value: str) -> str:
-    return (
-        value.replace("\\", "\\\\").replace('"', '\\"').replace("\n", "\\n")
-    )
-
-
 def render_openmetrics(registry: MetricsRegistry) -> str:
     """Render ``registry`` as deterministic OpenMetrics text.
 

@@ -9,8 +9,8 @@ both halves of that claim against the scalar reference loop
 
 * byte-identity of ``ReliabilityResult`` documents between the scalar and
   batch engines for every registered scheme, with thermal FIT feedback,
-  under a tiny chunk pair budget, across worker counts, and through
-  checkpoint/resume;
+  with failure modes, under a tiny chunk pair budget, across worker
+  counts, and through checkpoint/resume;
 * hypothesis soundness at the kernel boundary — crowded random fault
   sets, and for 3DP dense sets around column-block edges, where a
   ``survives`` verdict must match a from-scratch scalar simulation of
@@ -20,9 +20,8 @@ both halves of that claim against the scalar reference loop
 * a fault-dense stress campaign that the kernel must settle;
 * the TSV-Swap stand-by pool boundary of the overflow check;
 * the dispatch contract — silent scalar fallback for observability runs,
-  the from-scratch oracle, non-naive sampling, kernel-less models and a
-  missing numpy — and the share of a Fig. 18 symbol-code campaign the
-  kernel settles.
+  the from-scratch oracle, non-naive sampling and kernel-less models —
+  and the share of a Fig. 18 symbol-code campaign the kernel settles.
 """
 
 import json
@@ -139,6 +138,27 @@ class TestBatchMatchesScalar:
         scalar = run_once(scheme, 17, batch=False, **kwargs)
         batch = run_once(scheme, 17, batch=True, **kwargs)
         assert doc(scalar) == doc(batch), scheme
+
+    def test_identical_with_failure_modes(self, scheme):
+        """Failure modes run on the kernel: it only proves survival, and
+        every failing trial re-runs on the scalar path, which names its
+        mode."""
+        kwargs = dict(collect_failure_modes=True)
+        scalar = run_once(scheme, 7, batch=False, **kwargs)
+        sim = LifetimeSimulator(
+            GEOM, RATES, SCHEMES[scheme](GEOM), EngineConfig(**kwargs), seed=7
+        )
+        if sim.model.batch_kernel() is None:  # bch
+            batch = sim.run(300)
+        else:
+            runner = make_batch_runner(sim)
+            assert isinstance(runner, BatchTrialKernel)
+            batch = runner.run(300, sim.default_min_faults(), None)
+            assert runner.fast_trials > 0
+        assert scalar.failure_modes
+        assert doc(scalar) == doc(batch), scheme
+        # Tallied in trial order, so ties among the top modes list alike.
+        assert list(batch.failure_modes) == list(scalar.failure_modes)
 
     def test_identical_under_tiny_pair_budget(self, scheme, monkeypatch):
         """A one-pair budget admits a trial to a chunk only while the
@@ -786,10 +806,3 @@ class TestDispatch:
 
     def test_batch_requires_naive_sampling(self):
         assert make_batch_runner(self.make_sim(sampling="stratified")) is None
-
-    def test_missing_numpy_runs_scalar(self, monkeypatch):
-        batched = self.make_sim().run(200)
-        monkeypatch.setattr(batch_mod, "np", None)
-        sim = self.make_sim()
-        assert make_batch_runner(sim) is None
-        assert doc(sim.run(200)) == doc(batched)

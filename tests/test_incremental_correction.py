@@ -6,7 +6,10 @@ fault sequences — and ``rebuild()`` (the scrub/DDS path) must leave the
 kernel answering as if the surviving set had been observed from
 scratch.  The strategies deliberately squeeze faults into a few dies,
 banks and rows so that pair predicates, occupancy indexes and the 3DP
-peel cache are all exercised, not just the lone-fault fast paths.
+component merges are all exercised, not just the lone-fault fast paths.
+Two hand-built 3DP rebuilds cover the edits a scrub makes to a
+component: removing the fault that bridged its two halves, and
+re-exposing a fault that aliases a component left intact.
 """
 
 import itertools
@@ -219,6 +222,35 @@ def check_peel_event_streams(factory, seq):
     )
 
 
+def check_rebuilds_against_scratch(factory, observed, rebuilds, tail):
+    """Observe ``observed``, hand each live set of ``rebuilds`` to
+    ``rebuild`` in turn, then observe ``tail``.  Every verdict, and the
+    ``parity/*`` counters of the whole sequence, equal those of
+    ``is_uncorrectable`` on each observed prefix, then on the last live
+    set plus each tail prefix."""
+    model = factory(GEOM)
+    model.metrics = MetricsRegistry()
+    model.begin_trial()
+    reference = factory(GEOM)
+    reference.metrics = MetricsRegistry()
+    live = []
+    for fault in observed:
+        live.append(fault)
+        assert model.observe(fault) == reference.is_uncorrectable(live)
+    for edited in rebuilds:
+        model.rebuild(edited)
+    live = list(rebuilds[-1])
+    for fault in tail:
+        live.append(fault)
+        assert model.observe(fault) == reference.is_uncorrectable(
+            live
+        ), f"diverged after rebuild at size {len(live)}"
+    assert (
+        model.metrics.deterministic_snapshot()
+        == reference.metrics.deterministic_snapshot()
+    )
+
+
 @pytest.mark.parametrize("scheme", sorted(SCHEMES))
 class TestObserveMatchesFromScratch:
     """observe() after each arrival == is_uncorrectable() on the prefix."""
@@ -293,6 +325,51 @@ class TestParityNDDimensionSubsets:
     def test_peel_event_streams_identical(self, dims, pool, data):
         check_peel_event_streams(
             lambda g: ParityND(g, dims), data.draw(PARITY_SEQS[pool])
+        )
+
+
+class TestParityRebuildEdits:
+    """The two scrub edits a 3DP ``rebuild`` must get right by hand: a
+    component losing the fault that bridged its two halves, and a
+    re-exposed fault joining a component that stayed intact."""
+
+    def test_bridge_removed(self):
+        model = make_3dp(GEOM)
+        left = make_column_fault(GEOM, 0, 0, 5, Permanence.PERMANENT)
+        right = make_column_fault(GEOM, 1, 1, 9, Permanence.PERMANENT)
+        bridge = make_row_fault(GEOM, 0, 0, 3, Permanence.TRANSIENT)
+        assert model._alias_any(left, bridge)
+        assert model._alias_any(bridge, right)
+        assert not model._alias_any(left, right)
+        check_rebuilds_against_scratch(
+            make_3dp,
+            [left, bridge, right],
+            [[left, right]],
+            [
+                # Peels through dimension 2, then ``left`` through 1 ...
+                make_bit_fault(GEOM, 2, 0, 7, 5, Permanence.PERMANENT),
+                # ... until a second column blocks ``left`` in dim 1.
+                make_column_fault(GEOM, 2, 2, 5, Permanence.PERMANENT),
+            ],
+        )
+
+    def test_reexposed_fault_joins_an_intact_component(self):
+        model = make_3dp(GEOM)
+        column = make_column_fault(GEOM, 0, 0, 5, Permanence.PERMANENT)
+        spared = make_bit_fault(GEOM, 1, 0, 2, 5, Permanence.PERMANENT)
+        apart = make_column_fault(GEOM, 1, 1, 70, Permanence.PERMANENT)
+        assert model._alias_any(column, spared)
+        assert not model._alias_any(column, apart)
+        check_rebuilds_against_scratch(
+            make_3dp,
+            [column, spared, apart],
+            # DDS spares the bit, then re-exposes it: ``column`` and
+            # ``apart`` each stay one intact component meanwhile.
+            [[column, apart], [column, apart, spared]],
+            [
+                make_bit_fault(GEOM, 3, 1, 4, 70, Permanence.TRANSIENT),
+                make_column_fault(GEOM, 2, 2, 5, Permanence.PERMANENT),
+            ],
         )
 
 

@@ -677,10 +677,6 @@ class TestValidation:
         with pytest.raises(ContractViolation):
             make_runner(geometry, workers=0)
 
-    def test_bad_checkpoint_interval_rejected(self, geometry):
-        with pytest.raises(ContractViolation):
-            make_runner(geometry, workers=1, checkpoint_every=0)
-
 
 class TestCancelHook:
     """Cooperative cancellation between shards (the campaign service's

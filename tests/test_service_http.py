@@ -41,7 +41,11 @@ from repro.reliability.results import ReliabilityResult
 from repro.cli import main
 from repro.replay import ReplayResult
 from repro.service.client import ServiceClient
-from repro.service.http import MAX_BODY_BYTES, make_server
+from repro.service.http import (
+    MAX_BODY_BYTES,
+    ServiceRequestHandler,
+    make_server,
+)
 from repro.service.jobs import CampaignSpec
 from repro.service.scheduler import CampaignScheduler
 from repro.schemes import SCHEMES
@@ -404,6 +408,71 @@ class TestErrorContract:
             server.server_close()
             thread.join(timeout=WAIT_S)
 
+    @pytest.mark.parametrize(
+        "option",
+        [
+            {"priority": "high"},
+            {"priority": [1]},
+            {"priority": 1.5},
+            {"priority": True},
+            {"priority": None},
+            {"workers": "two"},
+            {"workers": 0},
+            {"workers": 2.7},
+            {"workers": True},
+            {"workers": None},
+            {"max_retries": -1},
+            {"max_retries": "3"},
+            {"max_retries": 1.0},
+        ],
+        ids=lambda option: "{}={!r}".format(*next(iter(option.items()))),
+    )
+    def test_bad_submit_option_raises_spec_error(self, service, option):
+        """Job options must be JSON integers in range: anything else is
+        a 400 naming the field, and the connection stays usable."""
+        _, scheduler, server = service
+        connection = http.client.HTTPConnection(
+            "127.0.0.1", server.port, timeout=WAIT_S
+        )
+        try:
+            body = json.dumps({"spec": make_spec().canonical_dict(), **option})
+            status, _, document = exchange(
+                connection, "POST", "/jobs", body,
+                {"Content-Type": "application/json"},
+            )
+            assert status == 400
+            assert document["error"]["type"] == "SpecError"
+            assert document["error"]["message"].startswith(next(iter(option)))
+            status, _, document = exchange(connection, "GET", "/healthz")
+            assert (status, document["status"]) == (200, "ok")
+        finally:
+            connection.close()
+        assert scheduler.jobs() == []
+
+    def test_submit_options_in_range_are_accepted(self, service):
+        client, _, server = service
+        job = client.submit(
+            make_spec(seed=3), priority=-2, workers=3, max_retries=0
+        )
+        assert (job["priority"], job["workers"], job["max_retries"]) == (
+            -2, 3, 0
+        )
+        # A null retry budget means the scheduler's default.
+        connection = http.client.HTTPConnection(
+            "127.0.0.1", server.port, timeout=WAIT_S
+        )
+        try:
+            body = json.dumps(
+                {"spec": make_spec(seed=4).canonical_dict(), "max_retries": None}
+            )
+            status, _, _ = exchange(
+                connection, "POST", "/jobs", body,
+                {"Content-Type": "application/json"},
+            )
+            assert status == 202
+        finally:
+            connection.close()
+
     def test_unreachable_service_raises_unavailable(self):
         client = ServiceClient("http://127.0.0.1:1", timeout_s=0.5)
         with pytest.raises(ServiceUnavailableError, match="cannot reach"):
@@ -603,6 +672,26 @@ class TestTransport:
             thread.join(timeout=WAIT_S)
             listener.close()
         assert len(accepted) == 1
+
+    def test_idle_timeout_is_finite(self):
+        assert 0 < ServiceRequestHandler.timeout < float("inf")
+
+    def test_idle_connection_is_closed(self, tmp_path, monkeypatch):
+        """The server closes a connection left idle, which ends its
+        thread, and a client whose kept-alive connection went idle as
+        long still answers its next call."""
+        monkeypatch.setattr(ServiceRequestHandler, "timeout", 0.2)
+        with serving(tmp_path / "store") as (_, server, url):
+            with ServiceClient(url, timeout_s=WAIT_S) as client:
+                assert client.healthz()["status"] == "ok"
+                idle = socket.create_connection(
+                    ("127.0.0.1", server.port), timeout=WAIT_S
+                )
+                try:
+                    assert idle.recv(1) == b""  # closed, never answered
+                finally:
+                    idle.close()
+                assert client.healthz()["status"] == "ok"
 
     def test_base_url_forms(self, service):
         _, _, server = service

@@ -192,6 +192,21 @@ class TestDedupe:
         finally:
             scheduler.shutdown()
 
+    def test_scaled_spec_hits_the_unscaled_entry(self, store):
+        """``scale`` only divides ``trials``, so a scaled submission and
+        the unscaled one of the same trial count are one campaign."""
+        executor = StubExecutor()
+        scheduler = make_scheduler(store, executor).start()
+        try:
+            first = scheduler.submit(make_spec(seed=3, trials=3000, scale=10))
+            wait_terminal(scheduler, first)
+            second = scheduler.submit(make_spec(seed=3, trials=300))
+            assert second.state is JobState.DONE
+            assert second.cache_hit is True
+            assert len(executor.calls) == 1
+        finally:
+            scheduler.shutdown()
+
     def test_concurrent_identical_submissions_execute_once(self, store):
         """The satellite requirement: two simultaneous submissions of
         the same spec yield ONE execution and one cache hit, and both

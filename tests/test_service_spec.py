@@ -196,6 +196,13 @@ class TestCanonicalization:
         assert CampaignSpec(trials=3000, scale=10).effective_trials == 300
         assert CampaignSpec(trials=5, scale=100).effective_trials == 1
 
+    def test_scale_folds_into_trials(self):
+        # Both run 300 trials and compute the same bytes, so they share
+        # one content address.
+        scaled = CampaignSpec(trials=3000, scale=10)
+        assert (scaled.trials, scaled.scale) == (300, 1)
+        assert scaled.spec_hash() == CampaignSpec(trials=300).spec_hash()
+
 
 #: Geometry overrides drawn from the real StackGeometry field names.
 geometry_dicts = st.dictionaries(
