@@ -50,7 +50,10 @@ rule: a component that lost no member is kept as it is, and every other
 live fault is absorbed like an arrival.  Both paths report identical
 verdicts and identical ``parity/*`` counters; the components an arrival
 leaves untouched are counted by the volatile ``parity/peel_reuse``
-counter.
+counter.  To re-emit the standing peel events on every arrival without
+walking every component, the kernel keeps a running per-name total of
+the live components' events, updated as components are added and
+dropped.
 
 An arrival finds the components it aliases with through a column-block
 index rather than by testing every live fault.  Every dimension's group
@@ -323,6 +326,9 @@ class ParityND(CorrectionModel):
         self._col_blocks: Dict[int, List[Fault]] = {}
         #: Live faults whose columns span several blocks.
         self._wide: List[Fault] = []
+        #: Metric name -> peel events summed over the live components;
+        #: a name no live component holds is absent, never zero.
+        self._event_totals: Dict[str, int] = {}
 
     def observe(self, fault: Fault) -> bool:
         metrics = self.metrics
@@ -386,9 +392,7 @@ class ParityND(CorrectionModel):
                 touched[comp] = None
         members = [fault]
         for comp in touched:
-            del self._inc_components[comp]
-            if comp.survivors:
-                self._inc_failing -= 1
+            self._drop_component(comp)
             members.extend(comp.members)
         self._add_component(self._component_from(members))
         self._index(fault)
@@ -400,6 +404,23 @@ class ParityND(CorrectionModel):
             self._inc_failing += 1
         for member in comp.members:
             self._component_of[member.uid] = comp
+        totals = self._event_totals
+        for event_name, count in comp.events.items():
+            totals[event_name] = totals.get(event_name, 0) + count
+
+    def _drop_component(self, comp: _PeeledComponent) -> None:
+        """Remove a live component merged away by an arrival (its members
+        are re-pointed when the merged component is added)."""
+        del self._inc_components[comp]
+        if comp.survivors:
+            self._inc_failing -= 1
+        totals = self._event_totals
+        for event_name, count in comp.events.items():
+            left = totals[event_name] - count
+            if left:
+                totals[event_name] = left
+            else:
+                del totals[event_name]
 
     def _index(self, fault: Fault) -> None:
         block = _col_block(fault)
@@ -420,18 +441,19 @@ class ParityND(CorrectionModel):
         """Re-emit the standing ``parity/*`` counters.
 
         The from-scratch path re-counts every peel event of the current
-        live set on each ``is_uncorrectable`` call; emitting each
-        component's cached events here keeps the two paths' ``parity/*``
-        counters identical call-for-call.
+        live set on each ``is_uncorrectable`` call; emitting the live
+        components' event totals here, one increment per name, keeps the
+        two paths' ``parity/*`` counters identical call-for-call.
         """
-        survivor_kinds: List[str] = []
-        for comp in self._inc_components:
-            for event_name, count in comp.events.items():
-                metrics.inc(event_name, count)
-            survivor_kinds.extend(f.kind.value for f in comp.survivors)
+        for event_name, total in self._event_totals.items():
+            metrics.inc(event_name, total)
         if self._inc_failing:
             metrics.inc("parity/uncorrectable")
-            cause = "+".join(sorted(survivor_kinds))
+            cause = "+".join(sorted(
+                f.kind.value
+                for comp in self._inc_components
+                for f in comp.survivors
+            ))
             metrics.inc(f"parity/uncorrectable_cause/{cause}")
 
 

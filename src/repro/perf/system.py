@@ -11,19 +11,27 @@ fetch from (and eventual writeback to) the parity bank.
 Outputs: execution time (max over cores), event counters for the power
 model, row-buffer and parity-cache statistics.
 
-A run compiles each request once into a flat record: its gap, its LLC
-key, its bank fan-out grouped by channel (from
-:func:`~repro.stack.striping.sub_accesses`, the one striping rule) and,
-for a 3DP writeback, the same for its parity line.  The service loop then
-replays the records against flat per-bank and per-channel integer state.
-The LLC is physically indexed: a demand line's key is its line address,
-a parity line's key lies past the line address space, and both are
-plain ints, so set selection is the same in every process.
+A run compiles each request once into a flat record.  The request's
+line address is decoded exactly once, through the checked
+:meth:`~repro.stack.address.AddressMapper.decode`; the record keeps its
+gap, its LLC key, its row, its global home bank, its bank fan-out
+grouped by channel and, for a 3DP writeback, the same for its parity
+line.  A line's fan-out depends only on its home bank, because striping
+spreads a line over banks or channels and never over rows, so each
+simulator expands every home bank once, through
+:func:`~repro.stack.striping.sub_accesses` (the one striping rule), into
+a fan-out table, and compilation only looks lines up in it.  The service
+loop then replays the records against flat per-bank and per-channel
+integer state.  The LLC is physically indexed: a demand line's key is
+its line address, a parity line's key lies past the line address space,
+and both are plain ints, so set selection is the same in every process.
 
 A per-request perturbation hook lets the replay co-simulation engine
 (``repro.replay``) inject protection traffic — scrub reads, DDS copy
 traffic, TSV-Swap mux delay, degraded-bank correction latency — into the
-service loop.  A run without a hook perturbs nothing.
+service loop.  The hook is handed the request's ordinal and global home
+bank, both read off the compiled record.  A run without a hook perturbs
+nothing.
 """
 
 from __future__ import annotations
@@ -47,13 +55,15 @@ from repro.workloads.trace import MemoryRequest, Trace
 #: A line access's bank fan-out: ``(channel, global bank ids)`` per
 #: channel it occupies, in first-touch order.
 _Groups = Tuple[Tuple[int, Tuple[int, ...]], ...]
+#: Everything striping decides for a line homed in one bank: (fan-out,
+#: bytes, banks).
+_FanOut = Tuple[_Groups, int, int]
 #: One compiled line access: (LLC key, row, fan-out, bytes, banks).
 _Line = Tuple[int, int, _Groups, int, int]
 #: One compiled request: (gap, is_write, LLC key, row, fan-out, bytes,
-#: banks, dim-1 parity line of a 3DP writeback or None, the request).
-_Record = Tuple[
-    int, bool, int, int, _Groups, int, int, Optional[_Line], MemoryRequest
-]
+#: banks, dim-1 parity line of a 3DP writeback or None, global home
+#: bank).
+_Record = Tuple[int, bool, int, int, _Groups, int, int, Optional[_Line], int]
 
 
 @dataclass(frozen=True)
@@ -110,12 +120,15 @@ class RequestHook:
     """Interface consulted once per demand request, in service order.
 
     ``index`` is the global 0-based ordinal of the request across all
-    cores (heap pop order, which is deterministic).  Return ``None`` for
-    "no perturbation" — the common case — or a :class:`Perturbation`.
+    cores (heap pop order, which is deterministic).  ``home_bank`` is the
+    global id ``channel * banks_per_die + bank`` of the request's
+    Same-Bank home, where ``channel`` counts across stacks.  Return
+    ``None`` for "no perturbation" — the common case — or a
+    :class:`Perturbation`.
     """
 
     def on_request(
-        self, index: int, request, now: int
+        self, index: int, home_bank: int, now: int
     ) -> Optional[Perturbation]:
         raise NotImplementedError
 
@@ -188,6 +201,12 @@ class SystemSimulator:
         #: the simulation itself never reads it.
         self.metrics = metrics
         self._mapper = AddressMapper(geometry, config.stacks)
+        #: The fan-out of a line by its global home bank.
+        self._fan_out: List[_FanOut] = [
+            self._expand(channel, bank)
+            for channel in range(self._mapper.total_channels)
+            for bank in range(geometry.banks_per_die)
+        ]
         #: The traces :attr:`_plan` was compiled from, held so that their
         #: identities stay valid, and the plan: one record list per core.
         self._compiled: Tuple[Trace, ...] = ()
@@ -298,14 +317,16 @@ class SystemSimulator:
             records = plan[cid]
             position = positions[cid]
             (_, is_write, key, row, groups, nbytes, nbanks, parity,
-             request) = records[position]
+             home_bank) = records[position]
             issue = now
             if on_request is not None:
-                effect = on_request(served, request, now)
+                effect = on_request(served, home_bank, now)
                 if effect is not None:
                     # Injected traffic is expanded when it is served.
                     for home, extra_write in effect.extra_accesses:
-                        _, x_row, x_groups, x_bytes, x_banks = self._line(home)
+                        _, x_row, x_groups, x_bytes, x_banks = self._line(
+                            home.channel, home.bank, home.row, home.slot
+                        )
                         access(now, x_row, x_groups, extra_write)
                         bank_accesses += x_banks
                         if extra_write:
@@ -450,60 +471,77 @@ class SystemSimulator:
         return self._plan
 
     def _compile(self, request: MemoryRequest) -> _Record:
-        """One request's record: everything its service needs but time."""
-        home = request.home
-        key, row, groups, nbytes, nbanks = self._line(home)
+        """One request's record: everything its service needs but time.
+
+        The address is decoded here, once, and is the line's LLC key.
+        """
+        address = request.address
+        channel, bank, row, slot = self._mapper.decode(address)
+        home_bank = channel * self.geometry.banks_per_die + bank
+        groups, nbytes, nbanks = self._fan_out[home_bank]
         parity: Optional[_Line] = None
         if request.is_write and self.config.parity_protection:
-            parity = (self._parity_key(home),) + self._line(
-                self._parity_home(home)
+            parity = (self._parity_key(row, slot),) + self._line(
+                *self._parity_home(channel, row, slot)
             )[1:]
-        return (request.gap_cycles, request.is_write, key, row, groups,
-                nbytes, nbanks, parity, request)
+        return (request.gap_cycles, request.is_write, address, row, groups,
+                nbytes, nbanks, parity, home_bank)
 
-    def _line(self, home: LineLocation) -> _Line:
-        """One line access: its address, which is also its LLC key (range
-        checked), and its bank fan-out under the striping policy."""
-        key = self._mapper.to_address(home)
+    def _expand(self, channel: int, bank: int) -> _FanOut:
+        """The fan-out of a line homed in ``(channel, bank)``, from the
+        striping rule: its banks grouped by channel, bytes and banks."""
         banks_per_die = self.geometry.banks_per_die
         by_channel: Dict[int, List[int]] = {}
         nbytes = 0
-        subs = sub_accesses(self.config.striping, self.geometry, home)
+        subs = sub_accesses(
+            self.config.striping,
+            self.geometry,
+            LineLocation(channel=channel, bank=bank, row=0, slot=0),
+        )
         for sub in subs:
             by_channel.setdefault(sub.channel, []).append(
                 sub.channel * banks_per_die + sub.bank
             )
             nbytes += sub.bytes
-        # Striping spreads a line over banks or channels, never over rows.
         groups = tuple(
-            (channel, tuple(banks)) for channel, banks in by_channel.items()
+            (group_channel, tuple(banks))
+            for group_channel, banks in by_channel.items()
         )
-        return key, home.row, groups, nbytes, len(subs)
+        return groups, nbytes, len(subs)
 
-    def _parity_key(self, home: LineLocation) -> int:
-        """LLC key of the dim-1 parity line of ``home``'s group.
+    def _line(self, channel: int, bank: int, row: int, slot: int) -> _Line:
+        """One line access: its address, which is also its LLC key (range
+        checked), and its bank fan-out under the striping policy."""
+        key = self._mapper.encode(channel, bank, row, slot)
+        groups, nbytes, nbanks = self._fan_out[
+            channel * self.geometry.banks_per_die + bank
+        ]
+        return key, row, groups, nbytes, nbanks
+
+    def _parity_key(self, row: int, slot: int) -> int:
+        """LLC key of the dim-1 parity line of the ``(row, slot)`` group.
 
         Parity keys sit just past the line address space, one per (row,
         slot) group, so they never collide with a demand line.
         """
-        return (
-            self._mapper.num_lines
-            + home.row * self.geometry.lines_per_row
-            + home.slot
-        )
+        lines_per_row = self.geometry.lines_per_row
+        return self._mapper.num_lines + row * lines_per_row + slot
 
-    def _parity_home(self, home: LineLocation) -> LineLocation:
-        """Physical home of the dim-1 parity line for this group.
+    def _parity_home(
+        self, channel: int, row: int, slot: int
+    ) -> Tuple[int, int, int, int]:
+        """Physical home ``(channel, bank, row, slot)`` of the dim-1
+        parity line for the group of a line homed on ``channel``.
 
         The parity bank is an address range spread over physical banks by
         swapping bank/channel bits (paper footnote 4), so parity traffic
         does not bottleneck one bank.
         """
         g = self.geometry
-        stack_base = (home.channel // g.channels) * g.channels
-        return LineLocation(
-            channel=stack_base + (home.row + home.slot) % g.channels,
-            bank=(home.row // g.channels) % g.banks_per_die,
-            row=home.row,
-            slot=home.slot,
+        stack_base = (channel // g.channels) * g.channels
+        return (
+            stack_base + (row + slot) % g.channels,
+            (row // g.channels) % g.banks_per_die,
+            row,
+            slot,
         )

@@ -18,10 +18,18 @@ RNG — and from that request on changes the service-loop behavior:
 The reliability timeline describes one stack; perturbations apply to
 that stack's channels (the first ``geometry.channels`` of the simulated
 system).  All latencies are deterministic integers.
+
+The simulator hands the hook each request's ordinal and global home bank
+(``channel * banks_per_die + bank``).  The standing delays of the
+protection state live in a per-bank table, rebuilt only when the hook
+applies events, so a request between events costs one table lookup: the
+cached :class:`~repro.perf.system.Perturbation` of its bank, or ``None``,
+with nothing allocated.
 """
 
 from __future__ import annotations
 
+import math
 from typing import Dict, List, Optional, Set, Tuple
 
 from repro.perf.system import Perturbation, RequestHook
@@ -50,7 +58,13 @@ REMAP_COPY_LINES = {"row": 2, "bank": 8}
 
 
 class ReplayPerturbation(RequestHook):
-    """Stateful request hook driven by one :class:`FaultTimeline`."""
+    """Stateful request hook driven by one :class:`FaultTimeline`.
+
+    The delay a request pays depends only on its home bank and on the
+    protection state, which changes only when events apply: a swapped
+    channel adds the mux latency, and a degraded bank the correction
+    latency or, once remapped, the indirection latency.
+    """
 
     def __init__(
         self,
@@ -75,6 +89,11 @@ class ReplayPerturbation(RequestHook):
             for event in timeline.events
         ]
         self._cursor = 0
+        #: Ordinal of the next event to apply (infinite when none is left).
+        self._due = self._schedule[0][0] if self._schedule else math.inf
+        #: Global home bank -> the standing perturbation of a request
+        #: homed there, for every bank with a nonzero delay.
+        self._delays: Dict[int, Perturbation] = {}
 
     # ------------------------------------------------------------------ #
     def _ordinal(self, time_hours: float) -> int:
@@ -174,25 +193,45 @@ class ReplayPerturbation(RequestHook):
         # "failure": the reliability verdict; no extra service traffic.
         return []
 
+    def _rebuild_delays(self) -> None:
+        """Recompute the per-bank delay table from the protection state."""
+        banks_per_die = self.geometry.banks_per_die
+        delays: Dict[int, int] = {}
+        for channel in self._swapped:
+            for bank in range(banks_per_die):
+                delays[channel * banks_per_die + bank] = TSV_SWAP_MUX_CYCLES
+        for position in self._degraded.keys() | self._remapped:
+            channel, bank = position
+            if not 0 <= bank < banks_per_die:
+                continue  # no request is homed there
+            home = channel * banks_per_die + bank
+            delays[home] = delays.get(home, 0) + (
+                CORRECTION_DELAY_CYCLES
+                if position in self._degraded
+                else REMAP_INDIRECTION_CYCLES
+            )
+        self._delays = {
+            home: Perturbation(delay_cycles=delay)
+            for home, delay in delays.items()
+        }
+
     def on_request(
-        self, index: int, request, now: int
+        self, index: int, home_bank: int, now: int
     ) -> Optional[Perturbation]:
+        if index < self._due:
+            return self._delays.get(home_bank)
+        schedule, cursor = self._schedule, self._cursor
         extra: List[Tuple[LineLocation, bool]] = []
-        while (
-            self._cursor < len(self._schedule)
-            and self._schedule[self._cursor][0] <= index
-        ):
-            extra.extend(self._apply(self._schedule[self._cursor][1]))
-            self._cursor += 1
-        home = request.home
-        position = (home.channel, home.bank)
-        delay = 0
-        if home.channel in self._swapped:
-            delay += TSV_SWAP_MUX_CYCLES
-        if position in self._degraded:
-            delay += CORRECTION_DELAY_CYCLES
-        elif position in self._remapped:
-            delay += REMAP_INDIRECTION_CYCLES
-        if not delay and not extra:
-            return None
-        return Perturbation(delay_cycles=delay, extra_accesses=tuple(extra))
+        while cursor < len(schedule) and schedule[cursor][0] <= index:
+            extra.extend(self._apply(schedule[cursor][1]))
+            cursor += 1
+        self._cursor = cursor
+        self._due = schedule[cursor][0] if cursor < len(schedule) else math.inf
+        self._rebuild_delays()
+        standing = self._delays.get(home_bank)
+        if not extra:
+            return standing
+        return Perturbation(
+            delay_cycles=standing.delay_cycles if standing is not None else 0,
+            extra_accesses=tuple(extra),
+        )

@@ -4,8 +4,10 @@ The generator produces an LLC-miss stream with three controlled
 statistics: memory intensity (inter-miss gap from MPKI at IPC~1),
 read/write mix, and DRAM-row spatial locality (a miss either continues
 streaming through the current row — next line slot — or jumps to a random
-row of a random bank).  Requests carry Same-Bank home locations; the
-striping policy expands them at simulation time.
+row of a random bank).  Requests carry the linear line addresses the
+generator walks; the simulator decodes each into its Same-Bank home once
+and the striping policy expands that home at simulation time, so a
+generated request costs its draws and nothing more.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from typing import List, Optional
 from repro.errors import ConfigurationError
 from repro.perf.timing import CPU_CYCLES_PER_MEM_CYCLE
 from repro.rng import make_rng
-from repro.stack.address import AddressMapper, LineLocation
+from repro.stack.address import AddressMapper
 from repro.stack.geometry import StackGeometry
 from repro.workloads.profiles import WORKLOADS, WorkloadProfile
 from repro.workloads.trace import MemoryRequest, Trace
@@ -58,6 +60,10 @@ class TraceGenerator:
         self.geometry = geometry
         self.rng = make_rng(seed=seed)
         self.mapper = AddressMapper(geometry, stacks=stacks)
+        self._num_lines = self.mapper.num_lines
+        #: The mean gap and the Zipf hot-set size, fixed by the profile.
+        self._mean_gap = max(self.mean_gap_cycles, 1e-9)
+        self._hot_lines = max(1, int(self._num_lines * profile.hot_fraction))
         self._address: Optional[int] = None
         self._burst_left = 0
 
@@ -72,7 +78,7 @@ class TraceGenerator:
         return (1000.0 / self.profile.mpki) / CPU_CYCLES_PER_MEM_CYCLE
 
     def _next_gap(self) -> int:
-        mean = max(self.mean_gap_cycles, 1e-9)
+        mean = self._mean_gap
         if self.profile.arrival_model == "bursty":
             # On/off modulation: the gap opening a burst stretches by the
             # idle factor, intra-burst gaps shrink by it.  The default
@@ -105,7 +111,7 @@ class TraceGenerator:
         over the full line space with a multiplicative hash so the hot
         set spans many rows and banks.
         """
-        hot = max(1, int(self.mapper.num_lines * self.profile.hot_fraction))
+        hot = self._hot_lines
         u = self.rng.random()
         alpha = self.profile.zipf_alpha
         if abs(alpha - 1.0) < 1e-9:
@@ -114,16 +120,16 @@ class TraceGenerator:
             span = hot ** (1.0 - alpha) - 1.0
             rank = int((span * u + 1.0) ** (1.0 / (1.0 - alpha)))
         rank = min(max(rank - 1, 0), hot - 1)
-        return (rank * _ZIPF_SPREAD) % self.mapper.num_lines
+        return (rank * _ZIPF_SPREAD) % self._num_lines
 
-    def _next_location(self) -> LineLocation:
+    def _next_address(self) -> int:
         if self._address is not None and self.rng.random() < self.profile.locality:
-            self._address = (self._address + 1) % self.mapper.num_lines
+            self._address = (self._address + 1) % self._num_lines
         elif self.profile.address_model == "zipfian":
             self._address = self._zipf_line()
         else:
-            self._address = self.rng.randrange(self.mapper.num_lines)
-        return self.mapper.to_location(self._address)
+            self._address = self.rng.randrange(self._num_lines)
+        return self._address
 
     def _writeback_run_length(self) -> int:
         """LLC evictions drain dirty data in bursts of sequential lines."""
@@ -152,12 +158,12 @@ class TraceGenerator:
         while len(requests) < num_requests:
             if run_left > 0:
                 run_left -= 1
-                wb_address = (wb_address + 1) % self.mapper.num_lines
+                wb_address = (wb_address + 1) % self._num_lines
                 requests.append(
                     MemoryRequest(
                         gap_cycles=self._next_gap(),
                         is_write=True,
-                        home=self.mapper.to_location(wb_address),
+                        address=wb_address,
                     )
                 )
                 continue
@@ -171,7 +177,7 @@ class TraceGenerator:
                     MemoryRequest(
                         gap_cycles=self._next_gap(),
                         is_write=True,
-                        home=self.mapper.to_location(wb_address),
+                        address=wb_address,
                     )
                 )
                 continue
@@ -179,7 +185,7 @@ class TraceGenerator:
                 MemoryRequest(
                     gap_cycles=self._next_gap(),
                     is_write=False,
-                    home=self._next_location(),
+                    address=self._next_address(),
                 )
             )
         return Trace(

@@ -2,16 +2,17 @@
 
 A trace is a per-core sequence of LLC-miss events: the gap (in memory
 cycles) since the previous event, whether the event is a writeback, and
-the physical home of the cache line under Same-Bank placement (striped
-mappings expand it at service time).
+the linear address of the cache line.  The address is all a request
+carries: the simulator decodes it once, through the checked
+:meth:`~repro.stack.address.AddressMapper.decode`, into its Same-Bank
+home (striped mappings expand that home into bank accesses), and uses
+it as the line's LLC key.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Iterator, Sequence
-
-from repro.stack.address import LineLocation
 
 
 @dataclass(frozen=True)
@@ -20,7 +21,7 @@ class MemoryRequest:
 
     gap_cycles: int       # memory-clock cycles since the previous request
     is_write: bool
-    home: LineLocation    # Same-Bank physical location of the line
+    address: int          # linear line address (see AddressMapper)
 
 
 @dataclass(frozen=True)

@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from repro.stack.address import AddressMapper
 from repro.stack.geometry import StackGeometry
 
 
@@ -22,3 +23,18 @@ def small_geometry():
 @pytest.fixture
 def rng():
     return random.Random(0xC17ADE1)
+
+
+@pytest.fixture
+def encode_calls(monkeypatch):
+    """The coordinates of every ``AddressMapper.encode`` call made while
+    the test runs, in call order."""
+    calls = []
+    encode = AddressMapper.encode
+
+    def spy(self, *coordinates):
+        calls.append(coordinates)
+        return encode(self, *coordinates)
+
+    monkeypatch.setattr(AddressMapper, "encode", spy)
+    return calls

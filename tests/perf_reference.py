@@ -2,27 +2,42 @@
 
 This is the service loop :class:`repro.perf.system.SystemSimulator` ran
 before it compiled its traces: one :class:`BankState` per bank, one
-:class:`ChannelState` per channel, and every line access expanded
-through :func:`~repro.stack.striping.sub_accesses` when it is served.
-Its LLC keys are the simulator's integer keys (a demand line's address;
-``num_lines + row * lines_per_row + slot`` for a dim-1 parity line), so
-the two must agree on every :class:`~repro.perf.system.PerfResult`
-field for any configuration.  The differential tests in
-``test_perf.py`` hold them to it.
+:class:`ChannelState` per channel, every request decoded into a
+:class:`~repro.stack.address.LineLocation` when it is served, and every
+line access expanded through :func:`~repro.stack.striping.sub_accesses`
+then.  Its LLC keys are the simulator's integer keys (a demand line's
+address; ``num_lines + row * lines_per_row + slot`` for a dim-1 parity
+line), so the two must agree on every
+:class:`~repro.perf.system.PerfResult` field for any configuration.
+
+:class:`ReferencePerturbation` is likewise the perturbation hook as it
+was before it kept a per-bank delay table: it is handed each request's
+home location and works its delay out from the protection state on
+every call.  :class:`ReferenceSimulator` consults it.  The differential
+tests in ``test_perf.py`` and ``test_replay.py`` hold the compiled
+simulator and the table-driven hook to these.
 """
 
 from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from repro import contracts
 from repro.errors import ConfigurationError
 from repro.perf.llc import LRUCache
 from repro.perf.power import EnergyCounters
-from repro.perf.system import PerfConfig, PerfResult, RequestHook
+from repro.perf.system import PerfConfig, PerfResult, Perturbation
 from repro.perf.timing import DRAMTimings
+from repro.replay.perturb import (
+    CORRECTION_DELAY_CYCLES,
+    REMAP_COPY_LINES,
+    REMAP_INDIRECTION_CYCLES,
+    SCRUB_READS_PER_PASS,
+    TSV_SWAP_MUX_CYCLES,
+)
+from repro.replay.timeline import FaultTimeline, TimelineEvent
 from repro.stack.address import AddressMapper, LineLocation
 from repro.stack.geometry import StackGeometry
 from repro.stack.striping import sub_accesses
@@ -109,7 +124,9 @@ class ReferenceSimulator:
         self.mapper = AddressMapper(geometry, config.stacks)
 
     def run(
-        self, traces: Sequence[Trace], hook: Optional[RequestHook] = None
+        self,
+        traces: Sequence[Trace],
+        hook: Optional["ReferencePerturbation"] = None,
     ) -> PerfResult:
         if not traces:
             raise ConfigurationError("need at least one core trace")
@@ -142,12 +159,15 @@ class ReferenceSimulator:
             now, cid = heapq.heappop(heap)
             trace = traces[cid]
             request = trace.requests[positions[cid]]
+            home = self.mapper.to_location(request.address)
             issue = now
             if hook is not None:
-                effect = hook.on_request(served, request, now)
+                effect = hook.on_request(served, home, now)
                 if effect is not None:
-                    for home, is_write in effect.extra_accesses:
-                        self._memory_access(home, now, is_write, channels, result)
+                    for extra_home, is_write in effect.extra_accesses:
+                        self._memory_access(
+                            extra_home, now, is_write, channels, result
+                        )
                         if is_write:
                             result.extra_writes += 1
                         else:
@@ -155,7 +175,9 @@ class ReferenceSimulator:
                     issue = now + effect.delay_cycles
                     result.perturb_delay_cycles += effect.delay_cycles
             served += 1
-            completion = self._serve(request, issue, channels, llc, result)
+            completion = self._serve(
+                request, home, issue, channels, llc, result
+            )
             finish[cid] = max(finish[cid], completion)
             heapq.heappush(outstanding[cid], completion)
             positions[cid] += 1
@@ -186,14 +208,16 @@ class ReferenceSimulator:
     def _serve(
         self,
         request,
+        home: LineLocation,
         now: int,
         channels: List[ChannelState],
         llc: LRUCache,
         result: PerfResult,
     ) -> int:
-        """Serve one demand request; returns its completion cycle."""
+        """Serve one demand request homed at ``home``; returns its
+        completion cycle."""
         config = self.config
-        llc.access(self.mapper.to_address(request.home))
+        llc.access(request.address)
         if request.is_write:
             result.demand_writes += 1
         else:
@@ -202,16 +226,15 @@ class ReferenceSimulator:
         completion = now
         if config.parity_protection and request.is_write:
             completion = self._memory_access(
-                request.home, now, is_write=False, channels=channels,
-                result=result,
+                home, now, is_write=False, channels=channels, result=result,
             )
             result.rbw_reads += 1
         completion = self._memory_access(
-            request.home, completion, is_write=request.is_write,
+            home, completion, is_write=request.is_write,
             channels=channels, result=result,
         )
         if config.parity_protection and request.is_write:
-            self._update_parity(request.home, completion, channels, llc, result)
+            self._update_parity(home, completion, channels, llc, result)
         return completion
 
     def _memory_access(
@@ -279,3 +302,135 @@ class ReferenceSimulator:
         result.parity_fetches += 1
         self._memory_access(parity_home, done, True, channels, result)
         result.parity_writebacks += 1
+
+
+class ReferencePerturbation:
+    """The per-request perturbation hook of one :class:`FaultTimeline`.
+
+    Same protection state machine and answers as
+    :class:`repro.replay.perturb.ReplayPerturbation`, but every call is
+    handed the request's home :class:`LineLocation` and looks its
+    channel and ``(channel, bank)`` position up in the state itself.
+    """
+
+    def __init__(
+        self,
+        timeline: FaultTimeline,
+        geometry: StackGeometry,
+        total_requests: int,
+    ) -> None:
+        self.timeline = timeline
+        self.geometry = geometry
+        self.total_requests = total_requests
+        #: (channel, bank) -> "transient" | "permanent" for live faults.
+        self._degraded: Dict[Tuple[int, int], str] = {}
+        #: (channel, bank) positions served through a DDS remap.
+        self._remapped: Set[Tuple[int, int]] = set()
+        #: Channels with an activated TSV swap.
+        self._swapped: Set[int] = set()
+        self.applied: Dict[str, int] = {}
+        self._schedule: List[Tuple[int, TimelineEvent]] = [
+            (self._ordinal(event.time_hours), event)
+            for event in timeline.events
+        ]
+        self._cursor = 0
+
+    def _ordinal(self, time_hours: float) -> int:
+        if self.total_requests <= 0 or self.timeline.lifetime_hours <= 0:
+            return 0
+        frac = time_hours / self.timeline.lifetime_hours
+        ordinal = int(frac * self.total_requests)
+        return min(max(ordinal, 0), self.total_requests - 1)
+
+    def _positions(self, event: TimelineEvent) -> List[Tuple[int, int]]:
+        channels = self.geometry.channels
+        return [(die % channels, bank) for die in event.dies for bank in event.banks]
+
+    def _scrub_reads(self, event: TimelineEvent) -> List[Tuple[LineLocation, bool]]:
+        g = self.geometry
+        return [
+            (
+                LineLocation(
+                    channel=(event.seq + i) % g.channels,
+                    bank=(event.seq + i) % g.banks_per_die,
+                    row=(event.seq * 31 + i) % g.rows_per_bank,
+                    slot=0,
+                ),
+                False,
+            )
+            for i in range(min(SCRUB_READS_PER_PASS, g.channels * g.banks_per_die))
+        ]
+
+    def _copy_traffic(self, event: TimelineEvent) -> List[Tuple[LineLocation, bool]]:
+        g = self.geometry
+        lines = REMAP_COPY_LINES.get(event.detail, 2)
+        accesses = []
+        for channel, bank in self._positions(event):
+            for i in range(lines):
+                row = (event.seq * 31 + i) % g.rows_per_bank
+                accesses.append(
+                    (LineLocation(channel=channel, bank=bank, row=row, slot=0), False)
+                )
+                accesses.append(
+                    (
+                        LineLocation(
+                            channel=channel,
+                            bank=(bank + 1) % g.banks_per_die,
+                            row=row,
+                            slot=0,
+                        ),
+                        True,
+                    )
+                )
+        return accesses
+
+    def _apply(self, event: TimelineEvent) -> List[Tuple[LineLocation, bool]]:
+        self.applied[event.kind] = self.applied.get(event.kind, 0) + 1
+        if event.kind == "fault":
+            if event.channel >= 0:
+                for bank in range(self.geometry.banks_per_die):
+                    self._degraded.setdefault(
+                        (event.channel, bank), event.detail or "permanent"
+                    )
+            for position in self._positions(event):
+                self._degraded.setdefault(position, event.detail or "permanent")
+            return []
+        if event.kind == "tsv_swap":
+            if event.channel >= 0:
+                self._swapped.add(event.channel)
+            return []
+        if event.kind == "scrub":
+            transient = [
+                pos for pos, kind in self._degraded.items() if kind == "transient"
+            ]
+            for position in transient:
+                del self._degraded[position]
+            return self._scrub_reads(event)
+        if event.kind == "dds_remap":
+            for position in self._positions(event):
+                self._degraded.pop(position, None)
+                self._remapped.add(position)
+            return self._copy_traffic(event)
+        return []
+
+    def on_request(
+        self, index: int, home: LineLocation, now: int
+    ) -> Optional[Perturbation]:
+        extra: List[Tuple[LineLocation, bool]] = []
+        while (
+            self._cursor < len(self._schedule)
+            and self._schedule[self._cursor][0] <= index
+        ):
+            extra.extend(self._apply(self._schedule[self._cursor][1]))
+            self._cursor += 1
+        position = (home.channel, home.bank)
+        delay = 0
+        if home.channel in self._swapped:
+            delay += TSV_SWAP_MUX_CYCLES
+        if position in self._degraded:
+            delay += CORRECTION_DELAY_CYCLES
+        elif position in self._remapped:
+            delay += REMAP_INDIRECTION_CYCLES
+        if not delay and not extra:
+            return None
+        return Perturbation(delay_cycles=delay, extra_accesses=tuple(extra))

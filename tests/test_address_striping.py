@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro import contracts
 from repro.errors import GeometryError
 from repro.stack.address import AddressMapper, LineLocation
 from repro.stack.geometry import StackGeometry
@@ -66,6 +67,39 @@ class TestAddressMapper:
     def test_rejects_zero_stacks(self, geom):
         with pytest.raises(GeometryError):
             AddressMapper(geom, stacks=0)
+
+    def test_decode_matches_to_location(self, geom):
+        mapper = AddressMapper(geom, stacks=2)
+        for addr in range(0, mapper.num_lines, 7919):
+            loc = mapper.to_location(addr)
+            assert mapper.decode(addr) == (
+                loc.channel, loc.bank, loc.row, loc.slot
+            )
+            assert mapper.encode(*mapper.decode(addr)) == addr
+
+    def test_decode_rejects_out_of_range(self, geom):
+        mapper = AddressMapper(geom, stacks=2)
+        for addr in (mapper.num_lines, -1):
+            with pytest.raises(GeometryError):
+                mapper.decode(addr)
+
+    def test_round_trip_contract_encodes_once_per_decode(
+        self, geom, encode_calls
+    ):
+        """The contract re-encodes each decoded address exactly once;
+        nothing re-encodes it again for a message that is only read on
+        failure."""
+        mapper = AddressMapper(geom, stacks=2)
+        addresses = range(0, mapper.num_lines, mapper.num_lines // 64)
+        for addr in addresses:
+            mapper.to_location(addr)
+        assert len(encode_calls) == len(addresses)
+        for addr in addresses:
+            mapper.decode(addr)
+        assert len(encode_calls) == 2 * len(addresses)
+        with contracts.disabled():
+            mapper.decode(addresses[1])
+        assert len(encode_calls) == 2 * len(addresses)
 
 
 class TestStriping:

@@ -21,6 +21,7 @@ from repro.faults.types import FaultKind
 from repro.reliability.montecarlo import EngineConfig, LifetimeSimulator
 from repro.reliability.parallel import ParallelLifetimeRunner, ReliabilityWork
 from repro.rng import DEFAULT_SEED, derive_seed, make_rng
+from repro.stack.address import AddressMapper
 from repro.stack.geometry import StackGeometry
 from repro.workloads import rate_mode_traces
 
@@ -296,7 +297,8 @@ class TestSyntheticWorkloadDeterminism:
         base = rate_mode_traces(
             "zipfian", geom, cores=1, requests_per_core=256, seed=3
         )[0]
-        rows = {r.home.row for r in base.requests}
+        mapper = AddressMapper(geom, stacks=2)
+        rows = {mapper.decode(r.address)[2] for r in base.requests}
         assert len(rows) < 256  # hot-set reuse, not a pure stream
         bursty = rate_mode_traces(
             "bursty", geom, cores=1, requests_per_core=256, seed=3

@@ -18,7 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.parity3dp import COL_BLOCK_BITS, ParityND, make_3dp
+from repro.core.parity3dp import COL_BLOCK_BITS, ParityND, make_1dp, make_3dp
 from repro.faults.types import (
     WORD_BITS,
     Permanence,
@@ -370,6 +370,29 @@ class TestParityRebuildEdits:
                 make_bit_fault(GEOM, 3, 1, 4, 70, Permanence.TRANSIENT),
                 make_column_fault(GEOM, 2, 2, 5, Permanence.PERMANENT),
             ],
+        )
+
+
+    def test_events_merged_away_inside_a_rebuild_leave_no_counter(self):
+        """A re-absorbed fault that peels alone, then loses its peel to
+        the next re-absorbed fault, leaves a zero running total for its
+        kind; that total must not be emitted, since ``inc(name, 0)``
+        would create a counter the from-scratch path never creates."""
+        model = make_1dp(GEOM)
+        column = make_column_fault(GEOM, 1, 1, 5, Permanence.PERMANENT)
+        bit = make_bit_fault(GEOM, 0, 0, 3, 5, Permanence.PERMANENT)
+        transient = make_bit_fault(GEOM, 2, 2, 9, 5, Permanence.TRANSIENT)
+        assert model._alias_any(bit, column)
+        assert model._alias_any(transient, column)
+        check_rebuilds_against_scratch(
+            make_1dp,
+            # ``bit`` never peels before the scrub, so no bit peel is
+            # ever counted ...
+            [column, bit, transient],
+            # ... and after it ``bit`` is re-absorbed first, peels
+            # alone, then merges with ``column`` and stops peeling.
+            [[bit, column]],
+            [make_column_fault(GEOM, 3, 3, 200, Permanence.PERMANENT)],
         )
 
 

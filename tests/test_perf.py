@@ -13,15 +13,20 @@ from pathlib import Path
 import pytest
 
 import repro
-from perf_reference import BankState, ChannelState, ReferenceSimulator
-from repro.errors import ConfigurationError
+from perf_reference import (
+    BankState,
+    ChannelState,
+    ReferencePerturbation,
+    ReferenceSimulator,
+)
+from repro.errors import ConfigurationError, ContractViolation, GeometryError
 from repro.perf.llc import LRUCache
 from repro.perf.power import EnergyCounters, PowerModel, PowerParams
 from repro.perf.system import PerfConfig, SystemSimulator
 from repro.perf.timing import DRAMTimings
 from repro.replay.perturb import ReplayPerturbation
 from repro.replay.timeline import FaultTimeline, TimelineEvent
-from repro.stack.address import LineLocation
+from repro.stack.address import AddressMapper
 from repro.stack.geometry import StackGeometry
 from repro.stack.striping import StripingPolicy
 from repro.workloads.generator import rate_mode_traces
@@ -158,17 +163,14 @@ class TestPowerModel:
 
 
 def _flat_trace(n, gap, write_every=0, mlp=4, stride=1):
-    geom = StackGeometry()
-    from repro.stack.address import AddressMapper
-
-    mapper = AddressMapper(geom, stacks=2)
+    mapper = AddressMapper(StackGeometry(), stacks=2)
     reqs = []
     for i in range(n):
         reqs.append(
             MemoryRequest(
                 gap_cycles=gap,
                 is_write=bool(write_every and i % write_every == 0),
-                home=mapper.to_location((i * stride) % mapper.num_lines),
+                address=(i * stride) % mapper.num_lines,
             )
         )
     return Trace(name="flat", requests=tuple(reqs), mlp=mlp)
@@ -313,6 +315,40 @@ class TestPerfEdgeCases:
         assert c.hits == 1 and c.misses == 0
 
 
+class TestCompileDecodesOnce:
+    """Compilation decodes every request's address through the one
+    checked decode, so its range check and its round-trip contract still
+    run on every address the simulator reads."""
+
+    def test_one_encode_per_request(self, geom, encode_calls):
+        trace = _flat_trace(300, 4, write_every=3, stride=997)
+        SystemSimulator(geom, PerfConfig()).run([trace])
+        assert len(encode_calls) == len(trace)
+
+    def test_out_of_range_address_raises_at_compile(self, geom):
+        mapper = AddressMapper(geom, stacks=2)
+        for address in (mapper.num_lines, -1):
+            trace = Trace(
+                name="bad",
+                requests=(MemoryRequest(gap_cycles=1, is_write=False,
+                                        address=address),),
+            )
+            with pytest.raises(GeometryError):
+                SystemSimulator(geom, PerfConfig()).run([trace])
+
+    def test_broken_address_map_raises_at_compile(self, geom, monkeypatch):
+        """A decode that ``encode`` no longer inverts breaks the
+        round-trip contract on the first compiled request."""
+        encode = AddressMapper.encode
+
+        def skewed(self, channel, bank, row, slot):
+            return (encode(self, channel, bank, row, slot) + 1) % self.num_lines
+
+        monkeypatch.setattr(AddressMapper, "encode", skewed)
+        with pytest.raises(ContractViolation, match="round-trip"):
+            SystemSimulator(geom, PerfConfig()).run([_flat_trace(10, 4)])
+
+
 # ---------------------------------------------------------------------- #
 # LLC determinism across processes
 # ---------------------------------------------------------------------- #
@@ -384,25 +420,29 @@ _EVENTS = (
 )
 
 
-def _hook(geometry, traces):
+def _hook(geometry, traces, hook_type=ReplayPerturbation):
     """A fresh perturbation (hooks are stateful) over the hand-built
     timeline."""
     timeline = FaultTimeline(
         lifetime_hours=_LIFETIME, events=_EVENTS, weight=1.0,
         num_faults=3, failed=False, failure_time_hours=None,
     )
-    return ReplayPerturbation(
+    return hook_type(
         timeline, geometry, sum(len(trace) for trace in traces)
     )
 
 
 def _both(geometry, config, traces, hooked, timings=T):
-    """``asdict`` of the compiled run and of the reference run."""
+    """``asdict`` of the compiled run under the table-driven hook and of
+    the reference run under the reference hook."""
     compiled = SystemSimulator(geometry, config, timings).run(
         traces, hook=_hook(geometry, traces) if hooked else None
     )
     reference = ReferenceSimulator(geometry, config, timings).run(
-        traces, hook=_hook(geometry, traces) if hooked else None
+        traces,
+        hook=(
+            _hook(geometry, traces, ReferencePerturbation) if hooked else None
+        ),
     )
     return asdict(compiled), asdict(reference)
 

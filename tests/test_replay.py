@@ -11,7 +11,10 @@ service's replay mode (spec canonicalization, store dispatch).
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from perf_reference import ReferencePerturbation
 from repro.core.parity3dp import make_3dp
 from repro.errors import CheckpointError, MergeError, SpecError
 from repro.faults.injector import FaultInjector, ThermalFaultInjector
@@ -30,9 +33,8 @@ from repro.replay import (
 )
 from repro.reliability.parallel import ParallelLifetimeRunner
 from repro.schemes import SCHEMES
-from repro.stack.geometry import StackGeometry
-from repro.workloads.trace import MemoryRequest, Trace
 from repro.stack.address import LineLocation
+from repro.stack.geometry import StackGeometry
 
 
 @pytest.fixture
@@ -114,11 +116,9 @@ def make_timeline(events, lifetime=100.0, failed=False):
 
 
 def request_at(channel=0, bank=0):
-    return MemoryRequest(
-        gap_cycles=0,
-        is_write=False,
-        home=LineLocation(channel=channel, bank=bank, row=0, slot=0),
-    )
+    """The global home bank the simulator hands the hook for a request
+    homed in ``(channel, bank)``."""
+    return channel * StackGeometry().banks_per_die + bank
 
 
 class TestPerturbation:
@@ -197,6 +197,76 @@ class TestPerturbation:
                 hook.on_request(i, request_at(), now=i) for i in range(40)
             ]
         assert collect() == collect()
+
+
+_GEOMETRY = StackGeometry()
+_LIFETIME_HOURS = 100.0
+
+
+@st.composite
+def timeline_events(draw):
+    """A timeline of every event kind.  Times come from a handful of
+    values, so several events often land on one request ordinal; faults
+    and swaps may carry a TSV channel; dies span the metadata die."""
+    g = _GEOMETRY
+    events = []
+    for seq in range(draw(st.integers(min_value=0, max_value=10))):
+        kind = draw(st.sampled_from(
+            ["fault", "tsv_swap", "scrub", "dds_remap", "failure"]
+        ))
+        fields = {}
+        if kind in ("fault", "tsv_swap"):
+            fields["channel"] = draw(st.integers(-1, g.channels - 1))
+        if kind in ("fault", "dds_remap"):
+            fields["dies"] = tuple(sorted(draw(st.sets(
+                st.integers(0, g.total_dies - 1), min_size=1, max_size=2
+            ))))
+            fields["banks"] = tuple(sorted(draw(st.sets(
+                st.integers(0, g.banks_per_die - 1), min_size=1, max_size=3
+            ))))
+        if kind == "fault":
+            fields["detail"] = draw(
+                st.sampled_from(["transient", "permanent", ""])
+            )
+        if kind == "dds_remap":
+            fields["detail"] = draw(st.sampled_from(["row", "bank", "other"]))
+        time_hours = draw(st.sampled_from(
+            [0.0, 0.5, 10.0, 33.3, 50.0, 99.0, _LIFETIME_HOURS]
+        ))
+        events.append(TimelineEvent(
+            seq=seq, time_hours=time_hours, kind=kind, **fields
+        ))
+    return sorted(events, key=lambda e: (e.time_hours, e.seq))
+
+
+class TestTableMatchesReference:
+    """The table-driven hook against the per-request reference: same
+    delay and same extra accesses, in the same order, or both ``None``,
+    for every request, homes on both stacks included."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        events=timeline_events(),
+        homes=st.lists(
+            st.tuples(
+                st.integers(0, 2 * _GEOMETRY.channels - 1),
+                st.integers(0, _GEOMETRY.banks_per_die - 1),
+            ),
+            min_size=1, max_size=120,
+        ),
+    )
+    def test_every_request(self, events, homes):
+        g = _GEOMETRY
+        timeline = make_timeline(events, lifetime=_LIFETIME_HOURS)
+        hook = ReplayPerturbation(timeline, g, total_requests=len(homes))
+        reference = ReferencePerturbation(
+            timeline, g, total_requests=len(homes)
+        )
+        for index, (channel, bank) in enumerate(homes):
+            home = LineLocation(channel=channel, bank=bank, row=index, slot=0)
+            got = hook.on_request(index, channel * g.banks_per_die + bank, index)
+            assert got == reference.on_request(index, home, index), index
+        assert hook.applied == reference.applied
 
 
 # ---------------------------------------------------------------------- #

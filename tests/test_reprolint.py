@@ -443,6 +443,86 @@ class TestRepro007:
 
 
 # ---------------------------------------------------------------------- #
+# REPRO011 — no calls in the message arguments of a contract check
+# ---------------------------------------------------------------------- #
+class TestRepro011:
+    def lint(self, tmp_path, src):
+        return lint_snippet(
+            tmp_path, "src/repro/stack/foo.py", src, codes=["REPRO011"]
+        )
+
+    @pytest.mark.parametrize("header,call", [
+        ("from repro import contracts", "contracts.ensure"),
+        ("from repro import contracts as k", "k.ensure"),
+        ("import repro.contracts", "repro.contracts.ensure"),
+        ("import repro.contracts as c", "c.ensure"),
+        ("from repro.contracts import ensure", "ensure"),
+        ("from repro.contracts import ensure as post", "post"),
+        ("from . import contracts", "contracts.ensure"),
+        ("from .contracts import ensure", "ensure"),
+    ])
+    def test_flags_a_call_however_the_verb_is_imported(
+        self, tmp_path, header, call
+    ):
+        # The round-trip contract as it once was: the re-encode in the
+        # message ran on every decode.
+        src = (
+            f"{header}\n\n"
+            "def decode(self, address, location):\n"
+            f"    {call}(self.to_address(location) == address,\n"
+            "        'round trip broken: %d -> %d', address,\n"
+            "        self.to_address(location))\n"
+        )
+        findings = self.lint(tmp_path, src)
+        assert codes_of(findings) == ["REPRO011"]
+        assert findings[0].line == 6
+        assert "self.to_address()" in findings[0].message
+
+    @pytest.mark.parametrize("verb", ["require", "ensure", "invariant"])
+    def test_flags_every_verb_and_nested_calls(self, tmp_path, verb):
+        src = (
+            "from repro import contracts\n\n"
+            "def f(xs):\n"
+            f"    contracts.{verb}(not xs, 'left: %s', sorted(len(x) for x in xs))\n"
+            f"    contracts.{verb}(not xs, message=repr(xs))\n"
+            f"    contracts.{verb}(not xs, 'got %d', len(tuple(xs)))\n"
+        )
+        findings = self.lint(tmp_path, src)
+        assert [f.line for f in findings] == [4, 5, 6]
+
+    def test_names_len_and_the_condition_are_allowed(self, tmp_path):
+        src = (
+            "from repro import contracts\n\n"
+            "def f(self, xs, location):\n"
+            "    encoded = self.to_address(location)\n"
+            "    contracts.ensure(self.to_address(location) == encoded,\n"
+            "                     'got %d of %d (%r)', len(xs), encoded,\n"
+            "                     (location, xs[0], self.limit))\n"
+            "    contracts.require(all(xs), 'lazy %r', lambda: sorted(xs))\n"
+        )
+        assert self.lint(tmp_path, src) == []
+
+    def test_other_modules_verbs_are_not_contracts(self, tmp_path):
+        src = (
+            "from checks import ensure\n"
+            "import policy\n\n"
+            "def f(xs):\n"
+            "    ensure(xs, 'bad %r', sorted(xs))\n"
+            "    policy.require(xs, 'bad %r', sorted(xs))\n"
+        )
+        assert self.lint(tmp_path, src) == []
+
+    def test_suppressed_line(self, tmp_path):
+        src = (
+            "from repro import contracts\n\n"
+            "def f(xs):\n"
+            "    contracts.ensure(xs, 'bad %r', sorted(xs))"
+            "  # reprolint: disable=REPRO011 -- cold path\n"
+        )
+        assert self.lint(tmp_path, src) == []
+
+
+# ---------------------------------------------------------------------- #
 # Reporters and CLI
 # ---------------------------------------------------------------------- #
 class TestReporting:

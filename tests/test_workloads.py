@@ -92,21 +92,19 @@ class TestTraceGenerator:
         mapper = AddressMapper(geom, stacks=2)
         trace = TraceGenerator(PROFILES["milc"], geom, seed=4).generate(2000)
         for req in trace:
-            assert 0 <= mapper.to_address(req.home) < mapper.num_lines
+            assert 0 <= req.address < mapper.num_lines
 
     def test_locality_produces_sequential_runs(self, geom):
-        mapper = AddressMapper(geom, stacks=2)
         trace = TraceGenerator(PROFILES["libquantum"], geom, seed=5).generate(4000)
-        reads = [mapper.to_address(r.home) for r in trace if not r.is_write]
+        reads = [r.address for r in trace if not r.is_write]
         sequential = sum(
             1 for a, b in zip(reads, reads[1:]) if b == a + 1
         ) / max(1, len(reads) - 1)
         assert sequential > 0.6  # libquantum streams (locality 0.92)
 
     def test_writebacks_come_in_runs(self, geom):
-        mapper = AddressMapper(geom, stacks=2)
         trace = TraceGenerator(PROFILES["lbm"], geom, seed=6).generate(4000)
-        writes = [mapper.to_address(r.home) for r in trace if r.is_write]
+        writes = [r.address for r in trace if r.is_write]
         sequential = sum(
             1 for a, b in zip(writes, writes[1:]) if b == a + 1
         ) / max(1, len(writes) - 1)

@@ -7,20 +7,32 @@ The fixtures pin the exact sharded-campaign outputs of the Figure 14 and
 Figure 18 experiments at reduced trial counts, and the whole result
 documents (strata, failure weights and engine metrics included) of the
 stratified, importance and naive sampling plans on the scalar trial
-loop (see ``tests/test_golden_bench.py``).  Regenerate them ONLY when a
-change to the trial loop, fault sampling, or shard plan is *intended* to
-shift paper numbers — and say so in the commit message.
+loop (see ``tests/test_golden_bench.py``).  ``perf_small.json`` pins the
+performance side: a digest of every registered profile's rate-mode
+traces, the ``PerfResult`` of those traces under each ``repro perf``
+organization, and whole ``repro replay --json`` documents (see
+``tests/test_golden_perf.py``).  Regenerate them ONLY when a change to
+the trial loop, fault sampling, shard plan, trace generator or perf
+simulator is *intended* to shift paper numbers — and say so in the
+commit message.
 """
 
 from __future__ import annotations
 
+import contextlib
+import hashlib
+import io
 import json
 import sys
+from dataclasses import asdict
 from pathlib import Path
-from typing import Any, Dict
+from typing import Any, Dict, Sequence
 
+from repro.cli import PERF_CONFIGS
+from repro.cli import main as repro_main
 from repro.core.parity3dp import make_3dp
 from repro.faults.rates import TSV_FIT_HIGH, FailureRates
+from repro.perf.system import SystemSimulator
 from repro.reliability.experiments import (
     fig14_experiment,
     fig18_experiment,
@@ -28,6 +40,9 @@ from repro.reliability.experiments import (
 )
 from repro.reliability.results import ReliabilityResult
 from repro.stack.geometry import StackGeometry
+from repro.workloads.generator import rate_mode_traces
+from repro.workloads.profiles import WORKLOADS
+from repro.workloads.trace import Trace
 
 GOLDEN_DIR = Path(__file__).resolve().parent.parent / "tests" / "golden"
 
@@ -53,6 +68,28 @@ SAMPLING_LEGS = {
     "3dp_naive": ("naive", False),
 }
 
+#: The perf golden: every registered profile's rate-mode traces at this
+#: size, under every ``repro perf`` organization.
+PERF_CORES = 2
+PERF_REQUESTS_PER_CORE = 256
+PERF_SEED = 7
+
+#: Replay-golden legs: key -> the ``repro replay`` flags of the leg.
+#: Every leg shares ``REPLAY_FLAGS``.
+REPLAY_LEGS = {
+    "citadel_zipfian": ("--scheme", "citadel", "--workload", "zipfian"),
+    "citadel_bursty_thermal": (
+        "--scheme", "citadel", "--workload", "bursty", "--thermal",
+    ),
+    "3dp_tsvswap_dds_mcf": (
+        "--scheme", "3dp", "--tsv-swap", "4", "--dds", "--workload", "mcf",
+    ),
+}
+REPLAY_FLAGS = (
+    "--trials", "8", "--requests", "64", "--cores", "2", "--shard-size", "2",
+    "--seed", "0", "--json",
+)
+
 
 def document(result: ReliabilityResult) -> Dict[str, Any]:
     """A result's document without its run manifest, which records how
@@ -77,6 +114,77 @@ def sampling_documents(
         )
         for key, (sampling, dds) in SAMPLING_LEGS.items()
     }
+
+
+def trace_digest(traces: Sequence[Trace]) -> str:
+    """sha256 over the ``(gap_cycles, is_write, line address)`` triples
+    of ``traces``, core by core."""
+    digest = hashlib.sha256()
+    for trace in traces:
+        for request in trace.requests:
+            digest.update(b"%d,%d,%d;" % (
+                request.gap_cycles, request.is_write, request.address
+            ))
+        digest.update(b"\n")
+    return digest.hexdigest()
+
+
+def perf_documents(geometry: StackGeometry) -> Dict[str, Dict[str, Any]]:
+    """Per registered profile: its trace digest, and the ``PerfResult``
+    of its traces under each ``repro perf`` organization."""
+    documents = {}
+    for name in sorted(WORKLOADS):
+        traces = rate_mode_traces(
+            name, geometry, cores=PERF_CORES,
+            requests_per_core=PERF_REQUESTS_PER_CORE, seed=PERF_SEED,
+        )
+        documents[name] = {
+            "trace_sha256": trace_digest(traces),
+            "perf": {
+                config: asdict(SystemSimulator(geometry, PERF_CONFIGS[config])
+                               .run(traces))
+                for config in sorted(PERF_CONFIGS)
+            },
+        }
+    return documents
+
+
+def replay_document(flags: Sequence[str]) -> Dict[str, Any]:
+    """The ``repro replay --json`` document of one invocation."""
+    stdout = io.StringIO()
+    with contextlib.redirect_stdout(stdout), \
+            contextlib.redirect_stderr(io.StringIO()):
+        status = repro_main(["replay", *flags])
+    if status != 0:
+        raise RuntimeError(f"repro replay {' '.join(flags)} exited {status}")
+    return json.loads(stdout.getvalue())
+
+
+def replay_documents() -> Dict[str, Dict[str, Any]]:
+    """Each replay leg's ``--json`` document."""
+    return {
+        key: replay_document((*flags, *REPLAY_FLAGS))
+        for key, flags in REPLAY_LEGS.items()
+    }
+
+
+#: Nesting depth of one PerfResult in ``perf_small.json``
+#: (payload -> "profiles" -> profile -> "perf" -> organization).
+PERF_INLINE_DEPTH = 4
+
+
+def dumps_to_depth(value: Any, inline_depth: int, depth: int = 0) -> str:
+    """Sorted JSON with objects indented one space per level down to
+    ``inline_depth``; anything deeper, and every list, on one line."""
+    if depth >= inline_depth or not isinstance(value, dict) or not value:
+        return json.dumps(value, sort_keys=True)
+    pad = " " * (depth + 1)
+    items = ",\n".join(
+        f"{pad}{json.dumps(key)}: "
+        f"{dumps_to_depth(value[key], inline_depth, depth + 1)}"
+        for key in sorted(value)
+    )
+    return "{\n" + items + "\n" + " " * depth + "}"
 
 
 def main() -> int:
@@ -114,11 +222,25 @@ def main() -> int:
                 geometry, SAMPLING_TRIALS, SHARD_SIZE, SAMPLING_SEED
             ),
         },
+        "perf_small.json": {
+            "cores": PERF_CORES,
+            "requests_per_core": PERF_REQUESTS_PER_CORE,
+            "seed": PERF_SEED,
+            "profiles": perf_documents(geometry),
+            "replay_flags": list(REPLAY_FLAGS),
+            "replay": replay_documents(),
+        },
     }
     GOLDEN_DIR.mkdir(parents=True, exist_ok=True)
     for name, payload in fixtures.items():
         path = GOLDEN_DIR / name
-        path.write_text(json.dumps(payload, indent=1, sort_keys=True) + "\n")
+        if name == "perf_small.json":
+            # One line per PerfResult: 200 results of 128 bank counters
+            # each would take 40k lines fully indented.
+            text = dumps_to_depth(payload, PERF_INLINE_DEPTH)
+        else:
+            text = json.dumps(payload, indent=1, sort_keys=True)
+        path.write_text(text + "\n")
         print(f"wrote {path}")
     return 0
 

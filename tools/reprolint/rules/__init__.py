@@ -25,6 +25,9 @@ from tools.reprolint.rules.repro006_dataclass_validation import (
 from tools.reprolint.rules.repro007_telemetry import TelemetryDisciplineChecker
 from tools.reprolint.rules.repro008_taint import DeterminismTaintChecker
 from tools.reprolint.rules.repro009_locks import LockDisciplineChecker
+from tools.reprolint.rules.repro011_contract_args import (
+    ContractMessageCallChecker,
+)
 
 ALL_CHECKERS: Tuple[Type[Checker], ...] = (
     UnseededRandomChecker,
@@ -34,6 +37,7 @@ ALL_CHECKERS: Tuple[Type[Checker], ...] = (
     FitUnitDisciplineChecker,
     DataclassValidationChecker,
     TelemetryDisciplineChecker,
+    ContractMessageCallChecker,
 )
 
 ALL_PROJECT_CHECKERS: Tuple[Type[ProjectChecker], ...] = (
@@ -62,4 +66,5 @@ __all__ = [
     "FitUnitDisciplineChecker",
     "DataclassValidationChecker",
     "TelemetryDisciplineChecker",
+    "ContractMessageCallChecker",
 ]
