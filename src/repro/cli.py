@@ -345,12 +345,15 @@ def build_parser() -> argparse.ArgumentParser:
                         help="requested worker processes (the service may "
                              "allot fewer under its fair-share budget)")
     submit.add_argument("--wait", action="store_true",
-                        help="poll until the job completes and print the "
-                             "result")
+                        help="wait until the job completes and print the "
+                             "result (long-polls: one status request per "
+                             "hold of up to 10 s)")
     submit.add_argument("--wait-timeout", type=float, default=None,
                         metavar="S", help="give up waiting after S seconds")
     submit.add_argument("--poll", type=float, default=0.2, metavar="S",
-                        help="poll interval while waiting (default 0.2)")
+                        help="pause after a status answer that came back "
+                             "early and not final, as from a server "
+                             "without long-poll (default 0.2)")
 
     status = sub.add_parser(
         "status", help="service health / job status / metrics"

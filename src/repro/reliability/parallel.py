@@ -472,6 +472,9 @@ class ParallelLifetimeRunner:
         self._reporter: Optional[ProgressReporter] = None
         self._tracer: Optional[TraceWriter] = None
         self._campaign: Optional[MetricsRegistry] = None
+        #: Shards in the checkpoint last written by this run; None
+        #: before the first write.
+        self._checkpointed: Optional[int] = None
 
     # ------------------------------------------------------------------ #
     def run(self, trials: int) -> Any:
@@ -487,6 +490,7 @@ class ParallelLifetimeRunner:
         fingerprint = self._fingerprint(trials)
 
         completed: Dict[int, Any] = {}
+        self._checkpointed = None
         if self.resume and self.checkpoint_path is not None:
             completed = self._load_checkpoint(fingerprint)
             report.resumed_shards = len(completed)
@@ -544,7 +548,11 @@ class ParallelLifetimeRunner:
             self._reporter = None
             self._tracer = None
             self._campaign = None
-        self._write_checkpoint(completed, fingerprint)
+        if self._checkpointed != len(completed):
+            # Each completed shard was checkpointed as it merged; only a
+            # run that completed none (or lost a write to an interrupt)
+            # writes here.
+            self._write_checkpoint(completed, fingerprint)
 
         merged = self._merge(completed, report)
         if merged.is_identity:
@@ -763,6 +771,7 @@ class ParallelLifetimeRunner:
                 },
             },
         )
+        self._checkpointed = len(completed)
 
     def _load_checkpoint(self, fingerprint: Dict[str, Any]) -> Dict[int, Any]:
         path = self.checkpoint_path

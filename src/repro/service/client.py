@@ -49,6 +49,10 @@ _ERROR_CLASSES: Dict[str, type] = {
 DEFAULT_TIMEOUT_S = 30.0
 DEFAULT_POLL_INTERVAL_S = 0.2
 
+#: Longest hold :meth:`ServiceClient.wait` asks of one long-poll (the
+#: server's own bound, ``repro.service.http.MAX_WAIT_S``).
+MAX_HOLD_S = 10.0
+
 
 def parse_result(
     document: Mapping[str, Any]
@@ -265,7 +269,15 @@ class ServiceClient:
         timeout_s: Optional[float] = None,
         poll_interval_s: float = DEFAULT_POLL_INTERVAL_S,
     ) -> Dict[str, Any]:
-        """Poll until the job reaches a terminal state.
+        """Wait until the job reaches a terminal state.
+
+        Each request is a long-poll, ``GET /jobs/{id}?wait=S``: the
+        server answers once the job is terminal or S seconds have
+        passed.  S is at most :data:`MAX_HOLD_S`, half the socket
+        timeout, and the time left before ``timeout_s``.  A non-terminal
+        answer that came back before its hold elapsed (from a server
+        that ignores ``?wait``, or one that is closing) is followed by a
+        pause of ``poll_interval_s`` before the next request.
 
         Returns the final job document for ``done`` jobs; raises
         :class:`JobFailedError` for failed/cancelled ones and
@@ -279,8 +291,13 @@ class ServiceClient:
         deadline = (
             time.monotonic() + timeout_s if timeout_s is not None else None
         )
+        longest = min(MAX_HOLD_S, self.timeout_s / 2)
         while True:
-            document = self.job(job_id)
+            asked = time.monotonic()
+            hold = longest
+            if deadline is not None:
+                hold = max(0.0, min(hold, deadline - asked))
+            document = self._request("GET", f"/jobs/{job_id}?wait={hold:.3f}")
             state = document.get("state")
             if state == "done":
                 return document
@@ -293,9 +310,11 @@ class ServiceClient:
                         else ""
                     )
                 )
-            if deadline is not None and time.monotonic() >= deadline:
+            now = time.monotonic()
+            if deadline is not None and now >= deadline:
                 raise ServiceError(
                     f"timed out after {timeout_s}s waiting for job {job_id} "
                     f"(last state: {state})"
                 )
-            time.sleep(poll_interval_s)
+            if now - asked < hold:
+                time.sleep(poll_interval_s)

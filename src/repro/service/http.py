@@ -8,7 +8,11 @@ Endpoints (all JSON unless negotiated otherwise):
   JSON integers (``workers >= 1``, ``max_retries >= 0`` or null);
   anything else answers 400.
 * ``GET /jobs`` — every known job, newest last.
-* ``GET /jobs/{id}`` — one job's lifecycle document.
+* ``GET /jobs/{id}`` — one job's lifecycle document.  With
+  ``?wait=S`` (a long-poll) the answer is held until the job is terminal
+  or S seconds have passed, whichever is first; S is clamped to
+  :data:`MAX_WAIT_S`, and a malformed or negative S answers 400.  A held
+  request occupies its connection's handler thread.
 * ``GET /jobs/{id}/result`` — ``{"job": ..., "result": ...}`` where
   ``result`` is the stored ``ReliabilityResult.to_dict()`` document.
 * ``DELETE /jobs/{id}`` — cooperative cancellation.
@@ -28,6 +32,8 @@ Every request is measured into the scheduler's registry: per-endpoint
 ``http/latency_seconds/*`` histogram, plus an ``http/connections``
 counter of accepted connections — all volatile (wall-clock shaped),
 so scraping the service never perturbs a deterministic artifact.
+Long-polls count under their own ``wait`` label, so hold time never
+shows up as slow ``job`` requests.
 
 Transport: HTTP/1.1 with keep-alive, one thread per connection, Nagle
 off (a response is sent as headers then body, and Nagle would hold the
@@ -38,7 +44,9 @@ request body is read before routing, whatever the answer, so the next
 request on the connection starts in step; a body the handler will not
 read (over :data:`MAX_BODY_BYTES`, or not length-delimited) is answered
 with ``Connection: close``.  :meth:`ServiceHTTPServer.server_close`
-ends every open connection, so a closed server answers nothing.
+ends every hold, lets the answers being written finish, then ends every
+open connection, so a closed server answers nothing.  Every JSON
+answer is encoded compact (sorted keys, no whitespace).
 
 Error contract: every failure maps a :class:`ReproError` subclass onto
 ``{"error": {"type": <class name>, "message": <one line>}}`` with a
@@ -53,8 +61,8 @@ import re
 import socket
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-from typing import Any, Dict, Optional, Set, Tuple
-from urllib.parse import parse_qs, urlparse
+from typing import Any, Dict, List, Optional, Set, Tuple
+from urllib.parse import parse_qs, urlsplit
 
 from repro.errors import (
     JobFailedError,
@@ -89,16 +97,27 @@ MAX_BODY_BYTES = 1 << 20
 #: it and frees its thread (a client reconnects on its next request).
 IDLE_TIMEOUT_S = 60.0
 
+#: Longest hold, in seconds, of a ``GET /jobs/{id}?wait=S`` long-poll;
+#: a larger S is clamped to it.
+MAX_WAIT_S = 10.0
+
+#: Seconds :meth:`ServiceHTTPServer.server_close` gives the answers being
+#: written before it ends their connections.
+CLOSE_GRACE_S = 2.0
+
 #: Bucket edges (seconds) of the per-endpoint request-latency histograms.
 LATENCY_EDGES = (0.001, 0.003, 0.01, 0.03, 0.1, 0.3, 1.0, 3.0)
 
 _JOB_PATH = re.compile(r"^/jobs/(?P<id>[A-Za-z0-9_.-]+)(?P<rest>/result)?$")
 
 
-def endpoint_label(method: str, path: str) -> str:
+def endpoint_label(
+    method: str, path: str, query: Optional[Dict[str, List[str]]] = None
+) -> str:
     """Bounded-cardinality endpoint name for per-endpoint metrics (job
     ids collapse onto one label, so the registry cannot grow without
-    bound under adversarial paths)."""
+    bound under adversarial paths).  A ``GET /jobs/{id}`` whose parsed
+    ``query`` carries ``wait`` is a long-poll, labelled ``wait``."""
     if path in ("/healthz", "/readyz", "/metrics"):
         return path[1:]
     if path == "/jobs":
@@ -107,8 +126,28 @@ def endpoint_label(method: str, path: str) -> str:
     if match is not None:
         if match.group("rest") is not None:
             return "result"
-        return "cancel" if method == "DELETE" else "job"
+        if method == "DELETE":
+            return "cancel"
+        return "wait" if query and "wait" in query else "job"
     return "other"
+
+
+def wait_seconds(query: Dict[str, List[str]]) -> Optional[float]:
+    """The hold of a long-poll: ``query``'s ``wait`` as seconds, clamped
+    to :data:`MAX_WAIT_S`; None when there is no ``wait``.  A value that
+    is not a number, or is negative, is a :class:`SpecError`."""
+    values = query.get("wait")
+    if values is None:
+        return None
+    try:
+        seconds = float(values[0])
+    except ValueError:
+        seconds = float("nan")
+    if not seconds >= 0:  # also false for NaN
+        raise SpecError(
+            f"wait must be a number of seconds >= 0, got {values[0]!r}"
+        )
+    return min(seconds, MAX_WAIT_S)
 
 
 def submit_option(
@@ -157,8 +196,10 @@ class ServiceHTTPServer(ThreadingHTTPServer):
         super().__init__(address, ServiceRequestHandler)
         self.scheduler = scheduler
         self.quiet = quiet
-        self._lock = threading.Lock()
+        self._lock = threading.Condition()
         self._connections: Set[socket.socket] = set()
+        #: Requests being answered (held long-polls included).
+        self._answering = 0
 
     @property
     def port(self) -> int:
@@ -175,11 +216,22 @@ class ServiceHTTPServer(ThreadingHTTPServer):
             self._connections.discard(request)
         super().shutdown_request(request)
 
-    def server_close(self) -> None:
-        """Stop listening and end every open connection: a kept-alive
-        client must not keep being answered by a closed server."""
-        super().server_close()
+    def answering(self, step: int) -> None:
+        """Count a request in (``+1``) or out (``-1``) of being answered."""
         with self._lock:
+            self._answering += step
+            if not self._answering:
+                self._lock.notify_all()
+
+    def server_close(self) -> None:
+        """Stop listening, end every long-poll hold, give the answers
+        being written up to :data:`CLOSE_GRACE_S` to finish, then end
+        every open connection: a kept-alive client must not keep being
+        answered by a closed server."""
+        super().server_close()
+        self.scheduler.release_waiters()
+        with self._lock:
+            self._lock.wait_for(lambda: not self._answering, CLOSE_GRACE_S)
             connections, self._connections = self._connections, set()
         for connection in connections:
             try:
@@ -212,7 +264,9 @@ class ServiceRequestHandler(BaseHTTPRequestHandler):
         self.wfile.write(body)
 
     def _send_json(self, status: int, payload: Dict[str, Any]) -> None:
-        body = json.dumps(payload, indent=1, sort_keys=True).encode("utf-8")
+        body = json.dumps(
+            payload, sort_keys=True, separators=(",", ":")
+        ).encode("utf-8")
         self._send(status, body, "application/json")
 
     def _send_text(
@@ -263,10 +317,9 @@ class ServiceRequestHandler(BaseHTTPRequestHandler):
         accept = self.headers.get("Accept", "")
         return "application/openmetrics-text" in accept
 
-    def _metrics(self) -> None:
+    def _metrics(self, query: Dict[str, List[str]]) -> None:
         registry = self.server.scheduler.metrics_snapshot()
-        query = parse_qs(urlparse(self.path).query)
-        fmt = query.get("format", [None])[0]
+        fmt = query.get("format", [""])[0] or None
         if fmt == "openmetrics" or (fmt is None and self._wants_openmetrics()):
             self._send_text(
                 200,
@@ -289,21 +342,25 @@ class ServiceRequestHandler(BaseHTTPRequestHandler):
         self._dispatch("DELETE")
 
     def _dispatch(self, method: str) -> None:
-        registry = self.server.scheduler.metrics
-        label = endpoint_label(
-            method, urlparse(self.path).path.rstrip("/") or "/"
-        )
+        server = self.server
+        registry = server.scheduler.metrics
+        url = urlsplit(self.path)
+        path = url.path.rstrip("/") or "/"
+        query = parse_qs(url.query, keep_blank_values=True)
+        label = endpoint_label(method, path, query)
         registry.inc(f"http/requests/{label}", volatile=True)
         started = monotonic_s()
+        server.answering(1)
         try:
             self._consume_body()
-            self._route(method)
+            self._route(method, path, query)
         except ReproError as exc:
             registry.inc(f"http/errors/{label}", volatile=True)
             self._send_json(error_status(exc), error_payload(exc))
         except (BrokenPipeError, ConnectionResetError):  # client went away
             self.close_connection = True
         finally:
+            server.answering(-1)
             registry.observe(
                 f"http/latency_seconds/{label}",
                 monotonic_s() - started,
@@ -311,9 +368,10 @@ class ServiceRequestHandler(BaseHTTPRequestHandler):
                 volatile=True,
             )
 
-    def _route(self, method: str) -> None:
+    def _route(
+        self, method: str, path: str, query: Dict[str, List[str]]
+    ) -> None:
         scheduler = self.server.scheduler
-        path = urlparse(self.path).path.rstrip("/") or "/"
         if method == "GET" and path == "/healthz":
             self._send_json(
                 200,
@@ -331,7 +389,7 @@ class ServiceRequestHandler(BaseHTTPRequestHandler):
             self._send_json(200 if readiness["ready"] else 503, readiness)
             return
         if method == "GET" and path == "/metrics":
-            self._metrics()
+            self._metrics(query)
             return
         if path == "/jobs":
             if method == "GET":
@@ -376,7 +434,13 @@ class ServiceRequestHandler(BaseHTTPRequestHandler):
                 )
                 return
             if method == "GET":
-                self._send_json(200, scheduler.job(job_id).to_dict())
+                hold = wait_seconds(query)
+                job = (
+                    scheduler.job(job_id)
+                    if hold is None
+                    else scheduler.wait(job_id, hold)
+                )
+                self._send_json(200, job.to_dict())
                 return
             if method == "DELETE" and not wants_result:
                 self._send_json(200, scheduler.cancel(job_id).to_dict())

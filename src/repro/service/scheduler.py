@@ -24,7 +24,13 @@ exponential backoff.  Retries resume from the campaign checkpoint kept
 under ``<store>/wip/``, so only the missing shards re-run.  Cancellation
 is cooperative — :meth:`cancel` sets the job's event, which the runner
 polls between shards (``cancel_hook``) — and graceful: no worker process
-is killed mid-shard.
+is killed mid-shard.  A follower whose primary fails or is cancelled
+after :meth:`shutdown` closed the queue cannot start any more, so it is
+cancelled with an error that names the drain.
+
+Every transition to a terminal state notifies one condition on the
+scheduler lock, so :meth:`wait` (the ``GET /jobs/{id}?wait=S``
+long-poll) returns the moment a job ends instead of being polled.
 
 Everything is instrumented through one :class:`MetricsRegistry`
 (``service/*`` and ``store/*`` namespaces) rendered by ``GET /metrics``.
@@ -110,6 +116,11 @@ class CampaignScheduler:
         self._executor = executor
         self.queue = JobQueue()
         self._lock = threading.RLock()
+        #: Notified at every transition to a terminal state (and by
+        #: :meth:`release_waiters`); :meth:`wait` sleeps on it.
+        self._changed = threading.Condition(self._lock)
+        #: Set by :meth:`release_waiters`: every hold ends at once.
+        self._released = False
         self._jobs: Dict[str, Job] = {}
         #: spec_hash -> primary job id, for every queued/running campaign.
         self._inflight: Dict[str, str] = {}
@@ -266,6 +277,23 @@ class CampaignScheduler:
                 raise JobNotFoundError(f"unknown job id {job_id!r}")
             return found
 
+    def wait(self, job_id: str, timeout_s: float) -> Job:
+        """The job once it is terminal, or as it stands after
+        ``timeout_s`` seconds or a :meth:`release_waiters` call."""
+        with self._changed:
+            found = self.job(job_id)
+            self._changed.wait_for(
+                lambda: found.state.terminal or self._released, timeout_s
+            )
+            return found
+
+    def release_waiters(self) -> None:
+        """End every :meth:`wait` now and every later one at once (the
+        HTTP server is closing and will answer no further hold)."""
+        with self._changed:
+            self._released = True
+            self._changed.notify_all()
+
     def jobs(self) -> List[Job]:
         with self._lock:
             return list(self._jobs.values())
@@ -322,6 +350,7 @@ class CampaignScheduler:
         key = job.spec_hash
         job.cancel_event.set()
         job.state = JobState.CANCELLED
+        self._changed.notify_all()
         self.metrics.inc("service/jobs_cancelled")
         followers = self._followers.get(key, [])
         if job.id in followers:
@@ -334,14 +363,24 @@ class CampaignScheduler:
         self._refresh_gauges()
 
     def _promote_follower(self, key: str) -> None:
-        """Make the oldest live follower the new primary (lock held)."""
+        """Make the oldest live follower the new primary (lock held).
+        Once a drain has closed the queue no job can start, so each live
+        follower is cancelled instead."""
         for follower_id in list(self._followers.get(key, [])):
             follower = self._jobs[follower_id]
             self._followers[key].remove(follower_id)
-            if follower.state is JobState.QUEUED:
-                self._inflight[key] = follower.id
+            if follower.state is not JobState.QUEUED:
+                continue
+            try:
                 self.queue.push(follower)
-                return
+            except RuntimeError:  # closed by shutdown(): draining
+                follower.error = (
+                    "the service is draining and its primary ended"
+                )
+                self._cancel_locked(follower)
+                continue
+            self._inflight[key] = follower.id
+            return
 
     # ------------------------------------------------------------------ #
     # Metrics
@@ -542,6 +581,7 @@ class CampaignScheduler:
                 self._promote_follower(key)
                 if not self._followers[key]:
                     del self._followers[key]
+            self._changed.notify_all()
         self.metrics.observe(
             "service/job_seconds",
             job.elapsed_seconds,

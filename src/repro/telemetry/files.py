@@ -12,8 +12,9 @@ directory* (rename is only atomic within one filesystem), with a unique
 name per writer.  A fixed ``<name>.tmp`` path would let two processes
 writing the same artifact open each other's temp file and interleave —
 the reader would then see a torn rename.  ``fsync=True`` additionally
-forces the data to stable storage before the rename, for artifacts
-(checkpoints, store entries) that must survive a crash.
+forces the data to stable storage before the rename.  No caller passes
+it today: checkpoints and store entries are written without it, so a
+rename survives a process crash but not necessarily a power loss.
 """
 
 from __future__ import annotations

@@ -195,6 +195,36 @@ class TestCheckpointResume:
         ).run(trials=TRIALS)
         assert resumed == make_runner(geometry).run(trials=TRIALS)
 
+    def test_one_checkpoint_write_per_shard(
+        self, geometry, tmp_path, monkeypatch
+    ):
+        """Each merged shard is checkpointed as it completes; the end of
+        the run writes again only when no shard completed in it."""
+        writes = []
+        real_write = parallel_mod.write_json_atomic
+
+        def counting(path, payload, **kwargs):
+            writes.append(sorted(payload["shards"], key=int))
+            return real_write(path, payload, **kwargs)
+
+        monkeypatch.setattr(parallel_mod, "write_json_atomic", counting)
+        cp = tmp_path / "cp.json"
+        make_runner(geometry, checkpoint_path=cp).run(trials=TRIALS)
+        shards = [str(i) for i in range(TRIALS // SHARD)]
+        assert len(writes) == len(shards)
+        assert writes[-1] == shards
+        writes.clear()
+        make_runner(
+            geometry, checkpoint_path=cp, resume=True
+        ).run(trials=TRIALS)
+        assert writes == [shards]
+        writes.clear()
+        make_runner(
+            geometry, checkpoint_path=tmp_path / "none.json",
+            time_budget_s=1e-9,
+        ).run(trials=TRIALS)
+        assert writes == [[]]
+
     def test_foreign_checkpoint_rejected(self, geometry, tmp_path):
         cp = tmp_path / "cp.json"
         make_runner(geometry, checkpoint_path=cp).run(trials=TRIALS)

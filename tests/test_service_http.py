@@ -12,12 +12,18 @@ against a direct :class:`ParallelLifetimeRunner` run.
 import contextlib
 import http.client
 import json
+import os
+import queue
+import re
+import signal
 import socket
 import statistics
+import subprocess
 import sys
 import threading
 import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from pathlib import Path
 
 import pytest
 
@@ -41,6 +47,7 @@ from repro.reliability.results import ReliabilityResult
 from repro.cli import main
 from repro.replay import ReplayResult
 from repro.service.client import ServiceClient
+from repro.service import http as service_http
 from repro.service.http import (
     MAX_BODY_BYTES,
     ServiceRequestHandler,
@@ -72,14 +79,14 @@ def stub_executor(spec, workers, cancel_event):
 
 
 @contextlib.contextmanager
-def serving(store_dir, port=0):
+def serving(store_dir, port=0, executor=stub_executor, slots=2):
     """(scheduler, server, url) of a stub-executor service on a loopback
     port, shut down and closed on exit."""
     scheduler = CampaignScheduler(
         ResultStore(store_dir),
-        slots=2,
+        slots=slots,
         retry_backoff_s=0.0,
-        executor=stub_executor,
+        executor=executor,
     ).start()
     server = make_server(scheduler, port=port, quiet=True)
     thread = threading.Thread(target=server.serve_forever, daemon=True)
@@ -257,6 +264,14 @@ class TestObservabilityEndpoints:
         assert endpoint_label("GET", "/jobs/abc123") == "job"
         assert endpoint_label("DELETE", "/jobs/abc123") == "cancel"
         assert endpoint_label("GET", "/jobs/abc123/result") == "result"
+        # A long-poll has its own label, so holds never read as slow
+        # ``job`` requests; only ``GET /jobs/{id}`` takes ``?wait``.
+        wait = {"wait": ["5"]}
+        assert endpoint_label("GET", "/jobs/abc123", wait) == "wait"
+        assert endpoint_label("GET", "/jobs/abc123", {"x": ["1"]}) == "job"
+        assert endpoint_label("DELETE", "/jobs/abc123", wait) == "cancel"
+        assert endpoint_label("GET", "/jobs/abc123/result", wait) == "result"
+        assert endpoint_label("GET", "/jobs", wait) == "jobs"
         # Adversarial paths collapse onto one label.
         assert endpoint_label("GET", "/bogus/zzz") == "other"
         assert endpoint_label("GET", "/bogus/yyy") == "other"
@@ -709,6 +724,354 @@ class TestTransport:
         assert secure.port == 443
         with pytest.raises(ServiceUnavailableError, match="cannot reach"):
             ServiceClient("ftp://127.0.0.1:1").healthz()
+
+
+class Gate:
+    """A stub executor that runs until :meth:`open` is called."""
+
+    def __init__(self):
+        self.event = threading.Event()
+        self.started = threading.Event()
+
+    def __call__(self, spec, workers, cancel_event):
+        self.started.set()
+        while not self.event.wait(timeout=0.01):
+            if cancel_event.is_set():
+                report = CampaignReport(planned_shards=1, cancelled=True)
+                return ReliabilityResult.identity(), report
+        return stub_executor(spec, workers, cancel_event)
+
+    def open(self, after_s=0.0):
+        threading.Timer(after_s, self.event.set).start()
+
+
+@pytest.fixture
+def gated(tmp_path):
+    """(client, scheduler, server, gate): one slot, whose job runs until
+    the gate opens."""
+    gate = Gate()
+    with serving(tmp_path / "store", executor=gate, slots=1) as (
+        scheduler, server, url
+    ):
+        try:
+            with ServiceClient(url, timeout_s=WAIT_S) as client:
+                yield client, scheduler, server, gate
+        finally:
+            gate.open()
+
+
+def held(connection, job_id, wait):
+    """(status, JSON document, seconds) of one ``?wait`` request."""
+    started = time.monotonic()
+    status, _, document = exchange(
+        connection, "GET", f"/jobs/{job_id}?wait={wait}"
+    )
+    return status, document, time.monotonic() - started
+
+
+class TestLongPoll:
+    """``GET /jobs/{id}?wait=S`` holds until the job is terminal or S
+    seconds pass, and ``ServiceClient.wait`` rides on it."""
+
+    @pytest.fixture
+    def connection(self, gated):
+        connection = http.client.HTTPConnection(
+            "127.0.0.1", gated[2].port, timeout=WAIT_S
+        )
+        yield connection
+        connection.close()
+
+    def test_hold_ends_when_the_job_does(self, gated, connection):
+        client, scheduler, _, gate = gated
+        job = client.submit(make_spec(seed=1))
+        gate.started.wait(WAIT_S)
+        answers = queue.Queue()
+        thread = threading.Thread(
+            target=lambda: answers.put(held(connection, job["id"], WAIT_S))
+        )
+        thread.start()
+        while scheduler.metrics.counter("http/requests/wait") < 1:
+            time.sleep(0.005)
+        gate.open()
+        status, document, seconds = answers.get(timeout=WAIT_S)
+        thread.join(WAIT_S)
+        assert (status, document["state"]) == (200, "done")
+        assert seconds < WAIT_S / 2
+
+    def test_hold_runs_out_on_a_running_job(self, gated, connection):
+        client, _, _, gate = gated
+        job = client.submit(make_spec(seed=1))
+        gate.started.wait(WAIT_S)
+        status, document, seconds = held(connection, job["id"], 0.3)
+        assert (status, document["state"]) == (200, "running")
+        assert 0.3 <= seconds < WAIT_S / 2
+        assert document == client.job(job["id"])
+
+    def test_client_asks_no_longer_than_the_server_holds(self):
+        from repro.service import client as service_client
+
+        assert service_client.MAX_HOLD_S == service_http.MAX_WAIT_S
+
+    def test_hold_is_clamped(self, gated, connection, monkeypatch):
+        client, _, _, gate = gated
+        monkeypatch.setattr(service_http, "MAX_WAIT_S", 0.2)
+        job = client.submit(make_spec(seed=1))
+        gate.started.wait(WAIT_S)
+        status, document, seconds = held(connection, job["id"], 3600)
+        assert (status, document["state"]) == (200, "running")
+        assert 0.2 <= seconds < WAIT_S / 2
+
+    @pytest.mark.parametrize("wait", ["abc", "-1", "", "nan"])
+    def test_bad_hold_is_a_spec_error(self, gated, connection, wait):
+        client, scheduler, _, _ = gated
+        job = client.submit(make_spec(seed=1))
+        status, document, _ = held(connection, job["id"], wait)
+        assert status == 400
+        assert document["error"]["type"] == "SpecError"
+        assert document["error"]["message"].startswith("wait must be")
+        status, _, document = exchange(connection, "GET", "/healthz")
+        assert (status, document["status"]) == (200, "ok")
+        assert scheduler.metrics.counter("http/errors/wait") == 1
+
+    def test_unknown_job_is_not_found(self, gated, connection):
+        status, document, _ = held(connection, "nope", 1)
+        assert status == 404
+        assert document["error"]["type"] == "JobNotFoundError"
+
+    def test_cancel_wakes_the_waiter_of_a_queued_job(self, gated):
+        client, scheduler, server, gate = gated
+        client.submit(make_spec(seed=1))
+        gate.started.wait(WAIT_S)
+        queued = client.submit(make_spec(seed=2))
+        answers = queue.Queue()
+
+        def hold():
+            connection = http.client.HTTPConnection(
+                "127.0.0.1", server.port, timeout=WAIT_S
+            )
+            try:
+                answers.put(held(connection, queued["id"], WAIT_S))
+            finally:
+                connection.close()
+
+        thread = threading.Thread(target=hold)
+        thread.start()
+        while scheduler.metrics.counter("http/requests/wait") < 1:
+            time.sleep(0.005)
+        assert client.cancel(queued["id"])["state"] == "cancelled"
+        status, document, seconds = answers.get(timeout=WAIT_S)
+        thread.join(WAIT_S)
+        assert (status, document["state"]) == (200, "cancelled")
+        assert seconds < WAIT_S / 2
+
+    def test_wait_makes_one_request_per_hold(self, gated):
+        client, scheduler, _, gate = gated
+        job = client.submit(make_spec(seed=1))
+        gate.started.wait(WAIT_S)
+        gate.open(after_s=0.1)
+        assert client.wait(job["id"], timeout_s=WAIT_S)["state"] == "done"
+        assert scheduler.metrics.counter("http/requests/wait") == 1
+        assert scheduler.metrics.counter("http/requests/job") == 0
+        histograms = client.metrics()["histograms"]
+        assert histograms["http/latency_seconds/wait"]["count"] == 1
+        assert "http/latency_seconds/job" not in histograms
+
+    def test_wait_times_out_on_a_running_job(self, gated):
+        client, _, _, gate = gated
+        job = client.submit(make_spec(seed=1))
+        gate.started.wait(WAIT_S)
+        started = time.monotonic()
+        with pytest.raises(ServiceError, match="timed out"):
+            client.wait(job["id"], timeout_s=0.3)
+        assert 0.3 <= time.monotonic() - started < WAIT_S / 2
+
+    def test_a_closing_server_ends_the_hold(self, gated):
+        """``server_close`` answers every hold at once, with the job as
+        it stands, instead of leaving the hold to run out."""
+        client, scheduler, server, gate = gated
+        job = client.submit(make_spec(seed=1))
+        gate.started.wait(WAIT_S)
+        connection = http.client.HTTPConnection(
+            "127.0.0.1", server.port, timeout=WAIT_S
+        )
+        answers = queue.Queue()
+        thread = threading.Thread(
+            target=lambda: answers.put(held(connection, job["id"], WAIT_S))
+        )
+        thread.start()
+        try:
+            while scheduler.metrics.counter("http/requests/wait") < 1:
+                time.sleep(0.005)
+            server.shutdown()
+            server.server_close()
+            status, document, seconds = answers.get(timeout=WAIT_S)
+        finally:
+            thread.join(WAIT_S)
+            connection.close()
+        assert (status, document["state"]) == (200, "running")
+        assert seconds < WAIT_S / 2
+
+    def test_concurrent_waiters(self, service):
+        """Many threads long-polling one server at once: every wait ends
+        ``done`` on its single hold, and the count of answers in flight
+        returns to zero (a lost update would leave it off)."""
+        client, scheduler, server = service
+        threads_n, per_thread = 8, 5
+        states, errors = [], []
+
+        def submit_and_wait(index):
+            try:
+                for i in range(per_thread):
+                    job = client.submit(make_spec(seed=index * per_thread + i))
+                    states.append(
+                        client.wait(job["id"], timeout_s=WAIT_S)["state"]
+                    )
+            except Exception as exc:  # surfaced by the assertion below
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [
+                threading.Thread(target=submit_and_wait, args=(index,))
+                for index in range(threads_n)
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+        assert states == ["done"] * threads_n * per_thread
+        waits = scheduler.metrics.counter("http/requests/wait")
+        assert waits == threads_n * per_thread
+        # A handler counts itself out just after its answer is sent.
+        deadline = time.monotonic() + WAIT_S
+        while server._answering and time.monotonic() < deadline:
+            time.sleep(0.001)
+        assert server._answering == 0
+
+    def test_wait_against_a_server_without_long_poll(self):
+        """A server that ignores ``?wait`` answers at once: ``wait()``
+        pauses ``poll_interval_s`` between answers and still ends."""
+        seen = []
+
+        class Polled(BaseHTTPRequestHandler):
+            protocol_version = "HTTP/1.1"
+
+            def do_GET(self):
+                seen.append((time.monotonic(), self.path))
+                state = "running" if len(seen) < 4 else "done"
+                body = json.dumps({"id": "j1", "state": state}).encode()
+                self.send_response(200)
+                self.send_header("Content-Length", str(len(body)))
+                self.end_headers()
+                self.wfile.write(body)
+
+            def log_message(self, *args):
+                pass
+
+        server = ThreadingHTTPServer(("127.0.0.1", 0), Polled)
+        thread = threading.Thread(target=server.serve_forever, daemon=True)
+        thread.start()
+        try:
+            url = f"http://127.0.0.1:{server.server_address[1]}"
+            with ServiceClient(url, timeout_s=WAIT_S) as client:
+                document = client.wait(
+                    "j1", timeout_s=WAIT_S, poll_interval_s=0.05
+                )
+        finally:
+            server.shutdown()
+            server.server_close()
+            thread.join(timeout=WAIT_S)
+        assert document["state"] == "done"
+        assert len(seen) == 4
+        assert all(re.fullmatch(r"/jobs/j1\?wait=[0-9.]+", path)
+                   for _, path in seen)
+        gaps = [b[0] - a[0] for a, b in zip(seen, seen[1:])]
+        assert min(gaps) >= 0.05
+
+    def test_answers_are_compact(self, service):
+        client, _, server = service
+        job = client.submit(make_spec(seed=1))
+        client.wait(job["id"], timeout_s=WAIT_S)
+        connection = http.client.HTTPConnection(
+            "127.0.0.1", server.port, timeout=WAIT_S
+        )
+        try:
+            for path in ("/healthz", f"/jobs/{job['id']}",
+                         f"/jobs/{job['id']}/result", "/metrics"):
+                connection.request("GET", path)
+                body = connection.getresponse().read()
+                assert body == json.dumps(
+                    json.loads(body), sort_keys=True, separators=(",", ":")
+                ).encode("utf-8")
+        finally:
+            connection.close()
+
+
+class TestDrainWithWaiter:
+    """SIGTERM while a client holds a long-poll on a running job: the
+    drain finishes the job, the waiter gets its terminal document, and
+    the server exits without waiting for the hold to run out."""
+
+    SPEC = dict(scheme="secded", trials=50000, shard_size=5000, seed=77)
+
+    def test_sigterm_drain_answers_the_waiter(self, tmp_path):
+        env = dict(os.environ)
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (src, env.get("PYTHONPATH")) if p
+        )
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "repro", "serve", "--port", "0",
+             "--slots", "1", "--process-budget", "1", "--quiet",
+             "--store-dir", str(tmp_path / "store")],
+            stderr=subprocess.PIPE, text=True, env=env,
+        )
+        try:
+            url = None
+            for line in proc.stderr:
+                match = re.search(r"listening on (http://[\w.]+:\d+)", line)
+                if match:
+                    url = match.group(1)
+                    break
+            assert url is not None
+            with ServiceClient(url, timeout_s=60.0) as client:
+                job = client.submit(CampaignSpec(**self.SPEC))
+                answers = queue.Queue()
+
+                def wait():
+                    with ServiceClient(url, timeout_s=60.0) as waiter:
+                        try:
+                            answers.put(waiter.wait(job["id"], timeout_s=60.0))
+                        except Exception as exc:  # surfaced below
+                            answers.put(exc)
+                        answers.put(time.monotonic())
+
+                thread = threading.Thread(target=wait)
+                thread.start()
+                while client.metrics()["counters"].get(
+                    "http/requests/wait", 0
+                ) < 1:
+                    time.sleep(0.005)
+                assert client.job(job["id"])["state"] in ("queued", "running")
+            proc.send_signal(signal.SIGTERM)
+            document = answers.get(timeout=60.0)
+            answered = answers.get(timeout=WAIT_S)
+            thread.join(WAIT_S)
+            assert isinstance(document, dict), document
+            assert document["state"] == "done"
+            assert proc.wait(timeout=WAIT_S) == 0
+            assert time.monotonic() - answered < 5.0
+            assert "campaign service stopped" in proc.stderr.read()
+        finally:
+            if proc.poll() is None:
+                proc.kill()
+                proc.wait()
+            proc.stderr.close()
 
 
 class TestEndToEnd:

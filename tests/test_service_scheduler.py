@@ -9,6 +9,7 @@ zero-backoff retries and event-gated stub executors.
 """
 
 import threading
+import time
 
 import pytest
 
@@ -472,6 +473,177 @@ class TestScheduling:
             assert "service/job_seconds" in snapshot["histograms"]
             assert snapshot["counters"]["service/jobs_submitted"] == 1
         finally:
+            scheduler.shutdown()
+
+
+class TestDrainFollowers:
+    """A follower whose primary ends after ``shutdown(drain=True)`` has
+    closed the queue can never start: it is cancelled with an error that
+    names the drain, its waiters wake, and the worker thread survives."""
+
+    @pytest.mark.parametrize("ending", ["cancelled", "failed"])
+    def test_follower_of_a_primary_ending_in_a_drain(
+        self, store, monkeypatch, ending
+    ):
+        gate = threading.Event()
+        failed_threads = []
+        monkeypatch.setattr(threading, "excepthook", failed_threads.append)
+
+        class GatedExecutor(StubExecutor):
+            def __call__(self, spec, workers, cancel_event):
+                self.calls.append(spec.spec_hash())
+                self.started.set()
+                gate.wait(WAIT_S)
+                if cancel_event.is_set():
+                    report = CampaignReport(planned_shards=1, cancelled=True)
+                    return ReliabilityResult.identity(), report
+                raise ReproError("primary dies")
+
+        executor = GatedExecutor()
+        scheduler = make_scheduler(
+            store, executor, slots=1, default_max_retries=0
+        ).start()
+        spec = make_spec(seed=3)
+        primary = scheduler.submit(spec)
+        executor.started.wait(WAIT_S)
+        follower = scheduler.submit(spec)
+        drain = threading.Thread(target=scheduler.shutdown)
+        drain.start()
+        try:
+            for _ in range(int(WAIT_S / 0.01)):
+                if scheduler.queue.closed:
+                    break
+                threading.Event().wait(timeout=0.01)
+            assert scheduler.queue.closed
+            waiter = []
+            hold = threading.Thread(
+                target=lambda: waiter.append(
+                    scheduler.wait(follower.id, WAIT_S)
+                )
+            )
+            hold.start()
+            if ending == "cancelled":
+                scheduler.cancel(primary.id)
+            gate.set()
+            hold.join(WAIT_S)
+            drain.join(WAIT_S)
+        finally:
+            gate.set()
+        assert not drain.is_alive()
+        assert failed_threads == []
+        assert primary.state is JobState(ending)
+        assert waiter == [follower]
+        assert follower.state is JobState.CANCELLED
+        assert "draining" in follower.error
+        assert executor.calls == [spec.spec_hash()]
+        with pytest.raises(JobFailedError, match="draining"):
+            scheduler.result(follower.id)
+        assert scheduler.counts()["queued"] == 0
+
+
+class TestLongPoll:
+    """``wait(job_id, timeout_s)``: the job once it is terminal, or as it
+    stands when the hold runs out."""
+
+    def test_returns_once_the_job_ends(self, store):
+        gate = threading.Event()
+        executor = StubExecutor(gate=gate)
+        scheduler = make_scheduler(store, executor, slots=1).start()
+        try:
+            job = scheduler.submit(make_spec(seed=1))
+            executor.started.wait(WAIT_S)
+            threading.Timer(0.05, gate.set).start()
+            started = time.monotonic()
+            assert scheduler.wait(job.id, WAIT_S) is job
+            assert time.monotonic() - started < WAIT_S / 2
+            assert job.state is JobState.DONE
+        finally:
+            gate.set()
+            scheduler.shutdown()
+
+    def test_hold_runs_out_on_a_running_job(self, store):
+        gate = threading.Event()
+        executor = StubExecutor(gate=gate)
+        scheduler = make_scheduler(store, executor, slots=1).start()
+        try:
+            job = scheduler.submit(make_spec(seed=1))
+            executor.started.wait(WAIT_S)
+            started = time.monotonic()
+            assert scheduler.wait(job.id, 0.2).state is JobState.RUNNING
+            assert time.monotonic() - started >= 0.2
+            assert scheduler.wait(job.id, 0).state is JobState.RUNNING
+        finally:
+            gate.set()
+            scheduler.shutdown()
+
+    def test_terminal_job_returns_at_once(self, store):
+        scheduler = make_scheduler(store, StubExecutor()).start()
+        try:
+            job = scheduler.submit(make_spec(seed=1))
+            wait_terminal(scheduler, job)
+            started = time.monotonic()
+            assert scheduler.wait(job.id, WAIT_S).state is JobState.DONE
+            assert time.monotonic() - started < WAIT_S / 2
+        finally:
+            scheduler.shutdown()
+
+    def test_unknown_job_rejected(self, store):
+        scheduler = make_scheduler(store, StubExecutor())
+        with pytest.raises(JobNotFoundError):
+            scheduler.wait("nope", 0.1)
+
+    def test_cancel_of_a_queued_job_wakes_its_waiter(self, store):
+        gate = threading.Event()
+        executor = StubExecutor(gate=gate)
+        scheduler = make_scheduler(store, executor, slots=1).start()
+        try:
+            scheduler.submit(make_spec(seed=1))
+            executor.started.wait(WAIT_S)
+            queued = scheduler.submit(make_spec(seed=2))
+            threading.Timer(0.05, scheduler.cancel, (queued.id,)).start()
+            started = time.monotonic()
+            assert scheduler.wait(queued.id, WAIT_S).state is (
+                JobState.CANCELLED
+            )
+            assert time.monotonic() - started < WAIT_S / 2
+        finally:
+            gate.set()
+            scheduler.shutdown()
+
+    def test_followers_wake_with_their_primary(self, store):
+        gate = threading.Event()
+        executor = StubExecutor(gate=gate)
+        scheduler = make_scheduler(store, executor, slots=1).start()
+        try:
+            spec = make_spec(seed=4)
+            primary = scheduler.submit(spec)
+            executor.started.wait(WAIT_S)
+            follower = scheduler.submit(spec)
+            threading.Timer(0.05, gate.set).start()
+            assert scheduler.wait(follower.id, WAIT_S).state is JobState.DONE
+            assert follower.cache_hit is True
+            assert primary.state is JobState.DONE
+        finally:
+            gate.set()
+            scheduler.shutdown()
+
+    def test_release_ends_every_hold(self, store):
+        gate = threading.Event()
+        executor = StubExecutor(gate=gate)
+        scheduler = make_scheduler(store, executor, slots=1).start()
+        try:
+            job = scheduler.submit(make_spec(seed=1))
+            executor.started.wait(WAIT_S)
+            threading.Timer(0.05, scheduler.release_waiters).start()
+            started = time.monotonic()
+            assert scheduler.wait(job.id, WAIT_S).state is JobState.RUNNING
+            assert time.monotonic() - started < WAIT_S / 2
+            # Released for good: a later hold does not wait either.
+            started = time.monotonic()
+            scheduler.wait(job.id, WAIT_S)
+            assert time.monotonic() - started < WAIT_S / 2
+        finally:
+            gate.set()
             scheduler.shutdown()
 
 
