@@ -187,7 +187,7 @@ def column_blocks(
 
 
 def candidate_pair_count(
-    col_base: List[int], col_mask: List[int], col_block_bits: int
+    col_base: ndarray, col_mask: ndarray, col_block_bits: int
 ) -> int:
     """How many pairs :meth:`TrialBatch.pairs` indexes for one trial
     whose faults have these column ``(base, mask)`` forms."""

@@ -16,18 +16,25 @@ probability estimates then remain unbiased provided failures require at
 least ``min_faults`` faults (e.g. two for any single-fault-correcting
 scheme).
 
-The injector compiles its tables once, at construction: per rate entry
-the final kind and permanence, the bounds of its placement draws and its
-footprint rule with every geometry constant resolved.  One sampling loop
-(``FaultInjector._sample_records``) draws faults as flat records — the
-``TrialBatch`` row the batch kernel reads and the :class:`FaultSpec`
-fields — so the batch path builds no object for a trial its kernel
-proves survivable.  :meth:`FaultInjector.place_at` is the one place a
-sampled trial's faults are built, each once, from its spec fields at its
-sorted arrival time: for :meth:`FaultInjector.sample_lifetime`, the
-stratified and importance samplers and the batch kernel's fallback
-trials.  The ``Poisson`` set-up of :meth:`FaultInjector.sample_count`
-is kept per ``(lifetime, min_faults)`` in a count table.
+The injector compiles itself once, at construction.  Its code table
+holds one record code per DRAM rate entry plus one each for ``DATA_TSV``
+and ``ADDR_TSV``: per code the final kind and permanence, the three
+``TrialBatch`` flags and the footprint rule with every geometry constant
+resolved.  One compiled loop, a closure over the generator and the
+tables, draws each fault as a record of five ints, ``(code, die, bank,
+a, b)`` (:data:`FaultRecord`), so the batch path builds no object for a
+trial its kernel proves survivable: :meth:`FaultInjector.record_columns`
+maps a block of records to ``TrialBatch`` columns,
+:meth:`FaultInjector.faulty_tsvs` names the TSVs of TSV records and
+:meth:`FaultInjector.spec_fields` maps a record to its
+:class:`FaultSpec` fields; callers read records only through these, so
+the record layout lives in this module.  :meth:`FaultInjector.place_at`
+is the one place a sampled trial's faults are built, each once, from its
+spec fields at its sorted arrival time: for
+:meth:`FaultInjector.sample_lifetime`, the stratified and importance
+samplers and the batch kernel's fallback trials.  The ``Poisson`` set-up
+of :meth:`FaultInjector.sample_count` is kept per ``(lifetime,
+min_faults)`` in a count table.
 """
 
 from __future__ import annotations
@@ -37,7 +44,10 @@ import math
 import random
 from bisect import bisect, bisect_left
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from itertools import chain
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+
+import numpy as np
 
 from repro import contracts
 from repro.errors import ConfigurationError
@@ -155,12 +165,12 @@ def _bounded(n: int) -> Tuple[int, int]:
 #: Bounds of a placement coordinate the fault kind does not draw.
 _NO_DRAW = (0, 0)
 
-#: One sampled fault: ``(row, spec)``.  ``row`` holds the fault's
-#: ``TrialBatch`` columns but the epoch, in argument order —
-#: ``(permanent, is_tsv, is_bank_kind, die, bank, row_base, row_mask,
-#: col_base, col_mask)`` — and ``spec`` the :class:`FaultSpec` fields,
-#: ``(kind, permanence, die, bank, a, b)``.
-FaultRecord = Tuple[Tuple[Any, ...], Tuple[Any, ...]]
+#: One sampled fault: ``(code, die, bank, a, b)``, five ints.  ``code``
+#: indexes the injector's code table (:attr:`FaultInjector.codes`): one
+#: code per DRAM rate entry, then one for ``DATA_TSV`` and one for
+#: ``ADDR_TSV``.  The other four are the :class:`FaultSpec` coordinates:
+#: ``die`` holds the channel and ``bank`` is -1 for the two TSV codes.
+FaultRecord = Tuple[int, int, int, int, int]
 
 
 @dataclass(frozen=True)
@@ -178,9 +188,9 @@ class FaultSpec:
     decide — final kind (after the BANK->SUBARRAY transposition and the
     DTSV/ATSV split), permanence, location coordinates — in a flat
     record.  ``build`` turns it into a full :class:`Fault` through the
-    ``make_*`` constructors.  The sampler emits a spec's fields, not the
-    spec: :meth:`FaultInjector.place_at` builds one only for a trial the
-    scalar path runs.
+    ``make_*`` constructors.  The sampler emits a :data:`FaultRecord`,
+    not the spec: :meth:`FaultInjector.place_at` builds one only for a
+    trial the scalar path runs.
 
     Coordinate conventions: ``die`` holds the channel for TSV kinds and
     ``bank`` is -1 (a TSV fault spans every bank of its die).  ``a``/``b``
@@ -281,50 +291,9 @@ class FaultInjector:
         self.geometry = geometry
         self.rates = rates
         self.rng = make_rng(rng, seed)
-        bank_weights = self._bank_weights()
-        #: Weighted bank pick, or ``None`` for uniform bank placement.
-        self._bank_table = (
-            None if bank_weights is None else _cumulative(bank_weights)
-        )
         self._entries = self._build_entries()
         self._total_rate = sum(e.rate_per_hour for e in self._entries)
-        # The compiled tables: which entry a fault comes from, then per
-        # entry what it becomes (``None``: the TSV entry, see
-        # ``_tsv_rule``).
-        self._entry_table = _cumulative(
-            [e.rate_per_hour for e in self._entries]
-        )
-        row_universe = (1 << geometry.row_address_bits) - 1
-        col_universe = (1 << geometry.col_address_bits) - 1
-        self._rules = [
-            self._compile(entry, row_universe, col_universe)
-            for entry in self._entries
-        ]
-        self._die_bound = _bounded(
-            geometry.total_dies
-            if rates.include_metadata_die
-            else geometry.data_dies
-        )
-        self._bank_bound = _bounded(geometry.banks_per_die)
-        # TSV faults land on a uniformly random TSV of a random channel;
-        # the DTSV/ATSV split is proportional to the TSV populations
-        # (256:24 per channel in the baseline geometry).  A DTSV's
-        # columns are its burst bits in every line of the row (see
-        # ``make_data_tsv_fault``).
-        num_dtsv = geometry.data_tsvs_per_channel
-        burst = geometry.line_bits // num_dtsv
-        dtsv_col_mask = ((burst - 1) * num_dtsv if burst > 1 else 0) | (
-            col_universe & ~(geometry.line_bits - 1)
-        )
-        self._tsv_rule = (
-            *_bounded(geometry.channels),
-            *_bounded(num_dtsv + geometry.addr_tsvs_per_channel),
-            num_dtsv,
-            dtsv_col_mask,
-            geometry.row_address_bits,
-            row_universe,
-            col_universe,
-        )
+        self._compile()
         #: ``(lifetime_hours, min_faults)`` -> ``(mean, exp(-mean), tail
         #: mass, partial sums of the tail pmf, stratum weight)``; see
         #: :meth:`sample_count`.
@@ -334,6 +303,8 @@ class FaultInjector:
 
     # ------------------------------------------------------------------ #
     def _build_entries(self) -> List[_RateEntry]:
+        """The rate entries, DRAM ones first; the TSV entry, if any, is
+        the last (record codes rely on it)."""
         geometry, rates = self.geometry, self.rates
         num_dies = (
             geometry.total_dies
@@ -368,26 +339,90 @@ class FaultInjector:
         their thermal multipliers."""
         return None
 
-    def _compile(
-        self, entry: _RateEntry, row_universe: int, col_universe: int
-    ) -> Optional[Tuple[Any, ...]]:
-        """The compiled rule of a DRAM rate entry; ``None`` for the TSV
-        entry, whose faults ``_tsv_rule`` places.
+    def _compile(self) -> None:
+        """Build the code table and the draw loop, once.
 
-        A rule is ``(kind, permanence, permanent, is_bank_kind, a_bound,
-        a_bits, b_bound, b_bits, row_scale, row_mask, col_scale_a,
-        col_scale_b, col_mask)``: the fault's final kind and permanence
-        (and the two ``TrialBatch`` flags they give), the bounds of its
-        ``a``/``b`` placement draws (see :class:`FaultSpec`; a zero bound
-        draws nothing), drawn after its die and bank, and its footprint
-        rule.  The fault's canonical address+mask footprint — what the
-        ``make_*`` constructors build, as ``RangeMask`` base/mask pairs —
-        is then ``row_base = a * row_scale`` and ``col_base = a *
-        col_scale_a + b * col_scale_b`` under the fixed masks.
+        A DRAM rate entry's record code is its index; the ``DATA_TSV``
+        and ``ADDR_TSV`` codes follow.  Per code the table keeps the
+        fault's final kind and permanence (:attr:`codes`) and, as one
+        ``numpy`` column each, its three ``TrialBatch`` flags and its
+        footprint rule: the canonical address+mask footprint the
+        ``make_*`` constructors build, as ``RangeMask`` base/mask pairs,
+        is ``row_base = a * row_scale`` and ``col_base = (a * col_scale_a
+        + b * col_scale_b) & col_keep`` under the code's fixed masks.  An
+        ``ADDR_TSV`` fault's rows hang on its address bit, so
+        :meth:`record_columns` places them by their own formula.
         """
-        geometry, kind = self.geometry, entry.kind
-        if kind.is_tsv:
-            return None
+        geometry = self.geometry
+        row_universe = (1 << geometry.row_address_bits) - 1
+        col_universe = (1 << geometry.col_address_bits) - 1
+        # Per code: kind, permanence and (row_scale, row_mask,
+        # col_scale_a, col_scale_b, col_mask, col_keep); per rate entry
+        # the bounds of its ``a``/``b`` placement draws, or ``None`` for
+        # the TSV entry.
+        table: List[Tuple[FaultKind, Permanence, Tuple[int, ...]]] = []
+        draws: List[Optional[Tuple[int, int, int, int]]] = []
+        for entry in self._entries:
+            if entry.kind.is_tsv:
+                draws.append(None)
+                continue
+            kind, entry_draws, footprint = self._dram_rule(
+                entry.kind, row_universe, col_universe
+            )
+            table.append((kind, entry.permanence, (*footprint, -1)))
+            draws.append(entry_draws)
+        # TSV faults land on a uniformly random TSV of a random channel;
+        # the DTSV/ATSV split is proportional to the TSV populations
+        # (256:24 per channel in the baseline geometry).  A DTSV's
+        # columns are its burst bits in every line of the row (see
+        # ``make_data_tsv_fault``); a stuck ATSV's rows are placed by
+        # ``record_columns``.
+        num_dtsv = geometry.data_tsvs_per_channel
+        burst = geometry.line_bits // num_dtsv
+        dtsv_col_mask = ((burst - 1) * num_dtsv if burst > 1 else 0) | (
+            col_universe & ~(geometry.line_bits - 1)
+        )
+        dtsv_code = len(table)
+        table.append((
+            FaultKind.DATA_TSV, Permanence.PERMANENT,
+            (0, row_universe, 1, 0, dtsv_col_mask, ~dtsv_col_mask),
+        ))
+        table.append((
+            FaultKind.ADDR_TSV, Permanence.PERMANENT,
+            (0, row_universe, 0, 0, col_universe, -1),
+        ))
+        #: Per record code, the fault's final kind and permanence.
+        self.codes: List[Tuple[FaultKind, Permanence]] = [
+            (kind, permanence) for kind, permanence, _ in table
+        ]
+        #: ``record_columns``' tables: the three flags, then the
+        #: footprint rule, one entry per code.
+        self._columns = (
+            np.array(
+                [permanence is Permanence.PERMANENT
+                 for _, permanence, _ in table],
+                dtype=bool,
+            ),
+            np.array([kind.is_tsv for kind, _, _ in table], dtype=bool),
+            np.array(
+                [kind is FaultKind.BANK for kind, _, _ in table], dtype=bool
+            ),
+            *np.array(
+                [footprint for _, _, footprint in table], dtype=np.int64
+            ).T.copy(),
+        )
+        self._atsv_code = dtsv_code + 1
+        self._row_universe = row_universe
+        self._draw = self._draw_loop(draws, dtsv_code, num_dtsv)
+
+    def _dram_rule(
+        self, kind: FaultKind, row_universe: int, col_universe: int
+    ) -> Tuple[FaultKind, Tuple[int, int, int, int], Tuple[int, ...]]:
+        """A DRAM rate entry's final kind, the bounds of its ``a``/``b``
+        placement draws (see :class:`FaultSpec`; a zero bound draws
+        nothing), drawn after its die and bank, and its footprint rule
+        ``(row_scale, row_mask, col_scale_a, col_scale_b, col_mask)``."""
+        geometry = self.geometry
         rows = _bounded(geometry.rows_per_bank)
         subarrays = _bounded(geometry.subarrays_per_bank)
         columns = _bounded(geometry.row_bits)
@@ -397,8 +432,6 @@ class FaultInjector:
             # Table I's "single bank" rate: transposed to subarray failures
             # unless the 'full' ablation is selected (§II-B, Figure 17).
             kind = FaultKind.SUBARRAY
-        # Placement draws, then (row_scale, row_mask, col_scale_a,
-        # col_scale_b, col_mask).
         if kind is FaultKind.BIT:
             draws = (rows, columns)
             footprint = (1, 0, 0, 1, 0)
@@ -423,16 +456,91 @@ class FaultInjector:
             footprint = (0, row_universe, 0, 0, col_universe)
         else:
             raise ConfigurationError(f"unsupported DRAM fault kind: {kind}")
-        permanence = entry.permanence
-        return (
-            kind,
-            permanence,
-            permanence is Permanence.PERMANENT,
-            kind is FaultKind.BANK,
-            *draws[0],
-            *draws[1],
-            *footprint,
+        return kind, (*draws[0], *draws[1]), footprint
+
+    def _draw_loop(
+        self,
+        draws: List[Optional[Tuple[int, int, int, int]]],
+        dtsv_code: int,
+        num_dtsv: int,
+    ) -> Callable[[int], List[FaultRecord]]:
+        """The one sampling loop, compiled into a closure over the
+        injector's generator and tables: ``draw(count)`` returns
+        ``count`` records.  The bounds keep every coordinate in range, so
+        no draw is checked again."""
+        geometry = self.geometry
+        random_float = self.rng.random
+        getrandbits = self.rng.getrandbits
+        entry_weights, entry_total, entry_last = _cumulative(
+            [e.rate_per_hour for e in self._entries]
         )
+        die_bound, die_bits = _bounded(
+            geometry.total_dies
+            if self.rates.include_metadata_die
+            else geometry.data_dies
+        )
+        bank_bound, bank_bits = _bounded(geometry.banks_per_die)
+        # Weighted bank pick, or uniform bank placement.
+        bank_weights = self._bank_weights()
+        weighted = bank_weights is not None
+        bank_cum, bank_total, bank_last = (
+            _cumulative(bank_weights) if bank_weights is not None
+            else ([], 0.0, 0)
+        )
+        channel_bound, channel_bits = _bounded(geometry.channels)
+        tsv_bound, tsv_bits = _bounded(
+            num_dtsv + geometry.addr_tsvs_per_channel
+        )
+        atsv_code = dtsv_code + 1
+
+        def draw(count: int) -> List[FaultRecord]:
+            records: List[FaultRecord] = []
+            append = records.append
+            for _ in range(count):
+                code = bisect(
+                    entry_weights, random_float() * entry_total, 0, entry_last
+                )
+                rule = draws[code]
+                if rule is None:
+                    channel = getrandbits(channel_bits)
+                    while channel >= channel_bound:
+                        channel = getrandbits(channel_bits)
+                    pick = getrandbits(tsv_bits)
+                    while pick >= tsv_bound:
+                        pick = getrandbits(tsv_bits)
+                    if pick < num_dtsv:
+                        append((dtsv_code, channel, -1, pick, 0))
+                        continue
+                    stuck = getrandbits(2)  # randrange(2)
+                    while stuck >= 2:
+                        stuck = getrandbits(2)
+                    append((atsv_code, channel, -1, pick - num_dtsv, stuck))
+                    continue
+                a_bound, a_bits, b_bound, b_bits = rule
+                die = getrandbits(die_bits)
+                while die >= die_bound:
+                    die = getrandbits(die_bits)
+                if weighted:
+                    bank = bisect(
+                        bank_cum, random_float() * bank_total, 0, bank_last
+                    )
+                else:
+                    bank = getrandbits(bank_bits)
+                    while bank >= bank_bound:
+                        bank = getrandbits(bank_bits)
+                a = b = 0
+                if a_bound:
+                    a = getrandbits(a_bits)
+                    while a >= a_bound:
+                        a = getrandbits(a_bits)
+                    if b_bound:
+                        b = getrandbits(b_bits)
+                        while b >= b_bound:
+                            b = getrandbits(b_bits)
+                append((code, die, bank, a, b))
+            return records
+
+        return draw
 
     # ------------------------------------------------------------------ #
     @property
@@ -553,8 +661,11 @@ class FaultInjector:
     def sample_kinds(self, count: int) -> List[Tuple[Any, ...]]:
         """``count`` faults' :class:`FaultSpec` fields: kind, permanence
         and placement but no arrival time yet (the time-independent half
-        of the arrival process).  :meth:`place_at` builds the faults."""
-        return [spec for _, spec in self._sample_records(count)]
+        of the arrival process).  :meth:`place_at` builds the faults.
+        Draws through the compiled loop, not the public
+        :meth:`sample_specs`, so a traced scalar trial counts its faults
+        once."""
+        return self.spec_fields(self._draw(count))
 
     def place_at(
         self, specs: Sequence[Tuple[Any, ...]], times: List[float]
@@ -607,96 +718,60 @@ class FaultInjector:
         """``count`` fault records (:data:`FaultRecord`) — the same draws
         :meth:`sample_kinds` consumes, without constructing ``Fault`` or
         :class:`FaultSpec` objects.  The batch trial kernel samples
-        through this, so its RNG stream stays bitwise-compatible with
-        the scalar path; ``sample_kinds`` calls the private loop instead,
-        so a traced scalar trial counts its faults once."""
-        return self._sample_records(count)
+        through this, once per trial, so its RNG stream stays
+        bitwise-compatible with the scalar path."""
+        return self._draw(count)
 
-    def _sample_records(self, count: int) -> List[FaultRecord]:
-        """The one sampling loop: ``count`` faults drawn from the compiled
-        tables, each as its ``TrialBatch`` row and :class:`FaultSpec`
-        fields.  The bounds keep every coordinate in range, so no draw is
-        checked again."""
-        rng = self.rng
-        random_float = rng.random
-        getrandbits = rng.getrandbits
-        entry_weights, entry_total, entry_last = self._entry_table
-        rules = self._rules
-        die_bound, die_bits = self._die_bound
-        bank_bound, bank_bits = self._bank_bound
-        bank_table = self._bank_table
-        records: List[FaultRecord] = []
-        append = records.append
-        for _ in range(count):
-            rule = rules[
-                bisect(entry_weights, random_float() * entry_total, 0, entry_last)
-            ]
-            if rule is None:
-                (
-                    channel_bound, channel_bits, tsv_bound, tsv_bits,
-                    num_dtsv, dtsv_col_mask, row_address_bits,
-                    row_universe, col_universe,
-                ) = self._tsv_rule
-                channel = getrandbits(channel_bits)
-                while channel >= channel_bound:
-                    channel = getrandbits(channel_bits)
-                pick = getrandbits(tsv_bits)
-                while pick >= tsv_bound:
-                    pick = getrandbits(tsv_bits)
-                if pick < num_dtsv:
-                    append((
-                        (True, True, False, channel, -1, 0, row_universe,
-                         pick & ~dtsv_col_mask, dtsv_col_mask),
-                        (FaultKind.DATA_TSV, Permanence.PERMANENT, channel, -1,
-                         pick, 0),
-                    ))
-                    continue
-                index = pick - num_dtsv
-                stuck = getrandbits(2)  # randrange(2)
-                while stuck >= 2:
-                    stuck = getrandbits(2)
-                # A stuck ATSV makes the rows whose address bit differs
-                # from the stuck value unreachable (``make_addr_tsv_fault``).
-                bit = index % row_address_bits
-                append((
-                    (True, True, False, channel, -1, (1 - stuck) << bit,
-                     row_universe & ~(1 << bit), 0, col_universe),
-                    (FaultKind.ADDR_TSV, Permanence.PERMANENT, channel, -1,
-                     index, stuck),
-                ))
-                continue
-            (
-                kind, permanence, permanent, is_bank_kind,
-                a_bound, a_bits, b_bound, b_bits,
-                row_scale, row_mask, col_scale_a, col_scale_b, col_mask,
-            ) = rule
-            die = getrandbits(die_bits)
-            while die >= die_bound:
-                die = getrandbits(die_bits)
-            if bank_table is None:
-                bank = getrandbits(bank_bits)
-                while bank >= bank_bound:
-                    bank = getrandbits(bank_bits)
-            else:
-                bank_weights, bank_total, bank_last = bank_table
-                bank = bisect(
-                    bank_weights, random_float() * bank_total, 0, bank_last
-                )
-            a = b = 0
-            if a_bound:
-                a = getrandbits(a_bits)
-                while a >= a_bound:
-                    a = getrandbits(a_bits)
-                if b_bound:
-                    b = getrandbits(b_bits)
-                    while b >= b_bound:
-                        b = getrandbits(b_bits)
-            append((
-                (permanent, False, is_bank_kind, die, bank, a * row_scale,
-                 row_mask, a * col_scale_a + b * col_scale_b, col_mask),
-                (kind, permanence, die, bank, a, b),
-            ))
-        return records
+    def spec_fields(
+        self, records: Sequence[FaultRecord]
+    ) -> List[Tuple[Any, ...]]:
+        """The :class:`FaultSpec` fields ``(kind, permanence, die, bank,
+        a, b)`` of each record."""
+        codes = self.codes
+        return [
+            (*codes[code], die, bank, a, b)
+            for code, die, bank, a, b in records
+        ]
+
+    def faulty_tsvs(
+        self, records: Sequence[FaultRecord]
+    ) -> List[Tuple[int, Tuple[int, int]]]:
+        """The faulty TSV of each TSV record, as ``(channel, tsv)``:
+        ``tsv`` names it within its channel by its code (data or
+        address) and its index."""
+        return [
+            (die, (code, a)) for code, die, bank, a, _ in records if bank < 0
+        ]
+
+    def record_columns(
+        self, records: Sequence[FaultRecord]
+    ) -> Tuple[np.ndarray, ...]:
+        """The ``TrialBatch`` columns but the epoch of a block of
+        records, in argument order: ``(permanent, is_tsv, is_bank_kind,
+        die, bank, row_base, row_mask, col_base, col_mask)``."""
+        code, die, bank, a, b = np.fromiter(
+            chain.from_iterable(records), np.int64, 5 * len(records)
+        ).reshape(-1, 5).T
+        (
+            permanent, is_tsv, is_bank_kind,
+            row_scale, row_mask, col_scale_a, col_scale_b, col_mask,
+            col_keep,
+        ) = self._columns
+        row_base = a * row_scale[code]
+        rows = row_mask[code]
+        col_base = a * col_scale_a[code] + b * col_scale_b[code]
+        col_base &= col_keep[code]
+        atsv = np.flatnonzero(code == self._atsv_code)
+        if atsv.size:
+            # A stuck ATSV makes the rows whose address bit differs from
+            # the stuck value unreachable (``make_addr_tsv_fault``).
+            bit = a[atsv] % self.geometry.row_address_bits
+            row_base[atsv] = (1 - b[atsv]) << bit
+            rows[atsv] = self._row_universe & ~(1 << bit)
+        return (
+            permanent[code], is_tsv[code], is_bank_kind[code], die, bank,
+            row_base, rows, col_base, col_mask[code],
+        )
 
 
 class ThermalFaultInjector(FaultInjector):

@@ -1,21 +1,28 @@
 """Batch trial engine: evaluate a shard's trials as numpy arrays.
 
 ``LifetimeSimulator.run`` routes every naive-sampling campaign that
-:func:`make_batch_runner` accepts through :class:`BatchTrialKernel`:
-trials are sampled in chunks (consuming the injector's RNG stream
-draw-for-draw like the scalar loop, so results stay bitwise-identical),
-and each fault's sampled record already carries its
-:class:`repro.ecc.batch_kernels.TrialBatch` row, which the chunk copies
-as it is before the scheme's array-shaped kernel screens it.  Trials the
-kernel *proves* survive are done — no ``FaultSpec`` or ``Fault``
-objects, no model machinery.  That holds for fault-dense trials too: the
-3DP kernel indexes only the pairs whose column blocks can meet and peels
-to a fixed point in arrays, so a bit/word-FIT×1000 stress trial of about
-150 live faults is screened like a paper-rate one.  The rest (a small
-minority on Citadel-class configs: genuine failures, TSV-Swap overflows,
-peels the kernel cannot finish, trials whose indexed pairs alone exceed
-the chunk budget) are materialised into ``Fault`` objects from their
-records' spec fields by ``FaultInjector.place_at`` and re-run through
+:func:`make_batch_runner` accepts through :class:`BatchTrialKernel`.
+Per trial the runner only draws — the fault count, the fault records
+and the arrival times, consuming the injector's RNG stream draw-for-draw
+like the scalar loop, so results stay bitwise-identical.  Each fault is
+a record of five ints (:data:`~repro.faults.injector.FaultRecord`), and
+the trials collect in a *block*: flat lists of records and arrival
+times plus one fault count per trial.  A block closes at
+:data:`CHUNK_TRIALS` trials or before a trial would push it past
+:data:`CHUNK_FAULTS` faults, and becomes the scheme kernel's
+:class:`repro.ecc.batch_kernels.TrialBatch` columns through a few numpy
+operations (:meth:`FaultInjector.record_columns`, the scrub epochs, the
+TSV-Swap live mask), no per-trial Python list.  Trials the kernel
+*proves* survive are done — no ``FaultSpec`` or ``Fault`` objects, no
+model machinery.  That holds for fault-dense trials too: the 3DP kernel
+indexes only the pairs whose column blocks can meet and peels to a
+fixed point in arrays, so a bit/word-FIT×1000 stress trial of about 150
+live faults is screened like a paper-rate one.  The rest (a small
+minority on Citadel-class configs: genuine failures, TSV-Swap
+overflows, peels the kernel cannot finish, trials whose indexed pairs
+alone exceed the chunk budget) are visited in trial order, their
+records' spec fields built into ``Fault`` objects by
+``FaultInjector.place_at`` and re-run through
 ``LifetimeSimulator._simulate``, the exact scalar path.
 
 Compatibility rules this module must uphold (and the batch differential
@@ -25,8 +32,8 @@ tests enforce):
   per-fault placement draws) -> per-fault arrival times, in that order —
   exactly the scalar ``sample_lifetime`` sequence.  Each call is made
   once per trial, so a traced run counts the same sampling calls and
-  faults on either path.  Chunking never reorders or skips draws,
-  and evaluating a chunk draws nothing, so chunk boundaries are free.
+  faults on either path.  Blocking never reorders or skips draws,
+  and evaluating a block draws nothing, so block boundaries are free.
 * **Weights**: every trial's sampled stratum weight is checked bitwise
   against the engine-side tail probability, mirroring the naive plan's
   contract in the scalar loop.
@@ -42,7 +49,16 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
+from typing import (
+    TYPE_CHECKING,
+    Dict,
+    Hashable,
+    Iterable,
+    List,
+    Optional,
+    Sequence,
+    Tuple,
+)
 
 import numpy as np
 
@@ -58,31 +74,34 @@ from repro.reliability.results import ReliabilityResult
 if TYPE_CHECKING:  # pragma: no cover - annotation-only import
     from repro.reliability.montecarlo import LifetimeSimulator
 
-#: Trials evaluated per array pass.  Large enough to amortise the numpy
-#: call overhead, small enough to keep the per-chunk Python lists cheap.
+#: Trials per block.  Large enough to amortise the numpy call overhead.
 CHUNK_TRIALS = 4096
 
-#: Candidate fault pairs per array pass, at about 80 bytes of numpy
+#: Candidate fault pairs per kernel call, at about 80 bytes of numpy
 #: temporaries per pair.  A trial is charged the pairs its kernel's
 #: ``TrialBatch.pairs`` indexes: the all-pairs bound k(k-1)/2 for k live
-#: faults while that fits the chunk, else the exact count at the
+#: faults while that fits the budget, else the exact count at the
 #: kernel's column-block width (every pair for the pairwise kernels;
 #: about 57 block pairs instead of about 11,700 for a 3DP stress trial
-#: of about 150 live faults).  A chunk closes before a trial would push
-#: it past this budget, and a trial whose own pairs exceed it runs on
-#: the scalar path.  Paper-rate trials carry two or three faults (under
-#: 3000 pairs per full chunk), so there the trial cap binds first.
+#: of about 150 live faults).  A block whose trials are charged more is
+#: split greedily, in trial order, into chunks within the budget, and a
+#: trial whose own pairs exceed it runs on the scalar path.  Paper-rate
+#: trials carry two or three faults (under 3000 pairs per full block),
+#: so there the trial cap binds first.
 CHUNK_PAIRS = 1 << 13
 
-#: Columns of one fault row, in ``TrialBatch`` argument order: a sampled
-#: record's row (:data:`~repro.faults.injector.FaultRecord`), then the
-#: scrub epoch.
-_N_COLUMNS = 10
+#: Faults per block (twice :data:`CHUNK_PAIRS`): a block closes before
+#: a trial would push it past this, so its arrays stay bounded at
+#: bit/word-FIT×1000 stress rates too (about 109 trials of about 150
+#: faults) whatever the shard size.
+CHUNK_FAULTS = 1 << 14
 
-#: Positions of ``is_tsv``, ``col_base`` and ``col_mask`` in a row.
-_IS_TSV = 1
-_COL_BASE = 7
-_COL_MASK = 8
+#: Scrub epochs the batch path holds as int64.  A run whose
+#: ``lifetime // interval`` reaches this (a scrub interval under about
+#: 1.3e-14 h at the default lifetime) stays on the scalar loop, whose
+#: epochs are exact Python ints; half of int64's range leaves the
+#: kernel's epoch slack room.
+MAX_EPOCH = 1 << 62
 
 #: A failing trial's (failure time, failure mode or None), as
 #: ``LifetimeSimulator._simulate`` returns it.
@@ -97,8 +116,9 @@ def make_batch_runner(
     ``None`` — the results are identical either way — when the model has
     no array-shaped kernel (the from-scratch oracle
     :class:`~repro.ecc.base.FromScratch` never has one), the run needs
-    per-trial observability (metrics, sparing stats, tracing), or it
-    asks for a non-naive sampling plan.  Failure modes need no refusal:
+    per-trial observability (metrics, sparing stats, tracing), it asks
+    for a non-naive sampling plan, or its scrub epochs could pass
+    :data:`MAX_EPOCH`.  Failure modes need no refusal:
     the kernel only proves survival, and every failing trial re-runs on
     the scalar path, which names its mode.
     """
@@ -108,6 +128,7 @@ def make_batch_runner(
         or config.collect_metrics
         or config.collect_sparing_stats
         or sim.tracer is not None
+        or not config.lifetime_hours // config.scrub_interval_hours < MAX_EPOCH
     ):
         return None
     kernel = sim.model.batch_kernel()
@@ -116,8 +137,19 @@ def make_batch_runner(
     return BatchTrialKernel(sim, kernel)
 
 
+def scrub_epochs(times: np.ndarray, interval: float) -> np.ndarray:
+    """Each arrival's scrub epoch, ``int(t // interval)``.
+
+    ``np.floor_divide`` on floats computes Python's ``//`` (both take
+    the fmod-based floor division), so the epochs are exact at multiples
+    of the interval and 0 for an infinite one.  :func:`make_batch_runner`
+    keeps them below :data:`MAX_EPOCH`.
+    """
+    return np.floor_divide(times, interval).astype(np.int64)
+
+
 class BatchTrialKernel:
-    """Chunked array evaluation of one shard's trials."""
+    """Block-wise array evaluation of one shard's trials."""
 
     def __init__(
         self, sim: "LifetimeSimulator", kernel: BatchCorrectionKernel
@@ -140,29 +172,22 @@ class BatchTrialKernel:
         config = sim.config
         injector = sim.injector
         lifetime = config.lifetime_hours
-        interval = config.scrub_interval_hours
-        standby = config.tsv_swap_standby
         sample_count = injector.sample_count
         sample_specs = injector.sample_specs
         random_float = injector.rng.random
-        block_bits = self.kernel.col_block_bits
         expected_weight = injector.prob_at_least(strata_min, lifetime)
+        trial_budget, fault_budget = CHUNK_TRIALS, CHUNK_FAULTS
         failure_times: List[float] = []
-        # The open chunk.  ``sampled`` holds, per trial, (the records'
-        # spec fields in draw order, times sorted ascending) for the
-        # kernel to screen — spec ``i`` pairs with the ``i``-th smallest
-        # time, matching ``FaultInjector.place_at`` — or ``None`` for a
-        # trial already simulated, whose outcome (``None``: survived) is
-        # in ``decided``.  ``counts`` holds live faults per trial and
-        # ``rows`` the ``TrialBatch`` columns of every live fault, flat,
-        # ``_N_COLUMNS`` values per fault.  Holding spec fields, not
-        # whole records, keeps a chunk no larger than its ``FaultSpec``
-        # objects were.
-        sampled: List[Optional[Tuple[List[tuple], List[float]]]] = []
-        decided: Dict[int, Optional[Outcome]] = {}
+        # The open block: every fault's record and arrival time, flat,
+        # and each trial's fault count.  Screening a block draws nothing,
+        # so a block can close between two draws of a trial.
+        records: List[FaultRecord] = []
+        times: List[float] = []
         counts: List[int] = []
-        rows: List[int] = []
-        chunk_pairs = 0
+        add_records, add_times, add_count = (
+            records.extend, times.extend, counts.append
+        )
+        faults = 0
         for _ in range(trials):
             count, sampled_weight = sample_count(
                 lifetime, min_faults=strata_min
@@ -180,62 +205,25 @@ class BatchTrialKernel:
                     sampled_weight,
                     expected_weight,
                 )
-            records = sample_specs(count)
+            if faults + count > fault_budget or len(counts) == trial_budget:
+                if counts:
+                    self._screen(records, times, counts, failure_times)
+                    records.clear()
+                    times.clear()
+                    counts.clear()
+                faults = 0
+            add_records(sample_specs(count))
             # Bitwise ``uniform(0.0, lifetime)``, as in
-            # ``FaultInjector.sample_lifetime``.
-            times = [lifetime * random_float() for _ in range(count)]
-            times.sort()
-            # TSV-Swap absorbs every TSV fault unless a channel's pool
-            # overflows; then partial swaps and post-swap DDS behaviour
-            # need the scalar controller.  A channel never holds more
-            # distinct faulty TSVs than the trial has TSV faults, so only
-            # a trial with more than ``standby`` of them can overflow.
-            live = [
-                (row, time_hours)
-                for (row, _), time_hours in zip(records, times)
-                if standby is None or not row[_IS_TSV]
-            ]
-            scalar = (
-                standby is not None
-                and count - len(live) > standby
-                and self._tsv_overflows(records, standby)
-            )
-            pairs = 0
-            if not scalar:
-                # k(k-1)/2 bounds the pairs the kernel indexes; count them
-                # exactly only when that bound would not fit the chunk.
-                pairs = len(live) * (len(live) - 1) // 2
-                if chunk_pairs + pairs > CHUNK_PAIRS:
-                    pairs = candidate_pair_count(
-                        [row[_COL_BASE] for row, _ in live],
-                        [row[_COL_MASK] for row, _ in live],
-                        block_bits,
-                    )
-                    if pairs > CHUNK_PAIRS:
-                        scalar = True
-                        pairs = 0
-            if (
-                len(counts) == CHUNK_TRIALS
-                or chunk_pairs + pairs > CHUNK_PAIRS
-            ):
-                self._evaluate(sampled, decided, counts, rows, failure_times)
-                sampled, decided, counts, rows = [], {}, [], []
-                chunk_pairs = 0
-            specs = [spec for _, spec in records]
-            if scalar:
-                # Simulating draws nothing, so the trial can run now
-                # instead of holding its faults until the chunk closes.
-                decided[len(counts)] = self._simulate(specs, times)
-                sampled.append(None)
-                counts.append(0)
-                continue
-            sampled.append((specs, times))
-            counts.append(len(live))
-            chunk_pairs += pairs
-            for row, time_hours in live:
-                rows.extend(row)
-                rows.append(int(time_hours // interval))
-        self._evaluate(sampled, decided, counts, rows, failure_times)
+            # ``FaultInjector.sample_lifetime``, and sorted: a trial's
+            # ``i``-th record pairs with its ``i``-th smallest arrival
+            # time, as in ``FaultInjector.place_at``.
+            arrivals = [lifetime * random_float() for _ in range(count)]
+            arrivals.sort()
+            add_times(arrivals)
+            add_count(count)
+            faults += count
+        if counts:
+            self._screen(records, times, counts, failure_times)
         return ReliabilityResult(
             scheme_name=label if label is not None else sim.scheme_label(),
             trials=trials,
@@ -250,59 +238,134 @@ class BatchTrialKernel:
         )
 
     # ------------------------------------------------------------------ #
-    def _evaluate(
+    def _screen(
         self,
-        sampled: List[Optional[Tuple[List[tuple], List[float]]]],
-        decided: Dict[int, Optional[Outcome]],
+        records: List[FaultRecord],
+        times: List[float],
         counts: List[int],
-        rows: List[int],
         failure_times: List[float],
     ) -> None:
-        """Screen one chunk with the kernel, re-run every trial it does
-        not prove survivable on the scalar path, and record the chunk's
+        """Screen one block with the kernel, re-run every trial it does
+        not prove survivable on the scalar path, and record the block's
         failure times and modes in trial order."""
-        if len(decided) < len(sampled):
-            columns = np.array(rows, dtype=np.int64).reshape(-1, _N_COLUMNS).T
-            survives = self.kernel.survives(
-                TrialBatch(self.sim.geometry, counts, *columns)
-            ).tolist()
-        for index, trial in enumerate(sampled):
-            if trial is None:
-                outcome = decided[index]
-            elif survives[index]:
-                self.fast_trials += 1
-                continue
-            else:
-                outcome = self._simulate(*trial)
+        sim = self.sim
+        injector = sim.injector
+        standby = sim.config.tsv_swap_standby
+        pair_budget = CHUNK_PAIRS
+        n_trials = len(counts)
+        count = np.array(counts, dtype=np.int64)
+        # Trial ``i``'s faults are ``ends[i]:ends[i + 1]`` of the block.
+        ends = np.concatenate(([0], np.cumsum(count))).tolist()
+        trial = np.repeat(np.arange(n_trials), count)
+        footprints = injector.record_columns(records)
+        _, is_tsv, *_, col_base, col_mask = footprints
+        columns = (
+            *footprints,
+            scrub_epochs(np.array(times), sim.config.scrub_interval_hours),
+        )
+        scalar = np.zeros(n_trials, dtype=bool)
+        if standby is None:
+            keep = np.ones(len(records), dtype=bool)
+            live = count
+        else:
+            # TSV-Swap absorbs every TSV fault unless a channel's pool
+            # overflows; then partial swaps and post-swap DDS behaviour
+            # need the scalar controller.  A channel never holds more
+            # distinct faulty TSVs than the trial has TSV faults, so only
+            # a trial with more than ``standby`` of them can overflow.
+            keep = ~is_tsv
+            tsv = np.bincount(trial[is_tsv], minlength=n_trials)
+            live = count - tsv
+            for index in np.flatnonzero(tsv > standby).tolist():
+                scalar[index] = self._tsv_overflows(
+                    injector.faulty_tsvs(records[ends[index]:ends[index + 1]]),
+                    standby,
+                )
+        # k(k-1)/2 bounds the pairs the kernel indexes; count them exactly
+        # only where that bound exceeds the budget.
+        charge = live * (live - 1) // 2
+        block_bits = self.kernel.col_block_bits
+        for index in np.flatnonzero((charge > pair_budget) & ~scalar).tolist():
+            own = slice(ends[index], ends[index + 1])
+            alive = keep[own]
+            charge[index] = candidate_pair_count(
+                col_base[own][alive], col_mask[own][alive], block_bits
+            )
+            scalar[index] = charge[index] > pair_budget
+        charge[scalar] = 0
+        keep &= ~scalar[trial]
+        # Chunks: one for the whole block unless its pairs exceed the
+        # budget; then close a chunk before a trial would push it past.
+        bounds = [0]
+        if int(charge.sum()) > pair_budget:
+            used = 0
+            for index, pairs in enumerate(charge.tolist()):
+                if used + pairs > pair_budget:
+                    bounds.append(index)
+                    used = 0
+                used += pairs
+        bounds.append(n_trials)
+        verdicts = []
+        for lo, hi in zip(bounds, bounds[1:]):
+            own = slice(ends[lo], ends[hi])
+            alive = keep[own]
+            screened = ~scalar[lo:hi]
+            verdicts.append(self._evaluate(
+                TrialBatch(
+                    sim.geometry,
+                    live[lo:hi][screened],
+                    *(column[own][alive] for column in columns),
+                ),
+                screened,
+            ))
+        survives = np.concatenate(verdicts)
+        self.fast_trials += int(np.count_nonzero(survives))
+        for index in np.flatnonzero(~survives).tolist():
+            own = slice(ends[index], ends[index + 1])
+            outcome = self._simulate(records[own], times[own])
             if outcome is not None:
                 failed_at, mode = outcome
                 failure_times.append(failed_at)
                 if mode is not None:
                     self.failure_modes[mode] += 1
 
+    def _evaluate(self, batch: TrialBatch, screened: np.ndarray) -> np.ndarray:
+        """The kernel's verdict on each trial of one chunk: ``screened``
+        marks, in trial order, the trials ``batch`` holds; the others go
+        to the scalar path and read False."""
+        verdict = np.zeros(screened.size, dtype=bool)
+        if batch.n_trials:
+            verdict[screened] = self.kernel.survives(batch)
+        return verdict
+
     def _simulate(
-        self, specs: List[tuple], times: List[float]
+        self, records: Sequence[FaultRecord], times: List[float]
     ) -> Optional[Outcome]:
-        """(failure time, failure mode) of one trial, from its faults'
-        spec fields, on the exact scalar path, or None."""
+        """(failure time, failure mode) of one trial, from its records
+        and arrival times, on the exact scalar path, or None."""
         self.fallback_trials += 1
         sim = self.sim
+        injector = sim.injector
         return sim._simulate(
-            sim.injector.place_at(specs, times), None, None, None
+            injector.place_at(injector.spec_fields(records), times),
+            None, None, None,
         )
 
     @staticmethod
-    def _tsv_overflows(records: List[FaultRecord], standby: int) -> bool:
+    def _tsv_overflows(
+        tsvs: Iterable[Tuple[int, Hashable]], standby: int
+    ) -> bool:
         """Does some channel's stand-by pool overflow?
 
-        TSV-Swap absorbs each *distinct* faulty TSV of a channel at the
-        cost of one stand-by slot (duplicates are free; a faulty stand-by
-        still costs exactly its own slot), so a trial's TSV faults vanish
-        entirely iff every channel's distinct count fits its pool.  On
-        overflow the repair order matters — scalar fallback.
+        ``tsvs`` holds a trial's faulty TSVs as ``(channel, tsv)``
+        (:meth:`FaultInjector.faulty_tsvs`).  TSV-Swap absorbs each
+        *distinct* faulty TSV of a channel at the cost of one stand-by
+        slot (duplicates are free; a faulty stand-by still costs exactly
+        its own slot), so a trial's TSV faults vanish entirely iff every
+        channel's distinct count fits its pool.  On overflow the repair
+        order matters — scalar fallback.
         """
         per_channel: Dict[int, set] = {}
-        for _, (kind, _, channel, _, index, _) in records:
-            if kind.is_tsv:
-                per_channel.setdefault(channel, set()).add((kind, index))
+        for channel, tsv in tsvs:
+            per_channel.setdefault(channel, set()).add(tsv)
         return any(len(ids) > standby for ids in per_channel.values())

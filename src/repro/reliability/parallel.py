@@ -20,6 +20,9 @@ robustness features:
 * **Checkpointing** — completed shards are appended to a JSON checkpoint
   (unique temp file + atomic rename) after every completion; a killed
   campaign resumes with ``resume=True`` and re-runs only missing shards.
+  Each shard is encoded once, at its first write, and every write joins
+  the cached fragments, so a write costs the file's bytes, not a
+  re-encoding of every shard.
   A fingerprint of the shard plan and the whole work guards against
   resuming someone else's checkpoint, and every resumed shard must
   survive a ``from_dict``/``to_dict`` round trip unchanged
@@ -100,7 +103,7 @@ from repro.reliability.results import ReliabilityResult
 from repro.reliability.stopping import StoppingRule
 from repro.rng import derive_seed
 from repro.stack.geometry import StackGeometry
-from repro.telemetry.files import write_json_atomic
+from repro.telemetry.files import atomic_write_text
 from repro.telemetry.manifest import RunManifest, schemes_registry_hash
 from repro.telemetry.progress import ProgressReporter
 from repro.telemetry.registry import MetricsRegistry
@@ -275,6 +278,12 @@ class ReliabilityWork(ShardWork):
             schemes_hash=schemes_registry_hash(),
             package_version=__version__,
         )
+
+
+def _fragment(value: Any) -> str:
+    """``value`` as one compact, key-sorted JSON fragment of a
+    checkpoint."""
+    return json.dumps(value, sort_keys=True, separators=(",", ":"))
 
 
 def _json_form(value: Any) -> Any:
@@ -475,6 +484,8 @@ class ParallelLifetimeRunner:
         #: Shards in the checkpoint last written by this run; None
         #: before the first write.
         self._checkpointed: Optional[int] = None
+        #: This run's checkpoint fragment of each written shard, by index.
+        self._shard_json: Dict[int, str] = {}
 
     # ------------------------------------------------------------------ #
     def run(self, trials: int) -> Any:
@@ -491,6 +502,7 @@ class ParallelLifetimeRunner:
 
         completed: Dict[int, Any] = {}
         self._checkpointed = None
+        self._shard_json = {}
         if self.resume and self.checkpoint_path is not None:
             completed = self._load_checkpoint(fingerprint)
             report.resumed_shards = len(completed)
@@ -760,16 +772,21 @@ class ParallelLifetimeRunner:
         completed: Dict[int, Any],
         fingerprint: Dict[str, Any],
     ) -> None:
+        """Write the checkpoint: one ``{"fingerprint", "shards"}`` JSON
+        object joined from fragments.  A shard is encoded the first time
+        it is written and its fragment kept (results are never mutated:
+        merges build new objects), so a write re-encodes only the
+        fingerprint."""
         if self.checkpoint_path is None:
             return
-        write_json_atomic(
+        fragments = self._shard_json
+        for index in completed.keys() - fragments.keys():
+            fragments[index] = _fragment(completed[index].to_dict())
+        shards = ",".join(f'"{i}":{fragments[i]}' for i in sorted(completed))
+        atomic_write_text(
             self.checkpoint_path,
-            {
-                "fingerprint": fingerprint,
-                "shards": {
-                    str(i): completed[i].to_dict() for i in sorted(completed)
-                },
-            },
+            f'{{"fingerprint":{_fragment(fingerprint)},'
+            f'"shards":{{{shards}}}}}\n',
         )
         self._checkpointed = len(completed)
 

@@ -25,6 +25,8 @@ both halves of that claim against the scalar reference loop
 """
 
 import json
+import math
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -38,15 +40,19 @@ from repro.ecc.batch_kernels import (
     TrialBatch,
     candidate_pair_count,
 )
-from repro.faults.injector import FaultSpec
+from repro.faults.injector import FaultInjector, FaultSpec
 from repro.faults.rates import TABLE_I_8GB_FIT, FailureRates
 from repro.faults.types import FaultKind, Permanence
 from repro.reliability import ParallelLifetimeRunner, ReliabilityWork
 from repro.reliability.batch import BatchTrialKernel, make_batch_runner
 from repro.reliability.montecarlo import EngineConfig, LifetimeSimulator
 from repro.schemes import SCHEMES
-from repro.stack.geometry import LIFETIME_HOURS, StackGeometry
-from test_injector import reference_masks, reference_row
+from repro.stack.geometry import (
+    LIFETIME_HOURS,
+    SCRUB_INTERVAL_HOURS,
+    StackGeometry,
+)
+from test_injector import reference_masks
 
 GEOM = StackGeometry()
 #: TSV faults on so TSV-Swap absorption and the TSV kernel rows are hit.
@@ -175,8 +181,8 @@ class TestBatchMatchesScalar:
 def spy_chunks(monkeypatch):
     """Record each chunk the engine evaluates as ``(indexed, decided,
     screened)``: the pairs ``TrialBatch.pairs`` returned for it, the
-    trials simulated before it closed, and the live-fault count of each
-    trial it sent to the kernel."""
+    trials of its span sent to the scalar path without screening, and
+    the live-fault count of each trial it sent to the kernel."""
     chunks = []
     indexed = []
     evaluate = BatchTrialKernel._evaluate
@@ -187,11 +193,14 @@ def spy_chunks(monkeypatch):
         indexed.append(result[0].size)
         return result
 
-    def evaluate_spy(self, sampled, decided, counts, rows, failure_times):
+    def evaluate_spy(self, batch, screened):
         indexed.clear()
-        screened = [c for i, c in enumerate(counts) if i not in decided]
-        outcome = evaluate(self, sampled, decided, counts, rows, failure_times)
-        chunks.append((sum(indexed), len(decided), screened))
+        outcome = evaluate(self, batch, screened)
+        chunks.append((
+            sum(indexed),
+            int(np.count_nonzero(~screened)),
+            batch.counts.tolist(),
+        ))
         return outcome
 
     monkeypatch.setattr(TrialBatch, "pairs", pairs_spy)
@@ -257,11 +266,132 @@ class TestStressRates:
         assert doc(stress_sim(rates, seed=8).run(trials, 2)) == doc(scalar)
 
 
+def spy_blocks(monkeypatch):
+    """Record each block the engine screens as ``(faults, trials)``."""
+    blocks = []
+    screen = BatchTrialKernel._screen
+
+    def screen_spy(self, records, times, counts, failure_times):
+        blocks.append((len(records), len(counts)))
+        return screen(self, records, times, counts, failure_times)
+
+    monkeypatch.setattr(BatchTrialKernel, "_screen", screen_spy)
+    return blocks
+
+
+class TestBlocks:
+    def test_fault_budget_bounds_every_block(self, monkeypatch):
+        """A block closes before a trial would push it past
+        ``CHUNK_FAULTS``: at the bench's stress rates (about 150 faults
+        per trial) a 400-fault budget holds two trials per block, and
+        the result stays byte-identical to the scalar loop."""
+        budget = 400
+        monkeypatch.setattr(batch_mod, "CHUNK_FAULTS", budget)
+        blocks = spy_blocks(monkeypatch)
+        rates = scaled_rates(set(TABLE_I_8GB_FIT))
+        result = stress_sim(rates, seed=8).run(12, 2)
+        scalar = stress_sim(rates, seed=8)._run_scalar(12, 2, None)
+        assert doc(result) == doc(scalar)
+        assert sum(trials for _, trials in blocks) == 12
+        assert len(blocks) >= 6
+        assert max(faults for faults, _ in blocks) <= budget
+
+    def test_trial_cap_closes_blocks(self, monkeypatch):
+        monkeypatch.setattr(batch_mod, "CHUNK_TRIALS", 7)
+        blocks = spy_blocks(monkeypatch)
+        kwargs = dict(tsv_swap_standby=4, use_dds=True)
+        batch = run_once("citadel", 7, batch=True, **kwargs)
+        scalar = run_once("citadel", 7, batch=False, **kwargs)
+        assert doc(batch) == doc(scalar)
+        assert [trials for _, trials in blocks] == [7] * 42 + [6]
+
+
+class TestScrubEpochs:
+    """A block's epochs are ``np.floor_divide`` of its arrival times,
+    which must equal ``int(t // interval)``, in arrival order within
+    each trial, and fit in int64."""
+
+    @pytest.mark.parametrize("interval", [SCRUB_INTERVAL_HOURS, 1e-12])
+    def test_kernel_sees_each_trials_epochs_in_arrival_order(
+        self, interval, monkeypatch
+    ):
+        """A trial's ``i``-th row carries the epoch of its ``i``-th
+        smallest arrival time, at the default interval and at 1e-12 h,
+        where epochs reach about 6e16.  Without TSV-Swap and at paper
+        rates every fault of the block reaches the kernel in one
+        chunk."""
+        seen = []
+        screen = BatchTrialKernel._screen
+        evaluate = BatchTrialKernel._evaluate
+
+        def screen_spy(self, records, times, counts, failure_times):
+            expected, start = [], 0
+            for count in counts:
+                arrivals = sorted(times[start:start + count])
+                expected += [int(t // interval) for t in arrivals]
+                start += count
+            seen.append((expected, []))
+            return screen(self, records, times, counts, failure_times)
+
+        def evaluate_spy(self, batch, screened):
+            seen[-1][1].extend(batch.epoch.tolist())
+            return evaluate(self, batch, screened)
+
+        monkeypatch.setattr(BatchTrialKernel, "_screen", screen_spy)
+        monkeypatch.setattr(BatchTrialKernel, "_evaluate", evaluate_spy)
+        run_once("3dp", 7, batch=True, scrub_interval_hours=interval)
+        assert len(seen) == 1
+        expected, epochs = seen[0]
+        assert epochs == expected
+        assert len(set(epochs)) > 100
+
+    @pytest.mark.parametrize(
+        "interval",
+        [SCRUB_INTERVAL_HOURS, STRESS_SCRUB_HOURS, 0.1, 1.0, 3.7, math.inf],
+    )
+    def test_epochs_equal_float_floor_division(self, interval):
+        rng = random.Random(11)
+        times = [LIFETIME_HOURS * rng.random() for _ in range(20000)]
+        if math.isfinite(interval):
+            # Exact multiples of the interval, and their float
+            # neighbours, where a quotient is most likely to round.
+            boundaries = [
+                k * interval
+                for k in range(0, int(LIFETIME_HOURS // interval) + 1,
+                               max(1, int(LIFETIME_HOURS // interval) // 500))
+            ]
+            times += boundaries
+            times += [math.nextafter(t, math.inf) for t in boundaries]
+            times += [math.nextafter(t, 0.0) for t in boundaries]
+        epochs = batch_mod.scrub_epochs(np.array(times), interval)
+        assert epochs.dtype == np.int64
+        assert epochs.tolist() == [int(t // interval) for t in times]
+
+    def test_epochs_past_int64_stay_on_the_scalar_loop(self):
+        """At 1e-16 h, ``lifetime // interval`` (about 6e20) is past
+        int64: the run keeps exact Python-int epochs on the scalar loop
+        instead of wrapping them in the batch path."""
+        interval = 1e-16
+        assert LIFETIME_HOURS // interval >= 1 << 63
+        sim = LifetimeSimulator(
+            GEOM, RATES, make_3dp(GEOM),
+            EngineConfig(scrub_interval_hours=interval), seed=7,
+        )
+        assert make_batch_runner(sim) is None
+        kwargs = dict(trials=100, scrub_interval_hours=interval)
+        batch = run_once("3dp", 7, batch=True, **kwargs)
+        scalar = run_once("3dp", 7, batch=False, **kwargs)
+        assert doc(batch) == doc(scalar)
+
+
+#: Reads the faulty TSVs of the records ``tsv_record`` builds.
+TSV_INJECTOR = FaultInjector(GEOM, RATES)
+
+
 def tsv_record(kind, channel, index):
     """A sampled record of the TSV fault ``(kind, channel, index)``."""
-    spec = FaultSpec(kind, Permanence.PERMANENT, channel, -1, index, 0)
-    fields = (spec.kind, spec.permanence, spec.die, spec.bank, spec.a, spec.b)
-    return reference_row(spec, GEOM), fields
+    code = TSV_INJECTOR.codes.index((kind, Permanence.PERMANENT))
+    return code, channel, -1, index, 0
 
 
 class TestTsvOverflow:
@@ -273,7 +403,9 @@ class TestTsvOverflow:
     STANDBY = 4
 
     def overflows(self, records):
-        return BatchTrialKernel._tsv_overflows(records, self.STANDBY)
+        return BatchTrialKernel._tsv_overflows(
+            TSV_INJECTOR.faulty_tsvs(records), self.STANDBY
+        )
 
     def dtsvs(self, channel, count):
         return [

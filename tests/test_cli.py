@@ -3,6 +3,7 @@
 import pytest
 
 from repro.cli import PERF_CONFIGS, SCHEMES, build_parser, main
+from test_service_http import SERVE_POLL_S
 
 
 class TestParser:
@@ -184,7 +185,9 @@ class TestObservabilityCommands:
             store, slots=1, retry_backoff_s=0.0, executor=stub_executor
         ).start()
         server = make_server(scheduler, quiet=True)
-        thread = threading.Thread(target=server.serve_forever, daemon=True)
+        thread = threading.Thread(
+            target=server.serve_forever, args=(SERVE_POLL_S,), daemon=True
+        )
         thread.start()
         yield f"http://127.0.0.1:{server.port}"
         server.shutdown()

@@ -568,7 +568,10 @@ class TestDrawExactSampling:
         for seed in range(20):
             inj = SAMPLER_CONFIGS[config](geom, random.Random(seed))
             reference_rng = random.Random(seed)
-            specs = [FaultSpec(*spec) for _, spec in inj.sample_specs(300)]
+            specs = [
+                FaultSpec(*spec)
+                for spec in inj.spec_fields(inj.sample_specs(300))
+            ]
             expected = [reference_spec(inj, reference_rng) for _ in range(300)]
             assert specs == expected, (config, seed)
             assert inj.rng.getstate() == reference_rng.getstate(), (
@@ -588,7 +591,10 @@ class TestDrawExactSampling:
         for seed in range(20):
             inj = SAMPLER_CONFIGS[config](geometry, random.Random(seed))
             reference_rng = random.Random(seed)
-            for row, fields in inj.sample_specs(300):
+            records = inj.sample_specs(300)
+            columns = inj.record_columns(records)
+            rows = zip(*(column.tolist() for column in columns))
+            for row, fields in zip(rows, inj.spec_fields(records)):
                 spec = FaultSpec(*fields)
                 where = (config, geometry_name, seed, spec)
                 assert spec == reference_spec(inj, reference_rng), where
@@ -603,6 +609,28 @@ class TestDrawExactSampling:
                 config, geometry_name, seed
             )
         assert kinds == sampleable_kinds(inj)
+
+    @pytest.mark.parametrize("config", sorted(SAMPLER_CONFIGS))
+    def test_one_record_per_fault(self, geom, config):
+        """The bench counts ``len(sample_specs(n))`` as faults sampled."""
+        inj = SAMPLER_CONFIGS[config](geom, random.Random(3))
+        for count in (0, 1, 2, 7, 300):
+            records = inj.sample_specs(count)
+            assert len(records) == count
+            assert all(len(record) == 5 for record in records)
+
+    @pytest.mark.parametrize("config", sorted(SAMPLER_CONFIGS))
+    def test_kinds_are_the_spec_fields_of_the_same_draws(self, geom, config):
+        """``sample_kinds`` draws what ``sample_specs`` draws, through
+        the loop rather than the public method."""
+        for seed in range(5):
+            inj = SAMPLER_CONFIGS[config](geom, random.Random(seed))
+            twin = SAMPLER_CONFIGS[config](geom, random.Random(seed))
+            for count in (0, 3, 300):
+                assert inj.sample_kinds(count) == twin.spec_fields(
+                    twin.sample_specs(count)
+                ), (config, seed, count)
+            assert inj.rng.getstate() == twin.rng.getstate()
 
     def test_nonfinite_rates_rejected(self, geom):
         rates = FailureRates.paper_baseline(tsv_device_fit=math.inf)

@@ -201,13 +201,13 @@ class TestCheckpointResume:
         """Each merged shard is checkpointed as it completes; the end of
         the run writes again only when no shard completed in it."""
         writes = []
-        real_write = parallel_mod.write_json_atomic
+        real_write = parallel_mod.atomic_write_text
 
-        def counting(path, payload, **kwargs):
-            writes.append(sorted(payload["shards"], key=int))
-            return real_write(path, payload, **kwargs)
+        def counting(path, text, **kwargs):
+            writes.append(sorted(json.loads(text)["shards"], key=int))
+            return real_write(path, text, **kwargs)
 
-        monkeypatch.setattr(parallel_mod, "write_json_atomic", counting)
+        monkeypatch.setattr(parallel_mod, "atomic_write_text", counting)
         cp = tmp_path / "cp.json"
         make_runner(geometry, checkpoint_path=cp).run(trials=TRIALS)
         shards = [str(i) for i in range(TRIALS // SHARD)]
@@ -224,6 +224,39 @@ class TestCheckpointResume:
             time_budget_s=1e-9,
         ).run(trials=TRIALS)
         assert writes == [[]]
+
+    def test_each_shard_encoded_once(self, geometry, tmp_path, monkeypatch):
+        """A write joins cached shard fragments: over a run, each shard
+        is encoded once however many writes carry it, and the file still
+        reads back as one ``{"fingerprint", "shards"}`` object."""
+        encoded = []
+        real_fragment = parallel_mod._fragment
+
+        def counting(value):
+            if "work" not in value:  # the fingerprint is encoded per write
+                encoded.append(value)
+            return real_fragment(value)
+
+        monkeypatch.setattr(parallel_mod, "_fragment", counting)
+        cp = tmp_path / "cp.json"
+        reference = make_runner(geometry).run(trials=TRIALS)
+        first = make_runner(geometry, checkpoint_path=cp).run(trials=TRIALS)
+        shards = TRIALS // SHARD
+        assert len(encoded) == shards
+        payload = json.loads(cp.read_text())
+        assert sorted(payload) == ["fingerprint", "shards"]
+        assert sorted(payload["shards"], key=int) == [
+            str(i) for i in range(shards)
+        ]
+        assert sorted(json.dumps(v, sort_keys=True) for v in encoded) == sorted(
+            json.dumps(v, sort_keys=True) for v in payload["shards"].values()
+        )
+        encoded.clear()
+        resumed = make_runner(
+            geometry, checkpoint_path=cp, resume=True
+        ).run(trials=TRIALS)
+        assert len(encoded) == shards
+        assert doc(first) == doc(reference) == doc(resumed)
 
     def test_foreign_checkpoint_rejected(self, geometry, tmp_path):
         cp = tmp_path / "cp.json"

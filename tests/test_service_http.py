@@ -60,6 +60,9 @@ from repro.service.store import ResultStore
 from repro.stack.geometry import StackGeometry
 
 WAIT_S = 10.0
+#: ``serve_forever``'s poll interval for every test server:
+#: ``shutdown()`` waits up to one interval (0.5 s by default).
+SERVE_POLL_S = 0.01
 
 
 def make_spec(seed=0, **overrides):
@@ -89,7 +92,9 @@ def serving(store_dir, port=0, executor=stub_executor, slots=2):
         executor=executor,
     ).start()
     server = make_server(scheduler, port=port, quiet=True)
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread = threading.Thread(
+        target=server.serve_forever, args=(SERVE_POLL_S,), daemon=True
+    )
     thread.start()
     try:
         yield scheduler, server, f"http://127.0.0.1:{server.port}"
@@ -333,7 +338,9 @@ class TestErrorContract:
             store, slots=1, executor=gated_executor
         ).start()
         server = make_server(scheduler, quiet=True)
-        thread = threading.Thread(target=server.serve_forever, daemon=True)
+        thread = threading.Thread(
+            target=server.serve_forever, args=(SERVE_POLL_S,), daemon=True
+        )
         thread.start()
         client = ServiceClient(
             f"http://127.0.0.1:{server.port}", timeout_s=WAIT_S
@@ -364,7 +371,9 @@ class TestErrorContract:
             executor=failing_executor,
         ).start()
         server = make_server(scheduler, quiet=True)
-        thread = threading.Thread(target=server.serve_forever, daemon=True)
+        thread = threading.Thread(
+            target=server.serve_forever, args=(SERVE_POLL_S,), daemon=True
+        )
         thread.start()
         client = ServiceClient(
             f"http://127.0.0.1:{server.port}", timeout_s=WAIT_S
@@ -410,7 +419,9 @@ class TestErrorContract:
                 pass
 
         server = ThreadingHTTPServer(("127.0.0.1", 0), Canned)
-        thread = threading.Thread(target=server.serve_forever, daemon=True)
+        thread = threading.Thread(
+            target=server.serve_forever, args=(SERVE_POLL_S,), daemon=True
+        )
         thread.start()
         try:
             url = f"http://127.0.0.1:{server.server_address[1]}"
@@ -974,7 +985,9 @@ class TestLongPoll:
                 pass
 
         server = ThreadingHTTPServer(("127.0.0.1", 0), Polled)
-        thread = threading.Thread(target=server.serve_forever, daemon=True)
+        thread = threading.Thread(
+            target=server.serve_forever, args=(SERVE_POLL_S,), daemon=True
+        )
         thread.start()
         try:
             url = f"http://127.0.0.1:{server.server_address[1]}"
@@ -1099,7 +1112,9 @@ class TestEndToEnd:
         store = ResultStore(tmp_path / "store")
         scheduler = CampaignScheduler(store, slots=1).start()  # real executor
         server = make_server(scheduler, quiet=True)
-        thread = threading.Thread(target=server.serve_forever, daemon=True)
+        thread = threading.Thread(
+            target=server.serve_forever, args=(SERVE_POLL_S,), daemon=True
+        )
         thread.start()
         client = ServiceClient(
             f"http://127.0.0.1:{server.port}", timeout_s=60.0
@@ -1143,7 +1158,9 @@ class TestReplayFetch:
         scheduler = CampaignScheduler(ResultStore(tmp_path / "store"),
                                       slots=1).start()
         server = make_server(scheduler, quiet=True)
-        thread = threading.Thread(target=server.serve_forever, daemon=True)
+        thread = threading.Thread(
+            target=server.serve_forever, args=(SERVE_POLL_S,), daemon=True
+        )
         thread.start()
         url = f"http://127.0.0.1:{server.port}"
         try:

@@ -27,6 +27,7 @@ from repro.telemetry.top import (
     run_top,
     trials_per_second,
 )
+from test_service_http import SERVE_POLL_S
 
 WAIT_S = 10.0
 
@@ -48,7 +49,9 @@ def service(tmp_path):
         store, slots=2, retry_backoff_s=0.0, executor=stub_executor
     ).start()
     server = make_server(scheduler, quiet=True)
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread = threading.Thread(
+        target=server.serve_forever, args=(SERVE_POLL_S,), daemon=True
+    )
     thread.start()
     client = ServiceClient(
         f"http://127.0.0.1:{server.port}", timeout_s=WAIT_S
