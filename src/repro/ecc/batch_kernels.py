@@ -70,7 +70,7 @@ class TrialBatch:
     TSV-Swap are excluded by the engine before assembly).  Faults of a
     trial appear contiguously in arrival-time order.  ``die`` holds the
     channel and ``bank`` is -1 for TSV faults, mirroring
-    :class:`repro.faults.injector.FaultSpec`.
+    :data:`repro.faults.injector.FaultRecord`.
     """
 
     def __init__(

@@ -19,18 +19,20 @@ scheme).
 The injector compiles itself once, at construction.  Its code table
 holds one record code per DRAM rate entry plus one each for ``DATA_TSV``
 and ``ADDR_TSV``: per code the final kind and permanence, the three
-``TrialBatch`` flags and the footprint rule with every geometry constant
-resolved.  One compiled loop, a closure over the generator and the
-tables, draws each fault as a record of five ints, ``(code, die, bank,
-a, b)`` (:data:`FaultRecord`), so the batch path builds no object for a
-trial its kernel proves survivable: :meth:`FaultInjector.record_columns`
-maps a block of records to ``TrialBatch`` columns,
-:meth:`FaultInjector.faulty_tsvs` names the TSVs of TSV records and
-:meth:`FaultInjector.spec_fields` maps a record to its
-:class:`FaultSpec` fields; callers read records only through these, so
-the record layout lives in this module.  :meth:`FaultInjector.place_at`
-is the one place a sampled trial's faults are built, each once, from its
-spec fields at its sorted arrival time: for
+``TrialBatch`` flags, the footprint rule with every geometry constant
+resolved, and the builder that makes the code's :class:`Fault`.  One
+compiled loop, a closure over the generator and the tables, draws each
+fault as a record of five ints, ``(code, die, bank, a, b)``
+(:data:`FaultRecord`), the only description of a sampled fault before
+its ``Fault``.  So the batch path builds no object for a trial its
+kernel proves survivable: :meth:`FaultInjector.record_columns` maps a
+block of records to ``TrialBatch`` columns and
+:meth:`FaultInjector.faulty_tsvs` names the TSVs of TSV records; callers
+read records only through these, so the record layout lives in this
+module.  :meth:`FaultInjector.place_at` is the one place a sampled
+trial's faults are built, each once, from its record at its sorted
+arrival time, through the code's builder and so through the ``make_*``
+constructors, which check every coordinate: for
 :meth:`FaultInjector.sample_lifetime`, the stratified and importance
 samplers and the batch kernel's fallback trials.  The ``Poisson`` set-up
 of :meth:`FaultInjector.sample_count` is kept per ``(lifetime,
@@ -45,7 +47,7 @@ import random
 from bisect import bisect, bisect_left
 from dataclasses import dataclass
 from itertools import chain
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -168,9 +170,26 @@ _NO_DRAW = (0, 0)
 #: One sampled fault: ``(code, die, bank, a, b)``, five ints.  ``code``
 #: indexes the injector's code table (:attr:`FaultInjector.codes`): one
 #: code per DRAM rate entry, then one for ``DATA_TSV`` and one for
-#: ``ADDR_TSV``.  The other four are the :class:`FaultSpec` coordinates:
-#: ``die`` holds the channel and ``bank`` is -1 for the two TSV codes.
+#: ``ADDR_TSV``.  ``die`` holds the channel and ``bank`` is -1 for the
+#: two TSV codes (a TSV fault spans every bank of its die).  ``a``/``b``
+#: are the kind-specific placement draws:
+#:
+#: ========== ======================= =================
+#: kind        a                       b
+#: ========== ======================= =================
+#: BIT         row                     column bit
+#: WORD        row                     word index
+#: COLUMN      column bit              (unused)
+#: ROW         row                     (unused)
+#: SUBARRAY    subarray                (unused)
+#: BANK        (unused)                (unused)
+#: DATA_TSV    tsv index               (unused)
+#: ADDR_TSV    tsv index               stuck value
+#: ========== ======================= =================
 FaultRecord = Tuple[int, int, int, int, int]
+
+#: A code's builder: ``(die, bank, a, b, time_hours)`` -> its ``Fault``.
+_Builder = Callable[[int, int, int, int, float], Fault]
 
 
 @dataclass(frozen=True)
@@ -178,104 +197,6 @@ class _RateEntry:
     kind: FaultKind
     permanence: Permanence
     rate_per_hour: float
-
-
-@dataclass(frozen=True)
-class FaultSpec:
-    """The sampled identity of one fault, before ``Fault`` construction.
-
-    A spec captures exactly the information the injector's random draws
-    decide — final kind (after the BANK->SUBARRAY transposition and the
-    DTSV/ATSV split), permanence, location coordinates — in a flat
-    record.  ``build`` turns it into a full :class:`Fault` through the
-    ``make_*`` constructors.  The sampler emits a :data:`FaultRecord`,
-    not the spec: :meth:`FaultInjector.place_at` builds one only for a
-    trial the scalar path runs.
-
-    Coordinate conventions: ``die`` holds the channel for TSV kinds and
-    ``bank`` is -1 (a TSV fault spans every bank of its die).  ``a``/``b``
-    are the kind-specific placement draws:
-
-    ========== ======================= =================
-    kind        a                       b
-    ========== ======================= =================
-    BIT         row                     column bit
-    WORD        row                     word index
-    COLUMN      column bit              (unused)
-    ROW         row                     (unused)
-    SUBARRAY    subarray                (unused)
-    BANK        (unused)                (unused)
-    DATA_TSV    tsv index               (unused)
-    ADDR_TSV    tsv index               stuck value
-    ========== ======================= =================
-    """
-
-    kind: FaultKind
-    permanence: Permanence
-    die: int
-    bank: int
-    a: int = 0
-    b: int = 0
-
-    def __post_init__(self) -> None:
-        # Short-circuit so the common all-in-range case costs two
-        # comparisons.
-        if self.die < 0 or self.bank < -1 or (
-            self.bank < 0 and not self.kind.is_tsv
-        ):
-            contracts.require(
-                False,
-                "FaultSpec coordinates out of range: die=%d bank=%d kind=%s",
-                self.die,
-                self.bank,
-                self.kind.value,
-            )
-
-    def build(self, geometry: StackGeometry, time_hours: float = 0.0) -> Fault:
-        kind = self.kind
-        if kind is FaultKind.BIT:
-            return make_bit_fault(
-                geometry, self.die, self.bank, self.a, self.b,
-                self.permanence, time_hours,
-            )
-        if kind is FaultKind.WORD:
-            return make_word_fault(
-                geometry, self.die, self.bank, self.a, self.b,
-                self.permanence, time_hours,
-            )
-        if kind is FaultKind.COLUMN:
-            return make_column_fault(
-                geometry, self.die, self.bank, self.a,
-                self.permanence, time_hours,
-            )
-        if kind is FaultKind.ROW:
-            return make_row_fault(
-                geometry, self.die, self.bank, self.a,
-                self.permanence, time_hours,
-            )
-        if kind is FaultKind.SUBARRAY:
-            return make_subarray_fault(
-                geometry, self.die, self.bank, self.a,
-                self.permanence, time_hours,
-            )
-        if kind is FaultKind.BANK:
-            return make_bank_fault(
-                geometry, self.die, self.bank, self.permanence, time_hours
-            )
-        if kind is FaultKind.DATA_TSV:
-            return make_data_tsv_fault(
-                geometry, self.die, self.a, self.permanence, time_hours
-            )
-        if kind is FaultKind.ADDR_TSV:
-            return make_addr_tsv_fault(
-                geometry,
-                self.die,
-                self.a,
-                stuck_value=self.b,
-                permanence=self.permanence,
-                time_hours=time_hours,
-            )
-        raise ConfigurationError(f"unsupported fault kind: {kind}")
 
 
 class FaultInjector:
@@ -344,32 +265,35 @@ class FaultInjector:
 
         A DRAM rate entry's record code is its index; the ``DATA_TSV``
         and ``ADDR_TSV`` codes follow.  Per code the table keeps the
-        fault's final kind and permanence (:attr:`codes`) and, as one
-        ``numpy`` column each, its three ``TrialBatch`` flags and its
-        footprint rule: the canonical address+mask footprint the
-        ``make_*`` constructors build, as ``RangeMask`` base/mask pairs,
-        is ``row_base = a * row_scale`` and ``col_base = (a * col_scale_a
-        + b * col_scale_b) & col_keep`` under the code's fixed masks.  An
-        ``ADDR_TSV`` fault's rows hang on its address bit, so
-        :meth:`record_columns` places them by their own formula.
+        fault's final kind and permanence (:attr:`codes`), its builder
+        (:meth:`place_at`) and, as one ``numpy`` column each, its three
+        ``TrialBatch`` flags and its footprint rule: the canonical
+        address+mask footprint the ``make_*`` constructors build, as
+        ``RangeMask`` base/mask pairs, is ``row_base = a * row_scale``
+        and ``col_base = (a * col_scale_a + b * col_scale_b) & col_keep``
+        under the code's fixed masks.  An ``ADDR_TSV`` fault's rows hang
+        on its address bit, so :meth:`record_columns` places them by
+        their own formula.
         """
         geometry = self.geometry
         row_universe = (1 << geometry.row_address_bits) - 1
         col_universe = (1 << geometry.col_address_bits) - 1
-        # Per code: kind, permanence and (row_scale, row_mask,
-        # col_scale_a, col_scale_b, col_mask, col_keep); per rate entry
+        # Per code: kind, permanence, (row_scale, row_mask, col_scale_a,
+        # col_scale_b, col_mask, col_keep) and builder; per rate entry
         # the bounds of its ``a``/``b`` placement draws, or ``None`` for
         # the TSV entry.
-        table: List[Tuple[FaultKind, Permanence, Tuple[int, ...]]] = []
+        table: List[
+            Tuple[FaultKind, Permanence, Tuple[int, ...], _Builder]
+        ] = []
         draws: List[Optional[Tuple[int, int, int, int]]] = []
         for entry in self._entries:
             if entry.kind.is_tsv:
                 draws.append(None)
                 continue
-            kind, entry_draws, footprint = self._dram_rule(
-                entry.kind, row_universe, col_universe
+            kind, entry_draws, footprint, build = self._dram_rule(
+                entry.kind, entry.permanence, row_universe, col_universe
             )
-            table.append((kind, entry.permanence, (*footprint, -1)))
+            table.append((kind, entry.permanence, (*footprint, -1), build))
             draws.append(entry_draws)
         # TSV faults land on a uniformly random TSV of a random channel;
         # the DTSV/ATSV split is proportional to the TSV populations
@@ -383,32 +307,41 @@ class FaultInjector:
             col_universe & ~(geometry.line_bits - 1)
         )
         dtsv_code = len(table)
+        permanent = Permanence.PERMANENT
         table.append((
-            FaultKind.DATA_TSV, Permanence.PERMANENT,
+            FaultKind.DATA_TSV, permanent,
             (0, row_universe, 1, 0, dtsv_col_mask, ~dtsv_col_mask),
+            lambda channel, bank, tsv, b, t: make_data_tsv_fault(
+                geometry, channel, tsv, permanent, t
+            ),
         ))
         table.append((
-            FaultKind.ADDR_TSV, Permanence.PERMANENT,
+            FaultKind.ADDR_TSV, permanent,
             (0, row_universe, 0, 0, col_universe, -1),
+            lambda channel, bank, tsv, stuck, t: make_addr_tsv_fault(
+                geometry, channel, tsv, stuck, permanent, t
+            ),
         ))
         #: Per record code, the fault's final kind and permanence.
         self.codes: List[Tuple[FaultKind, Permanence]] = [
-            (kind, permanence) for kind, permanence, _ in table
+            (kind, permanence) for kind, permanence, _, _ in table
         ]
+        #: Per record code, the builder :meth:`place_at` calls.
+        self._builders = [build for _, _, _, build in table]
         #: ``record_columns``' tables: the three flags, then the
         #: footprint rule, one entry per code.
         self._columns = (
             np.array(
-                [permanence is Permanence.PERMANENT
-                 for _, permanence, _ in table],
+                [permanence is permanent for _, permanence in self.codes],
                 dtype=bool,
             ),
-            np.array([kind.is_tsv for kind, _, _ in table], dtype=bool),
+            np.array([kind.is_tsv for kind, _ in self.codes], dtype=bool),
             np.array(
-                [kind is FaultKind.BANK for kind, _, _ in table], dtype=bool
+                [kind is FaultKind.BANK for kind, _ in self.codes],
+                dtype=bool,
             ),
             *np.array(
-                [footprint for _, _, footprint in table], dtype=np.int64
+                [footprint for _, _, footprint, _ in table], dtype=np.int64
             ).T.copy(),
         )
         self._atsv_code = dtsv_code + 1
@@ -416,12 +349,19 @@ class FaultInjector:
         self._draw = self._draw_loop(draws, dtsv_code, num_dtsv)
 
     def _dram_rule(
-        self, kind: FaultKind, row_universe: int, col_universe: int
-    ) -> Tuple[FaultKind, Tuple[int, int, int, int], Tuple[int, ...]]:
+        self,
+        kind: FaultKind,
+        permanence: Permanence,
+        row_universe: int,
+        col_universe: int,
+    ) -> Tuple[
+        FaultKind, Tuple[int, int, int, int], Tuple[int, ...], _Builder
+    ]:
         """A DRAM rate entry's final kind, the bounds of its ``a``/``b``
-        placement draws (see :class:`FaultSpec`; a zero bound draws
-        nothing), drawn after its die and bank, and its footprint rule
-        ``(row_scale, row_mask, col_scale_a, col_scale_b, col_mask)``."""
+        placement draws (see :data:`FaultRecord`; a zero bound draws
+        nothing), drawn after its die and bank, its footprint rule
+        ``(row_scale, row_mask, col_scale_a, col_scale_b, col_mask)`` and
+        its builder, which calls the kind's ``make_*`` constructor."""
         geometry = self.geometry
         rows = _bounded(geometry.rows_per_bank)
         subarrays = _bounded(geometry.subarrays_per_bank)
@@ -432,31 +372,50 @@ class FaultInjector:
             # Table I's "single bank" rate: transposed to subarray failures
             # unless the 'full' ablation is selected (§II-B, Figure 17).
             kind = FaultKind.SUBARRAY
+        build: _Builder
         if kind is FaultKind.BIT:
             draws = (rows, columns)
             footprint = (1, 0, 0, 1, 0)
+            build = lambda die, bank, a, b, t: make_bit_fault(
+                geometry, die, bank, a, b, permanence, t
+            )
         elif kind is FaultKind.WORD:
             word_bits = min(WORD_BITS, geometry.row_bits)
             words_per_row = max(1, geometry.row_bits // WORD_BITS)
             draws = (rows, _bounded(words_per_row))
             footprint = (1, 0, 0, word_bits, word_bits - 1)
+            build = lambda die, bank, a, b, t: make_word_fault(
+                geometry, die, bank, a, b, permanence, t
+            )
         elif kind is FaultKind.COLUMN:
             draws = (columns, _NO_DRAW)
             footprint = (0, row_universe, 1, 0, 0)
+            build = lambda die, bank, a, b, t: make_column_fault(
+                geometry, die, bank, a, permanence, t
+            )
         elif kind is FaultKind.ROW:
             draws = (rows, _NO_DRAW)
             footprint = (1, 0, 0, 0, col_universe)
+            build = lambda die, bank, a, b, t: make_row_fault(
+                geometry, die, bank, a, permanence, t
+            )
         elif kind is FaultKind.SUBARRAY:
             draws = (subarrays, _NO_DRAW)
             footprint = (
                 rows_per_subarray, rows_per_subarray - 1, 0, 0, col_universe
             )
+            build = lambda die, bank, a, b, t: make_subarray_fault(
+                geometry, die, bank, a, permanence, t
+            )
         elif kind is FaultKind.BANK:
             draws = (_NO_DRAW, _NO_DRAW)
             footprint = (0, row_universe, 0, 0, col_universe)
+            build = lambda die, bank, a, b, t: make_bank_fault(
+                geometry, die, bank, permanence, t
+            )
         else:
             raise ConfigurationError(f"unsupported DRAM fault kind: {kind}")
-        return kind, (*draws[0], *draws[1]), footprint
+        return kind, (*draws[0], *draws[1]), footprint, build
 
     def _draw_loop(
         self,
@@ -614,26 +573,27 @@ class FaultInjector:
         self, lifetime_hours: float, min_faults: int
     ) -> Tuple[float, float, float, List[float], float]:
         """Build the count-table entry of one ``(lifetime_hours,
-        min_faults)``.  A configuration no conditioned draw can be placed
-        in raises here, on every call, and is never stored.  The partial
-        sums of the tail pmf run up to and including the first term
-        below ``1e-300``: a draw past the last sum cannot be placed."""
+        min_faults)``.  A configuration no draw can be placed in raises
+        here, on every call, draws nothing and is never stored.  The
+        partial sums of the tail pmf run up to and including the first
+        term below ``1e-300``: a draw past the last sum cannot be
+        placed."""
         lam = self.expected_faults(lifetime_hours)
+        threshold = math.exp(-lam)
+        if threshold == 0.0:
+            raise ConfigurationError(
+                f"Poisson mean {lam:g} is too large to sample: exp(-mean) "
+                "underflows, so every unconditioned count would saturate "
+                "near 745 and every conditioned one would silently return "
+                "the minimum, biasing the estimator"
+            )
         entry: Tuple[float, float, float, List[float], float]
         if min_faults <= 0:
-            entry = (lam, math.exp(-lam), 0.0, [], 1.0)
+            entry = (lam, threshold, 0.0, [], 1.0)
         else:
             if lam <= 0:
                 raise ConfigurationError(
                     "cannot condition on faults with a zero total rate"
-                )
-            threshold = math.exp(-lam)
-            if threshold == 0.0:
-                raise ConfigurationError(
-                    f"Poisson mean {lam:g} is too large for inverse-CDF "
-                    "conditioning: exp(-mean) underflows, so every "
-                    "conditioned draw would silently return the minimum "
-                    "and bias the stratified estimator"
                 )
             term, cdf = threshold, 0.0
             for k in range(min_faults):
@@ -658,38 +618,32 @@ class FaultInjector:
         self._count_table[(lifetime_hours, min_faults)] = entry
         return entry
 
-    def sample_kinds(self, count: int) -> List[Tuple[Any, ...]]:
-        """``count`` faults' :class:`FaultSpec` fields: kind, permanence
-        and placement but no arrival time yet (the time-independent half
-        of the arrival process).  :meth:`place_at` builds the faults.
-        Draws through the compiled loop, not the public
-        :meth:`sample_specs`, so a traced scalar trial counts its faults
-        once."""
-        return self.spec_fields(self._draw(count))
-
     def place_at(
-        self, specs: Sequence[Tuple[Any, ...]], times: List[float]
+        self, records: Sequence[FaultRecord], times: List[float]
     ) -> List[Fault]:
         """Build sampled faults, each once, at their sorted arrival times.
 
         Kinds are exchangeable and independent of times, so zipping the
-        kind draws onto the *sorted* times in order preserves the joint
+        records onto the *sorted* times in order preserves the joint
         arrival distribution — and lets alternative time proposals
-        (``repro.reliability.sampling``) reuse the kind sampler as-is.
-        Every sampled trial's faults are built here: ``sample_lifetime``,
-        the samplers and the batch kernel's fallback trials.
+        (``repro.reliability.sampling``) reuse the record sampler as-is.
+        Each fault is built by its code's builder through the ``make_*``
+        constructors, which reject any out-of-range coordinate, and takes
+        one uid, in record order.  Every sampled trial's faults are built
+        here: ``sample_lifetime``, the samplers and the batch kernel's
+        fallback trials.
         """
         contracts.require(
-            len(specs) == len(times),
+            len(records) == len(times),
             "place_at needs one arrival time per fault: "
             "%d faults vs %d times",
-            len(specs),
+            len(records),
             len(times),
         )
-        geometry = self.geometry
+        builders = self._builders
         return [
-            FaultSpec(*spec).build(geometry, t)
-            for spec, t in zip(specs, sorted(times))
+            builders[code](die, bank, a, b, t)
+            for (code, die, bank, a, b), t in zip(records, sorted(times))
         ]
 
     def sample_lifetime(
@@ -701,37 +655,29 @@ class FaultInjector:
 
         Returns ``(faults, weight)`` where ``faults`` are sorted by arrival
         time and ``weight`` is the probability mass of the stratum the
-        sample was drawn from (1.0 for unconditioned sampling).
+        sample was drawn from (1.0 for unconditioned sampling).  Draws
+        its records through the compiled loop, not the public
+        :meth:`sample_specs`, so a traced trial counts its faults once.
         """
         count, weight = self.sample_count(lifetime_hours, min_faults)
-        specs = self.sample_kinds(count)
+        records = self._draw(count)
         random_float = self.rng.random
         # ``uniform(0.0, L)`` computes ``0.0 + (L - 0.0) * random()``,
         # which is bitwise ``L * random()``: a count above zero needs a
         # positive mean, hence ``L > 0``, so the product is never -0.0.
         # ``BatchTrialKernel.run`` draws its times the same way.
         times = [lifetime_hours * random_float() for _ in range(count)]
-        return self.place_at(specs, times), weight
+        return self.place_at(records, times), weight
 
     # ------------------------------------------------------------------ #
     def sample_specs(self, count: int) -> List[FaultRecord]:
-        """``count`` fault records (:data:`FaultRecord`) — the same draws
-        :meth:`sample_kinds` consumes, without constructing ``Fault`` or
-        :class:`FaultSpec` objects.  The batch trial kernel samples
-        through this, once per trial, so its RNG stream stays
-        bitwise-compatible with the scalar path."""
+        """``count`` fault records (:data:`FaultRecord`): kind,
+        permanence and placement but no arrival time yet (the
+        time-independent half of the arrival process), without
+        constructing any ``Fault``; :meth:`place_at` builds them.  The
+        batch trial kernel and the stratified and importance samplers
+        draw through this, so a traced run counts their faults here."""
         return self._draw(count)
-
-    def spec_fields(
-        self, records: Sequence[FaultRecord]
-    ) -> List[Tuple[Any, ...]]:
-        """The :class:`FaultSpec` fields ``(kind, permanence, die, bank,
-        a, b)`` of each record."""
-        codes = self.codes
-        return [
-            (*codes[code], die, bank, a, b)
-            for code, die, bank, a, b in records
-        ]
 
     def faulty_tsvs(
         self, records: Sequence[FaultRecord]

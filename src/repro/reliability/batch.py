@@ -13,17 +13,16 @@ times plus one fault count per trial.  A block closes at
 :class:`repro.ecc.batch_kernels.TrialBatch` columns through a few numpy
 operations (:meth:`FaultInjector.record_columns`, the scrub epochs, the
 TSV-Swap live mask), no per-trial Python list.  Trials the kernel
-*proves* survive are done — no ``FaultSpec`` or ``Fault`` objects, no
-model machinery.  That holds for fault-dense trials too: the 3DP kernel
-indexes only the pairs whose column blocks can meet and peels to a
-fixed point in arrays, so a bit/word-FIT×1000 stress trial of about 150
-live faults is screened like a paper-rate one.  The rest (a small
+*proves* survive are done — no ``Fault`` objects, no model machinery.
+That holds for fault-dense trials too: the 3DP kernel indexes only the
+pairs whose column blocks can meet and peels to a fixed point in
+arrays, so a bit/word-FIT×1000 stress trial of about 150 live faults is
+screened like a paper-rate one.  The rest (a small
 minority on Citadel-class configs: genuine failures, TSV-Swap
 overflows, peels the kernel cannot finish, trials whose indexed pairs
 alone exceed the chunk budget) are visited in trial order, their
-records' spec fields built into ``Fault`` objects by
-``FaultInjector.place_at`` and re-run through
-``LifetimeSimulator._simulate``, the exact scalar path.
+records built into ``Fault`` objects by ``FaultInjector.place_at`` and
+re-run through ``LifetimeSimulator._simulate``, the exact scalar path.
 
 Compatibility rules this module must uphold (and the batch differential
 tests enforce):
@@ -345,10 +344,8 @@ class BatchTrialKernel:
         and arrival times, on the exact scalar path, or None."""
         self.fallback_trials += 1
         sim = self.sim
-        injector = sim.injector
         return sim._simulate(
-            injector.place_at(injector.spec_fields(records), times),
-            None, None, None,
+            sim.injector.place_at(records, times), None, None, None
         )
 
     @staticmethod

@@ -43,7 +43,10 @@ overflow, spare exhaustion, cross-epoch permanents) inside the proposal
 support, so ``E[LR * f] = E[f]`` holds for any correction model — the
 estimator is unbiased, not merely unbiased for the clustered mode.
 
-Both plans report per-stratum tallies as
+Both plans draw a trial's fault records through
+``FaultInjector.sample_specs``, the call the batch kernel makes, and
+build its faults with ``FaultInjector.place_at``, so a traced run counts
+their faults in the sampling layer.  Both report per-stratum tallies as
 :class:`~repro.reliability.results.StratumStats`, whose sorted-list
 merge keeps the shard monoid exactly associative (no running float
 sums), preserving worker-count independence.
@@ -312,10 +315,10 @@ class StratifiedSampler(TrialSampler):
                 weight,
                 stratum.weight,
             )
-        specs = injector.sample_kinds(count)
+        records = injector.sample_specs(count)
         times = self._uniform_times(count)
         # Exact conditional sampling: the likelihood ratio is identically 1.
-        return injector.place_at(specs, times), 1.0
+        return injector.place_at(records, times), 1.0
 
 
 class ImportanceSampler(TrialSampler):
@@ -375,11 +378,11 @@ class ImportanceSampler(TrialSampler):
             weight,
             stratum.weight,
         )
-        specs = injector.sample_kinds(count)
+        records = injector.sample_specs(count)
         if count < 2 or self.epochs < 1 or self.mixture_weight <= 0.0:
             # Degenerate proposal is exactly uniform; no mixture draw, so
             # the branch is a deterministic function of the count.
-            return injector.place_at(specs, self._uniform_times(count)), 1.0
+            return injector.place_at(records, self._uniform_times(count)), 1.0
         if rng.random() < self.mixture_weight:
             epoch = rng.randrange(self.epochs)
             lo = epoch * self.epoch_hours
@@ -391,7 +394,7 @@ class ImportanceSampler(TrialSampler):
         ratio = clustered_likelihood_ratio(
             times, self.lifetime_hours, self.epoch_hours, self.mixture_weight
         )
-        return injector.place_at(specs, times), ratio
+        return injector.place_at(records, times), ratio
 
 
 def make_sampler(

@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import threading
 import time
 from dataclasses import dataclass, field, replace
@@ -82,6 +83,37 @@ _SPEC_FIELDS = (
 
 #: Campaign kinds a spec may describe.
 SPEC_MODES = ("reliability", "replay")
+
+#: How :func:`_check_int` names each lower bound.
+_INT_KINDS = {None: "an int", 0: "a non-negative int", 1: "a positive int"}
+
+
+def _check_int(name: str, value: Any, minimum: Optional[int] = None) -> None:
+    """Reject anything but an int of at least ``minimum``; a boolean is
+    not an int here (JSON ``true`` would otherwise file a campaign apart
+    from the same one spelled ``1``)."""
+    if isinstance(value, bool) or not isinstance(value, int) or (
+        minimum is not None and value < minimum
+    ):
+        raise SpecError(
+            f"{name} must be {_INT_KINDS[minimum]}, got {value!r}"
+        )
+
+
+def _check_number(
+    name: str, value: Any, *, positive: bool, finite: bool = False
+) -> float:
+    """``value`` as a float: a number but no boolean or NaN, above zero
+    if ``positive`` else at least zero, and finite if ``finite``."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or not (
+        (value > 0 if positive else value >= 0)
+        and (math.isfinite(value) or not finite)
+    ):
+        raise SpecError(
+            f"{name} must be a {'finite ' if finite else ''}number "
+            f"{'> 0' if positive else '>= 0'}, got {value!r}"
+        )
+    return float(value)
 
 
 @dataclass(frozen=True)
@@ -139,15 +171,8 @@ class CampaignSpec:
                     f"unknown workload {self.workload!r}; "
                     f"expected one of {sorted(WORKLOADS)}"
                 )
-            if not isinstance(self.requests, int) or self.requests < 1:
-                raise SpecError(
-                    f"requests must be a positive int, got {self.requests!r}"
-                )
-            if not isinstance(self.replay_cores, int) or self.replay_cores < 1:
-                raise SpecError(
-                    f"replay_cores must be a positive int, "
-                    f"got {self.replay_cores!r}"
-                )
+            _check_int("requests", self.requests, 1)
+            _check_int("replay_cores", self.replay_cores, 1)
             if not isinstance(self.thermal, bool):
                 raise SpecError(
                     f"thermal must be a boolean, got {self.thermal!r}"
@@ -178,63 +203,39 @@ class CampaignSpec:
                 f"unknown scheme {self.scheme!r}; "
                 f"expected one of {sorted(SCHEMES)}"
             )
-        if not isinstance(self.trials, int) or self.trials < 1:
-            raise SpecError(f"trials must be a positive int, got {self.trials!r}")
-        if not isinstance(self.scale, int) or self.scale < 1:
-            raise SpecError(f"scale must be a positive int, got {self.scale!r}")
+        _check_int("trials", self.trials, 1)
+        _check_int("scale", self.scale, 1)
         object.__setattr__(self, "trials", max(1, self.trials // self.scale))
         object.__setattr__(self, "scale", 1)
-        if self.tsv_fit < 0:
-            raise SpecError(f"tsv_fit must be >= 0, got {self.tsv_fit!r}")
-        if self.tsv_swap is not None and (
-            not isinstance(self.tsv_swap, int) or self.tsv_swap < 0
-        ):
-            raise SpecError(
-                f"tsv_swap must be a non-negative int or null, "
-                f"got {self.tsv_swap!r}"
-            )
-        if self.scrub_hours <= 0:
-            raise SpecError(
-                f"scrub_hours must be positive, got {self.scrub_hours!r}"
-            )
-        if not isinstance(self.seed, int):
-            raise SpecError(f"seed must be an int, got {self.seed!r}")
-        if not isinstance(self.shard_size, int) or self.shard_size < 1:
-            raise SpecError(
-                f"shard_size must be a positive int, got {self.shard_size!r}"
-            )
+        # A NaN FIT compares false against every bound and would run as
+        # FIT 0 under another address; +inf scrub hours means never
+        # scrub.
+        object.__setattr__(self, "tsv_fit", _check_number(
+            "tsv_fit", self.tsv_fit, positive=False, finite=True
+        ))
+        if self.tsv_swap is not None:
+            _check_int("tsv_swap", self.tsv_swap, 0)
+        object.__setattr__(self, "scrub_hours", _check_number(
+            "scrub_hours", self.scrub_hours, positive=True
+        ))
+        _check_int("seed", self.seed)
+        _check_int("shard_size", self.shard_size, 1)
         if self.sampling not in SAMPLING_METHODS:
             raise SpecError(
                 f"unknown sampling method {self.sampling!r}; "
                 f"expected one of {list(SAMPLING_METHODS)}"
             )
         if self.target_ci_width is not None:
-            if isinstance(self.target_ci_width, bool) or not isinstance(
-                self.target_ci_width, (int, float)
-            ):
-                raise SpecError(
-                    f"target_ci_width must be a positive number or null, "
-                    f"got {self.target_ci_width!r}"
-                )
-            if not self.target_ci_width > 0:
-                raise SpecError(
-                    f"target_ci_width must be positive, "
-                    f"got {self.target_ci_width!r}"
-                )
-            object.__setattr__(
-                self, "target_ci_width", float(self.target_ci_width)
-            )
+            object.__setattr__(self, "target_ci_width", _check_number(
+                "target_ci_width", self.target_ci_width, positive=True
+            ))
         for key, value in dict(self.geometry).items():
             if key not in GEOMETRY_FIELDS:
                 raise SpecError(
                     f"unknown geometry override {key!r}; "
                     f"expected one of {list(GEOMETRY_FIELDS)}"
                 )
-            if not isinstance(value, int) or value < 1:
-                raise SpecError(
-                    f"geometry override {key!r} must be a positive int, "
-                    f"got {value!r}"
-                )
+            _check_int(f"geometry override {key!r}", value, 1)
         # Canonicalize: bake the mitigations a scheme implies (citadel
         # *is* 3DP + TSV-Swap + DDS) into the stored fields — a citadel
         # submission hashes identically however it was phrased, and
@@ -272,10 +273,10 @@ class CampaignSpec:
             "scheme": self.scheme,
             "trials": self.trials,
             "scale": self.scale,
-            "tsv_fit": float(self.tsv_fit),
+            "tsv_fit": self.tsv_fit,
             "tsv_swap": self.tsv_swap,
             "dds": bool(self.dds),
-            "scrub_hours": float(self.scrub_hours),
+            "scrub_hours": self.scrub_hours,
             "seed": self.seed,
             "shard_size": self.shard_size,
             "modes": bool(self.modes),
@@ -338,10 +339,6 @@ class CampaignSpec:
             for name in _SPEC_FIELDS:
                 if name in payload:
                     kwargs[name] = payload[name]
-            if "tsv_fit" in kwargs:
-                kwargs["tsv_fit"] = float(kwargs["tsv_fit"])
-            if "scrub_hours" in kwargs:
-                kwargs["scrub_hours"] = float(kwargs["scrub_hours"])
             for boolean in ("dds", "modes", "telemetry"):
                 if boolean in kwargs and not isinstance(kwargs[boolean], bool):
                     raise SpecError(

@@ -40,7 +40,7 @@ from repro.ecc.batch_kernels import (
     TrialBatch,
     candidate_pair_count,
 )
-from repro.faults.injector import FaultInjector, FaultSpec
+from repro.faults.injector import FaultInjector
 from repro.faults.rates import TABLE_I_8GB_FIT, FailureRates
 from repro.faults.types import FaultKind, Permanence
 from repro.reliability import ParallelLifetimeRunner, ReliabilityWork
@@ -52,7 +52,7 @@ from repro.stack.geometry import (
     SCRUB_INTERVAL_HOURS,
     StackGeometry,
 )
-from test_injector import reference_masks
+from test_injector import build_fault, reference_masks
 
 GEOM = StackGeometry()
 #: TSV faults on so TSV-Swap absorption and the TSV kernel rows are hit.
@@ -502,27 +502,27 @@ def crowded_specs(draw):
     die = draw(DIES)
     bank = draw(BANKS)
     if kind == "bit":
-        return FaultSpec(FaultKind.BIT, perm, die, bank, draw(ROWS), draw(COLS))
+        return (FaultKind.BIT, perm, die, bank, draw(ROWS), draw(COLS))
     if kind == "word":
         word = draw(st.integers(0, min(3, GEOM.row_bits // 32 - 1)))
-        return FaultSpec(FaultKind.WORD, perm, die, bank, draw(ROWS), word)
+        return (FaultKind.WORD, perm, die, bank, draw(ROWS), word)
     if kind == "row":
-        return FaultSpec(FaultKind.ROW, perm, die, bank, draw(ROWS), 0)
+        return (FaultKind.ROW, perm, die, bank, draw(ROWS), 0)
     if kind == "column":
-        return FaultSpec(FaultKind.COLUMN, perm, die, bank, draw(COLS), 0)
+        return (FaultKind.COLUMN, perm, die, bank, draw(COLS), 0)
     if kind == "subarray":
         sub = draw(st.integers(0, min(1, GEOM.subarrays_per_bank - 1)))
-        return FaultSpec(FaultKind.SUBARRAY, perm, die, bank, sub, 0)
+        return (FaultKind.SUBARRAY, perm, die, bank, sub, 0)
     if kind == "bank":
-        return FaultSpec(FaultKind.BANK, perm, die, bank, 0, 0)
+        return (FaultKind.BANK, perm, die, bank, 0, 0)
     channel = draw(st.integers(0, min(3, GEOM.channels - 1)))
     if kind == "dtsv":
         idx = draw(st.integers(0, min(7, GEOM.data_tsvs_per_channel - 1)))
-        return FaultSpec(
+        return (
             FaultKind.DATA_TSV, Permanence.PERMANENT, channel, -1, idx, 0
         )
     idx = draw(st.integers(0, min(3, GEOM.addr_tsvs_per_channel - 1)))
-    return FaultSpec(
+    return (
         FaultKind.ADDR_TSV, Permanence.PERMANENT, channel, -1, idx,
         draw(st.integers(0, 1)),
     )
@@ -564,22 +564,20 @@ def dense_cross_block_specs(draw):
     die = draw(DENSE_DIES)
     bank = draw(DENSE_BANKS)
     if kind == "bit":
-        return FaultSpec(
+        return (
             FaultKind.BIT, perm, die, bank, draw(DENSE_ROWS), draw(EDGE_COLS)
         )
     if kind == "word":
-        return FaultSpec(
+        return (
             FaultKind.WORD, perm, die, bank, draw(DENSE_ROWS),
             draw(EDGE_WORDS),
         )
     if kind == "column":
-        return FaultSpec(
-            FaultKind.COLUMN, perm, die, bank, draw(EDGE_COLS), 0
-        )
+        return (FaultKind.COLUMN, perm, die, bank, draw(EDGE_COLS), 0)
     if kind == "row":
-        return FaultSpec(FaultKind.ROW, perm, die, bank, draw(DENSE_ROWS), 0)
+        return (FaultKind.ROW, perm, die, bank, draw(DENSE_ROWS), 0)
     sub = draw(st.integers(0, min(1, GEOM.subarrays_per_bank - 1)))
-    return FaultSpec(FaultKind.SUBARRAY, perm, die, bank, sub, 0)
+    return (FaultKind.SUBARRAY, perm, die, bank, sub, 0)
 
 
 DENSE_TRIAL_STRATEGY = st.lists(
@@ -605,7 +603,8 @@ PEEL_SCHEMES = sorted(
 
 def build_trial_batch(trials, interval):
     """Mirror ``BatchTrialKernel.run``'s column assembly for trials of
-    ``(specs, times)`` with no TSV-Swap absorption."""
+    ``(specs, times)`` with no TSV-Swap absorption; each spec is a fault
+    description ``(kind, permanence, die, bank, a, b)``."""
     columns = {
         "permanent": [], "is_tsv": [], "is_bank_kind": [], "die": [],
         "bank": [], "row_base": [], "row_mask": [], "col_base": [],
@@ -613,14 +612,13 @@ def build_trial_batch(trials, interval):
     }
     for specs, times in trials:
         for spec, t in zip(specs, times):
+            kind, permanence, die, bank, _, _ = spec
             rb, rm, cb, cm = reference_masks(spec, GEOM)
-            columns["permanent"].append(
-                spec.permanence is Permanence.PERMANENT
-            )
-            columns["is_tsv"].append(spec.kind.is_tsv)
-            columns["is_bank_kind"].append(spec.kind is FaultKind.BANK)
-            columns["die"].append(spec.die)
-            columns["bank"].append(spec.bank)
+            columns["permanent"].append(permanence is Permanence.PERMANENT)
+            columns["is_tsv"].append(kind.is_tsv)
+            columns["is_bank_kind"].append(kind is FaultKind.BANK)
+            columns["die"].append(die)
+            columns["bank"].append(bank)
             columns["row_base"].append(rb)
             columns["row_mask"].append(rm)
             columns["col_base"].append(cb)
@@ -651,7 +649,9 @@ def assert_sound(scheme, specs, raw_times):
         verdict = kernel.survives(batch)
         assert verdict.shape == (1,)
         if bool(verdict[0]):
-            faults = [spec.build(GEOM, t) for spec, t in zip(specs, times)]
+            faults = [
+                build_fault(GEOM, spec, t) for spec, t in zip(specs, times)
+            ]
             assert sim._simulate(faults, None, None, None) is None, (
                 scheme, use_dds, specs, times
             )
@@ -688,15 +688,15 @@ class TestKernelSoundness:
         second dimension and loses both."""
         col, row = 77, 1234
         specs = [
-            FaultSpec(FaultKind.COLUMN, Permanence.PERMANENT, 0, 0, col, 0),
-            FaultSpec(FaultKind.BIT, Permanence.PERMANENT, 1, 1, row, col),
+            (FaultKind.COLUMN, Permanence.PERMANENT, 0, 0, col, 0),
+            (FaultKind.BIT, Permanence.PERMANENT, 1, 1, row, col),
         ]
         times = [1000.0, 50000.0]
         config = EngineConfig()
         sim = LifetimeSimulator(
             GEOM, RATES, SCHEMES[scheme](GEOM), config, seed=0
         )
-        faults = [spec.build(GEOM, t) for spec, t in zip(specs, times)]
+        faults = [build_fault(GEOM, spec, t) for spec, t in zip(specs, times)]
         assert (sim._simulate(faults, None, None, None) is None) is proven
         batch = build_single_trial_batch(
             specs, times, config.scrub_interval_hours
@@ -739,11 +739,11 @@ def edge_narrow_specs(draw):
     edge = draw(PAIR_EDGES)
     if kind == "word":
         word = edge // 32 + draw(st.integers(-1, 0))
-        return FaultSpec(FaultKind.WORD, perm, die, bank, draw(ROWS), word)
+        return (FaultKind.WORD, perm, die, bank, draw(ROWS), word)
     col = edge + draw(st.integers(-2, 1))
     if kind == "bit":
-        return FaultSpec(FaultKind.BIT, perm, die, bank, draw(ROWS), col)
-    return FaultSpec(FaultKind.COLUMN, perm, die, bank, col, 0)
+        return (FaultKind.BIT, perm, die, bank, draw(ROWS), col)
+    return (FaultKind.COLUMN, perm, die, bank, col, 0)
 
 
 #: Crowded specs bring the wide row, subarray, bank and TSV rows.
@@ -848,8 +848,8 @@ class TestSameBankCheckRow:
         # row's top 3 bits are the data bank.
         check_row = (bank << (GEOM.row_address_bits - 3)) | (row >> 3)
         specs = [
-            FaultSpec(FaultKind.BIT, Permanence.PERMANENT, die, bank, row, 7),
-            FaultSpec(
+            (FaultKind.BIT, Permanence.PERMANENT, die, bank, row, 7),
+            (
                 FaultKind.BIT, Permanence.PERMANENT, GEOM.total_dies - 1,
                 die, check_row + offset, 300,
             ),
@@ -859,7 +859,7 @@ class TestSameBankCheckRow:
         sim = LifetimeSimulator(
             GEOM, RATES, SCHEMES["symbol-same-bank"](GEOM), config, seed=0
         )
-        faults = [spec.build(GEOM, t) for spec, t in zip(specs, times)]
+        faults = [build_fault(GEOM, spec, t) for spec, t in zip(specs, times)]
         assert (sim._simulate(faults, None, None, None) is not None) is fatal
         batch = build_single_trial_batch(
             specs, times, config.scrub_interval_hours

@@ -99,6 +99,17 @@ class TestCommands:
         assert "trials must be a positive int" in captured.err
         assert captured.out == ""
 
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_tsv_fit_rejected_by_the_spec(self, value, capsys):
+        """A NaN FIT used to run as FIT 0 under another address."""
+        assert main([
+            "reliability", "--scheme", "3dp", "--tsv-fit", value,
+            "--trials", "200", "--shard-size", "100",
+        ]) == 1
+        captured = capsys.readouterr()
+        assert "tsv_fit must be a finite number" in captured.err
+        assert captured.out == ""
+
     @pytest.mark.parametrize("workers", [1, 2])
     def test_shard_error_exits_1_at_any_worker_count(self, workers, capsys):
         """An error the campaign raises inside a shard is not a worker

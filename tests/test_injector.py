@@ -3,6 +3,7 @@ sampling weights, the count table, fault placement, and the compiled
 sampler's draws and kernel rows against stdlib and footprint
 references."""
 
+import itertools
 import math
 import random
 from dataclasses import replace
@@ -10,14 +11,22 @@ from decimal import Decimal, localcontext
 
 import pytest
 
-from repro.errors import ConfigurationError, ContractViolation
-from repro.faults.injector import (
-    FaultInjector,
-    FaultSpec,
-    ThermalFaultInjector,
-)
+from repro.errors import ConfigurationError, ContractViolation, ReproError
+from repro.faults.injector import FaultInjector, ThermalFaultInjector
 from repro.faults.rates import FailureRates
-from repro.faults.types import WORD_BITS, FaultKind, Permanence
+from repro.faults.types import (
+    WORD_BITS,
+    FaultKind,
+    Permanence,
+    make_addr_tsv_fault,
+    make_bank_fault,
+    make_bit_fault,
+    make_column_fault,
+    make_data_tsv_fault,
+    make_row_fault,
+    make_subarray_fault,
+    make_word_fault,
+)
 from repro.reliability.analytic import AnalyticModel
 from repro.stack.geometry import LIFETIME_HOURS, StackGeometry
 
@@ -333,8 +342,9 @@ class TestCountTable:
 
     #: ``(Poisson mean, min_faults)``: the hot-path stress rate, and a
     #: mean near ``exp(-mean)`` underflow where ``pmf(1)`` is already
-    #: below ``1e-300`` (so ``min_faults=1`` refuses almost every draw).
-    DENSE_KEYS = ((150.0, 2), (700.0, 2), (700.0, 1))
+    #: below ``1e-300`` (so ``min_faults=1`` refuses almost every draw),
+    #: also unconditioned.
+    DENSE_KEYS = ((150.0, 2), (700.0, 2), (700.0, 1), (700.0, 0))
 
     def test_dense_and_near_underflow_means_match_reference(self, geom):
         outcomes = {"count": 0, "raise": 0}
@@ -361,11 +371,15 @@ class TestCountTable:
         assert outcomes["count"] > 0 and outcomes["raise"] > 0
 
     def test_failing_configurations_raise_on_every_call(self, geom):
+        """Unconditioned too: once ``exp(-mean)`` underflows, Knuth's
+        product stops only when it underflows itself, so counts would
+        saturate near 745 whatever the mean."""
         inj = make_injector(geom, seed=13)
         underflow_hours = 800.0 / inj.total_rate_per_hour
         for _ in range(2):
-            with pytest.raises(ConfigurationError, match="too large"):
-                inj.sample_count(underflow_hours, min_faults=2)
+            for min_faults in (2, 0):
+                with pytest.raises(ConfigurationError, match="too large"):
+                    inj.sample_count(underflow_hours, min_faults)
             with pytest.raises(ConfigurationError, match="zero total rate"):
                 inj.sample_count(0.0, min_faults=2)
         # Neither configuration drew anything.
@@ -376,20 +390,20 @@ class TestCountTable:
 class TestPlaceAtGuard:
     def test_mismatched_lengths_rejected(self, geom):
         inj = make_injector(geom, seed=17)
-        specs = inj.sample_kinds(3)
+        records = inj.sample_specs(3)
         with pytest.raises(ContractViolation):
-            inj.place_at(specs, [1.0, 2.0])
+            inj.place_at(records, [1.0, 2.0])
 
     def test_matched_lengths_accepted(self, geom):
         inj = make_injector(geom, seed=17)
-        specs = inj.sample_kinds(2)
-        placed = inj.place_at(specs, [5.0, 1.0])
+        records = inj.sample_specs(2)
+        placed = inj.place_at(records, [5.0, 1.0])
         assert [f.time_hours for f in placed] == [1.0, 5.0]
-        # Spec ``i`` arrives at the ``i``-th smallest time, and each
-        # fault takes one uid, in spec order.
+        # Record ``i`` arrives at the ``i``-th smallest time, and each
+        # fault takes one uid, in record order.
         built = [
-            FaultSpec(*spec).build(geom, t)
-            for spec, t in zip(specs, [1.0, 5.0])
+            build_fault(geom, describe(inj, record), t)
+            for record, t in zip(records, [1.0, 5.0])
         ]
         assert [replace(f, uid=0) for f in placed] == [
             replace(f, uid=0) for f in built
@@ -398,10 +412,50 @@ class TestPlaceAtGuard:
 
 
 # ---------------------------------------------------------------------- #
-# Draw-exact spec sampling
+# Draw-exact record sampling
 # ---------------------------------------------------------------------- #
+def describe(inj, record):
+    """A record's description ``(kind, permanence, die, bank, a, b)``:
+    its code's final kind and permanence, then its coordinates."""
+    code, die, bank, a, b = record
+    return (*inj.codes[code], die, bank, a, b)
+
+
+def build_fault(geometry, description, time_hours=0.0):
+    """The fault a description names, built by its kind's ``make_*``
+    constructor: the reference the injector's builders must match."""
+    kind, permanence, die, bank, a, b = description
+    if kind is FaultKind.BIT:
+        return make_bit_fault(
+            geometry, die, bank, a, b, permanence, time_hours
+        )
+    if kind is FaultKind.WORD:
+        return make_word_fault(
+            geometry, die, bank, a, b, permanence, time_hours
+        )
+    if kind is FaultKind.COLUMN:
+        return make_column_fault(
+            geometry, die, bank, a, permanence, time_hours
+        )
+    if kind is FaultKind.ROW:
+        return make_row_fault(geometry, die, bank, a, permanence, time_hours)
+    if kind is FaultKind.SUBARRAY:
+        return make_subarray_fault(
+            geometry, die, bank, a, permanence, time_hours
+        )
+    if kind is FaultKind.BANK:
+        return make_bank_fault(geometry, die, bank, permanence, time_hours)
+    if kind is FaultKind.DATA_TSV:
+        return make_data_tsv_fault(geometry, die, a, permanence, time_hours)
+    assert kind is FaultKind.ADDR_TSV
+    return make_addr_tsv_fault(
+        geometry, die, a, stuck_value=b, permanence=permanence,
+        time_hours=time_hours,
+    )
+
+
 def reference_spec(inj, rng):
-    """One spec drawn the way the sampler was first written: one
+    """One description drawn the way the sampler was first written: one
     ``rng.choices`` over the rate entries, then one ``rng.randrange`` per
     placement coordinate.  The injector must reproduce these draws
     exactly, since every pinned result depends on the RNG stream."""
@@ -413,10 +467,10 @@ def reference_spec(inj, rng):
         num_dtsv = geom.data_tsvs_per_channel
         pick = rng.randrange(num_dtsv + geom.addr_tsvs_per_channel)
         if pick < num_dtsv:
-            return FaultSpec(
-                FaultKind.DATA_TSV, Permanence.PERMANENT, channel, -1, pick
+            return (
+                FaultKind.DATA_TSV, Permanence.PERMANENT, channel, -1, pick, 0
             )
-        return FaultSpec(
+        return (
             FaultKind.ADDR_TSV, Permanence.PERMANENT, channel, -1,
             pick - num_dtsv, rng.randrange(2),
         )
@@ -439,40 +493,40 @@ def reference_spec(inj, rng):
             rng.randrange(max(1, geom.row_bits // WORD_BITS)),
         )
     elif kind is FaultKind.COLUMN:
-        coordinates = (rng.randrange(geom.row_bits),)
+        coordinates = (rng.randrange(geom.row_bits), 0)
     elif kind is FaultKind.ROW:
-        coordinates = (rng.randrange(geom.rows_per_bank),)
+        coordinates = (rng.randrange(geom.rows_per_bank), 0)
     elif kind is FaultKind.SUBARRAY:
-        coordinates = (rng.randrange(geom.subarrays_per_bank),)
+        coordinates = (rng.randrange(geom.subarrays_per_bank), 0)
     elif inj.rates.bank_fault_granularity == "subarray":
         kind = FaultKind.SUBARRAY
-        coordinates = (rng.randrange(geom.subarrays_per_bank),)
+        coordinates = (rng.randrange(geom.subarrays_per_bank), 0)
     else:
-        coordinates = ()
-    return FaultSpec(kind, perm, die, bank, *coordinates)
+        coordinates = (0, 0)
+    return (kind, perm, die, bank, *coordinates)
 
 
-def reference_masks(spec, geometry):
-    """``(row_base, row_mask, col_base, col_mask)`` of ``spec.build()``'s
-    footprint: the canonical address+mask pairs of the ``make_*``
-    constructors, as plain ints.  The sampler's compiled footprint rules
-    must give these masks for every record, and the batch kernel tests
-    build their ``TrialBatch`` rows from them."""
-    kind = spec.kind
+def reference_masks(description, geometry):
+    """``(row_base, row_mask, col_base, col_mask)`` of the footprint of
+    the fault a description names: the canonical address+mask pairs of
+    the ``make_*`` constructors, as plain ints.  The sampler's compiled
+    footprint rules must give these masks for every record, and the
+    batch kernel tests build their ``TrialBatch`` rows from them."""
+    kind, _, _, _, a, b = description
     row_universe = (1 << geometry.row_address_bits) - 1
     col_universe = (1 << geometry.col_address_bits) - 1
     if kind is FaultKind.BIT:
-        return spec.a, 0, spec.b, 0
+        return a, 0, b, 0
     if kind is FaultKind.WORD:
         word_bits = min(WORD_BITS, geometry.row_bits)
-        return spec.a, 0, spec.b * word_bits, word_bits - 1
+        return a, 0, b * word_bits, word_bits - 1
     if kind is FaultKind.COLUMN:
-        return 0, row_universe, spec.a, 0
+        return 0, row_universe, a, 0
     if kind is FaultKind.ROW:
-        return spec.a, 0, 0, col_universe
+        return a, 0, 0, col_universe
     if kind is FaultKind.SUBARRAY:
         return (
-            spec.a * geometry.rows_per_subarray,
+            a * geometry.rows_per_subarray,
             geometry.rows_per_subarray - 1,
             0,
             col_universe,
@@ -485,26 +539,27 @@ def reference_masks(spec, geometry):
         burst_mask = (burst - 1) * num_dtsv if burst > 1 else 0
         line_select_mask = col_universe & ~(geometry.line_bits - 1)
         col_mask = burst_mask | line_select_mask
-        return 0, row_universe, spec.a & ~col_mask, col_mask
+        return 0, row_universe, a & ~col_mask, col_mask
     assert kind is FaultKind.ADDR_TSV
-    bit = spec.a % geometry.row_address_bits
+    bit = a % geometry.row_address_bits
     return (
-        (1 - spec.b) << bit,
+        (1 - b) << bit,
         row_universe & ~(1 << bit),
         0,
         col_universe,
     )
 
 
-def reference_row(spec, geometry):
-    """The ``TrialBatch`` columns of ``spec`` but the epoch."""
+def reference_row(description, geometry):
+    """The ``TrialBatch`` columns of a description but the epoch."""
+    kind, permanence, die, bank, _, _ = description
     return (
-        spec.permanence is Permanence.PERMANENT,
-        spec.kind.is_tsv,
-        spec.kind is FaultKind.BANK,
-        spec.die,
-        spec.bank,
-        *reference_masks(spec, geometry),
+        permanence is Permanence.PERMANENT,
+        kind.is_tsv,
+        kind is FaultKind.BANK,
+        die,
+        bank,
+        *reference_masks(description, geometry),
     )
 
 
@@ -559,8 +614,8 @@ def sampleable_kinds(inj):
 
 
 class TestDrawExactSampling:
-    """``sample_specs`` (and ``sample_kinds``, built on the same sampler)
-    is a faster form of :func:`reference_spec`, never a different one."""
+    """``sample_specs`` is a faster form of :func:`reference_spec`, never
+    a different one."""
 
     @pytest.mark.parametrize("config", sorted(SAMPLER_CONFIGS))
     def test_matches_reference_sampler(self, geom, config):
@@ -568,24 +623,24 @@ class TestDrawExactSampling:
         for seed in range(20):
             inj = SAMPLER_CONFIGS[config](geom, random.Random(seed))
             reference_rng = random.Random(seed)
-            specs = [
-                FaultSpec(*spec)
-                for spec in inj.spec_fields(inj.sample_specs(300))
+            descriptions = [
+                describe(inj, record) for record in inj.sample_specs(300)
             ]
             expected = [reference_spec(inj, reference_rng) for _ in range(300)]
-            assert specs == expected, (config, seed)
+            assert descriptions == expected, (config, seed)
             assert inj.rng.getstate() == reference_rng.getstate(), (
                 config, seed
             )
-            kinds.update(spec.kind for spec in specs)
+            kinds.update(kind for kind, *_ in descriptions)
         # Every kind the rates can produce was compared, rare ones too.
         assert kinds == sampleable_kinds(inj)
 
     @pytest.mark.parametrize("geometry_name", sorted(ROW_GEOMETRIES))
     @pytest.mark.parametrize("config", sorted(SAMPLER_CONFIGS))
     def test_rows_match_reference_footprints(self, config, geometry_name):
-        """Each record's row is its spec's flags and reference masks, and
-        those are the canonical footprint of the fault the spec builds."""
+        """Each record's row is its description's flags and reference
+        masks, and those are the canonical footprint of the fault the
+        description names."""
         geometry = ROW_GEOMETRIES[geometry_name]
         kinds = set()
         for seed in range(20):
@@ -594,17 +649,17 @@ class TestDrawExactSampling:
             records = inj.sample_specs(300)
             columns = inj.record_columns(records)
             rows = zip(*(column.tolist() for column in columns))
-            for row, fields in zip(rows, inj.spec_fields(records)):
-                spec = FaultSpec(*fields)
-                where = (config, geometry_name, seed, spec)
-                assert spec == reference_spec(inj, reference_rng), where
-                assert row == reference_row(spec, geometry), where
-                footprint = spec.build(geometry).footprint
+            for row, record in zip(rows, records):
+                description = describe(inj, record)
+                where = (config, geometry_name, seed, description)
+                assert description == reference_spec(inj, reference_rng), where
+                assert row == reference_row(description, geometry), where
+                footprint = build_fault(geometry, description).footprint
                 assert row[5:] == (
                     footprint.rows.base, footprint.rows.mask,
                     footprint.cols.base, footprint.cols.mask,
                 ), where
-                kinds.add(spec.kind)
+                kinds.add(description[0])
             assert inj.rng.getstate() == reference_rng.getstate(), (
                 config, geometry_name, seed
             )
@@ -620,19 +675,96 @@ class TestDrawExactSampling:
             assert all(len(record) == 5 for record in records)
 
     @pytest.mark.parametrize("config", sorted(SAMPLER_CONFIGS))
-    def test_kinds_are_the_spec_fields_of_the_same_draws(self, geom, config):
-        """``sample_kinds`` draws what ``sample_specs`` draws, through
-        the loop rather than the public method."""
+    def test_lifetimes_place_the_same_records(self, geom, config):
+        """``sample_lifetime`` builds exactly the faults ``place_at``
+        builds from ``sample_specs``' records of the same draws."""
+        keys = ((LIFETIME_HOURS, 0), (LIFETIME_HOURS, 2),
+                (20 * LIFETIME_HOURS, 1))
         for seed in range(5):
             inj = SAMPLER_CONFIGS[config](geom, random.Random(seed))
             twin = SAMPLER_CONFIGS[config](geom, random.Random(seed))
-            for count in (0, 3, 300):
-                assert inj.sample_kinds(count) == twin.spec_fields(
-                    twin.sample_specs(count)
-                ), (config, seed, count)
+            for hours, min_faults in keys * 4:
+                faults, weight = inj.sample_lifetime(hours, min_faults)
+                count, twin_weight = twin.sample_count(hours, min_faults)
+                records = twin.sample_specs(count)
+                times = [twin.rng.uniform(0.0, hours) for _ in range(count)]
+                placed = twin.place_at(records, times)
+                assert weight == twin_weight
+                assert [replace(f, uid=0) for f in faults] == [
+                    replace(f, uid=0) for f in placed
+                ], (config, seed, hours, min_faults)
             assert inj.rng.getstate() == twin.rng.getstate()
 
     def test_nonfinite_rates_rejected(self, geom):
         rates = FailureRates.paper_baseline(tsv_device_fit=math.inf)
         with pytest.raises(ConfigurationError):
             FaultInjector(geom, rates)
+
+
+def coordinate_bounds(geometry, kind):
+    """The exclusive upper bound of each coordinate ``(die, bank, a, b)``
+    of a record of ``kind``, or ``None`` where its builder ignores it."""
+    rows, columns = geometry.rows_per_bank, geometry.row_bits
+    if kind is FaultKind.DATA_TSV:
+        return geometry.channels, None, geometry.data_tsvs_per_channel, None
+    if kind is FaultKind.ADDR_TSV:
+        return geometry.channels, None, geometry.addr_tsvs_per_channel, 2
+    a, b = {
+        FaultKind.BIT: (rows, columns),
+        FaultKind.WORD: (rows, max(1, columns // WORD_BITS)),
+        FaultKind.COLUMN: (columns, None),
+        FaultKind.ROW: (rows, None),
+        FaultKind.SUBARRAY: (geometry.subarrays_per_bank, None),
+        FaultKind.BANK: (None, None),
+    }[kind]
+    return geometry.total_dies, geometry.banks_per_die, a, b
+
+
+@pytest.mark.parametrize("geometry_name", sorted(ROW_GEOMETRIES))
+@pytest.mark.parametrize("config", sorted(SAMPLER_CONFIGS))
+class TestPlaceAtBuilders:
+    """``place_at`` builds each code's fault through the code's builder:
+    the fault its description names, and nothing out of range."""
+
+    @staticmethod
+    def neutral(kind):
+        """A record's ``(die, bank, a, b)`` at their lowest values (a
+        TSV record's bank is -1)."""
+        return [0, -1 if kind.is_tsv else 0, 0, 0]
+
+    def test_every_code_builds_its_reference_fault(
+        self, config, geometry_name
+    ):
+        geometry = ROW_GEOMETRIES[geometry_name]
+        inj = SAMPLER_CONFIGS[config](geometry, random.Random(0))
+        for code, (kind, _) in enumerate(inj.codes):
+            choices = [
+                (value,) if bound is None else (0, bound - 1)
+                for value, bound in zip(
+                    self.neutral(kind), coordinate_bounds(geometry, kind)
+                )
+            ]
+            for coordinates in itertools.product(*choices):
+                record = (code, *coordinates)
+                placed = inj.place_at([record], [1234.5])
+                expected = build_fault(
+                    geometry, describe(inj, record), 1234.5
+                )
+                assert [replace(f, uid=0) for f in placed] == [
+                    replace(expected, uid=0)
+                ], (config, geometry_name, record)
+
+    def test_out_of_range_records_raise(self, config, geometry_name):
+        geometry = ROW_GEOMETRIES[geometry_name]
+        inj = SAMPLER_CONFIGS[config](geometry, random.Random(0))
+        for code, (kind, _) in enumerate(inj.codes):
+            bounds = coordinate_bounds(geometry, kind)
+            for index, bound in enumerate(bounds):
+                if bound is None:
+                    continue
+                for value in (-1, bound):
+                    coordinates = self.neutral(kind)
+                    coordinates[index] = value
+                    record = (code, *coordinates)
+                    with pytest.raises(ReproError):
+                        inj.place_at([record], [0.0])

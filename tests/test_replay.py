@@ -294,8 +294,8 @@ class TestThermalFeedback:
         )
         injector = ThermalFaultInjector(geom, rates, multipliers=hot, seed=9)
         counts = [0] * geom.banks_per_die
-        records = injector.sample_specs(2000)
-        for kind, _, _, bank, _, _ in injector.spec_fields(records):
+        for code, _, bank, _, _ in injector.sample_specs(2000):
+            kind, _ = injector.codes[code]
             if not kind.is_tsv:
                 counts[bank] += 1
         assert counts[0] > 2 * max(counts[1:])

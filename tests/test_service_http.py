@@ -475,6 +475,36 @@ class TestErrorContract:
             connection.close()
         assert scheduler.jobs() == []
 
+    @pytest.mark.parametrize(
+        "body,field",
+        [
+            ('{"spec": {"tsv_fit": NaN}}', "tsv_fit"),
+            ('{"spec": {"seed": true}}', "seed"),
+        ],
+    )
+    def test_non_finite_or_boolean_spec_is_a_spec_error(
+        self, service, body, field
+    ):
+        """A NaN FIT or a boolean seed is a 400 naming the field, and
+        the connection stays usable."""
+        _, scheduler, server = service
+        connection = http.client.HTTPConnection(
+            "127.0.0.1", server.port, timeout=WAIT_S
+        )
+        try:
+            status, _, document = exchange(
+                connection, "POST", "/jobs", body,
+                {"Content-Type": "application/json"},
+            )
+            assert status == 400
+            assert document["error"]["type"] == "SpecError"
+            assert document["error"]["message"].startswith(field)
+            status, _, document = exchange(connection, "GET", "/healthz")
+            assert (status, document["status"]) == (200, "ok")
+        finally:
+            connection.close()
+        assert scheduler.jobs() == []
+
     def test_submit_options_in_range_are_accepted(self, service):
         client, _, server = service
         job = client.submit(

@@ -10,6 +10,7 @@ property over randomly generated spec documents.
 
 import dataclasses
 import json
+import math
 
 import pytest
 from hypothesis import given, settings
@@ -54,11 +55,40 @@ class TestValidation:
             {"geometry": {"not_a_field": 2}},
             {"geometry": {"data_dies": 0}},
             {"geometry": {"data_dies": 2.5}},
+            # NaN in any number field, an infinite FIT, and booleans
+            # where an int is expected (replay fields on replay specs).
+            {"tsv_fit": math.nan},
+            {"tsv_fit": math.inf},
+            {"tsv_fit": "1430"},
+            {"scrub_hours": math.nan},
+            {"target_ci_width": math.nan},
+            {"trials": math.nan},
+            {"seed": math.nan},
+            {"trials": True},
+            {"scale": True},
+            {"seed": True},
+            {"shard_size": True},
+            {"tsv_swap": True},
+            {"mode": "replay", "requests": True},
+            {"mode": "replay", "replay_cores": True},
+            {"geometry": {"data_dies": True}},
         ],
     )
     def test_invalid_values_rejected(self, overrides):
-        with pytest.raises(SpecError):
+        """Directly and from a JSON document (which spells NaN and
+        Infinity as bare words), with a message naming the field."""
+        field = list(overrides)[-1]
+        with pytest.raises(SpecError, match=field):
             CampaignSpec(**overrides)
+        with pytest.raises(SpecError, match=field):
+            CampaignSpec.from_dict(json.loads(json.dumps(overrides)))
+
+    def test_infinite_scrub_and_ci_width_accepted(self):
+        """+inf scrub hours means never scrub; +inf is a valid CI width."""
+        spec = CampaignSpec.from_dict(
+            json.loads('{"scrub_hours": Infinity, "target_ci_width": Infinity}')
+        )
+        assert spec.scrub_hours == spec.target_ci_width == math.inf
 
     def test_unknown_sampling_names_the_valid_methods(self):
         with pytest.raises(SpecError, match="unknown sampling method"):
