@@ -277,18 +277,14 @@ def make_data_tsv_fault(
         raise ConfigurationError(
             f"DTSV index {tsv_index} out of range [0, {num_dtsv})"
         )
+    # ``StackGeometry`` guarantees that the DTSVs divide a line, whose bits
+    # are a power of two, so the DTSV count and the burst are powers of two.
     line_bits = geometry.line_bits
-    if line_bits % num_dtsv:
-        raise ConfigurationError(
-            "line_bits must be a multiple of data_tsvs_per_channel"
-        )
     burst = line_bits // num_dtsv
     # Bits {tsv_index + j*num_dtsv : j < burst} within a line, repeated for
     # every line in the row: base = tsv_index, don't-care bits = the burst
     # selector bits plus the line-index bits.
     burst_mask = (burst - 1) * num_dtsv if burst > 1 else 0
-    if burst_mask and (num_dtsv & (num_dtsv - 1)):
-        raise ConfigurationError("data_tsvs_per_channel must be a power of two")
     line_select_mask = ((1 << geometry.col_address_bits) - 1) & ~(line_bits - 1)
     cols = RangeMask(
         base=tsv_index,

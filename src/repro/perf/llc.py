@@ -12,12 +12,20 @@ Keys are any hashables; a set is chosen by ``hash(key) % num_sets``.
 The performance simulator keys lines by integer address, so its cache is
 physically indexed (``hash`` of a non-negative int below 2**61 - 1 is
 the int itself) and picks the same sets in every process.
+
+Sets are independent: a line only ever competes with the lines of its
+own set.  A set that receives at most ``ways`` distinct lines therefore
+never evicts, whatever the order of its accesses, and in it a line hits
+exactly when it was touched before.  :func:`overflowing_sets` finds, for
+the key population a run can ever put in the cache, the sets where that
+does not hold; the simulator models only those with an :class:`LRUCache`
+and answers every other access from what the run has touched.
 """
 
 from __future__ import annotations
 
-from collections import OrderedDict
-from typing import Dict, Hashable, Optional
+from collections import Counter, OrderedDict
+from typing import Dict, FrozenSet, Hashable, Iterable, Optional
 
 from repro.errors import ConfigurationError
 from repro.telemetry.registry import MetricsRegistry
@@ -32,8 +40,7 @@ class LRUCache:
     """Set-associative LRU cache of line-sized entries."""
 
     def __init__(self, num_sets: int, ways: int) -> None:
-        if num_sets <= 0 or ways <= 0:
-            raise ConfigurationError("num_sets and ways must be positive")
+        _check_shape(num_sets, ways)
         self.num_sets = num_sets
         self.ways = ways
         #: Set index -> its lines in LRU order; a set exists once touched.
@@ -108,3 +115,25 @@ class LRUCache:
 #: The dim-1 parity lines live in the ordinary LLC (§VI-C); the "parity
 #: cache" of Figure 13 *is* this LRU cache, shared with demand lines.
 ParityCache = LRUCache
+
+
+def overflowing_sets(
+    keys: Iterable[Hashable], num_sets: int, ways: int
+) -> FrozenSet[int]:
+    """The sets of a ``num_sets`` x ``ways`` :class:`LRUCache` that can
+    evict when every key it is handed comes from ``keys``.
+
+    A set can evict only if more than ``ways`` distinct keys map to it.
+    In every other set nothing is ever evicted, so an access there hits
+    exactly when its key was accessed before, and an LRU fed from
+    ``keys`` counts, over those sets, one miss per distinct key and one
+    hit per further access.
+    """
+    _check_shape(num_sets, ways)
+    load = Counter(hash(key) % num_sets for key in set(keys))
+    return frozenset(index for index, lines in load.items() if lines > ways)
+
+
+def _check_shape(num_sets: int, ways: int) -> None:
+    if num_sets <= 0 or ways <= 0:
+        raise ConfigurationError("num_sets and ways must be positive")

@@ -26,6 +26,16 @@ integer state.  The LLC is physically indexed: a demand line's key is
 its line address, a parity line's key lies past the line address space,
 and both are plain ints, so set selection is the same in every process.
 
+Only the LLC sets a plan can overflow are modeled.  Compilation applies
+the set rule (:func:`~repro.perf.llc.overflowing_sets`) to every key the
+plan can put in the LLC; a set that receives at most ``ways`` distinct
+lines never evicts, so in it a demand access has no observable effect
+and a parity lookup hits exactly when the run has fetched that parity
+line before.  The run hands only the other sets' lines to its
+:class:`~repro.perf.llc.LRUCache`, answers parity lookups elsewhere from
+the parity lines it has fetched, and adds the skipped sets' fixed hits
+and misses to the LRU's counters for ``llc/`` telemetry.
+
 A per-request perturbation hook lets the replay co-simulation engine
 (``repro.replay``) inject protection traffic — scrub reads, DDS copy
 traffic, TSV-Swap mux delay, degraded-bank correction latency — into the
@@ -39,11 +49,16 @@ from __future__ import annotations
 import heapq
 import operator
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from repro import contracts
 from repro.errors import ConfigurationError
-from repro.perf.llc import DEFAULT_LLC_CAPACITY_BYTES, DEFAULT_LLC_WAYS, LRUCache
+from repro.perf.llc import (
+    DEFAULT_LLC_CAPACITY_BYTES,
+    DEFAULT_LLC_WAYS,
+    LRUCache,
+    overflowing_sets,
+)
 from repro.perf.power import EnergyCounters
 from repro.perf.timing import DRAMTimings
 from repro.stack.address import AddressMapper, LineLocation
@@ -60,10 +75,16 @@ _Groups = Tuple[Tuple[int, Tuple[int, ...]], ...]
 _FanOut = Tuple[_Groups, int, int]
 #: One compiled line access: (LLC key, row, fan-out, bytes, banks).
 _Line = Tuple[int, int, _Groups, int, int]
-#: One compiled request: (gap, is_write, LLC key, row, fan-out, bytes,
-#: banks, dim-1 parity line of a 3DP writeback or None, global home
-#: bank).
-_Record = Tuple[int, bool, int, int, _Groups, int, int, Optional[_Line], int]
+#: A 3DP writeback's dim-1 parity line: (LLC key, whether the LRU models
+#: its set, row, fan-out, bytes, banks).  Without parity caching the
+#: line never enters the LLC and the flag is unused.
+_Parity = Tuple[int, bool, int, _Groups, int, int]
+#: One compiled request: (gap, is_write, LLC key, or None when its set
+#: cannot overflow, row, fan-out, bytes, banks, dim-1 parity line of a
+#: 3DP writeback or None, global home bank).
+_Record = Tuple[
+    int, bool, Optional[int], int, _Groups, int, int, Optional[_Parity], int
+]
 
 
 @dataclass(frozen=True)
@@ -182,7 +203,7 @@ class SystemSimulator:
     flat integer state; the plan is reused for as long as the simulator
     is handed the same :class:`Trace` objects (traces are immutable), so
     a baseline run and every perturbed rerun of it share one
-    compilation.
+    compilation, and one application of the LLC set rule.
     """
 
     def __init__(
@@ -201,6 +222,9 @@ class SystemSimulator:
         #: the simulation itself never reads it.
         self.metrics = metrics
         self._mapper = AddressMapper(geometry, config.stacks)
+        self._llc_sets = (
+            config.llc_capacity_bytes // geometry.line_bytes // config.llc_ways
+        )
         #: The fan-out of a line by its global home bank.
         self._fan_out: List[_FanOut] = [
             self._expand(channel, bank)
@@ -211,6 +235,9 @@ class SystemSimulator:
         #: identities stay valid, and the plan: one record list per core.
         self._compiled: Tuple[Trace, ...] = ()
         self._plan: List[List[_Record]] = []
+        #: The LLC hits and misses of every run of the plan in the sets
+        #: the LRU does not model (see :meth:`_compile_plan`).
+        self._quiet_counts: Tuple[int, int] = (0, 0)
 
     # ------------------------------------------------------------------ #
     def run(
@@ -225,14 +252,11 @@ class SystemSimulator:
             raise ConfigurationError("need at least one core trace")
         plan = self._plan_for(traces)
         geometry, config, timings = self.geometry, self.config, self.timings
-        llc = LRUCache(
-            num_sets=config.llc_capacity_bytes
-            // geometry.line_bytes
-            // config.llc_ways,
-            ways=config.llc_ways,
-        )
+        llc = LRUCache(num_sets=self._llc_sets, ways=config.llc_ways)
         llc_access = llc.access
         caching = config.parity_caching
+        # Parity lines this run fetched into LLC sets the LRU skips.
+        fetched: Set[int] = set()
 
         # Flat bank and bus state, indexed by global bank id
         # (``channel * banks_per_die + bank``) and by channel.  Rows are
@@ -338,8 +362,10 @@ class SystemSimulator:
                     issue = now + effect.delay_cycles
                     perturb_delay += effect.delay_cycles
             served += 1
-            # Demand lines occupy (and pressure) the LLC.
-            llc_access(key)
+            # Demand lines occupy (and pressure) the LLC sets that can
+            # overflow; in any other set they change nothing.
+            if key is not None:
+                llc_access(key)
             if parity is None:
                 completion = access(issue, row, groups, is_write)
                 bank_accesses += nbanks
@@ -361,13 +387,19 @@ class SystemSimulator:
                 write_bytes += nbytes
                 bank_accesses += 2 * nbanks
                 parity_lookups += 1
-                p_key, p_row, p_groups, p_bytes, p_banks = parity
-                if caching and llc_access(p_key):
+                p_key, p_lru, p_row, p_groups, p_bytes, p_banks = parity
+                # Outside the LRU's sets nothing is evicted, so a parity
+                # line hits once this run has fetched it.
+                if caching and (
+                    llc_access(p_key) if p_lru else p_key in fetched
+                ):
                     parity_hits += 1  # on-chip XOR update, no memory traffic
                 else:
                     if caching:
                         # Miss: fetch the parity line into the LLC; the
                         # dirty line's eventual writeback is charged now.
+                        if not p_lru:
+                            fetched.add(p_key)
                         access(completion, p_row, p_groups, False)
                         access(completion, p_row, p_groups, True)
                     else:
@@ -439,6 +471,11 @@ class SystemSimulator:
         registry = self.metrics
         if registry is None:
             return
+        # The sets the LRU skipped score the same hits and misses in every
+        # run of the plan, and never evict.
+        quiet_hits, quiet_misses = self._quiet_counts
+        llc.hits += quiet_hits
+        llc.misses += quiet_misses
         llc.record_metrics(registry, prefix="llc")
         registry.inc("perf/demand_reads", result.demand_reads)
         registry.inc("perf/demand_writes", result.demand_writes)
@@ -463,28 +500,88 @@ class SystemSimulator:
         if len(traces) != len(self._compiled) or not all(
             map(operator.is_, traces, self._compiled)
         ):
-            self._plan = [
-                [self._compile(request) for request in trace.requests]
-                for trace in traces
-            ]
+            self._plan, self._quiet_counts = self._compile_plan(traces)
             self._compiled = tuple(traces)
         return self._plan
 
-    def _compile(self, request: MemoryRequest) -> _Record:
+    def _compile_plan(
+        self, traces: Sequence[Trace]
+    ) -> Tuple[List[List[_Record]], Tuple[int, int]]:
+        """Compile ``traces`` into one record list per core, with the LLC
+        set rule applied.
+
+        Every address is decoded first, once, through the checked
+        :meth:`~repro.stack.address.AddressMapper.decode`.  Only demand
+        lines and, with parity caching, dim-1 parity lines ever enter the
+        LLC; traffic a :class:`RequestHook` injects (scrub reads, sparing
+        copies) is served from memory and never touches it.  The plan's
+        own keys are therefore every key any run of it, hooked or not,
+        hands the LLC, and a set they do not overflow
+        (:func:`~repro.perf.llc.overflowing_sets`) evicts in no run.
+        Lines in such quiet sets are compiled out of the LRU.
+
+        Also returns the ``(hits, misses)`` the quiet sets score in every
+        run of the plan: one miss per distinct key and one hit per
+        further access.
+        """
+        config = self.config
+        decode = self._mapper.decode
+        homes = [
+            [decode(request.address) for request in trace.requests]
+            for trace in traces
+        ]
+        keys = [
+            request.address for trace in traces for request in trace.requests
+        ]
+        if config.parity_protection and config.parity_caching:
+            keys += [
+                self._parity_key(row, slot)
+                for trace, trace_homes in zip(traces, homes)
+                for request, (_, _, row, slot) in zip(
+                    trace.requests, trace_homes
+                )
+                if request.is_write
+            ]
+        num_sets = self._llc_sets
+        overflowing = overflowing_sets(keys, num_sets, config.llc_ways)
+        # Keys are non-negative ints below 2**61 - 1, so ``hash(key)`` is
+        # ``key`` and this is the LRU's set index.
+        quiet = [key for key in keys if key % num_sets not in overflowing]
+        skipped = set(quiet)
+        plan = [
+            [
+                self._compile(request, home, skipped)
+                for request, home in zip(trace.requests, trace_homes)
+            ]
+            for trace, trace_homes in zip(traces, homes)
+        ]
+        return plan, (len(quiet) - len(skipped), len(skipped))
+
+    def _compile(
+        self,
+        request: MemoryRequest,
+        home: Tuple[int, int, int, int],
+        skipped: Set[int],
+    ) -> _Record:
         """One request's record: everything its service needs but time.
 
-        The address is decoded here, once, and is the line's LLC key.
+        ``home`` is the request's decoded ``(channel, bank, row, slot)``;
+        its address is the line's LLC key.  ``skipped`` holds the keys
+        whose LLC sets cannot overflow: such a demand line gets no LLC
+        key, and such a parity line is marked as outside the LRU.
         """
         address = request.address
-        channel, bank, row, slot = self._mapper.decode(address)
+        channel, bank, row, slot = home
         home_bank = channel * self.geometry.banks_per_die + bank
         groups, nbytes, nbanks = self._fan_out[home_bank]
-        parity: Optional[_Line] = None
+        parity: Optional[_Parity] = None
         if request.is_write and self.config.parity_protection:
-            parity = (self._parity_key(row, slot),) + self._line(
+            key = self._parity_key(row, slot)
+            parity = (key, key not in skipped) + self._line(
                 *self._parity_home(channel, row, slot)
             )[1:]
-        return (request.gap_cycles, request.is_write, address, row, groups,
+        return (request.gap_cycles, request.is_write,
+                None if address in skipped else address, row, groups,
                 nbytes, nbanks, parity, home_bank)
 
     def _expand(self, channel: int, bank: int) -> _FanOut:

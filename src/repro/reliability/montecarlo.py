@@ -60,6 +60,7 @@ from repro.stack.geometry import (
     SCRUB_INTERVAL_HOURS,
     StackGeometry,
 )
+from repro.stack.tsv import standby_dtsv_indices
 from repro.telemetry.registry import MetricsRegistry
 from repro.telemetry.tracing import TraceWriter
 
@@ -164,6 +165,11 @@ class LifetimeSimulator:
         self.rates = rates
         self.model = model
         self.config = config if config is not None else EngineConfig()
+        if self.config.tsv_swap_standby is not None:
+            # The controller's own rule, checked here once: the batch
+            # kernel builds a controller only for the trials it re-runs,
+            # so a count it would refuse must not depend on the draws.
+            standby_dtsv_indices(geometry, self.config.tsv_swap_standby)
         self.rng = make_rng(rng, seed)
         if self.config.thermal_bank_fit is not None:
             self.injector: FaultInjector = ThermalFaultInjector(

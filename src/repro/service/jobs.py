@@ -38,7 +38,7 @@ from enum import Enum
 from typing import Any, Dict, Mapping, Optional, Tuple
 
 from repro import contracts
-from repro.errors import SpecError
+from repro.errors import ConfigurationError, SpecError
 from repro.faults.rates import FailureRates
 from repro.reliability.montecarlo import EngineConfig
 from repro.reliability.parallel import (
@@ -50,6 +50,7 @@ from repro.reliability.sampling import SAMPLING_METHODS
 from repro.replay import ReplayConfig, ReplayWork
 from repro.schemes import SCHEMES, scheme_mitigations
 from repro.stack.geometry import StackGeometry
+from repro.stack.tsv import standby_dtsv_indices
 from repro.workloads.profiles import WORKLOADS
 
 SPEC_SCHEMA_VERSION = 1
@@ -236,20 +237,32 @@ class CampaignSpec:
                     f"expected one of {list(GEOMETRY_FIELDS)}"
                 )
             _check_int(f"geometry override {key!r}", value, 1)
+        # The stack the campaign runs on, built once here so that an
+        # override it refuses fails the submission, not the job.
+        overrides = {k: int(v) for k, v in sorted(dict(self.geometry).items())}
+        try:
+            geometry = StackGeometry(**overrides)
+        except ConfigurationError as exc:
+            raise SpecError(
+                f"geometry overrides {overrides} do not make a stack: {exc}"
+            ) from exc
         # Canonicalize: bake the mitigations a scheme implies (citadel
         # *is* 3DP + TSV-Swap + DDS) into the stored fields — a citadel
         # submission hashes identically however it was phrased, and
         # exactly like the CLI run it describes.
         tsv_swap, dds = scheme_mitigations(self.scheme, self.tsv_swap, self.dds)
+        if tsv_swap is not None:
+            try:
+                standby_dtsv_indices(geometry, tsv_swap)
+            except ConfigurationError as exc:
+                raise SpecError(
+                    f"tsv_swap {tsv_swap} does not fit the geometry: {exc}"
+                ) from exc
         object.__setattr__(self, "tsv_swap", tsv_swap)
         object.__setattr__(self, "dds", dds)
         # Freeze the mapping into a plain sorted dict so canonical_json
         # is insertion-order independent.
-        object.__setattr__(
-            self,
-            "geometry",
-            {k: int(v) for k, v in sorted(dict(self.geometry).items())},
-        )
+        object.__setattr__(self, "geometry", overrides)
 
     # ------------------------------------------------------------------ #
     # Canonical form / content address

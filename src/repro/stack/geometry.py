@@ -77,6 +77,11 @@ class StackGeometry:
                 f"rows_per_bank ({self.rows_per_bank}) must be a multiple of "
                 f"subarrays_per_bank ({self.subarrays_per_bank})"
             )
+        if self.line_bits % self.data_tsvs_per_channel:
+            raise ConfigurationError(
+                f"data_tsvs_per_channel ({self.data_tsvs_per_channel}) must "
+                f"divide line_bits ({self.line_bits})"
+            )
         if self.rows_per_bank & (self.rows_per_bank - 1):
             raise ConfigurationError("rows_per_bank must be a power of two")
         if self.row_bits & (self.row_bits - 1):

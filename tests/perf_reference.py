@@ -9,6 +9,10 @@ then.  Its LLC keys are the simulator's integer keys (a demand line's
 address; ``num_lines + row * lines_per_row + slot`` for a dim-1 parity
 line), so the two must agree on every
 :class:`~repro.perf.system.PerfResult` field for any configuration.
+The reference hands every LLC access to its :class:`LRUCache`, whichever
+set it falls in; the cache of its last run is kept as
+:attr:`ReferenceSimulator.llc`, so its counters can be held against the
+compiled simulator's ``llc/`` telemetry.
 
 :class:`ReferencePerturbation` is likewise the perturbation hook as it
 was before it kept a per-bank delay table: it is handed each request's
@@ -122,6 +126,8 @@ class ReferenceSimulator:
         self.config = config
         self.timings = timings
         self.mapper = AddressMapper(geometry, config.stacks)
+        #: The LLC of the last :meth:`run`, every access modeled.
+        self.llc: Optional[LRUCache] = None
 
     def run(
         self,
@@ -135,7 +141,7 @@ class ReferenceSimulator:
             ChannelState(self.timings, geometry.banks_per_die)
             for _ in range(config.stacks * geometry.channels)
         ]
-        llc = LRUCache(
+        llc = self.llc = LRUCache(
             num_sets=config.llc_capacity_bytes
             // geometry.line_bytes
             // config.llc_ways,

@@ -74,6 +74,15 @@ class TestValidation:
         with pytest.raises(ConfigurationError):
             StackGeometry(rows_per_bank=65536, subarrays_per_bank=7)
 
+    @pytest.mark.parametrize("dtsvs", [3, 384, 1024])
+    def test_rejects_dtsvs_that_do_not_divide_a_line(self, dtsvs):
+        with pytest.raises(ConfigurationError, match="data_tsvs_per_channel"):
+            StackGeometry(data_tsvs_per_channel=dtsvs)
+
+    def test_accepts_dtsvs_that_divide_a_line(self):
+        for dtsvs in (1, 2, 128, 512):
+            assert StackGeometry(data_tsvs_per_channel=dtsvs).line_bits == 512
+
     def test_rejects_zero_dies(self):
         with pytest.raises(ConfigurationError):
             StackGeometry(data_dies=0)

@@ -6,8 +6,10 @@ import pytest
 
 from repro.core.parity3dp import make_1dp, make_3dp
 from repro.ecc.symbol_code import SymbolCode
+from repro.errors import ConfigurationError
 from repro.faults.rates import FailureRates
 from repro.faults.types import FaultKind
+from repro.reliability.batch import make_batch_runner
 from repro.reliability.montecarlo import EngineConfig, LifetimeSimulator
 from repro.reliability.results import ReliabilityResult
 from repro.stack.geometry import StackGeometry
@@ -113,6 +115,36 @@ class TestMitigationEffects:
         hist = result.sparing.rows_histogram()
         assert hist  # at least some faulty banks observed
         assert all(rows >= 1 for rows in hist)
+
+
+class TestStandbyCount:
+    """A TSV-Swap stand-by count the controller refuses is refused where
+    the simulator is built, whichever trial loop would run: the batch
+    kernel builds a controller only for the trials it re-runs, so
+    checking there made the refusal depend on the draws."""
+
+    @pytest.mark.parametrize("telemetry", [False, True],
+                             ids=["batch", "scalar"])
+    @pytest.mark.parametrize("count", ["zero", "not-a-divisor", "too-many"])
+    def test_bad_count_raises_on_both_paths(self, geom, count, telemetry):
+        standby = {
+            "zero": 0,
+            "not-a-divisor": 3,
+            "too-many": geom.data_tsvs_per_channel + 1,
+        }[count]
+        with pytest.raises(ConfigurationError, match="stand-by count"):
+            simulator(
+                geom, make_3dp(geom), tsv_swap_standby=standby, use_dds=True,
+                collect_metrics=telemetry,
+            ).run(trials=20)
+
+    def test_good_count_takes_the_batch_path(self, geom):
+        """The ``batch`` cases above reach the kernel, not the scalar
+        loop: the same configuration with a valid count runs there."""
+        sim = simulator(geom, make_3dp(geom), tsv_swap_standby=4,
+                        use_dds=True)
+        assert make_batch_runner(sim) is not None
+        assert sim.run(trials=20).trials == 20
 
 
 class TestStratification:

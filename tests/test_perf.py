@@ -11,6 +11,8 @@ from dataclasses import asdict
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import repro
 from perf_reference import (
@@ -20,7 +22,7 @@ from perf_reference import (
     ReferenceSimulator,
 )
 from repro.errors import ConfigurationError, ContractViolation, GeometryError
-from repro.perf.llc import LRUCache
+from repro.perf.llc import LRUCache, overflowing_sets
 from repro.perf.power import EnergyCounters, PowerModel, PowerParams
 from repro.perf.system import PerfConfig, SystemSimulator
 from repro.perf.timing import DRAMTimings
@@ -29,6 +31,7 @@ from repro.replay.timeline import FaultTimeline, TimelineEvent
 from repro.stack.address import AddressMapper
 from repro.stack.geometry import StackGeometry
 from repro.stack.striping import StripingPolicy
+from repro.telemetry.registry import MetricsRegistry
 from repro.workloads.generator import rate_mode_traces
 from repro.workloads.trace import MemoryRequest, Trace
 
@@ -315,6 +318,57 @@ class TestPerfEdgeCases:
         assert c.hits == 1 and c.misses == 0
 
 
+class TestSetRule:
+    """:func:`overflowing_sets` against a full :class:`LRUCache`: an LRU
+    that models only the sets the rule names, with every other access
+    answered by "touched before", gives the same hit on every access, and
+    its counters plus one miss per distinct skipped key and one hit per
+    further skipped access are the full cache's."""
+
+    @given(
+        num_sets=st.integers(min_value=1, max_value=64),
+        ways=st.integers(min_value=1, max_value=8),
+        keys=st.lists(st.integers(min_value=0, max_value=511), max_size=300),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_rule_reproduces_a_full_lru(self, num_sets, ways, keys):
+        full = LRUCache(num_sets, ways)
+        expected = [full.access(key) for key in keys]
+        overflowing = overflowing_sets(keys, num_sets, ways)
+        modeled = LRUCache(num_sets, ways)
+        touched = set()
+        skipped = []
+        hits = []
+        for key in keys:
+            if hash(key) % num_sets in overflowing:
+                hits.append(modeled.access(key))
+            else:
+                hits.append(key in touched)
+                touched.add(key)
+                skipped.append(key)
+        assert hits == expected
+        distinct = len(set(skipped))
+        assert (
+            modeled.hits + len(skipped) - distinct,
+            modeled.misses + distinct,
+            modeled.evictions,
+        ) == (full.hits, full.misses, full.evictions)
+
+    def test_only_sets_with_more_distinct_keys_than_ways(self):
+        # Set 0 gets keys 0, 4, 8 (three distinct), set 1 gets 1 and 5
+        # (two, one of them twice), set 2 gets 2 alone.
+        keys = [0, 4, 8, 0, 1, 5, 5, 2]
+        assert overflowing_sets(keys, 4, 2) == {0}
+        assert overflowing_sets(keys, 4, 3) == frozenset()
+        assert overflowing_sets(keys, 4, 1) == {0, 1}
+
+    def test_shape_validated(self):
+        with pytest.raises(ConfigurationError):
+            overflowing_sets([1], 0, 2)
+        with pytest.raises(ConfigurationError):
+            overflowing_sets([1], 4, 0)
+
+
 class TestCompileDecodesOnce:
     """Compilation decodes every request's address through the one
     checked decode, so its range check and its round-trip contract still
@@ -434,17 +488,51 @@ def _hook(geometry, traces, hook_type=ReplayPerturbation):
 
 def _both(geometry, config, traces, hooked, timings=T):
     """``asdict`` of the compiled run under the table-driven hook and of
-    the reference run under the reference hook."""
-    compiled = SystemSimulator(geometry, config, timings).run(
+    the reference run under the reference hook, each with its LLC
+    counters under ``"llc"``: the compiled run's ``llc/`` telemetry and
+    the counters of the reference's own :class:`LRUCache`, which models
+    every set."""
+    metrics = MetricsRegistry()
+    compiled = SystemSimulator(geometry, config, timings, metrics).run(
         traces, hook=_hook(geometry, traces) if hooked else None
     )
-    reference = ReferenceSimulator(geometry, config, timings).run(
+    simulator = ReferenceSimulator(geometry, config, timings)
+    reference = simulator.run(
         traces,
         hook=(
             _hook(geometry, traces, ReferencePerturbation) if hooked else None
         ),
     )
-    return asdict(compiled), asdict(reference)
+    llc = simulator.llc
+    return (
+        dict(asdict(compiled), llc=metrics.counters_with_prefix("llc/")),
+        dict(asdict(reference), llc={
+            "llc/evictions": llc.evictions,
+            "llc/hits": llc.hits,
+            "llc/misses": llc.misses,
+        }),
+    )
+
+
+def _llc_keys(geometry, config, traces):
+    """Every key a run of ``traces`` hands the LLC, once per access: the
+    demand addresses and, with parity caching, each writeback's dim-1
+    parity key (the reference's formula)."""
+    mapper = AddressMapper(geometry, config.stacks)
+    keys = []
+    for trace in traces:
+        for request in trace.requests:
+            keys.append(request.address)
+            if request.is_write and config.parity_protection and (
+                config.parity_caching
+            ):
+                home = mapper.to_location(request.address)
+                keys.append(
+                    mapper.num_lines
+                    + home.row * geometry.lines_per_row
+                    + home.slot
+                )
+    return keys
 
 
 @pytest.fixture(scope="module")
@@ -465,10 +553,16 @@ _PARITY_MODES = {
 }
 
 
+#: Grid LLC sizes.  On the grid's 2 x 300-request traces no set of the
+#: 8 MB LLC overflows, some sets of the 64 KB LLC do, and every touched
+#: set of the 1 KB LLC does (``test_llc_sizes_cover_every_kind_of_set``).
+_LLC_SIZES = {"llc-8MB": 8 << 20, "llc-64KB": 64 << 10, "llc-1KB": 1 << 10}
+
+
 class TestCompiledMatchesReference:
     @pytest.mark.parametrize("hooked", [False, True], ids=["plain", "hooked"])
-    @pytest.mark.parametrize("llc_bytes", [8 << 20, 1 << 10],
-                             ids=["llc-8MB", "llc-1KB"])
+    @pytest.mark.parametrize("llc_bytes", list(_LLC_SIZES.values()),
+                             ids=list(_LLC_SIZES))
     @pytest.mark.parametrize("parity", sorted(_PARITY_MODES))
     @pytest.mark.parametrize("striping", list(StripingPolicy),
                              ids=lambda policy: policy.value)
@@ -481,6 +575,31 @@ class TestCompiledMatchesReference:
         for name, traces in grid_traces.items():
             compiled, reference = _both(geom, config, traces, hooked)
             assert compiled == reference, name
+
+    @pytest.mark.parametrize("size", sorted(_LLC_SIZES))
+    def test_llc_sizes_cover_every_kind_of_set(self, geom, grid_traces,
+                                               size):
+        """The grid is not vacuous about the LLC set rule: at 8 MB it
+        skips every set, at 1 KB it models every set, and at 64 KB it
+        does both, and the modeled sets evict."""
+        config = PerfConfig(parity_protection=True,
+                            llc_capacity_bytes=_LLC_SIZES[size])
+        num_sets = config.llc_capacity_bytes // geom.line_bytes // (
+            config.llc_ways
+        )
+        traces = grid_traces["zipfian"]
+        keys = _llc_keys(geom, config, traces)
+        touched = {hash(key) % num_sets for key in keys}
+        overflowing = overflowing_sets(keys, num_sets, config.llc_ways)
+        compiled, reference = _both(geom, config, traces, hooked=False)
+        assert compiled == reference
+        evictions = compiled["llc"]["llc/evictions"]
+        if size == "llc-8MB":
+            assert not overflowing and evictions == 0
+        elif size == "llc-1KB":
+            assert overflowing == touched and evictions > 0
+        else:
+            assert 0 < len(overflowing) < len(touched) and evictions > 0
 
     @pytest.mark.parametrize("hooked", [False, True], ids=["plain", "hooked"])
     def test_mlp_zero_takes_the_config_window(self, geom, grid_traces,

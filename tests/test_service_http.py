@@ -487,6 +487,26 @@ class TestErrorContract:
     ):
         """A NaN FIT or a boolean seed is a 400 naming the field, and
         the connection stays usable."""
+        self._assert_spec_error(service, body, field)
+
+    @pytest.mark.parametrize(
+        "body,field",
+        [
+            ('{"spec": {"scheme": "3dp", "geometry": {"rows_per_bank": 3}}}',
+             "geometry"),
+            ('{"spec": {"scheme": "3dp", "tsv_swap": 3}}', "tsv_swap"),
+        ],
+    )
+    def test_spec_the_stack_refuses_is_a_spec_error(
+        self, service, body, field
+    ):
+        """A geometry override the stack refuses, or a stand-by count
+        TSV-Swap refuses, is a 400 naming the field: no job is queued to
+        fail at run time, and the connection stays usable."""
+        self._assert_spec_error(service, body, field)
+
+    @staticmethod
+    def _assert_spec_error(service, body, field):
         _, scheduler, server = service
         connection = http.client.HTTPConnection(
             "127.0.0.1", server.port, timeout=WAIT_S

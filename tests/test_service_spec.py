@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.errors import SpecError
+from repro.errors import ConfigurationError, SpecError
 from repro.schemes import CITADEL_DEFAULT_STANDBY_TSVS
 from repro.service.jobs import (
     GEOMETRY_FIELDS,
@@ -72,6 +72,16 @@ class TestValidation:
             {"mode": "replay", "requests": True},
             {"mode": "replay", "replay_cores": True},
             {"geometry": {"data_dies": True}},
+            # Overrides and stand-by counts the stack itself refuses.
+            {"scheme": "3dp", "geometry": {"rows_per_bank": 3}},
+            {"geometry": {"rows_per_bank": 24}},
+            {"geometry": {"row_bytes": 100}},
+            {"geometry": {"data_tsvs_per_channel": 3}},
+            {"geometry": {"data_tsvs_per_channel": 2}},
+            {"scheme": "3dp", "tsv_swap": 0},
+            {"scheme": "3dp", "tsv_swap": 3},
+            {"scheme": "3dp", "tsv_swap": 257},
+            {"mode": "replay", "scheme": "3dp", "tsv_swap": 3},
         ],
     )
     def test_invalid_values_rejected(self, overrides):
@@ -82,6 +92,17 @@ class TestValidation:
             CampaignSpec(**overrides)
         with pytest.raises(SpecError, match=field):
             CampaignSpec.from_dict(json.loads(json.dumps(overrides)))
+
+    def test_unbuildable_geometry_names_the_override(self):
+        with pytest.raises(SpecError, match="rows_per_bank") as info:
+            CampaignSpec(scheme="3dp", geometry={"rows_per_bank": 3})
+        assert isinstance(info.value.__cause__, ConfigurationError)
+
+    def test_buildable_overrides_and_counts_accepted(self):
+        spec = CampaignSpec(
+            scheme="3dp", tsv_swap=2, geometry={"data_tsvs_per_channel": 128}
+        )
+        assert spec.work().geometry.data_tsvs_per_channel == 128
 
     def test_infinite_scrub_and_ci_width_accepted(self):
         """+inf scrub hours means never scrub; +inf is a valid CI width."""
@@ -234,12 +255,23 @@ class TestCanonicalization:
         assert scaled.spec_hash() == CampaignSpec(trials=300).spec_hash()
 
 
-#: Geometry overrides drawn from the real StackGeometry field names.
+def _buildable(overrides):
+    """Whether the overrides make a stack that also holds citadel's four
+    stand-by DTSVs (the scheme the documents below default to)."""
+    try:
+        CampaignSpec(geometry=overrides)
+    except SpecError:
+        return False
+    return True
+
+
+#: Geometry overrides drawn from the real StackGeometry field names,
+#: kept to those a spec accepts.
 geometry_dicts = st.dictionaries(
     st.sampled_from(GEOMETRY_FIELDS),
     st.integers(min_value=1, max_value=16),
     max_size=3,
-)
+).filter(_buildable)
 
 spec_documents = st.fixed_dictionaries(
     {},
