@@ -20,7 +20,13 @@ end on a small geometry:
 
 Cells hold their last-written ("true") values; faults corrupt reads, so a
 successful reconstruction recovers exactly the data the host wrote —
-matching the paper's fail-in-place semantics.
+matching the paper's fail-in-place semantics.  Sparing moves only what
+the controller can read: each written line of the spared row or bank
+goes through detection and correction, and the spare receives the
+rebuilt line, or the raw read where no dimension rebuilds it.  A line
+lost before its region is spared therefore stays lost.  Parity groups
+are logical: reconstruction and parity updates address a line by its
+home ``(die, bank, row, slot)`` and read its group through the remaps.
 """
 
 from __future__ import annotations
@@ -135,6 +141,11 @@ class CitadelDatapath:
         die, bank = self._data_banks[bank_index]
         return die, bank, row, slot
 
+    def _address(self, die: int, bank: int, row: int, slot: int) -> int:
+        """(die, bank, row, slot) -> address; the inverse of :meth:`_locate`."""
+        rest = row * self.geometry.lines_per_row + slot
+        return rest * len(self._data_banks) + self._data_banks.index((die, bank))
+
     # ------------------------------------------------------------------ #
     # Fault injection & read-path corruption
     # ------------------------------------------------------------------ #
@@ -180,14 +191,12 @@ class CitadelDatapath:
         return self.array.read_line(die, bank, row, slot)
 
     # ------------------------------------------------------------------ #
-    # Parity maintenance (XOR deltas over *true* cell contents)
+    # Parity maintenance (XOR deltas at a line's home location)
     # ------------------------------------------------------------------ #
     def _apply_parity_delta(
         self, die: int, bank: int, row: int, slot: int, delta: np.ndarray
     ) -> None:
         g = self.geometry
-        if die >= g.data_dies:
-            return  # spare area in the metadata die is outside 3DP parity
         start = slot * g.line_bytes
         sl = slice(start, start + g.line_bytes)
         pd, pb = self.parity_bank
@@ -205,21 +214,43 @@ class CitadelDatapath:
             raise ConfigurationError(
                 f"line must be {g.line_bytes} bytes, got {len(data)}"
             )
-        die, bank, row, slot = self._remapped(*self._locate(address))
+        home = self._locate(address)
+        die, bank, row, slot = self._remapped(*home)
         start = slot * g.line_bytes
         sl = slice(start, start + g.line_bytes)
         new = np.frombuffer(data, dtype=np.uint8)
         old = self.cells[die, bank, row, sl].copy()
         self.cells[die, bank, row, sl] = new
-        self._apply_parity_delta(die, bank, row, slot, old ^ new)
+        self._apply_parity_delta(*home, old ^ new)
         self._crc[address] = crc32_with_address(data, address)
 
     def read(self, address: int) -> bytes:
         """Read a line, detecting and correcting on the way (§VI-D)."""
-        die, bank, row, slot = self._remapped(*self._locate(address))
+        home = self._locate(address)
+        data, corrected = self._recover(address, home)
+        if data is None:
+            self.stats.uncorrectable += 1
+            if self.metrics is not None:
+                self.metrics.inc("crc/uncorrectable")
+            raise UncorrectableError(
+                f"line {address} unrecoverable through any parity dimension"
+            )
+        if corrected and self.enable_dds:
+            self._spare_after_correction(*home[:3])
+        return data
+
+    def _recover(
+        self, address: int, home: Tuple[int, int, int, int]
+    ) -> Tuple[Optional[bytes], bool]:
+        """Detection and correction of the line at ``address`` (home
+        location ``home``): ``(data, corrected)``, where ``data`` is the
+        line as read when its CRC matches, as TSV-Swap or a parity
+        dimension rebuilt it otherwise (``corrected`` is True for a
+        parity rebuild), or None when nothing rebuilds it."""
+        die, bank, row, slot = self._remapped(*home)
         data = self._read_raw_line(die, bank, row, slot)
         if self._crc_ok(address, data):
-            return data
+            return data, False
         self.stats.crc_mismatches += 1
         if self.metrics is not None:
             self.metrics.inc("crc/detections")
@@ -227,22 +258,15 @@ class CitadelDatapath:
         if self.enable_tsv_swap and self._run_tsv_bist(die):
             data = self._read_raw_line(die, bank, row, slot)
             if self._crc_ok(address, data):
-                return data
-        # Phase 2: 3DP reconstruction.
-        recovered = self._reconstruct(address, die, bank, row, slot)
+                return data, False
+        # Phase 2: 3DP reconstruction of the home location's groups.
+        recovered = self._reconstruct(address, *home)
         if recovered is None:
-            self.stats.uncorrectable += 1
-            if self.metrics is not None:
-                self.metrics.inc("crc/uncorrectable")
-            raise UncorrectableError(
-                f"line {address} unrecoverable through any parity dimension"
-            )
+            return None, False
         self.stats.corrections += 1
         if self.metrics is not None:
             self.metrics.inc("crc/corrections")
-        if self.enable_dds:
-            self._spare_after_correction(address, die, bank, row, slot, recovered)
-        return recovered
+        return recovered, True
 
     def _crc_ok(self, address: int, data: bytes) -> bool:
         stored = self._crc.get(address)
@@ -358,12 +382,9 @@ class CitadelDatapath:
             return g.metadata_die, self.dds.fine_spare_bank, spare_row, slot
         return die, bank, row, slot
 
-    def _spare_after_correction(
-        self, address: int, die: int, bank: int, row: int, slot: int,
-        recovered: bytes,
-    ) -> None:
-        """Relocate the corrected line's faulty region (row or bank)."""
-        g = self.geometry
+    def _spare_after_correction(self, die: int, bank: int, row: int) -> None:
+        """Relocate the faulty region (row or bank) of a corrected line
+        whose home row is ``(die, bank, row)``."""
         if (die, bank) in self._bank_remap or (die, bank, row) in self._row_remap:
             return  # already spared; nothing further to do
         faulty_rows = self._faulty_rows_in_bank(die, bank)
@@ -371,8 +392,6 @@ class CitadelDatapath:
             self._spare_bank(die, bank)
         else:
             self._spare_row(die, bank, row)
-        # Rewrite through the new mapping so the spare area has the data.
-        self.write(address, recovered)
 
     def _faulty_rows_in_bank(self, die: int, bank: int) -> int:
         total = 0
@@ -389,12 +408,11 @@ class CitadelDatapath:
             return
         spare_row = self._spare_rows_used
         self._spare_rows_used += 1
+        self.cells[g.metadata_die, self.dds.fine_spare_bank, spare_row] = (
+            self._salvage_row(die, bank, row)
+        )
         self._row_remap[(die, bank, row)] = spare_row
         self.stats.rows_spared += 1
-        # Move the surviving true data of the row into the spare bank.
-        self.cells[g.metadata_die, self.dds.fine_spare_bank, spare_row] = (
-            self.cells[die, bank, row]
-        )
 
     def _spare_bank(self, die: int, bank: int) -> None:
         g = self.geometry
@@ -402,10 +420,30 @@ class CitadelDatapath:
         for spare in self.dds.coarse_spare_banks:
             target = (g.metadata_die, spare)
             if target not in used:
+                for row in range(g.rows_per_bank):
+                    self.cells[target[0], target[1], row] = (
+                        self._salvage_row(die, bank, row)
+                    )
                 self._bank_remap[(die, bank)] = target
                 self.stats.banks_spared += 1
-                self.cells[target[0], target[1]] = self.cells[die, bank]
                 return
+
+    def _salvage_row(self, die: int, bank: int, row: int) -> np.ndarray:
+        """What sparing can move of the row at home ``(die, bank, row)``:
+        the row as read, with each line whose CRC fails replaced by its
+        rebuilt value where a dimension rebuilds it.  A line nothing
+        rebuilds moves as read, corrupted; the written ("true") cells
+        stay behind, out of the controller's reach."""
+        g = self.geometry
+        data = self._read_raw_row(die, bank, row)
+        for slot in range(g.lines_per_row):
+            home = (die, bank, row, slot)
+            line, _ = self._recover(self._address(*home), home)
+            if line is not None:
+                data[self._line_slice(slot)] = np.frombuffer(
+                    line, dtype=np.uint8
+                )
+        return data
 
     # ------------------------------------------------------------------ #
     # Scrubbing

@@ -23,6 +23,10 @@ kills that BRT slot (re-exposing a bank spared onto it); a fine spare bank
 failure disables row sparing and re-exposes row-spared faults.  Faults in
 metadata banks 0-4 degrade detection latency only and are not modeled as
 data loss.
+
+:func:`outlives_scrub` is the array form of the controller's decision
+that the batch trial kernel screens with: which permanent faults DDS is
+certain to retire at the first scrub after they arrive.
 """
 
 from __future__ import annotations
@@ -30,6 +34,8 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Set, Tuple
+
+import numpy as np
 
 from repro import contracts
 from repro.errors import ConfigurationError
@@ -82,6 +88,58 @@ def rows_required(geometry: StackGeometry, fault: Fault) -> int:
     subarray, a bank fault all 64K rows).
     """
     return max(1, fault.footprint.num_rows)
+
+
+def outlives_scrub(
+    geometry: StackGeometry,
+    use_dds: bool,
+    spare_banks: int,
+    trial: np.ndarray,
+    permanent: np.ndarray,
+    is_tsv: np.ndarray,
+    die: np.ndarray,
+    bank: np.ndarray,
+) -> np.ndarray:
+    """Per fault: may it still be live after the next scrub?
+
+    The arguments are columns of the faults that reach the engine's
+    trial loop (after TSV-Swap), one row per fault, ``trial`` naming
+    each fault's trial; ``die`` and ``bank`` follow
+    :data:`repro.faults.injector.FaultRecord`.  Scrubbing drops
+    every transient fault, so only permanent faults may outlive it.
+    Without DDS they all may.  With DDS, a trial's permanent faults are
+    all retired by the scrub after their arrival, for good, when
+
+    * none lies on a metadata die: only such a fault degrades the spare
+      area (:meth:`DDSController._degrade_spare_area`), and only that
+      re-exposes a spared fault or kills a BRT slot or row sparing
+      (a transient is dropped before DDS sees it);
+    * none is a TSV fault: a multi-bank fault is never spared;
+    * they occupy at most ``spare_banks`` distinct ``(die, bank)``
+      positions, so :meth:`DDSController._spare_bank` always finds a
+      free slot (each position takes at most one, and keeps it).
+
+    Then each of them is row- or bank-spared at the first scrub after
+    its arrival and never comes back.  In every other trial each
+    permanent fault may outlive any scrub.
+    """
+    if not use_dds:
+        return permanent
+    n_trials = int(trial.max()) + 1 if trial.size else 0
+    # Trials with a permanent fault on a metadata die, or a TSV fault.
+    blocked = np.zeros(n_trials, dtype=bool)
+    blocked[trial[permanent & ((die >= geometry.data_dies) | is_tsv)]] = True
+    # The other trials' distinct positions, by sorting trial-major keys.
+    per_trial = geometry.data_dies * geometry.banks_per_die
+    keys = ((trial * geometry.data_dies + die) * geometry.banks_per_die + bank)[
+        permanent & ~blocked[trial]
+    ]
+    keys.sort()
+    new = np.ones(keys.size, dtype=bool)
+    np.not_equal(keys[1:], keys[:-1], out=new[1:])
+    positions = np.bincount(keys[new] // per_trial, minlength=n_trials)
+    retired = (positions <= spare_banks) & ~blocked
+    return permanent & ~retired[trial]
 
 
 class DDSController:

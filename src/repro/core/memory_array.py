@@ -41,6 +41,8 @@ class FaultyMemoryArray:
         #: Optional predicate: faults for which it returns True are
         #: neutralized (used for TSV-Swap redirection).
         self.suppression: Optional[Callable[[Fault], bool]] = None
+        #: Every bit offset of a row, for the stuck-column masks.
+        self._cols = np.arange(geometry.row_bits, dtype=np.int64)
 
     # ------------------------------------------------------------------ #
     def inject(self, fault: Fault) -> None:
@@ -60,7 +62,7 @@ class FaultyMemoryArray:
         """Read a row through the fault-corrupted path."""
         g = self.geometry
         actual_row = row
-        corrupt_cols: List[int] = []
+        stuck: Optional[np.ndarray] = None
         for fault in self.active_faults():
             fp = fault.footprint
             if die not in fp.dies or bank not in fp.banks:
@@ -72,12 +74,14 @@ class FaultyMemoryArray:
                 continue
             if row not in fp.rows:
                 continue
-            corrupt_cols.extend(fp.cols.iter_values(limit=1 << 16))
+            # The fault's columns: ``RangeMask`` membership, bit offset
+            # by bit offset.
+            cols = (self._cols & ~fp.cols.mask) == fp.cols.base
+            stuck = cols if stuck is None else stuck | cols
         data = self.cells[die, bank, actual_row].copy()
-        if corrupt_cols:
+        if stuck is not None:
             bits = np.unpackbits(data, bitorder="little")
-            for col in corrupt_cols:
-                bits[col] = 0  # stuck-at-0 cells / stuck TSV lanes
+            bits[stuck] = 0  # stuck-at-0 cells / stuck TSV lanes
             data = np.packbits(bits, bitorder="little")
         return data
 

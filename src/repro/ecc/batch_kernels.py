@@ -4,10 +4,10 @@ The batch engine (:mod:`repro.reliability.batch`) evaluates thousands of
 trials at once: each chunk's sampled faults become column vectors (one row
 per fault) and the scheme's kernel decides — with numpy predicates only —
 which trials *provably survive* their whole lifetime.  A kernel verdict of
-``True`` is a proof: the trial is correctable after every arrival, under
-every scrub/DDS schedule.  ``False`` only means "not proven here"; the
-engine re-runs those trials through the exact scalar simulator, so kernels
-may be conservative but never optimistic.
+``True`` is a proof: the trial is correctable after every arrival under
+the engine's scrub interval and DDS setting.  ``False`` only means "not
+proven here"; the engine re-runs those trials through the exact scalar
+simulator, so kernels may be conservative but never optimistic.
 
 The soundness argument shared by every kernel:
 
@@ -15,10 +15,26 @@ The soundness argument shared by every kernel:
   arrivals — scrubbing drops transients, DDS only removes (or re-exposes
   previously-arrived) permanents, and TSV-Swap filtering happens before
   the loop.  Two faults can only be simultaneously live if the pair is
-  *possibly co-live*: the earlier one is permanent, or both arrivals fall
-  within neighbouring scrub epochs (:meth:`TrialBatch.pairs` keeps a
-  two-epoch slack over the float-exact boundary arithmetic of
+  *possibly co-live*: the earlier one may outlive the scrub after its
+  arrival (``TrialBatch.outlives_scrub``), or both arrivals fall within
+  neighbouring scrub epochs (:meth:`TrialBatch.pairs` keeps a two-epoch
+  slack over the float-exact boundary arithmetic of
   ``LifetimeSimulator._scrub_epoch_at``, so the mask over-approximates).
+* A fault that does not outlive that scrub is a transient, or a
+  permanent fault DDS is certain to retire there
+  (:func:`repro.core.dds.outlives_scrub`).  ``LifetimeSimulator._simulate``
+  runs the scrub of a later epoch, handing the live permanent faults to
+  ``DDSController.process_scrub``, before it adds any fault of that
+  epoch.  In a trial with DDS on, no permanent fault on a metadata die,
+  no TSV fault in the loop and at most ``spare_banks`` distinct
+  ``(die, bank)`` positions among its permanent faults, no fault reaches
+  ``_degrade_spare_area``: no BRT slot dies, row sparing stays on and
+  nothing is re-exposed.  Every fault is single-bank, so ``_spare`` never
+  refuses it as multi-bank, and a fault row sparing cannot take finds a
+  free slot in ``_spare_bank``: each position takes at most one slot and
+  keeps it.  So that scrub spares each of the trial's permanent faults
+  for good, and such a fault is co-live only with the arrivals of its own
+  epoch, like a transient; the same slack covers both.
 * A kernel judges a trial on its possibly-co-live pairs, and what it
   proves there holds for every live set drawn from them: pairwise
   fatality is monotone in the live set, and the 3DP peel's argument is
@@ -70,14 +86,18 @@ class TrialBatch:
     TSV-Swap are excluded by the engine before assembly).  Faults of a
     trial appear contiguously in arrival-time order.  ``die`` holds the
     channel and ``bank`` is -1 for TSV faults, mirroring
-    :data:`repro.faults.injector.FaultRecord`.
+    :data:`repro.faults.injector.FaultRecord`.  ``outlives_scrub`` marks
+    the faults that may still be live after the scrub that follows their
+    arrival: the engine computes it with
+    :func:`repro.core.dds.outlives_scrub`, and only the co-live mask of
+    :meth:`pairs` reads it.
     """
 
     def __init__(
         self,
         geometry: StackGeometry,
         counts: List[int],
-        permanent: List[bool],
+        outlives_scrub: List[bool],
         is_tsv: List[bool],
         is_bank_kind: List[bool],
         die: List[int],
@@ -96,7 +116,7 @@ class TrialBatch:
             np.arange(self.n_trials, dtype=np.int64), self.counts
         )
         self.n_faults = int(self.trial.size)
-        self.permanent = np.asarray(permanent, dtype=bool)
+        self.outlives_scrub = np.asarray(outlives_scrub, dtype=bool)
         self.is_tsv = np.asarray(is_tsv, dtype=bool)
         self.is_bank_kind = np.asarray(is_bank_kind, dtype=bool)
         self.die = np.asarray(die, dtype=np.int64)
@@ -157,7 +177,7 @@ class TrialBatch:
         second_mates = np.repeat(order, before)
         first = np.concatenate((first_wide, first_mixed, first_mates))
         second = np.concatenate((second_wide, second_mixed, second_mates))
-        colive = self.permanent[first] | (
+        colive = self.outlives_scrub[first] | (
             self.epoch[second] <= self.epoch[first] + COLIVE_EPOCH_SLACK
         )
         return first, second, colive

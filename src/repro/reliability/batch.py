@@ -12,8 +12,13 @@ times plus one fault count per trial.  A block closes at
 :data:`CHUNK_FAULTS` faults, and becomes the scheme kernel's
 :class:`repro.ecc.batch_kernels.TrialBatch` columns through a few numpy
 operations (:meth:`FaultInjector.record_columns`, the scrub epochs, the
-TSV-Swap live mask), no per-trial Python list.  Trials the kernel
-*proves* survive are done — no ``Fault`` objects, no model machinery.
+TSV-Swap live mask, and the DDS rule
+:func:`repro.core.dds.outlives_scrub`), no per-trial Python list.  That
+rule tells the kernel which permanent faults DDS is certain to spare at
+the scrub after their arrival, so on Citadel a fault spared before the
+next arrival pairs only with its own scrub epoch, like a transient.
+Trials the kernel *proves* survive are done — no ``Fault`` objects, no
+model machinery.
 That holds for fault-dense trials too: the 3DP kernel indexes only the
 pairs whose column blocks can meet and peels to a fixed point in
 arrays, so a bit/word-FIT×1000 stress trial of about 150 live faults is
@@ -62,6 +67,7 @@ from typing import (
 import numpy as np
 
 from repro import contracts
+from repro.core.dds import outlives_scrub
 from repro.ecc.batch_kernels import (
     BatchCorrectionKernel,
     TrialBatch,
@@ -119,7 +125,11 @@ def make_batch_runner(
     for a non-naive sampling plan, or its scrub epochs could pass
     :data:`MAX_EPOCH`.  Failure modes need no refusal:
     the kernel only proves survival, and every failing trial re-runs on
-    the scalar path, which names its mode.
+    the scalar path, which names its mode.  Nor do scrub intervals or
+    DDS: the screen pairs faults by scrub epoch, and
+    :func:`repro.core.dds.outlives_scrub` says which permanent faults DDS
+    retires at the next scrub; any other permanent fault pairs with every
+    later arrival.
     """
     config = sim.config
     if (
@@ -248,8 +258,9 @@ class BatchTrialKernel:
         not prove survivable on the scalar path, and record the block's
         failure times and modes in trial order."""
         sim = self.sim
+        config = sim.config
         injector = sim.injector
-        standby = sim.config.tsv_swap_standby
+        standby = config.tsv_swap_standby
         pair_budget = CHUNK_PAIRS
         n_trials = len(counts)
         count = np.array(counts, dtype=np.int64)
@@ -258,10 +269,6 @@ class BatchTrialKernel:
         trial = np.repeat(np.arange(n_trials), count)
         footprints = injector.record_columns(records)
         _, is_tsv, *_, col_base, col_mask = footprints
-        columns = (
-            *footprints,
-            scrub_epochs(np.array(times), sim.config.scrub_interval_hours),
-        )
         scalar = np.zeros(n_trials, dtype=bool)
         if standby is None:
             keep = np.ones(len(records), dtype=bool)
@@ -293,6 +300,23 @@ class BatchTrialKernel:
             scalar[index] = charge[index] > pair_budget
         charge[scalar] = 0
         keep &= ~scalar[trial]
+        # The kernel's columns hold the faults that reach the engine's
+        # trial loop; trial ``i``'s are ``kept[ends[i]]:kept[ends[i + 1]]``.
+        # DDS narrows the permanent flag to the faults that may outlive
+        # the scrub after their arrival.
+        kept = np.concatenate(([0], np.cumsum(keep)))
+        columns = [
+            column[keep]
+            for column in (
+                *footprints,
+                scrub_epochs(np.array(times), config.scrub_interval_hours),
+            )
+        ]
+        permanent, is_tsv, _, die, bank, *_ = columns
+        columns[0] = outlives_scrub(
+            sim.geometry, config.use_dds, config.spare_banks,
+            trial[keep], permanent, is_tsv, die, bank,
+        )
         # Chunks: one for the whole block unless its pairs exceed the
         # budget; then close a chunk before a trial would push it past.
         bounds = [0]
@@ -306,14 +330,13 @@ class BatchTrialKernel:
         bounds.append(n_trials)
         verdicts = []
         for lo, hi in zip(bounds, bounds[1:]):
-            own = slice(ends[lo], ends[hi])
-            alive = keep[own]
+            own = slice(kept[ends[lo]], kept[ends[hi]])
             screened = ~scalar[lo:hi]
             verdicts.append(self._evaluate(
                 TrialBatch(
                     sim.geometry,
                     live[lo:hi][screened],
-                    *(column[own][alive] for column in columns),
+                    *(column[own] for column in columns),
                 ),
                 screened,
             ))

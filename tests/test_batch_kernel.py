@@ -33,7 +33,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import repro.reliability.batch as batch_mod
+from repro.core.dds import outlives_scrub
 from repro.core.parity3dp import COL_BLOCK_BITS, ParityND, make_3dp
+from repro.core.tsv_swap import apply_tsv_swap
 from repro.ecc.base import FromScratch
 from repro.ecc.batch_kernels import (
     COLIVE_EPOCH_SLACK,
@@ -52,6 +54,7 @@ from repro.stack.geometry import (
     SCRUB_INTERVAL_HOURS,
     StackGeometry,
 )
+from repro.stack.tsv import standby_dtsv_indices
 from test_injector import build_fault, reference_masks
 
 GEOM = StackGeometry()
@@ -386,12 +389,71 @@ class TestScrubEpochs:
 
 #: Reads the faulty TSVs of the records ``tsv_record`` builds.
 TSV_INJECTOR = FaultInjector(GEOM, RATES)
+ATSV_CODE = TSV_INJECTOR.codes.index((FaultKind.ADDR_TSV, Permanence.PERMANENT))
 
 
-def tsv_record(kind, channel, index):
-    """A sampled record of the TSV fault ``(kind, channel, index)``."""
+def tsv_record(kind, channel, index, stuck=0):
+    """A sampled record of the TSV fault ``(kind, channel, index)``;
+    ``stuck`` is an address TSV's stuck value."""
     code = TSV_INJECTOR.codes.index((kind, Permanence.PERMANENT))
-    return code, channel, -1, index, 0
+    return code, channel, -1, index, stuck
+
+
+#: Every stand-by count ``standby_dtsv_indices`` accepts on ``GEOM``.
+STANDBY_COUNTS = [
+    count
+    for count in range(1, GEOM.data_tsvs_per_channel + 1)
+    if GEOM.data_tsvs_per_channel % count == 0
+]
+
+
+@st.composite
+def clustered_tsv_trials(draw):
+    """A stand-by count and one trial's TSV records clustered around
+    that pool's boundary: in one or two channels, about ``standby``
+    distinct faulty TSVs at adjacent indices (the data run often starts
+    at a stand-by DTSV, which a faulty one takes out of the pool), data
+    and address TSVs mixed, plus repeats of faulty TSVs (an address
+    TSV's at either stuck value), in any order."""
+    standby = draw(st.sampled_from(STANDBY_COUNTS))
+    standby_dtsvs = st.sampled_from(standby_dtsv_indices(GEOM, standby))
+    records = []
+    channels = draw(
+        st.lists(
+            st.integers(0, GEOM.channels - 1),
+            min_size=1, max_size=2, unique=True,
+        )
+    )
+    for channel in channels:
+        distinct = draw(st.integers(max(0, standby - 2), standby + 2))
+        addr = draw(st.integers(0, min(distinct, GEOM.addr_tsvs_per_channel)))
+        start = draw(
+            standby_dtsvs | st.integers(0, GEOM.data_tsvs_per_channel - 1)
+        )
+        records += [
+            tsv_record(
+                FaultKind.DATA_TSV, channel,
+                (start + offset) % GEOM.data_tsvs_per_channel,
+            )
+            for offset in range(distinct - addr)
+        ]
+        start = draw(st.integers(0, GEOM.addr_tsvs_per_channel - 1))
+        records += [
+            tsv_record(
+                FaultKind.ADDR_TSV, channel,
+                (start + offset) % GEOM.addr_tsvs_per_channel,
+                draw(st.integers(0, 1)),
+            )
+            for offset in range(addr)
+        ]
+    if records:
+        for code, channel, bank, index, stuck in draw(
+            st.lists(st.sampled_from(records), max_size=4)
+        ):
+            if code == ATSV_CODE:
+                stuck = draw(st.integers(0, 1))
+            records.append((code, channel, bank, index, stuck))
+    return standby, draw(st.permutations(records))
 
 
 class TestTsvOverflow:
@@ -432,6 +494,24 @@ class TestTsvOverflow:
         records = self.dtsvs(3, self.STANDBY) + self.dtsvs(5, self.STANDBY)
         records.append(tsv_record(FaultKind.ADDR_TSV, 6, 0))
         assert not self.overflows(records)
+
+    @settings(max_examples=150, deadline=None)
+    @given(case=clustered_tsv_trials())
+    def test_gate_agrees_with_the_engine(self, case):
+        """The overflow gate is true exactly when the engine's
+        ``apply_tsv_swap`` leaves a TSV fault of the trial visible, and
+        only a trial with more than ``standby`` TSV faults can overflow,
+        so the engine's count pre-check hides no overflow."""
+        standby, records = case
+        faults = TSV_INJECTOR.place_at(
+            records, [float(index) for index in range(len(records))]
+        )
+        visible, _ = apply_tsv_swap(faults, GEOM, standby)
+        leaked = any(fault.kind.is_tsv for fault in visible)
+        assert BatchTrialKernel._tsv_overflows(
+            TSV_INJECTOR.faulty_tsvs(records), standby
+        ) == leaked, (standby, records)
+        assert len(records) > standby or not leaked
 
 
 class TestWorkerByteIdentity:
@@ -482,10 +562,15 @@ class TestWorkerByteIdentity:
 #: Small coordinate pools force aliasing — the same trick as the
 #: incremental-correction differential.  The last die is the metadata
 #: die, whose faults only the metadata-die rules judge.
+META_DIE = GEOM.total_dies - 1
 DIES = st.sampled_from(
-    sorted({*range(min(4, GEOM.total_dies)), GEOM.total_dies - 1})
+    sorted({*range(min(4, GEOM.total_dies)), META_DIE})
 )
 BANKS = st.integers(0, min(2, GEOM.banks_per_die - 1))
+#: Metadata-die banks: CRC banks, and the DDS spare area (banks 5 and 6
+#: coarse, bank 7 fine at two spare banks; 6 and 7 at one, 7 at none),
+#: whose faults kill BRT slots or row sparing and re-expose faults.
+META_BANKS = st.sampled_from([0, 1, 2, 5, 6, 7])
 ROWS = st.integers(0, 7)
 COLS = st.integers(0, min(127, GEOM.row_bits - 1))
 PERM = st.sampled_from([Permanence.TRANSIENT, Permanence.PERMANENT])
@@ -500,7 +585,7 @@ def crowded_specs(draw):
     )
     perm = draw(PERM)
     die = draw(DIES)
-    bank = draw(BANKS)
+    bank = draw(META_BANKS if die == META_DIE else BANKS)
     if kind == "bit":
         return (FaultKind.BIT, perm, die, bank, draw(ROWS), draw(COLS))
     if kind == "word":
@@ -529,9 +614,16 @@ def crowded_specs(draw):
 
 
 TRIAL_STRATEGY = st.lists(crowded_specs(), min_size=0, max_size=6)
+#: Arrivals anywhere in the lifetime, or within the first ten scrub
+#: epochs, where faults share epochs, fall within the co-live slack of
+#: each other or just outside it, and meet DDS scrubs in between.
 TIME_STRATEGY = st.lists(
-    st.floats(min_value=0.0, max_value=LIFETIME_HOURS - 1.0,
-              allow_nan=False, allow_infinity=False),
+    st.one_of(
+        st.floats(min_value=0.0, max_value=LIFETIME_HOURS - 1.0,
+                  allow_nan=False, allow_infinity=False),
+        st.floats(min_value=0.0, max_value=10 * SCRUB_INTERVAL_HOURS,
+                  allow_nan=False, allow_infinity=False),
+    ),
     min_size=6, max_size=6,
 )
 
@@ -601,20 +693,24 @@ PEEL_SCHEMES = sorted(
 )
 
 
-def build_trial_batch(trials, interval):
-    """Mirror ``BatchTrialKernel.run``'s column assembly for trials of
-    ``(specs, times)`` with no TSV-Swap absorption; each spec is a fault
-    description ``(kind, permanence, die, bank, a, b)``."""
+def build_trial_batch(trials, config):
+    """Mirror ``BatchTrialKernel._screen``'s column assembly for trials of
+    ``(specs, times)`` under ``config`` with no TSV-Swap absorption; each
+    spec is a fault description ``(kind, permanence, die, bank, a, b)``.
+    The co-live column comes from the engine's DDS rule."""
     columns = {
-        "permanent": [], "is_tsv": [], "is_bank_kind": [], "die": [],
+        "is_tsv": [], "is_bank_kind": [], "die": [],
         "bank": [], "row_base": [], "row_mask": [], "col_base": [],
         "col_mask": [], "epoch": [],
     }
-    for specs, times in trials:
+    permanent, trial = [], []
+    interval = config.scrub_interval_hours
+    for index, (specs, times) in enumerate(trials):
         for spec, t in zip(specs, times):
             kind, permanence, die, bank, _, _ = spec
             rb, rm, cb, cm = reference_masks(spec, GEOM)
-            columns["permanent"].append(permanence is Permanence.PERMANENT)
+            permanent.append(permanence is Permanence.PERMANENT)
+            trial.append(index)
             columns["is_tsv"].append(kind.is_tsv)
             columns["is_bank_kind"].append(kind is FaultKind.BANK)
             columns["die"].append(die)
@@ -624,27 +720,41 @@ def build_trial_batch(trials, interval):
             columns["col_base"].append(cb)
             columns["col_mask"].append(cm)
             columns["epoch"].append(int(t // interval))
+    outlives = outlives_scrub(
+        GEOM, config.use_dds, config.spare_banks,
+        np.array(trial, dtype=np.int64),
+        np.array(permanent, dtype=bool),
+        np.array(columns["is_tsv"], dtype=bool),
+        np.array(columns["die"], dtype=np.int64),
+        np.array(columns["bank"], dtype=np.int64),
+    )
     return TrialBatch(
-        GEOM, [len(specs) for specs, _ in trials], **columns
+        GEOM, [len(specs) for specs, _ in trials], outlives, **columns
     )
 
 
-def build_single_trial_batch(specs, times, interval):
-    return build_trial_batch([(specs, times)], interval)
+def build_single_trial_batch(specs, times, config):
+    return build_trial_batch([(specs, times)], config)
+
+
+#: Without DDS, and with DDS at every BRT size from none to the paper's
+#: two spare banks, with and without row sparing.
+SOUND_CONFIGS = [EngineConfig()] + [
+    EngineConfig(use_dds=True, spare_banks=banks, spare_rows_per_bank=rows)
+    for banks in (0, 1, 2)
+    for rows in (0, 4)
+]
 
 
 def assert_sound(scheme, specs, raw_times):
     """A kernel that proves the trial must see the scalar engine agree,
-    with and without DDS."""
-    for use_dds in (False, True):
-        config = EngineConfig(use_dds=use_dds)
+    without DDS and under every DDS provisioning of ``SOUND_CONFIGS``."""
+    times = sorted(raw_times[: len(specs)])
+    for config in SOUND_CONFIGS:
         sim = LifetimeSimulator(
             GEOM, RATES, SCHEMES[scheme](GEOM), config, seed=0
         )
-        times = sorted(raw_times[: len(specs)])
-        batch = build_single_trial_batch(
-            specs, times, config.scrub_interval_hours
-        )
+        batch = build_single_trial_batch(specs, times, config)
         kernel = sim.model.batch_kernel()
         verdict = kernel.survives(batch)
         assert verdict.shape == (1,)
@@ -653,7 +763,7 @@ def assert_sound(scheme, specs, raw_times):
                 build_fault(GEOM, spec, t) for spec, t in zip(specs, times)
             ]
             assert sim._simulate(faults, None, None, None) is None, (
-                scheme, use_dds, specs, times
+                scheme, config, specs, times
             )
 
 
@@ -698,9 +808,7 @@ class TestKernelSoundness:
         )
         faults = [build_fault(GEOM, spec, t) for spec, t in zip(specs, times)]
         assert (sim._simulate(faults, None, None, None) is None) is proven
-        batch = build_single_trial_batch(
-            specs, times, config.scrub_interval_hours
-        )
+        batch = build_single_trial_batch(specs, times, config)
         assert bool(sim.model.batch_kernel().survives(batch)[0]) is proven
         if proven:
             survivors, events = sim.model._peel(faults)
@@ -710,10 +818,74 @@ class TestKernelSoundness:
 
     @pytest.mark.parametrize("scheme", KERNEL_SCHEMES)
     def test_empty_trial_survives(self, scheme):
-        config = EngineConfig()
-        batch = build_single_trial_batch([], [], config.scrub_interval_hours)
+        batch = build_single_trial_batch([], [], EngineConfig())
         kernel = SCHEMES[scheme](GEOM).batch_kernel()
         assert bool(kernel.survives(batch)[0])
+
+
+PERMANENT = Permanence.PERMANENT
+
+
+class TestDDSRuleClauses:
+    """One failing trial per clause of ``repro.core.dds.outlives_scrub``.
+    In each, the fault the failure needs arrived more than
+    ``COLIVE_EPOCH_SLACK`` scrub epochs before the fault that meets it,
+    and every other clause holds, so a rule without that clause would
+    retire the first fault and the kernel would prove the trial."""
+
+    CASES = {
+        # Without DDS a permanent fault stays live: a column fault, then
+        # a subarray fault that aliases it in dimension 1 (the only one
+        # either can peel through).
+        "dds_off": ("3dp", EngineConfig(), [
+            ((FaultKind.COLUMN, PERMANENT, 0, 0, 77, 0), 1.0),
+            ((FaultKind.SUBARRAY, PERMANENT, 1, 0, 0, 0), 100.0),
+        ]),
+        # The column is bank-spared onto coarse spare bank 5 at the scrub
+        # of epoch 1; a fault in bank 5 of the metadata die kills that
+        # BRT slot at the next scrub and re-exposes the column, which the
+        # subarray fault then meets.
+        "metadata_die": ("3dp", EngineConfig(use_dds=True), [
+            ((FaultKind.COLUMN, PERMANENT, 0, 0, 77, 0), 1.0),
+            ((FaultKind.BIT, PERMANENT, META_DIE, 5, 0, 0), 20.0),
+            ((FaultKind.SUBARRAY, PERMANENT, 1, 0, 0, 0), 100.0),
+        ]),
+        # Two spare banks take the first two columns; the third stays
+        # live (NOT_SPARED) and meets the subarray fault.  That fault is
+        # transient and takes no position, so the trial holds exactly one
+        # position more than the BRT has slots.
+        "spare_banks": ("3dp", EngineConfig(use_dds=True, spare_banks=2), [
+            ((FaultKind.COLUMN, PERMANENT, 0, 0, 10, 0), 1.0),
+            ((FaultKind.COLUMN, PERMANENT, 0, 1, 20, 0), 30.0),
+            ((FaultKind.COLUMN, PERMANENT, 1, 2, 30, 0), 60.0),
+            ((FaultKind.SUBARRAY, Permanence.TRANSIENT, 2, 2, 0, 0), 100.0),
+        ]),
+        # Without TSV-Swap a TSV fault is multi-bank and never spared; a
+        # row fault on another die meets it in the across-channels code.
+        "tsv": ("symbol-across-channels", EngineConfig(use_dds=True), [
+            ((FaultKind.DATA_TSV, PERMANENT, 0, -1, 3, 0), 1.0),
+            ((FaultKind.ROW, PERMANENT, 1, 0, 5, 0), 100.0),
+        ]),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_clause_keeps_the_fault_co_live(self, case):
+        scheme, config, trial = self.CASES[case]
+        specs = [spec for spec, _ in trial]
+        times = [t for _, t in trial]
+        sim = LifetimeSimulator(
+            GEOM, RATES, SCHEMES[scheme](GEOM), config, seed=0
+        )
+        faults = [build_fault(GEOM, spec, t) for spec, t in trial]
+        assert sim._simulate(faults, None, None, None) is not None
+        kernel = sim.model.batch_kernel()
+        batch = build_single_trial_batch(specs, times, config)
+        permanent = [spec[1] is PERMANENT for spec in specs]
+        assert batch.outlives_scrub.tolist() == permanent
+        assert not kernel.survives(batch)[0]
+        # What a rule without the clause would hand the kernel.
+        batch.outlives_scrub[:] = False
+        assert kernel.survives(batch)[0]
 
 
 # ---------------------------------------------------------------------- #
@@ -782,8 +954,7 @@ class TestPairIndex:
     @settings(max_examples=60, deadline=None)
     @given(trials=pair_batches())
     def test_pairs_match_the_block_rule(self, trials):
-        interval = EngineConfig().scrub_interval_hours
-        batch = build_trial_batch(trials, interval)
+        batch = build_trial_batch(trials, EngineConfig())
         masks = [
             reference_masks(spec, GEOM) for specs, _ in trials for spec in specs
         ]
@@ -814,11 +985,11 @@ class TestPairIndex:
                 assert len(got) == sum(
                     len(specs) * (len(specs) - 1) // 2 for specs, _ in trials
                 )
-            permanent = batch.permanent.tolist()
+            outlives = batch.outlives_scrub.tolist()
             epoch = batch.epoch.tolist()
             for (i, j), co in zip(got, colive.tolist()):
                 assert co == (
-                    permanent[i]
+                    outlives[i]
                     or epoch[j] <= epoch[i] + COLIVE_EPOCH_SLACK
                 )
             per_trial = np.bincount(
@@ -861,9 +1032,7 @@ class TestSameBankCheckRow:
         )
         faults = [build_fault(GEOM, spec, t) for spec, t in zip(specs, times)]
         assert (sim._simulate(faults, None, None, None) is not None) is fatal
-        batch = build_single_trial_batch(
-            specs, times, config.scrub_interval_hours
-        )
+        batch = build_single_trial_batch(specs, times, config)
         assert bool(sim.model.batch_kernel().survives(batch)[0]) is not fatal
 
 
@@ -928,6 +1097,17 @@ class TestDispatch:
         assert doc(result) == doc(
             reference._run_scalar(4000, reference.default_min_faults(), None)
         )
+
+    def test_citadel_sparing_keeps_fallbacks_rare(self):
+        """Citadel at TSV FIT 1430: DDS spares nearly every permanent
+        fault before the next arrival, and the kernel proves those
+        trials instead of re-running them.  Here 5 of 4000 trials fall
+        back; 35 did when every permanent fault stayed co-live with
+        every later arrival."""
+        sim = self.make_sim()
+        runner = make_batch_runner(sim)
+        runner.run(4000, sim.default_min_faults(), None)
+        assert runner.fallback_trials <= 15
 
     def test_kernelless_model_falls_back(self):
         sim = LifetimeSimulator(

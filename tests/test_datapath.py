@@ -6,6 +6,7 @@ import random
 import pytest
 
 from repro.core.datapath import CitadelDatapath
+from repro.core.parity3dp import make_3dp
 from repro.errors import ConfigurationError, GeometryError, UncorrectableError
 from repro.faults.types import (
     Permanence,
@@ -15,6 +16,7 @@ from repro.faults.types import (
     make_column_fault,
     make_data_tsv_fault,
     make_row_fault,
+    make_subarray_fault,
 )
 from repro.stack.geometry import StackGeometry
 
@@ -155,6 +157,79 @@ class TestCellFaultCorrection:
         dp.inject(make_bank_fault(dp.geometry, d1, b1, P))
         assert dp.read(other) == payload(other)
         assert dp.stats.banks_spared == 2
+
+
+class TestSparingMovesWhatItReads:
+    """DDS can move only what the controller reads and corrects: a line
+    no dimension rebuilds moves corrupted, and stays lost."""
+
+    def faulty_pair(self, enable_dds):
+        """All lines all-ones (every stuck-at-0 bit shows), then a column
+        fault at (d0, b0, col 5) and a subarray fault at (d1, b0, s0),
+        which 3DP cannot correct together."""
+        dp = CitadelDatapath(enable_dds=enable_dds, rng=random.Random(7))
+        g = dp.geometry
+        for address in range(dp.num_lines):
+            dp.write(address, b"\xff" * g.line_bytes)
+        faults = [
+            make_column_fault(g, 0, 0, 5, P),
+            make_subarray_fault(g, 1, 0, 0, P),
+        ]
+        assert make_3dp(g).is_uncorrectable(faults)
+        for fault in faults:
+            dp.inject(fault)
+        return dp
+
+    @pytest.mark.parametrize("region", ["row", "bank"])
+    def test_a_line_nothing_rebuilds_moves_as_read(self, region):
+        """Line (d0, b0, row 0, slot 0) holds both faults' bits in every
+        dimension's group; sparing its row or bank leaves it lost."""
+        dp = self.faulty_pair(enable_dds=True)
+        address = 0
+        assert dp._locate(address) == (0, 0, 0, 0)
+        with pytest.raises(UncorrectableError):
+            dp.read(address)
+        if region == "row":
+            dp._spare_row(0, 0, 0)
+        else:
+            dp._spare_bank(0, 0)
+        with pytest.raises(UncorrectableError):
+            dp.read(address)
+
+    def test_sparing_does_not_heal_lost_lines(self):
+        without = self.faulty_pair(enable_dds=False).scrub()
+        dp = self.faulty_pair(enable_dds=True)
+        report = dp.scrub()
+        assert dp.stats.banks_spared == 2
+        assert report.lines_lost
+        assert report.lines_lost == without.lines_lost
+        lost = set(report.lines_lost)
+        for address in range(dp.num_lines):
+            if address in lost:
+                # Rebuilt through the home location's groups, read
+                # through the remaps: still no dimension recovers it.
+                with pytest.raises(UncorrectableError):
+                    dp.read(address)
+            else:
+                assert dp.read(address) == b"\xff" * dp.geometry.line_bytes
+
+    def test_writes_to_a_spared_bank_keep_parity(self):
+        """A line rewritten after its bank was spared updates its home
+        location's parity groups, so a later fault in another bank of
+        the same dimension-1 group is still rebuilt from it."""
+        dp = CitadelDatapath(rng=random.Random(7))
+        fill(dp, range(150))
+        d0, b0, row, slot = dp._locate(0)
+        dp.inject(make_bank_fault(dp.geometry, d0, b0, P))
+        assert dp.read(0) == payload(0)
+        assert dp.stats.banks_spared == 1
+        dp.write(0, payload(999))
+        # Line 1 shares line 0's row and slot in the next bank.
+        d1, b1, row1, slot1 = dp._locate(1)
+        assert (row1, slot1) == (row, slot) and (d1, b1) != (d0, b0)
+        dp.inject(make_bank_fault(dp.geometry, d1, b1, P))
+        assert dp.read(1) == payload(1)
+        assert dp.read(0) == payload(999)
 
 
 class TestTSVPath:

@@ -4,16 +4,19 @@ guarantee), and writes must round-trip under fault-free operation."""
 
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.datapath import CitadelDatapath
+from repro.core.memory_array import FaultyMemoryArray
 from repro.faults.types import (
     Permanence,
     make_bank_fault,
     make_bit_fault,
     make_column_fault,
+    make_data_tsv_fault,
     make_row_fault,
     make_subarray_fault,
     make_word_fault,
@@ -91,3 +94,42 @@ class TestFailInPlaceProperty:
         die, bank, row, _ = dp._locate(address)
         dp.inject(make_row_fault(GEOM, die, bank, row, P))
         assert dp.read(address) == second
+
+
+@st.composite
+def cell_and_dtsv_faults(draw):
+    if draw(st.booleans()):
+        return draw(dram_faults())
+    channel = draw(st.integers(0, GEOM.data_dies - 1))
+    index = draw(st.integers(0, GEOM.data_tsvs_per_channel - 1))
+    return make_data_tsv_fault(GEOM, channel, index)
+
+
+class TestStuckColumns:
+    @given(
+        st.lists(cell_and_dtsv_faults(), min_size=1, max_size=3),
+        st.integers(0, 2**31),
+        st.data(),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_read_row_matches_the_bitwise_reference(self, faults, seed, data):
+        """``read_row`` sticks a fault's columns through one mask; the
+        reference sticks each column its ``RangeMask`` enumerates."""
+        array = FaultyMemoryArray(GEOM)
+        array.cells[...] = np.random.default_rng(seed).integers(
+            0, 256, size=array.cells.shape, dtype=np.uint8
+        )
+        for fault in faults:
+            array.inject(fault)
+        hit = faults[0].footprint
+        die = data.draw(st.sampled_from(sorted(hit.dies)))
+        bank = data.draw(st.sampled_from(sorted(hit.banks)))
+        row = data.draw(st.sampled_from(list(hit.rows.iter_values())))
+        bits = np.unpackbits(array.cells[die, bank, row], bitorder="little")
+        for fault in faults:
+            fp = fault.footprint
+            if die in fp.dies and bank in fp.banks and row in fp.rows:
+                for col in fp.cols.iter_values():
+                    bits[col] = 0
+        expected = np.packbits(bits, bitorder="little")
+        assert np.array_equal(array.read_row(die, bank, row), expected)
