@@ -16,8 +16,11 @@ count, so models may additionally maintain incremental state across one
 trial via ``begin_trial`` / ``observe`` / ``rebuild``.  The base class
 provides a from-scratch fallback with identical verdicts; models that
 implement a real kernel set ``incremental_kernel = True`` so the engine
-can count fast-path arrivals.  :class:`FromScratch` wraps any model in
-that fallback: the oracle the fast paths are tested against.
+can count fast-path arrivals.  ``ParityND`` keeps peeled components and
+the pairwise models test an arrival against the live list
+(``repro.ecc.incremental``); BCH answers through the fallback.
+:class:`FromScratch` wraps any model in that fallback: the oracle the
+fast paths are tested against.
 """
 
 from __future__ import annotations
@@ -53,7 +56,7 @@ class CorrectionModel(abc.ABC):
     def __init__(self, geometry: StackGeometry) -> None:
         self.geometry = geometry
         #: Live faults folded in since the last ``begin_trial``/``rebuild``
-        #: (the fallback state; kernels may keep richer indices beside it).
+        #: (the fallback state; ``ParityND`` keeps components beside it).
         self._inc_live: List[Fault] = []
 
     @property

@@ -9,21 +9,19 @@ row, bank, column-pair or word fault already exceeds the per-line budget.
 
 The predicate pools per-line bit counts over *groups* of line-sharing
 faults (each fault anchors a pool of every other fault it can share a
-line with), so it is not a bare pair disjunction and the generic pairwise
-kernel does not apply.  The incremental kernel instead caches each live
-fault's accumulated pool total: an arrival adds its bit count to every
-pool it joins and builds its own pool from the same scan, keeping the
-per-arrival cost at O(die-mates) versus the from-scratch O(F^2) re-pool.
-The verdict is monotone (joining a pool never shrinks it), so once over
-budget the trial short-circuits.
+line with), so it is not a bare pair disjunction and the pairwise kernel
+of ``repro.ecc.incremental`` does not apply.  BCH has no incremental
+kernel and no batch kernel: every arrival re-runs this predicate over
+the live set through the :class:`~repro.ecc.base.CorrectionModel`
+fallback.  A Fig. 19 trial at Table I rates holds a handful of faults,
+and any fault that puts a word or more into one line ends it at once.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Sequence
+from typing import Sequence
 
 from repro.ecc.base import CorrectionModel, bits_in_one_line, share_line_slot
-from repro.ecc.incremental import FaultBuckets
 from repro.faults.types import Fault
 from repro.stack.geometry import StackGeometry
 
@@ -31,20 +29,11 @@ from repro.stack.geometry import StackGeometry
 class BCHCode(CorrectionModel):
     """t-error-correcting code applied per cache line, in-bank layout."""
 
-    incremental_kernel = True
-
     def __init__(self, geometry: StackGeometry, t: int = 6) -> None:
         super().__init__(geometry)
         if t < 1:
             raise ValueError(f"t must be >= 1, got {t}")
         self.t = t
-        self._inc_fatal = False
-        #: uid -> pooled per-line bit total of the pool anchored at that
-        #: live fault (valid while membership is unchanged and the trial
-        #: is still correctable).
-        self._inc_totals: Dict[int, int] = {}
-        # Pooling requires a shared die: arrivals scan die-mates only.
-        self._die_index = FaultBuckets("dies")
 
     @property
     def name(self) -> str:
@@ -91,48 +80,3 @@ class BCHCode(CorrectionModel):
             if total > self.t:
                 return True
         return False
-
-    # ----------------------- incremental protocol --------------------- #
-    def begin_trial(self) -> None:
-        self._inc_live = []
-        self._inc_fatal = False
-        self._inc_totals = {}
-        self._die_index.clear()
-
-    def observe(self, fault: Fault) -> bool:
-        if not self._inc_fatal:
-            bits = self._line_bits(fault)
-            if bits > self.t:
-                self._inc_fatal = True
-            else:
-                total = bits
-                for other in self._die_index.candidates(fault):
-                    if not self._pools_with(fault, other):
-                        continue
-                    self._inc_totals[other.uid] += bits
-                    total += self._line_bits(other)
-                    if self._inc_totals[other.uid] > self.t:
-                        self._inc_fatal = True
-                self._inc_totals[fault.uid] = total
-                if total > self.t:
-                    self._inc_fatal = True
-        self._inc_live.append(fault)
-        self._die_index.add(fault)
-        return self._inc_fatal
-
-    def rebuild(self, live: Sequence[Fault]) -> None:
-        current = {f.uid for f in self._inc_live}
-        unchanged = (
-            not self._inc_fatal
-            and len(live) == len(self._inc_live)
-            and all(f.uid in current for f in live)
-        )
-        if unchanged:
-            # Same membership: totals and occupancy index remain valid.
-            self._inc_live = list(live)
-            return
-        # Removals invalidate every pool the removed faults contributed
-        # to; replay the survivors through the kernel.
-        self.begin_trial()
-        for fault in live:
-            self.observe(fault)

@@ -9,23 +9,15 @@ or more bad bits inside one 64-bit word defeats it.
 
 from __future__ import annotations
 
-from typing import List
-
-from repro.ecc.incremental import FaultBuckets, IncrementalPairwiseModel
+from repro.ecc.incremental import IncrementalPairwiseModel
 from repro.faults.footprint import RangeMask
 from repro.faults.types import Fault
-from repro.stack.geometry import StackGeometry
 
 _WORD_BITS = 64
 
 
 class SECDED(IncrementalPairwiseModel):
     """Single-error-correct, double-error-detect per 64-bit word."""
-
-    def __init__(self, geometry: StackGeometry) -> None:
-        super().__init__(geometry)
-        # Fatal pairs need a shared die, so arrivals only test die-mates.
-        self._die_index = FaultBuckets("dies")
 
     @property
     def name(self) -> str:
@@ -66,12 +58,3 @@ class SECDED(IncrementalPairwiseModel):
         if not fa.rows.intersects(fb.rows):
             return False
         return self._share_word(fa.cols, fb.cols)
-
-    def _pair_candidates(self, fault: Fault) -> List[Fault]:
-        return self._die_index.candidates(fault)
-
-    def _index_reset(self) -> None:
-        self._die_index.clear()
-
-    def _index_add(self, fault: Fault) -> None:
-        self._die_index.add(fault)

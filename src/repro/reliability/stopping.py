@@ -182,21 +182,24 @@ class ConfidenceSequence:
         return hi - lo
 
 
+#: The confidence sequence campaigns stop on: empirical Bernstein at
+#: ``alpha = 0.05``.
+STOPPING_SEQUENCE = ConfidenceSequence()
+
+
 @dataclass(frozen=True)
 class StoppingRule:
     """Stop once the anytime-valid CI width drops to ``target_ci_width``.
 
     Evaluated by :class:`~repro.reliability.parallel.ParallelLifetimeRunner`
-    on the contiguous completed shard prefix at every merge point.  The
-    decision is a pure function of the merged prefix, which is itself a
-    pure function of the shard plan — so stopping is deterministic
-    across worker counts and across checkpoint/resume boundaries.
+    on the contiguous completed shard prefix at every merge point, over
+    :data:`STOPPING_SEQUENCE`.  The decision is a pure function of the
+    merged prefix, which is itself a pure function of the shard plan — so
+    stopping is deterministic across worker counts and across
+    checkpoint/resume boundaries.  An empty prefix never satisfies it.
     """
 
     target_ci_width: float
-    alpha: float = 0.05
-    method: str = "bernstein"
-    min_trials: int = 1
 
     def __post_init__(self) -> None:
         contracts.require(
@@ -204,21 +207,12 @@ class StoppingRule:
             "target_ci_width must be positive, got %r",
             self.target_ci_width,
         )
-        contracts.require(
-            self.min_trials >= 1,
-            "min_trials must be >= 1, got %r",
-            self.min_trials,
-        )
-        # Delegate alpha/method validation to the sequence constructor.
-        ConfidenceSequence(alpha=self.alpha, method=self.method)
-
-    def sequence(self) -> ConfidenceSequence:
-        return ConfidenceSequence(alpha=self.alpha, method=self.method)
 
     def interval(self, prefix: ReliabilityResult) -> Tuple[float, float]:
-        return self.sequence().interval(prefix)
+        return STOPPING_SEQUENCE.interval(prefix)
 
     def satisfied(self, prefix: ReliabilityResult) -> bool:
-        if prefix.trials < self.min_trials:
-            return False
-        return self.sequence().width(prefix) <= self.target_ci_width
+        return (
+            prefix.trials > 0
+            and STOPPING_SEQUENCE.width(prefix) <= self.target_ci_width
+        )

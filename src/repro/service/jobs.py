@@ -478,8 +478,3 @@ class Job:
             "cache_hit": self.cache_hit,
             "elapsed_seconds": self.elapsed_seconds,
         }
-
-
-def clone_spec(spec: CampaignSpec, **overrides: Any) -> CampaignSpec:
-    """A copy of ``spec`` with ``overrides`` applied (re-validated)."""
-    return replace(spec, **overrides)

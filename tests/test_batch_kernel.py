@@ -627,6 +627,91 @@ TIME_STRATEGY = st.lists(
     min_size=6, max_size=6,
 )
 
+PERMANENT = Permanence.PERMANENT
+#: Data dies of the crowded pool.
+DATA_DIES = st.integers(0, min(3, GEOM.data_dies - 1))
+#: Arrival offset inside a scrub epoch, clear of both boundaries.
+IN_EPOCH = st.floats(min_value=0.1, max_value=0.9)
+
+
+def anchored_spec(kind, permanence, die, bank, row, col):
+    """A fault of ``kind`` at ``(die, bank)`` that covers cell
+    ``(row, col)``."""
+    if kind is FaultKind.BIT:
+        return (kind, permanence, die, bank, row, col)
+    if kind is FaultKind.WORD:
+        return (kind, permanence, die, bank, row, col // 32)
+    if kind is FaultKind.ROW:
+        return (kind, permanence, die, bank, row, 0)
+    if kind is FaultKind.COLUMN:
+        return (kind, permanence, die, bank, col, 0)
+    if kind is FaultKind.SUBARRAY:
+        return (kind, permanence, die, bank, GEOM.subarray_of_row(row), 0)
+    return (kind, permanence, die, bank, 0, 0)
+
+
+#: Column, subarray and bank faults need more rows than a bank has
+#: spare, so DDS can only spare them by bank; the smaller kinds take
+#: spare rows while their bank has some.
+ANCHORED_KINDS = st.sampled_from([
+    FaultKind.COLUMN, FaultKind.COLUMN, FaultKind.SUBARRAY,
+    FaultKind.SUBARRAY, FaultKind.BANK, FaultKind.BIT, FaultKind.WORD,
+    FaultKind.ROW,
+])
+
+
+@st.composite
+def reexposure_trials(draw):
+    """A trial in which DDS may bring a spared fault back, as
+    ``(specs, times)`` in arrival order:
+
+    * a permanent data-die fault, spared at the scrub that ends its
+      epoch if the BRT or its bank's spare rows have room;
+    * in one of the next ``COLIVE_EPOCH_SLACK`` epochs, a metadata-die
+      fault in a spare bank (the coarse bank that holds the first
+      bank-spared fault at one or two spare banks, or the fine bank that
+      holds spared rows), which re-exposes the first fault at the scrub
+      after it arrives; it may also be transient, which DDS never sees,
+      or absent;
+    * more than ``COLIVE_EPOCH_SLACK`` epochs after the first fault, a
+      fault that covers one of its cells;
+    * up to two crowded faults in the first ten epochs.
+    """
+    die, bank = draw(DATA_DIES), draw(BANKS)
+    row, col = draw(ROWS), draw(COLS)
+    first = draw(st.integers(0, 4))
+    interval = SCRUB_INTERVAL_HOURS
+    trial = [(
+        anchored_spec(draw(ANCHORED_KINDS), PERMANENT, die, bank, row, col),
+        (first + draw(IN_EPOCH)) * interval,
+    )]
+    meta = draw(
+        st.sampled_from([PERMANENT, PERMANENT, Permanence.TRANSIENT, None])
+    )
+    if meta is not None:
+        spare_bank = draw(st.sampled_from([5, 6, 7]))
+        trial.append((
+            (draw(st.sampled_from([FaultKind.BIT, FaultKind.ROW,
+                                   FaultKind.COLUMN, FaultKind.BANK])),
+             meta, META_DIE, spare_bank, draw(ROWS), 0),
+            (first + draw(st.integers(1, COLIVE_EPOCH_SLACK))
+             + draw(IN_EPOCH)) * interval,
+        ))
+    alias_epoch = first + COLIVE_EPOCH_SLACK + draw(st.integers(1, 3))
+    trial.append((
+        anchored_spec(draw(ANCHORED_KINDS), draw(PERM), draw(DATA_DIES),
+                      bank, row, col),
+        (alias_epoch + draw(IN_EPOCH)) * interval,
+    ))
+    for spec in draw(st.lists(crowded_specs(), max_size=2)):
+        trial.append((spec, draw(st.floats(
+            min_value=0.0, max_value=10 * interval,
+            allow_nan=False, allow_infinity=False,
+        ))))
+    trial.sort(key=lambda arrival: arrival[1])
+    return [spec for spec, _ in trial], [t for _, t in trial]
+
+
 #: Columns on both sides of three column-block edges.
 EDGE_COLS = st.sampled_from([
     edge * COL_BLOCK_BITS + offset
@@ -776,6 +861,15 @@ class TestKernelSoundness:
     def test_survives_implies_scalar_survival(self, scheme, specs, raw_times):
         assert_sound(scheme, specs, raw_times)
 
+    @pytest.mark.parametrize("scheme", KERNEL_SCHEMES)
+    @settings(max_examples=40, deadline=None)
+    @given(trial=reexposure_trials())
+    def test_reexposed_fault_survival_is_sound(self, scheme, trial):
+        """A spared fault that a spare-area fault may re-expose, and an
+        alias of it past the co-live slack."""
+        specs, times = trial
+        assert_sound(scheme, specs, times)
+
     @pytest.mark.parametrize("scheme", PEEL_SCHEMES)
     @settings(max_examples=40, deadline=None)
     @given(specs=DENSE_TRIAL_STRATEGY, raw_times=DENSE_TIME_STRATEGY)
@@ -821,9 +915,6 @@ class TestKernelSoundness:
         batch = build_single_trial_batch([], [], EngineConfig())
         kernel = SCHEMES[scheme](GEOM).batch_kernel()
         assert bool(kernel.survives(batch)[0])
-
-
-PERMANENT = Permanence.PERMANENT
 
 
 class TestDDSRuleClauses:

@@ -5,8 +5,9 @@ model answers ``is_uncorrectable()`` on the same prefix, for random
 fault sequences — and ``rebuild()`` (the scrub/DDS path) must leave the
 kernel answering as if the surviving set had been observed from
 scratch.  The strategies deliberately squeeze faults into a few dies,
-banks and rows so that pair predicates, occupancy indexes and the 3DP
-component merges are all exercised, not just the lone-fault fast paths.
+banks and rows so that pair predicates, the monotone short-circuit,
+BCH's line pools, the 3DP column-block index and its component merges
+are all exercised, not just the lone-fault fast paths.
 Two hand-built 3DP rebuilds cover the edits a scrub makes to a
 component: removing the fault that bridged its two halves, and
 re-exposing a fault that aliases a component left intact.

@@ -166,17 +166,14 @@ class TestBoundaries:
             ConfidenceSequence(method="wald")
         with pytest.raises(ContractViolation):
             StoppingRule(target_ci_width=0.0)
-        with pytest.raises(ContractViolation):
-            StoppingRule(target_ci_width=0.1, min_trials=0)
-        with pytest.raises(ContractViolation):
-            StoppingRule(target_ci_width=0.1, method="wald")
 
-    def test_min_trials_gate(self):
-        rule = StoppingRule(target_ci_width=10.0, min_trials=10**9)
-        result = ReliabilityResult(
-            scheme_name="x", trials=1000, failures=0, stratum_weight=1.0
+    def test_empty_prefix_never_satisfies_the_rule(self):
+        empty = ReliabilityResult(
+            scheme_name="x", trials=0, failures=0, stratum_weight=1.0
         )
-        assert not rule.satisfied(result)
+        rule = StoppingRule(target_ci_width=10.0)
+        assert rule.interval(empty) == (0.0, 1.0)
+        assert not rule.satisfied(empty)
 
 
 # ---------------------------------------------------------------------- #

@@ -6,8 +6,9 @@ the instrumented hot paths: console output goes through
 artifact), and wall-clock readings go through ``telemetry.registry``
 timers built on ``time.monotonic`` (``time.time`` is not monotonic and
 leaks nondeterminism into anything that records it).  This rule flags,
-in the reliability engine, the core correction stack, the ECC models and
-their incremental kernels, the perf model and the CLI:
+in the reliability engine, the core correction stack (with 3DP's
+component kernel), the ECC models (with the pairwise kernel of
+``ecc/incremental.py``), the perf model and the CLI:
 
 * any call to the builtin ``print(...)``;
 * any call to ``time.time()`` (including ``from time import time``).
